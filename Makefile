@@ -1,8 +1,8 @@
 # Build/verify entry points. `make check` is the CI gate: it checks
 # formatting, vets, builds, runs the full test suite under the race detector
 # (continuously validating the parallel engine and the concurrent round
-# ledger), and smoke-runs every benchmark once so the benchmark programs
-# themselves cannot rot.
+# ledger), smoke-runs every benchmark once, and compiles the bench/ module,
+# so the benchmark programs themselves cannot rot.
 
 GO ?= go
 
@@ -26,7 +26,7 @@ define run-bench
 $(GO) test -run xxx -bench '$(1)' -benchmem -benchtime $(BENCHTIME) $(2)
 endef
 
-.PHONY: all build fmt-check vet test race bench-smoke bench-engine bench-baseline bench-solver bench-scaling bench-gate check experiments trace-smoke stress bench-faults serve-smoke net-smoke bench-net chaos-smoke bench-chaos
+.PHONY: all build fmt-check vet test race bench-smoke bench-build bench-engine bench-baseline bench-solver bench-scaling bench-gate check experiments trace-smoke stress bench-faults serve-smoke net-smoke bench-net chaos-smoke bench-chaos
 
 all: build
 
@@ -179,4 +179,10 @@ chaos-smoke:
 bench-chaos:
 	$(GO) run ./cmd/benchgate -suites chaos
 
-check: fmt-check vet build race bench-smoke trace-smoke serve-smoke net-smoke chaos-smoke
+# Vet and compile the benchmark's own module (lapcc/bench, see
+# BENCHMARK.json). Root `go build ./...` and `go test ./...` never touch it,
+# yet it reads internal types such as cc.DeliveryStats and tcp.Transport.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null .
+
+check: fmt-check vet build race bench-smoke bench-build trace-smoke serve-smoke net-smoke chaos-smoke

@@ -22,8 +22,6 @@ func main() {
 	id := flag.Int("id", -1, "worker id in [0, procs)")
 	procs := flag.Int("procs", 0, "total worker count")
 	dialTimeout := flag.Duration("dial-timeout", 0, "coordinator/mesh dial and accept timeout (0: default)")
-	ackTimeout := flag.Duration("ack-timeout", 0, "base retransmission timeout (0: default)")
-	retries := flag.Int("retries", 0, "max retransmission waves per stream (0: default)")
 	epoch := flag.Uint64("epoch", 0, "coordinator mesh incarnation")
 	chaosSpec := flag.String("chaos", "", "socket-level chaos plan for mesh connections (see transport.ParseChaosPlan)")
 	flag.Parse()
@@ -38,8 +36,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := tcp.NodeConfig{
-		AckTimeout:  *ackTimeout,
-		MaxRetries:  *retries,
 		DialTimeout: *dialTimeout,
 		Epoch:       *epoch,
 		Chaos:       chaos,

@@ -86,7 +86,7 @@ func measureChaosEngine(kills ...transport.Kill) (tcp.Checkpoint, tcp.RecoverySt
 	if _, err := e.Run(step, netRounds+8); err != nil {
 		return tcp.Checkpoint{}, tcp.RecoveryStats{}, 0, err
 	}
-	return tr.Checkpoint(), tr.Recovery(), *sum, nil
+	return tr.Checkpoint(), tr.Recovery(), sum(), nil
 }
 
 // MeasureChaosWorkloads re-measures BENCH_chaos.json: the engine workload

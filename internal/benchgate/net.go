@@ -12,7 +12,7 @@ import (
 // NetTolerance gates the net suite. The gated figure is engine ns-per-round
 // through each delivery backend. The local figure is a plain function call;
 // the mem figure adds an encode/decode of every message; the tcp figure
-// stacks loopback sockets, the chunk/ack barrier, and kernel scheduling on
+// stacks loopback sockets, the chunked barrier, and kernel scheduling on
 // top, so its wall time swings far more between runs than any
 // microbenchmark — hence a ratio even wider than the serve suite's. The
 // suite's real teeth are not the timings at all: the measurement
@@ -30,14 +30,16 @@ const (
 	netProcs  = 4
 )
 
-// netStep returns the deterministic workload step plus a pointer to the
-// run's transcript checksum (order-sensitive over every received message).
-func netStep() (cc.Step, *uint64) {
-	sum := new(uint64)
+// netStep returns the deterministic workload step plus the run's transcript
+// checksum, order-sensitive over every message each node receives. The
+// engine runs step functions concurrently, so each node hashes into its own
+// slot and the checksum folds the slots in node order.
+func netStep() (cc.Step, func() uint64) {
+	sums := make([]uint64, netN)
 	step := func(node, round int, inbox []cc.Message, send func(int, ...int64)) bool {
 		for _, m := range inbox {
 			for _, v := range m.Data {
-				*sum = *sum*0x100000001b3 ^ uint64(v) ^ uint64(m.From)<<32
+				sums[node] = sums[node]*0x100000001b3 ^ uint64(v) ^ uint64(m.From)<<32
 			}
 		}
 		if round >= netRounds {
@@ -48,7 +50,13 @@ func netStep() (cc.Step, *uint64) {
 		}
 		return false
 	}
-	return step, sum
+	return step, func() uint64 {
+		var h uint64
+		for _, s := range sums {
+			h = h*0x100000001b3 ^ s
+		}
+		return h
+	}
 }
 
 // measureNet runs the workload through one transport (nil = in-process
@@ -67,7 +75,7 @@ func measureNet(tr cc.Transport) (float64, uint64, error) {
 	if rounds <= 0 {
 		return 0, 0, fmt.Errorf("benchgate: net workload ran %d rounds", rounds)
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(rounds), *sum, nil
+	return float64(time.Since(start).Nanoseconds()) / float64(rounds), sum(), nil
 }
 
 // MeasureNetWorkload re-measures BENCH_net.json in-process: the same engine

@@ -47,19 +47,11 @@ type DeliveryStats struct {
 	// (data frames only; zero when no codec is involved).
 	Frames     int64
 	FrameBytes int64
-	// Retransmits counts data frames re-sent by the backend's reliability
-	// loop; Acks counts acknowledgement frames.
+	// Retransmits and Acks are always zero: no backend retransmits or
+	// acknowledges frames (the TCP backend relies on TCP's in-order delivery
+	// and on supervision). They remain for readers that still report them.
 	Retransmits int64
-	// Acks counts acknowledgement frames sent by receivers.
-	Acks int64
-}
-
-func (s *DeliveryStats) add(o DeliveryStats) {
-	s.Messages += o.Messages
-	s.Frames += o.Frames
-	s.FrameBytes += o.FrameBytes
-	s.Retransmits += o.Retransmits
-	s.Acks += o.Acks
+	Acks        int64
 }
 
 // Transport moves one round's outboxes to the next round's inboxes.

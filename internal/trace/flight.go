@@ -17,7 +17,7 @@ import (
 // production and dumped to JSONL only when something dies. It is the
 // deliberate complement of the trace plane's determinism contract: the
 // trace timeline carries only seed-reproducible content, so everything
-// wall-clock-shaped or failure-specific — timestamps, retransmit waves,
+// wall-clock-shaped or failure-specific — timestamps, heartbeat races,
 // error strings — lands here instead, where nobody diffs the bytes.
 //
 // All methods are safe on a nil *Flight (recording disabled, zero cost)
@@ -44,10 +44,8 @@ type FlightEvent struct {
 
 	// Cumulative or per-barrier counters, meaningful per kind; zero
 	// otherwise.
-	Messages    int64
-	Frames      int64
-	Retransmits int64
-	Acks        int64
+	Messages int64
+	Frames   int64
 }
 
 // DefaultFlightSize is the ring capacity CLIs use for -flight: at a few
@@ -124,17 +122,15 @@ func (f *Flight) Events() []FlightEvent {
 // trace stream this one is openly nondeterministic (wall-clock timestamps,
 // error text); ValidateFlightJSONL checks structure, not bytes.
 type jsonlFlight struct {
-	Seq         uint64 `json:"seq"`
-	T           string `json:"t"`
-	Kind        string `json:"kind"`
-	Barrier     uint64 `json:"barrier"`
-	Epoch       uint64 `json:"epoch"`
-	Node        int    `json:"node"`
-	Detail      string `json:"detail,omitempty"`
-	Messages    int64  `json:"messages,omitempty"`
-	Frames      int64  `json:"frames,omitempty"`
-	Retransmits int64  `json:"retransmits,omitempty"`
-	Acks        int64  `json:"acks,omitempty"`
+	Seq      uint64 `json:"seq"`
+	T        string `json:"t"`
+	Kind     string `json:"kind"`
+	Barrier  uint64 `json:"barrier"`
+	Epoch    uint64 `json:"epoch"`
+	Node     int    `json:"node"`
+	Detail   string `json:"detail,omitempty"`
+	Messages int64  `json:"messages,omitempty"`
+	Frames   int64  `json:"frames,omitempty"`
 }
 
 // WriteJSONL writes the held events oldest-first, one JSON object per
@@ -150,7 +146,7 @@ func (f *Flight) WriteJSONL(w io.Writer) error {
 		rec := jsonlFlight{
 			Seq: ev.Seq, T: ev.At.UTC().Format(time.RFC3339Nano), Kind: ev.Kind,
 			Barrier: ev.Barrier, Epoch: ev.Epoch, Node: ev.Node, Detail: ev.Detail,
-			Messages: ev.Messages, Frames: ev.Frames, Retransmits: ev.Retransmits, Acks: ev.Acks,
+			Messages: ev.Messages, Frames: ev.Frames,
 		}
 		if err := enc.Encode(rec); err != nil {
 			return err
@@ -245,7 +241,7 @@ func ValidateFlightJSONL(r io.Reader) error {
 		} else if node < -1 {
 			return fmt.Errorf("trace: flight line %d: bad node %d", line, node)
 		}
-		for _, f := range []string{"messages", "frames", "retransmits", "acks"} {
+		for _, f := range []string{"messages", "frames"} {
 			if _, ok := raw[f]; !ok {
 				continue
 			}
@@ -265,4 +261,4 @@ func ValidateFlightJSONL(r io.Reader) error {
 // flightFields is the exact field set of a flight JSONL record, mirroring
 // jsonlFlight.
 var flightFields = set("seq", "t", "kind", "barrier", "epoch", "node",
-	"detail", "messages", "frames", "retransmits", "acks")
+	"detail", "messages", "frames")

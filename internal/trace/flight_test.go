@@ -110,6 +110,7 @@ func TestValidateFlightJSONLRejects(t *testing.T) {
 		"empty kind":      `{"seq":0,"t":"` + now + `","kind":"","barrier":0,"epoch":0,"node":-1}` + "\n",
 		"bad timestamp":   `{"seq":0,"t":"yesterday","kind":"kill","barrier":0,"epoch":0,"node":-1}` + "\n",
 		"bad node":        `{"seq":0,"t":"` + now + `","kind":"kill","barrier":0,"epoch":0,"node":-2}` + "\n",
+		"retired acks":    `{"seq":0,"t":"` + now + `","kind":"replay","barrier":0,"epoch":0,"node":-1,"acks":4}` + "\n",
 		"negative frames": `{"seq":0,"t":"` + now + `","kind":"kill","barrier":0,"epoch":0,"node":-1,"frames":-1}` + "\n",
 		"seq not increasing": `{"seq":5,"t":"` + now + `","kind":"a","barrier":0,"epoch":0,"node":-1}` + "\n" +
 			`{"seq":5,"t":"` + now + `","kind":"b","barrier":0,"epoch":0,"node":-1}` + "\n",
@@ -120,7 +121,7 @@ func TestValidateFlightJSONLRejects(t *testing.T) {
 		}
 	}
 	ok := `{"seq":3,"t":"` + now + `","kind":"kill","barrier":0,"epoch":0,"node":-1}` + "\n" +
-		`{"seq":9,"t":"` + now + `","kind":"replay","barrier":0,"epoch":1,"node":-1,"acks":4}` + "\n"
+		`{"seq":9,"t":"` + now + `","kind":"replay","barrier":0,"epoch":1,"node":-1,"messages":4}` + "\n"
 	if err := ValidateFlightJSONL(strings.NewReader(ok)); err != nil {
 		t.Errorf("valid stream rejected: %v", err)
 	}

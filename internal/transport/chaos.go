@@ -42,8 +42,7 @@ type ChaosPlan struct {
 	// Reset closes the connection under the writer mid-protocol (the far
 	// side observes ECONNRESET/EOF). Partial fragments the write into two
 	// socket writes, exercising the reader's reassembly. Stall delays the
-	// write by StallDelay, exercising acknowledgement timeouts and the
-	// retransmission path.
+	// write by StallDelay, exercising barriers that wait on a slow peer.
 	Reset   float64
 	Partial float64
 	Stall   float64

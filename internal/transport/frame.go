@@ -42,11 +42,12 @@ const (
 	// (coordinator -> node).
 	FrameRound
 	// FrameData carries one chunk of a node's sends to a peer (node ->
-	// node). Seq/Total sequence the chunks of one (round, sender) stream.
+	// node). Seq/Total sequence the chunks of one (round, sender) stream,
+	// which travel in order on one connection.
 	FrameData
-	// FrameAck acknowledges complete receipt of a (round, sender) stream
-	// (receiver -> sender). Seq carries the cumulative chunk count seen.
-	FrameAck
+	// Type 6 is reserved: it belonged to a retired acknowledgement frame
+	// and decodes as unknown, so the later types keep their wire numbers.
+	_
 	// FrameInbox returns a node's assembled inbox shard for one round,
 	// with its wire-level counters piggybacked (node -> coordinator).
 	FrameInbox
@@ -82,7 +83,7 @@ type Msg struct {
 // WireStats counts a backend's wire-level work; the TCP nodes piggyback
 // their per-round counters on FrameInbox.
 type WireStats struct {
-	Frames, FrameBytes, Retransmits, Acks uint64
+	Frames, FrameBytes uint64
 }
 
 // Frame is the decoded form of one wire frame. Unused fields are zero for
@@ -91,8 +92,7 @@ type Frame struct {
 	Type  FrameType
 	Round uint64
 	Node  int32
-	// Seq/Total sequence FrameData chunks; Seq doubles as the cumulative
-	// acknowledgement count in FrameAck.
+	// Seq/Total sequence FrameData chunks.
 	Seq, Total uint32
 	Addr       string   // FrameHello (mesh listen address), FrameError (message)
 	Addrs      []string // FramePeers
@@ -187,18 +187,12 @@ func Append(buf []byte, f *Frame) ([]byte, error) {
 		buf = appendU32(buf, f.Seq)
 		buf = appendU32(buf, f.Total)
 		buf = appendMsgs(buf, f.Msgs)
-	case FrameAck:
-		buf = appendU64(buf, f.Round)
-		buf = appendU32(buf, uint32(f.Node))
-		buf = appendU32(buf, f.Seq)
 	case FrameInbox:
 		buf = appendU64(buf, f.Round)
 		buf = appendU32(buf, uint32(f.Node))
 		buf = appendMsgs(buf, f.Msgs)
 		buf = appendU64(buf, f.Stats.Frames)
 		buf = appendU64(buf, f.Stats.FrameBytes)
-		buf = appendU64(buf, f.Stats.Retransmits)
-		buf = appendU64(buf, f.Stats.Acks)
 	case FrameError:
 		buf = appendStr(buf, f.Addr)
 	default:
@@ -386,18 +380,12 @@ func decodePayload(payload []byte) (*Frame, error) {
 		f.Seq = d.u32()
 		f.Total = d.u32()
 		f.Msgs = d.msgs()
-	case FrameAck:
-		f.Round = d.u64()
-		f.Node = int32(d.u32())
-		f.Seq = d.u32()
 	case FrameInbox:
 		f.Round = d.u64()
 		f.Node = int32(d.u32())
 		f.Msgs = d.msgs()
 		f.Stats.Frames = d.u64()
 		f.Stats.FrameBytes = d.u64()
-		f.Stats.Retransmits = d.u64()
-		f.Stats.Acks = d.u64()
 	case FrameError:
 		f.Addr = d.str()
 	default:

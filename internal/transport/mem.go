@@ -7,10 +7,10 @@ import (
 	"lapcc/internal/cc"
 )
 
-// chunkMsgs bounds the messages per FrameData chunk so one frame stays well
-// under MaxFrameBytes at any legal message width and large rounds exercise
-// the multi-chunk path.
-const chunkMsgs = 1024
+// ChunkMsgs bounds the messages per FrameData chunk, in the Mem backend and
+// on the TCP mesh alike, so one frame stays well under MaxFrameBytes at any
+// legal message width and large rounds exercise the multi-chunk path.
+const ChunkMsgs = 1024
 
 // Mem is the in-process wire backend: every Deliver encodes the round's
 // messages into FrameData chunks, decodes them back, and assembles the
@@ -55,7 +55,7 @@ func (m *Mem) Deliver(round, n int, out []cc.Outbox) ([][]cc.Message, cc.Deliver
 	// contract) as chunked data frames.
 	buf := m.buf[:0]
 	var frames int64
-	chunk := make([]Msg, 0, chunkMsgs)
+	chunk := make([]Msg, 0, ChunkMsgs)
 	var seq uint32
 	flush := func() error {
 		if len(chunk) == 0 {
@@ -76,7 +76,7 @@ func (m *Mem) Deliver(round, n int, out []cc.Outbox) ([][]cc.Message, cc.Deliver
 	for _, ob := range out {
 		for _, om := range ob.Msgs {
 			chunk = append(chunk, Msg{From: om.From, To: om.To, Data: ob.Data(om)})
-			if len(chunk) == chunkMsgs {
+			if len(chunk) == ChunkMsgs {
 				if err := flush(); err != nil {
 					return nil, cc.DeliveryStats{}, err
 				}

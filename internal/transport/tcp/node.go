@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,40 +12,12 @@ import (
 	"lapcc/internal/transport"
 )
 
-// nodeOptions tunes a worker's delivery loop. The exported RunNode uses the
-// defaults; the in-process mode threads the coordinator's settings (and the
-// test-only drop hook) through, and cmd/lapccnode threads its flags through
-// NodeConfig.
-type nodeOptions struct {
-	ackTimeout  time.Duration
-	maxRetries  int
-	dialTimeout time.Duration
-	epoch       uint64
-	chaos       *transport.ChaosPlan
-	dropData    func(round uint64, from, to int32, seq uint32, wave int) bool
-}
-
-func (o *nodeOptions) defaults() {
-	if o.ackTimeout <= 0 {
-		o.ackTimeout = 200 * time.Millisecond
-	}
-	if o.maxRetries <= 0 {
-		o.maxRetries = 8
-	}
-	if o.dialTimeout <= 0 {
-		o.dialTimeout = 10 * time.Second
-	}
-}
-
-// NodeConfig carries a worker's tunables, mirroring the coordinator's
-// Options: the supervisor passes them to respawned lapccnode processes as
-// flags so both ends of the protocol agree on timeouts, the mesh epoch, and
-// the chaos plan. Zero values take the worker defaults.
+// NodeConfig carries a worker's tunables. The in-process mode passes the
+// coordinator's settings directly; the supervisor passes them to exec'd
+// lapccnode processes as flags, so a respawned worker rejoins with exactly
+// the settings of the mesh it replaces. Zero values take the worker
+// defaults.
 type NodeConfig struct {
-	// AckTimeout is the base retransmission timeout (default 200ms).
-	AckTimeout time.Duration
-	// MaxRetries bounds retransmission waves per stream (default 8).
-	MaxRetries int
 	// DialTimeout bounds the coordinator and mesh-peer dials and the mesh
 	// accept window (default 10s).
 	DialTimeout time.Duration
@@ -56,57 +29,32 @@ type NodeConfig struct {
 	Chaos *transport.ChaosPlan
 }
 
-// RunNode runs one worker of a multi-process clique: it dials the
-// coordinator, joins the TCP mesh, and serves delivery barriers until the
-// coordinator shuts it down or a connection drops. It is the entire body of
-// cmd/lapccnode.
-func RunNode(coordAddr string, id, procs int) error {
-	return RunNodeWith(coordAddr, id, procs, NodeConfig{})
-}
-
-// RunNodeWith is RunNode with explicit tunables.
-func RunNodeWith(coordAddr string, id, procs int, cfg NodeConfig) error {
-	return runNode(coordAddr, id, procs, nodeOptions{
-		ackTimeout:  cfg.AckTimeout,
-		maxRetries:  cfg.MaxRetries,
-		dialTimeout: cfg.DialTimeout,
-		epoch:       cfg.Epoch,
-		chaos:       cfg.Chaos,
-	})
-}
-
 // event is one unit of work for the node's single-threaded main loop: a
-// decoded frame from a connection, a retransmission timer firing, or a read
-// error.
+// decoded frame from a connection, or that connection's read error.
 type event struct {
-	frame   *transport.Frame
-	peer    int32 // sending worker; -1 for the coordinator
-	err     error
-	retrans uint64 // retransmission timer for this round (frame == nil)
-	isTimer bool
+	frame *transport.Frame
+	peer  int32 // sending worker; -1 for the coordinator
+	err   error
 }
 
-// stream is one peer's incoming chunk sequence for one round.
-type stream struct {
-	chunks   map[uint32][]transport.Msg
-	total    uint32 // 0 until the chunk count is known
-	complete bool
-}
-
-// roundState tracks one barrier in flight on a worker.
-type roundState struct {
+// barrier is a worker's state for the one delivery barrier in flight. The
+// coordinator dispatches round r+1 only after it has collected every
+// worker's inbox for round r, so a worker never sees traffic for two rounds
+// at once; the per-peer slices are reused from one barrier to the next.
+type barrier struct {
+	active    bool // a frame of round has arrived and the inbox is not yet sent
+	started   bool // at least one barrier has begun on this worker
+	round     uint64
 	haveRound bool
-	local     []transport.Msg // sends owned by this worker for itself
 
-	in map[int32]*stream // per sending peer
-
-	outFrames map[int32][]*transport.Frame // per receiving peer, for retransmit
-	acked     map[int32]bool
-	wave      int
-	timer     *time.Timer
+	local []transport.Msg   // sends owned by this worker for itself
+	out   [][]transport.Msg // this worker's sends, per receiving peer
+	in    [][]transport.Msg // assembled chunks, per sending peer
+	next  []uint32          // next expected chunk, per sending peer
+	total []uint32          // chunk count, per sending peer (0: none yet)
+	shard []transport.Msg   // the assembled inbox shard
 
 	stats transport.WireStats
-	done  bool
 
 	traced    bool  // round was flagged RoundFlagTrace
 	sentMsgs  int64 // messages this worker's owned sources sent
@@ -177,7 +125,7 @@ func (w *writer) close() {
 type node struct {
 	id    int32
 	procs int
-	opts  nodeOptions
+	cfg   NodeConfig
 
 	coord net.Conn
 	peers []net.Conn      // peers[id] == nil
@@ -187,21 +135,36 @@ type node struct {
 	cwmu   sync.Mutex
 	events chan event
 
-	rounds map[uint64]*roundState
+	cur barrier
 }
 
-func runNode(coordAddr string, id, procs int, opts nodeOptions) error {
-	opts.defaults()
-	nd := &node{
+func newNode(id, procs int, cfg NodeConfig) *node {
+	if cfg.DialTimeout <= 0 {
+		cfg.DialTimeout = 10 * time.Second
+	}
+	return &node{
 		id:     int32(id),
 		procs:  procs,
-		opts:   opts,
+		cfg:    cfg,
 		peers:  make([]net.Conn, procs),
 		prd:    make([]*bufio.Reader, procs),
 		pw:     make([]*writer, procs),
 		events: make(chan event, 4*procs),
-		rounds: make(map[uint64]*roundState),
+		cur: barrier{
+			out:   make([][]transport.Msg, procs),
+			in:    make([][]transport.Msg, procs),
+			next:  make([]uint32, procs),
+			total: make([]uint32, procs),
+		},
 	}
+}
+
+// RunNodeWith runs one worker of a multi-process clique: it dials the
+// coordinator, joins the TCP mesh, and serves delivery barriers until the
+// coordinator shuts it down or a connection drops. It is the entire body of
+// cmd/lapccnode and of every in-process worker.
+func RunNodeWith(coordAddr string, id, procs int, cfg NodeConfig) error {
+	nd := newNode(id, procs, cfg)
 	defer nd.closeAll()
 
 	if err := nd.join(coordAddr); err != nil {
@@ -218,7 +181,7 @@ func runNode(coordAddr string, id, procs int, opts nodeOptions) error {
 // join performs the mesh bootstrap: hello to the coordinator, receive the
 // peer table, dial lower-id peers, accept higher-id peers, report ready.
 func (nd *node) join(coordAddr string) error {
-	coord, err := net.DialTimeout("tcp", coordAddr, nd.opts.dialTimeout)
+	coord, err := net.DialTimeout("tcp", coordAddr, nd.cfg.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("node %d: dialing coordinator: %w", nd.id, err)
 	}
@@ -261,7 +224,7 @@ func (nd *node) join(coordAddr string) error {
 		// whose higher-id peers died during bootstrap would wait here
 		// forever, which the supervisor's teardown could never unblock.
 		if l, ok := ln.(*net.TCPListener); ok {
-			l.SetDeadline(time.Now().Add(nd.opts.dialTimeout))
+			l.SetDeadline(time.Now().Add(nd.cfg.DialTimeout))
 		}
 		for i := 0; i < expect; i++ {
 			conn, err := ln.Accept()
@@ -280,7 +243,7 @@ func (nd *node) join(coordAddr string) error {
 		}
 	}()
 	for j := int32(0); j < nd.id; j++ {
-		conn, err := net.DialTimeout("tcp", pf.Addrs[j], nd.opts.dialTimeout)
+		conn, err := net.DialTimeout("tcp", pf.Addrs[j], nd.cfg.DialTimeout)
 		if err != nil {
 			return fmt.Errorf("node %d: dialing peer %d: %w", nd.id, j, err)
 		}
@@ -290,7 +253,7 @@ func (nd *node) join(coordAddr string) error {
 		// Chaos wraps only mesh connections (writes after the hello): the
 		// coordinator link stays clean so an injected fault is never
 		// mistaken for a dead supervisor.
-		nd.peers[j] = nd.opts.chaos.WrapConn(conn, nd.opts.epoch, nd.id, j)
+		nd.peers[j] = nd.cfg.Chaos.WrapConn(conn, nd.cfg.Epoch, nd.id, j)
 		nd.prd[j] = bufio.NewReader(conn)
 	}
 	for i := 0; i < expect; i++ {
@@ -302,7 +265,7 @@ func (nd *node) join(coordAddr string) error {
 			acc.conn.Close()
 			return fmt.Errorf("node %d: duplicate or invalid mesh peer %d", nd.id, acc.id)
 		}
-		nd.peers[acc.id] = nd.opts.chaos.WrapConn(acc.conn, nd.opts.epoch, nd.id, acc.id)
+		nd.peers[acc.id] = nd.cfg.Chaos.WrapConn(acc.conn, nd.cfg.Epoch, nd.id, acc.id)
 		nd.prd[acc.id] = acc.rd
 	}
 
@@ -370,315 +333,195 @@ func (nd *node) closeAll() {
 			c.Close()
 		}
 	}
-	for _, rs := range nd.rounds {
-		if rs.timer != nil {
-			rs.timer.Stop()
-		}
-	}
 }
 
-// inFlight reports whether any delivery barrier is unfinished.
-func (nd *node) inFlight() bool {
-	for _, rs := range nd.rounds {
-		if !rs.done && (rs.haveRound || len(rs.in) > 0) {
-			return true
-		}
-	}
-	return false
+// corrupt reports a read error meaning the byte stream itself is damaged,
+// as opposed to the connection closing.
+func corrupt(err error) bool {
+	return errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadFrame) ||
+		errors.Is(err, transport.ErrFrameTooLarge)
 }
 
-// loop is the worker's single-threaded protocol engine.
+// loop is the worker's single-threaded protocol engine. Any protocol error,
+// and any corrupt frame on any connection, is reported to the coordinator
+// in a FrameError before the worker exits.
 func (nd *node) loop() error {
 	for ev := range nd.events {
+		var err error
 		switch {
 		case ev.err != nil:
+			err = fmt.Errorf("node %d: connection to %d: %w", nd.id, ev.peer, ev.err)
 			// A connection dropping while a barrier is in flight is a real
 			// failure. Between barriers it is the normal shutdown race: the
 			// coordinator's Shutdown frames race the mesh teardown of
 			// workers that processed theirs first.
-			if !nd.inFlight() {
+			if !corrupt(ev.err) {
+				if nd.cur.active {
+					return err
+				}
 				return nil
 			}
-			return fmt.Errorf("node %d: connection to %d: %w", nd.id, ev.peer, ev.err)
-		case ev.isTimer:
-			if err := nd.onTimer(ev.retrans); err != nil {
-				nd.sendCoord(&transport.Frame{Type: transport.FrameError, Addr: err.Error()})
-				return err
-			}
+		case ev.frame.Type == transport.FrameShutdown:
+			return nil
+		case ev.frame.Type == transport.FramePing:
+			// Supervisor liveness probe; only sent between barriers.
+			err = nd.sendCoord(&transport.Frame{Type: transport.FramePong, Node: nd.id})
+		case ev.frame.Type == transport.FrameRound:
+			err = nd.onRound(ev.frame)
+		case ev.frame.Type == transport.FrameData:
+			err = nd.onData(ev.frame, ev.peer)
 		default:
-			f := ev.frame
-			var err error
-			switch f.Type {
-			case transport.FrameShutdown:
-				return nil
-			case transport.FramePing:
-				// Supervisor liveness probe; only sent between barriers.
-				err = nd.sendCoord(&transport.Frame{Type: transport.FramePong, Node: nd.id})
-			case transport.FrameRound:
-				err = nd.onRound(f)
-			case transport.FrameData:
-				err = nd.onData(f)
-			case transport.FrameAck:
-				err = nd.onAck(f)
-			default:
-				err = fmt.Errorf("node %d: unexpected frame type %d from %d", nd.id, f.Type, ev.peer)
-			}
-			if err != nil {
-				nd.sendCoord(&transport.Frame{Type: transport.FrameError, Addr: err.Error()})
-				return err
-			}
+			err = fmt.Errorf("node %d: unexpected frame type %d from %d", nd.id, ev.frame.Type, ev.peer)
+		}
+		if err != nil {
+			nd.sendCoord(&transport.Frame{Type: transport.FrameError, Addr: err.Error()})
+			return err
 		}
 	}
 	return nil
 }
 
-// state returns (creating if needed) the round's state. Data frames may
-// arrive before our own Round frame — peers that received theirs first start
-// sending immediately.
-func (nd *node) state(rc uint64) *roundState {
-	rs := nd.rounds[rc]
-	if rs == nil {
-		rs = &roundState{
-			in:        make(map[int32]*stream),
-			outFrames: make(map[int32][]*transport.Frame),
-			acked:     make(map[int32]bool),
+// begin admits a frame of round rc into the current barrier, starting the
+// barrier if none is in flight. Data frames may arrive before this worker's
+// own Round frame: peers that received theirs first start sending at once.
+func (nd *node) begin(rc uint64) error {
+	b := &nd.cur
+	if b.active {
+		if rc != b.round {
+			return fmt.Errorf("node %d: frame for round %d during round %d", nd.id, rc, b.round)
 		}
-		nd.rounds[rc] = rs
+		return nil
 	}
-	return rs
+	if b.started && rc != b.round+1 {
+		return fmt.Errorf("node %d: frame for round %d after round %d", nd.id, rc, b.round)
+	}
+	b.active, b.started, b.round = true, true, rc
+	return nil
 }
 
-// onRound chunks this worker's owned sends to their destination owners and
-// starts the acknowledgement clock.
+// onRound chunks this worker's owned sends to their destination owners.
 func (nd *node) onRound(f *transport.Frame) error {
-	rs := nd.state(f.Round)
-	if rs.haveRound {
+	if err := nd.begin(f.Round); err != nil {
+		return err
+	}
+	b := &nd.cur
+	if b.haveRound {
 		return fmt.Errorf("node %d: duplicate round %d", nd.id, f.Round)
 	}
-	rs.haveRound = true
+	b.haveRound = true
 	if f.Flags&transport.RoundFlagTrace != 0 {
-		rs.traced = true
-		rs.sentMsgs = int64(len(f.Msgs))
+		b.traced = true
+		b.sentMsgs = int64(len(f.Msgs))
 		for _, m := range f.Msgs {
-			rs.sentWords += int64(len(m.Data))
+			b.sentWords += int64(len(m.Data))
 		}
 	}
 
 	// Partition by destination owner, preserving order (the coordinator
 	// sends in ascending-source order; per (src,dst) order rides along).
-	perPeer := make(map[int32][]transport.Msg, nd.procs)
 	for _, m := range f.Msgs {
 		p := owner(m.To, nd.procs)
 		if p == nd.id {
-			rs.local = append(rs.local, m)
+			b.local = append(b.local, m)
 			continue
 		}
-		perPeer[p] = append(perPeer[p], m)
+		b.out[p] = append(b.out[p], m)
 	}
 	for j := int32(0); int(j) < nd.procs; j++ {
 		if j == nd.id {
 			continue
 		}
-		msgs := perPeer[j]
+		msgs := b.out[j]
 		// Every peer pair exchanges at least one (possibly empty) chunk per
-		// round, so stream completion doubles as the round barrier even when
-		// nothing is sent.
-		nchunks := (len(msgs) + chunkMsgs - 1) / chunkMsgs
-		if nchunks == 0 {
-			nchunks = 1
-		}
-		frames := make([]*transport.Frame, nchunks)
+		// round, so a peer's last chunk doubles as its barrier arrival even
+		// when nothing is sent.
+		nchunks := max(1, (len(msgs)+transport.ChunkMsgs-1)/transport.ChunkMsgs)
 		for c := 0; c < nchunks; c++ {
-			lo := c * chunkMsgs
-			hi := lo + chunkMsgs
-			if hi > len(msgs) {
-				hi = len(msgs)
-			}
-			frames[c] = &transport.Frame{
+			lo := c * transport.ChunkMsgs
+			hi := min(lo+transport.ChunkMsgs, len(msgs))
+			nb, err := nd.sendPeer(j, &transport.Frame{
 				Type: transport.FrameData, Round: f.Round, Node: nd.id,
 				Seq: uint32(c), Total: uint32(nchunks), Msgs: msgs[lo:hi],
-			}
-		}
-		rs.outFrames[j] = frames
-		for _, df := range frames {
-			if nd.opts.dropData != nil && nd.opts.dropData(f.Round, nd.id, j, df.Seq, 0) {
-				continue // simulated loss; the retransmission wave recovers it
-			}
-			nb, err := nd.sendPeer(j, df)
+			})
 			if err != nil {
 				return fmt.Errorf("node %d: sending data to %d: %w", nd.id, j, err)
 			}
-			rs.stats.Frames++
-			rs.stats.FrameBytes += uint64(nb)
+			b.stats.Frames++
+			b.stats.FrameBytes += uint64(nb)
 		}
+		b.out[j] = msgs[:0]
 	}
-	if len(rs.outFrames) > 0 {
-		nd.armTimer(f.Round, rs, nd.opts.ackTimeout)
-	}
-	return nd.maybeFinish(f.Round, rs)
+	return nd.maybeFinish()
 }
 
-// chunkMsgs mirrors the Mem backend's chunk size; both keep frames far below
-// MaxFrameBytes at any legal width.
-const chunkMsgs = 1024
-
-func (nd *node) armTimer(rc uint64, rs *roundState, d time.Duration) {
-	if rs.timer != nil {
-		rs.timer.Stop()
+// onData appends a peer's chunk to its stream. TCP delivers each
+// connection's frames in order or fails the connection, so the chunks of a
+// stream must arrive exactly as 0..Total-1: anything else is a protocol
+// error, not a loss to repair.
+func (nd *node) onData(f *transport.Frame, peer int32) error {
+	if err := nd.begin(f.Round); err != nil {
+		return err
 	}
-	rs.timer = time.AfterFunc(d, func() {
-		nd.events <- event{isTimer: true, retrans: rc}
-	})
-}
-
-// onTimer retransmits every unacknowledged stream of the round, with
-// exponential backoff between waves.
-func (nd *node) onTimer(rc uint64) error {
-	rs := nd.rounds[rc]
-	if rs == nil || rs.done {
-		return nil
+	b := &nd.cur
+	if peer < 0 || peer == nd.id || f.Node != peer {
+		return fmt.Errorf("node %d: data frame from node %d on connection %d", nd.id, f.Node, peer)
 	}
-	pending := false
-	for j := range rs.outFrames {
-		if !rs.acked[j] {
-			pending = true
-			break
-		}
+	if f.Seq != b.next[peer] || f.Seq >= f.Total || (f.Seq > 0 && f.Total != b.total[peer]) {
+		return fmt.Errorf("node %d: chunk %d/%d from %d out of sequence (expected %d/%d)",
+			nd.id, f.Seq, f.Total, peer, b.next[peer], b.total[peer])
 	}
-	if !pending {
-		return nil
-	}
-	rs.wave++
-	if rs.wave > nd.opts.maxRetries {
-		return fmt.Errorf("node %d: round %d undelivered after %d retransmission waves", nd.id, rc, nd.opts.maxRetries)
-	}
-	for j, frames := range rs.outFrames {
-		if rs.acked[j] {
-			continue
-		}
-		for _, df := range frames {
-			if nd.opts.dropData != nil && nd.opts.dropData(rc, nd.id, j, df.Seq, rs.wave) {
-				continue
-			}
-			nb, err := nd.sendPeer(j, df)
-			if err != nil {
-				return fmt.Errorf("node %d: retransmit to %d: %w", nd.id, j, err)
-			}
-			rs.stats.Frames++
-			rs.stats.FrameBytes += uint64(nb)
-			rs.stats.Retransmits++
-		}
-	}
-	nd.armTimer(rc, rs, nd.opts.ackTimeout<<uint(rs.wave))
-	return nil
-}
-
-// onData stores a peer's chunk (idempotently — retransmitted duplicates are
-// dropped) and acknowledges the stream whenever it is complete, so a lost
-// ack is repaired by the duplicate data that follows it.
-func (nd *node) onData(f *transport.Frame) error {
-	rs := nd.state(f.Round)
-	if rs.done {
-		// Stale retransmission of an already-assembled round: re-ack so the
-		// sender stops, but the shard is sealed.
-		nd.sendPeer(f.Node, &transport.Frame{
-			Type: transport.FrameAck, Round: f.Round, Node: nd.id, Seq: f.Total,
-		})
-		return nil
-	}
-	st := rs.in[f.Node]
-	if st == nil {
-		st = &stream{chunks: make(map[uint32][]transport.Msg)}
-		rs.in[f.Node] = st
-	}
-	if f.Total == 0 || f.Seq >= f.Total {
-		return fmt.Errorf("node %d: bad chunk %d/%d from %d", nd.id, f.Seq, f.Total, f.Node)
-	}
-	st.total = f.Total
-	if _, dup := st.chunks[f.Seq]; !dup {
-		st.chunks[f.Seq] = f.Msgs
-	}
-	if uint32(len(st.chunks)) == st.total {
-		st.complete = true
-		if _, err := nd.sendPeer(f.Node, &transport.Frame{
-			Type: transport.FrameAck, Round: f.Round, Node: nd.id, Seq: st.total,
-		}); err != nil {
-			return fmt.Errorf("node %d: ack to %d: %w", nd.id, f.Node, err)
-		}
-		rs.stats.Acks++
-	}
-	return nd.maybeFinish(f.Round, rs)
-}
-
-// onAck marks a receiving peer's stream as delivered once it has everything.
-func (nd *node) onAck(f *transport.Frame) error {
-	rs := nd.state(f.Round)
-	frames, ok := rs.outFrames[f.Node]
-	if ok && f.Seq >= uint32(len(frames)) {
-		rs.acked[f.Node] = true
-	}
-	return nd.maybeFinish(f.Round, rs)
+	b.total[peer] = f.Total
+	b.next[peer]++
+	b.in[peer] = append(b.in[peer], f.Msgs...)
+	return nd.maybeFinish()
 }
 
 // maybeFinish assembles and sends the worker's inbox shard once the barrier
-// condition holds: the round's sends are placed, every incoming stream is
-// complete, and every outgoing stream is acknowledged.
-func (nd *node) maybeFinish(rc uint64, rs *roundState) error {
-	if rs.done || !rs.haveRound {
+// condition holds: this worker's Round frame is here, and every peer's
+// chunks 0..Total-1 have arrived.
+func (nd *node) maybeFinish() error {
+	b := &nd.cur
+	if !b.haveRound {
 		return nil
 	}
-	for j := int32(0); int(j) < nd.procs; j++ {
-		if j == nd.id {
-			continue
-		}
-		st := rs.in[j]
-		if st == nil || !st.complete {
+	for j := range b.next {
+		if int32(j) != nd.id && (b.total[j] == 0 || b.next[j] < b.total[j]) {
 			return nil
 		}
-	}
-	for j := range rs.outFrames {
-		if !rs.acked[j] {
-			return nil
-		}
-	}
-	rs.done = true
-	if rs.timer != nil {
-		rs.timer.Stop()
 	}
 
 	// Shard order: sending workers ascending, chunks in sequence. The
 	// coordinator's stable per-destination sort on top of this reproduces
 	// the canonical merge order.
-	var shard []transport.Msg
-	for j := int32(0); int(j) < nd.procs; j++ {
-		if j == nd.id {
-			shard = append(shard, rs.local...)
-			continue
-		}
-		st := rs.in[j]
-		for c := uint32(0); c < st.total; c++ {
-			shard = append(shard, st.chunks[c]...)
+	shard := b.shard[:0]
+	for j := range b.in {
+		if int32(j) == nd.id {
+			shard = append(shard, b.local...)
+		} else {
+			shard = append(shard, b.in[j]...)
 		}
 	}
-	if rs.traced {
-		if err := nd.sendTrace(rc, rs, shard); err != nil {
+	if b.traced {
+		if err := nd.sendTrace(b, shard); err != nil {
 			return err
 		}
 	}
 	if err := nd.sendCoord(&transport.Frame{
-		Type: transport.FrameInbox, Round: rc, Node: nd.id, Msgs: shard, Stats: rs.stats,
+		Type: transport.FrameInbox, Round: b.round, Node: nd.id, Msgs: shard, Stats: b.stats,
 	}); err != nil {
-		return fmt.Errorf("node %d: inbox for round %d: %w", nd.id, rc, err)
+		return fmt.Errorf("node %d: inbox for round %d: %w", nd.id, b.round, err)
 	}
-	// Keep a tombstone so stale retransmissions still get acked, but drop
-	// the payloads; reap tombstones two rounds back (the coordinator's
-	// barrier guarantees no traffic that old is still in flight).
-	rs.in = nil
-	rs.local = nil
-	rs.outFrames = nil
-	if rc >= 2 {
-		delete(nd.rounds, rc-2)
+
+	// Reset for the next barrier, keeping every buffer's capacity.
+	b.shard = shard[:0]
+	b.local = b.local[:0]
+	for j := range b.in {
+		b.in[j] = b.in[j][:0]
+		b.next[j], b.total[j] = 0, 0
 	}
+	b.active, b.haveRound, b.traced = false, false, false
+	b.stats = transport.WireStats{}
+	b.sentMsgs, b.sentWords = 0, 0
 	return nil
 }
 
@@ -686,13 +529,13 @@ func (nd *node) maybeFinish(rc uint64, rs *roundState) error {
 // immediately before the inbox frame on the same connection and goroutine,
 // so the coordinator reads trace-then-inbox in order. Only
 // seed-reproducible quantities are recorded: the worker's sent and
-// assembled-shard traffic. Retransmission and frame counts depend on
-// wall-clock timing, so they travel in the inbox's wire stats and the
-// coordinator's flight recorder instead of the deterministic trace stream.
-func (nd *node) sendTrace(rc uint64, rs *roundState, shard []transport.Msg) error {
+// assembled-shard traffic. Wire counters travel in the inbox's stats and the
+// coordinator's flight recorder, outside the deterministic trace stream.
+func (nd *node) sendTrace(b *barrier, shard []transport.Msg) error {
+	rc := b.round
 	buf := trace.NewBuffer()
 	buf.Beginf("barrier-%d", rc)
-	buf.Traffic("sent", rs.sentMsgs, rs.sentWords)
+	buf.Traffic("sent", b.sentMsgs, b.sentWords)
 	var shardWords int64
 	for _, m := range shard {
 		shardWords += int64(len(m.Data))

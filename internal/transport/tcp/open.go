@@ -19,8 +19,8 @@ import (
 //	                          run as in-process goroutines over real sockets
 //
 // The tcp backend takes further options: supervise=1 enables crash
-// recovery (worker respawn + barrier replay), ack=DUR and retries=N tune
-// the retransmission schedule, and barrier=DUR bounds one delivery attempt.
+// recovery (worker respawn + barrier replay) and barrier=DUR bounds one
+// delivery attempt.
 //
 // The returned Transport is nil for "local" (callers pass it straight to
 // Options; the engine treats nil as the built-in path). Callers own Close.
@@ -68,10 +68,6 @@ func OpenWith(spec string, chaos *transport.ChaosPlan) (cc.Transport, error) {
 				var b bool
 				b, err = strconv.ParseBool(v)
 				opts.Supervise = opts.Supervise || b
-			case "ack":
-				opts.AckTimeout, err = time.ParseDuration(v)
-			case "retries":
-				opts.MaxRetries, err = strconv.Atoi(v)
 			case "barrier":
 				opts.BarrierTimeout, err = time.ParseDuration(v)
 			default:

@@ -3,6 +3,7 @@ package tcp
 import (
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,13 +188,12 @@ func TestSuperviseOptionDefaults(t *testing.T) {
 // TestOpenSupervised: the -transport spec's robustness keys and the
 // chaos-plan attachment point.
 func TestOpenSupervised(t *testing.T) {
-	tr, err := Open("tcp,procs=2,supervise=1,ack=50ms,retries=4,barrier=2s")
+	tr, err := Open("tcp,procs=2,supervise=1,barrier=2s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tt := tr.(*Transport)
-	if !tt.opts.Supervise || tt.opts.AckTimeout != 50*time.Millisecond ||
-		tt.opts.MaxRetries != 4 || tt.opts.BarrierTimeout != 2*time.Second {
+	if !tt.opts.Supervise || tt.opts.BarrierTimeout != 2*time.Second {
 		t.Fatalf("spec options not applied: %+v", tt.opts)
 	}
 	tr.Close()
@@ -208,9 +208,15 @@ func TestOpenSupervised(t *testing.T) {
 	}
 	tr.Close()
 
-	for _, bad := range []string{"tcp,ack=fast", "tcp,supervise=maybe", "tcp,retries=many", "tcp,barrier=later"} {
+	for _, bad := range []string{"tcp,supervise=maybe", "tcp,barrier=later"} {
 		if _, err := Open(bad); err == nil {
 			t.Fatalf("Open(%q) accepted", bad)
+		}
+	}
+	// The mesh has no retransmission schedule to tune.
+	for _, spec := range []string{"tcp,ack=50ms", "tcp,retries=4"} {
+		if _, err := Open(spec); err == nil || !strings.Contains(err.Error(), "unknown option") {
+			t.Fatalf("Open(%q): got %v, want an unknown-option error", spec, err)
 		}
 	}
 	if _, err := OpenWith("mem", plan); err == nil {

@@ -2,11 +2,12 @@
 // transport boundary: the clique's nodes run as separate OS processes
 // (cmd/lapccnode) connected by a full TCP mesh, and the engine side acts as
 // the round coordinator. Every frame is length-prefixed and checksummed
-// (internal/transport's codec), chunk streams between peers are sequenced
-// and acknowledged, and unacknowledged chunks are retransmitted with
-// exponential backoff — the reliable-delivery protocol the in-process
-// simulator models analytically, promoted to the actual correctness layer of
-// the delivery loop.
+// (internal/transport's codec), and chunk streams between peers are
+// sequenced. There is no acknowledgement or retransmission layer: TCP
+// delivers each connection's bytes in order or fails the connection, and a
+// failed connection fails the barrier, which supervision (below) replays on
+// a fresh mesh. The model's lossy delivery and its retransmission cost live
+// above the transport, in cc's fault layer.
 //
 // The delivery contract matches every other backend bit for bit: inboxes per
 // destination in ascending source order, per-source send order preserved.
@@ -17,9 +18,13 @@
 // v is owned by process v mod P. One Deliver is one barrier:
 //
 //	coordinator --Round--> every process   (its owned sources' sends)
-//	process     --Data---> peer processes  (chunked, sequenced, acked,
-//	                                        retransmitted on timeout)
+//	process     --Data---> peer processes  (chunks 0..Total-1, in order)
 //	process     --Inbox--> coordinator     (its shard, wire stats piggybacked)
+//
+// A process's barrier is complete when its own Round frame and every peer's
+// last chunk have arrived; at least one (possibly empty) chunk flows between
+// every pair of processes per barrier, so the last chunk doubles as the
+// peer's barrier arrival.
 //
 // The coordinator concatenates shards in process order and stable-sorts each
 // destination's messages by source, which reproduces the in-process merge
@@ -73,11 +78,6 @@ type Options struct {
 	// same protocol over real loopback sockets — same frames, same barrier,
 	// no process isolation (used by tests and the benchmark suite).
 	Binary string
-	// AckTimeout is the base retransmission timeout (default 200ms,
-	// doubled per wave).
-	AckTimeout time.Duration
-	// MaxRetries bounds the retransmission waves per stream (default 8).
-	MaxRetries int
 	// Stderr receives the worker processes' stderr and the supervisor's
 	// recovery log (default os.Stderr).
 	Stderr io.Writer
@@ -100,9 +100,9 @@ type Options struct {
 	// (default 3).
 	MaxRestarts int
 	// BarrierTimeout is the per-attempt deadline on every coordinator
-	// connection during a barrier, so a dead worker cannot stall the
-	// coordinator for the full retransmission backoff schedule (default
-	// 60s when supervising; 0 means no deadline otherwise).
+	// connection during a barrier, so a hung worker or a stalled mesh
+	// connection fails the attempt instead of stalling the coordinator
+	// (default 60s when supervising; 0 means no deadline otherwise).
 	BarrierTimeout time.Duration
 	// HeartbeatInterval paces the ping/pong liveness probe between
 	// barriers (default 1s when supervising; negative disables). The probe
@@ -114,21 +114,11 @@ type Options struct {
 	// (resets, partial writes, stalls) injected inside the workers' mesh
 	// connections. Recovery from every scheduled fault requires Supervise.
 	Chaos *transport.ChaosPlan
-
-	// dropData, test-only (in-process workers): return true to suppress a
-	// data frame send, forcing the retransmission path.
-	dropData func(round uint64, from, to int32, seq uint32, wave int) bool
 }
 
 func (o *Options) defaults() {
 	if o.Procs <= 0 {
 		o.Procs = 4
-	}
-	if o.AckTimeout <= 0 {
-		o.AckTimeout = 200 * time.Millisecond
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 8
 	}
 	if o.Stderr == nil {
 		o.Stderr = os.Stderr
@@ -317,8 +307,6 @@ func (t *Transport) boot() error {
 				"-id", strconv.Itoa(i),
 				"-procs", strconv.Itoa(t.procs),
 				"-dial-timeout", t.opts.DialTimeout.String(),
-				"-ack-timeout", t.opts.AckTimeout.String(),
-				"-retries", strconv.Itoa(t.opts.MaxRetries),
 				"-epoch", strconv.FormatUint(t.epoch, 10),
 			}
 			if t.opts.Chaos.HasWriteFaults() {
@@ -332,19 +320,12 @@ func (t *Transport) boot() error {
 			t.cmds[i] = cmd
 		}
 	} else {
-		no := nodeOptions{
-			ackTimeout:  t.opts.AckTimeout,
-			maxRetries:  t.opts.MaxRetries,
-			dialTimeout: t.opts.DialTimeout,
-			epoch:       t.epoch,
-			chaos:       t.opts.Chaos,
-			dropData:    t.opts.dropData,
-		}
+		cfg := NodeConfig{DialTimeout: t.opts.DialTimeout, Epoch: t.epoch, Chaos: t.opts.Chaos}
 		for i := 0; i < t.procs; i++ {
 			t.wg.Add(1)
 			go func(id int) {
 				defer t.wg.Done()
-				if err := runNode(coordAddr, id, t.procs, no); err != nil {
+				if err := RunNodeWith(coordAddr, id, t.procs, cfg); err != nil {
 					fmt.Fprintf(t.opts.Stderr, "tcp: in-process worker %d: %v\n", id, err)
 				}
 			}(i)
@@ -590,7 +571,6 @@ func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.D
 			t.flight.Record(trace.FlightEvent{
 				Kind: "barrier-commit", Barrier: rc, Epoch: t.epoch, Node: -1,
 				Messages: stats.Messages, Frames: stats.Frames,
-				Retransmits: stats.Retransmits, Acks: stats.Acks,
 			})
 			return inboxes, stats, nil
 		}
@@ -630,9 +610,8 @@ func (t *Transport) readWorker(p int, rc uint64) (*transport.Frame, error) {
 // mesh: dispatch the Round frames, collect every worker's inbox shard (each
 // preceded by a trace frame when traced), and assemble the per-destination
 // inboxes. With a BarrierTimeout every coordinator connection carries an
-// absolute deadline for the attempt, so a dead worker surfaces as an error
-// here instead of stalling the coordinator through the workers' full
-// retransmission schedule.
+// absolute deadline for the attempt, so a hung worker surfaces as an error
+// here instead of stalling the coordinator.
 func (t *Transport) deliverOnce(rc uint64, n int, perProc [][]transport.Msg, dc []int, total int, traced bool) ([][]cc.Message, cc.DeliveryStats, []uint64, [][]trace.Rec, error) {
 	if t.opts.BarrierTimeout > 0 {
 		deadline := time.Now().Add(t.opts.BarrierTimeout)
@@ -693,8 +672,6 @@ func (t *Transport) deliverOnce(rc uint64, n int, perProc [][]transport.Msg, dc 
 		shardDigests[p] = digestMsgs(splitmix64(uint64(p)), f.Msgs)
 		stats.Frames += int64(f.Stats.Frames)
 		stats.FrameBytes += int64(f.Stats.FrameBytes)
-		stats.Retransmits += int64(f.Stats.Retransmits)
-		stats.Acks += int64(f.Stats.Acks)
 	}
 
 	// Assemble: process order first, then a stable per-destination sort by
@@ -735,8 +712,6 @@ func (t *Transport) commit(rc, inDigest uint64, shardDigests []uint64, stats cc.
 	t.cum.Messages += stats.Messages
 	t.cum.Frames += stats.Frames
 	t.cum.FrameBytes += stats.FrameBytes
-	t.cum.Retransmits += stats.Retransmits
-	t.cum.Acks += stats.Acks
 	t.ckpt = Checkpoint{
 		Barriers:     rc + 1,
 		Epoch:        t.epoch,

@@ -4,9 +4,9 @@ import (
 	"io"
 	"reflect"
 	"testing"
-	"time"
 
 	"lapcc/internal/cc"
+	"lapcc/internal/transport"
 )
 
 // mix is a tiny deterministic hash for building pseudo-random but
@@ -130,38 +130,51 @@ func TestEngineDifferentialTCPFaulted(t *testing.T) {
 	}
 }
 
-// TestRetransmission: dropped first-wave data frames are recovered by the
-// acknowledgement-timeout retransmission path, invisibly to the engine.
-func TestRetransmission(t *testing.T) {
-	tr, err := New(Options{
-		Procs:      3,
-		AckTimeout: 20 * time.Millisecond,
-		Stderr:     io.Discard,
-		// Drop every first-wave data frame from worker 1; waves > 0 go
-		// through, so one retransmission round recovers each stream.
-		dropData: func(round uint64, from, to int32, seq uint32, wave int) bool {
-			return wave == 0 && from == 1
-		},
-	})
+// TestMultiChunkDeliver: one barrier moving more than 2×ChunkMsgs messages
+// from worker 0's nodes to worker 1's nodes arrives as several in-order
+// chunks, assembles into exactly the local merge's inboxes, and costs
+// exactly one frame per chunk (plus worker 1's empty chunk back).
+func TestMultiChunkDeliver(t *testing.T) {
+	const n, perSrc = 8, 600 // sources 0,2,4,6 (worker 0) send 2400 remote messages
+	tr, err := New(Options{Procs: 2, Stderr: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	base, baseTr := runEngine(t, 9, 3, nil, nil)
-	got, gotTr := runEngine(t, 9, 3, tr, nil)
-	if got != base {
-		t.Fatalf("tcp outcome %+v != local %+v", got, base)
+
+	var ob cc.Outbox
+	want := make([][]cc.Message, n)
+	remote := 0
+	for src := 0; src < n; src += 2 {
+		for k := 0; k < perSrc+1; k++ {
+			to := 1 + 2*(k%4) // odd: owned by worker 1
+			if k == perSrc {
+				to = 0 // one local message per source
+			} else {
+				remote++
+			}
+			ob.Msgs = append(ob.Msgs, cc.OutMsg{From: int32(src), To: int32(to), Off: int32(len(ob.Arena)), Width: 2})
+			ob.Arena = append(ob.Arena, int64(src), int64(k))
+			want[to] = append(want[to], cc.Message{From: src, Data: []int64{int64(src), int64(k)}})
+		}
 	}
-	diffTranscripts(t, "retransmit", baseTr, gotTr)
-	st := tr.Stats()
-	if st.Retransmits == 0 {
-		t.Fatal("drop hook was active but no retransmissions were counted")
+	if remote <= 2*transport.ChunkMsgs {
+		t.Fatalf("workload moves only %d remote messages", remote)
+	}
+	got, _, err := tr.Deliver(0, n, []cc.Outbox{ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("multi-chunk inboxes diverge from the local merge")
+	}
+	chunks := (remote + transport.ChunkMsgs - 1) / transport.ChunkMsgs
+	if st := tr.Stats(); st.Frames != int64(chunks+1) {
+		t.Fatalf("stats %+v, want %d frames (%d chunks + 1 empty)", st, chunks+1, chunks)
 	}
 }
 
-// TestSubprocessWorkers boots the exec mode against a prebuilt lapccnode
-// binary when available (the net-smoke target and the differential suite
-// build it); without one the in-process modes above cover the protocol.
+// TestOpenSpecs: the -transport spec parser's backends and rejections.
 func TestOpenSpecs(t *testing.T) {
 	if tr, err := Open("local"); err != nil || tr != nil {
 		t.Fatalf("local: got (%v, %v), want (nil, nil)", tr, err)
