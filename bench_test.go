@@ -215,13 +215,14 @@ func BenchmarkE8Chebyshev(b *testing.B) {
 	}
 	lh := linalg.NewLaplacian(h)
 	inner := linalg.LaplacianCGSolver(lh, 1e-13)
-	bSolve := func(r linalg.Vec) (linalg.Vec, error) {
+	bSolve := func(dst, r linalg.Vec) error {
 		y, err := inner(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		y.Scale(1 / (1 + p))
-		return y, nil
+		copy(dst, y)
+		dst.Scale(1 / (1 + p))
+		return nil
 	}
 	rhs := linalg.NewVec(60)
 	rhs[0] = 1

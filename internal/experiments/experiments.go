@@ -575,13 +575,14 @@ func e8Chebyshev(w io.Writer, quick bool) error {
 		kappa := alpha * alpha
 		lh := linalg.NewLaplacian(h)
 		inner := linalg.LaplacianCGSolver(lh, 1e-13)
-		bSolve := func(r linalg.Vec) (linalg.Vec, error) {
+		bSolve := func(dst, r linalg.Vec) error {
 			y, err := inner(r)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			y.Scale(1 / alpha)
-			return y, nil
+			copy(dst, y)
+			dst.Scale(1 / alpha)
+			return nil
 		}
 		for _, eps := range []float64{1e-4, 1e-8} {
 			_, res, err := linalg.PreconCheby(lg, bSolve, b, linalg.ChebyOptions{Kappa: kappa, Eps: eps})

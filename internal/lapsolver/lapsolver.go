@@ -7,6 +7,12 @@
 // globally-known sparsifier and a constant number of vector operations,
 // both internal.
 //
+// The sparsifier solve is exact, as the model assumes: up to factorMaxN
+// vertices the solver factors L_H + J/n once per sparsifier build
+// (linalg.LaplacianCholesky) and every preconditioner solve is a pair of
+// triangular sweeps. Only above that memory cap, or if factoring fails,
+// does it run a Jacobi-preconditioned CG to Options.InternalTol instead.
+//
 // The paper knows the approximation factor alpha analytically
 // (log^{O(r^2)} n); our substituted sparsifier's alpha is not known a
 // priori, so the solver doubles a guess kappa = alpha^2 until the
@@ -56,8 +62,10 @@ type Options struct {
 	// MaxKappa caps the adaptive doubling (default 1e8).
 	MaxKappa float64
 	// InternalTol is the tolerance of the internal CG solves of the
-	// globally-known sparsifier (default 1e-13). These solves cost zero
-	// rounds in the model.
+	// globally-known sparsifier (default 1e-13). It applies only on the CG
+	// path — graphs above factorMaxN vertices, or a sparsifier that failed
+	// to factor; below the cap the sparsifier solve is exact. These solves
+	// cost zero rounds in the model.
 	InternalTol float64
 	// WarmStart keeps solver state across Solve calls: the previously
 	// accepted kappa seeds the next attempt schedule (skipping re-rejected
@@ -108,10 +116,10 @@ type Options struct {
 	// NoEscalation disables the guarded-recovery machinery — both the
 	// Chebyshev stagnation window (so every attempt runs its full
 	// prescribed iteration count) and the recovery ladder (stagnation →
-	// tightened internal tolerance → exact dense fallback) — restoring the
-	// historical run-to-the-bound, fail-with-error behavior. Intended for
-	// tests and experiments that pin the theory's round accounting or the
-	// failure modes themselves.
+	// tightened internal tolerance on the CG path → exact dense fallback) —
+	// restoring the historical run-to-the-bound, fail-with-error behavior.
+	// Intended for tests and experiments that pin the theory's round
+	// accounting or the failure modes themselves.
 	NoEscalation bool
 }
 
@@ -152,16 +160,27 @@ func (o *Options) defaults() {
 // flow IPMs build one Solver per support graph and reweight it every
 // iteration instead of rebuilding (see sparsify.Chain for the reuse
 // policy). The solver works on a private copy of the input graph, so
-// Reweight never mutates the caller's graph.
+// Reweight never mutates the caller's graph. Solves reuse the solver's
+// scratch, so a Solver must not be used by concurrent goroutines.
 type Solver struct {
-	g      *graph.Graph // private working copy (reweighted in place)
-	lg     *linalg.Laplacian
-	h      *graph.Graph
-	lh     *linalg.Laplacian
-	hSolve func(linalg.Vec) (linalg.Vec, error)
-	opts   Options
-	pool   *linalg.Pool    // nil = sequential kernels
-	chain  *sparsify.Chain // nil on the randomized path
+	g  *graph.Graph // private working copy (reweighted in place)
+	lg *linalg.Laplacian
+	h  *graph.Graph
+	// The preconditioner side holds exactly one of: hf, the exact factor of
+	// L_H + J/n (n <= factorMaxN), or lh, the sparsifier Laplacian the CG
+	// path solves with.
+	hf    *linalg.CholeskyFactor
+	lh    *linalg.Laplacian
+	opts  Options
+	pool  *linalg.Pool    // nil = sequential kernels
+	chain *sparsify.Chain // nil on the randomized path
+
+	// Solve scratch, reused by every Solve: the Chebyshev work vectors
+	// (among them z, the preconditioner output), the certificate residual,
+	// and the precondNorm output. The three are distinct buffers.
+	cheby linalg.ChebyScratch
+	res   linalg.Vec
+	pn    linalg.Vec
 
 	// Warm-start state (only written when opts.WarmStart is set).
 	warmX     linalg.Vec // potentials of the last accepted solve
@@ -245,7 +264,10 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 	sp := opts.Trace.Start("lapsolve-build")
 	defer sp.End()
 	gw := g.Clone()
-	s := &Solver{g: gw, lg: linalg.NewLaplacian(gw), opts: opts, mi: newLapMetrics(opts.Metrics)}
+	s := &Solver{
+		g: gw, lg: linalg.NewLaplacian(gw), opts: opts, mi: newLapMetrics(opts.Metrics),
+		res: linalg.NewVec(gw.N()), pn: linalg.NewVec(gw.N()),
+	}
 	s.pool = linalg.SharedPool(opts.Workers)
 	s.lg.SetPool(s.pool)
 	if opts.Randomized {
@@ -272,12 +294,48 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 	return s, nil
 }
 
-// setSparsifier (re)wires the preconditioner side of the solver to h.
+// factorMaxN is the largest vertex count whose sparsifier the solver
+// factors: the packed factor of L_H + J/n holds n(n+1)/2 float64s, 4 MiB
+// at n = 1024. Above it the preconditioner solve is CG.
+const factorMaxN = 1024
+
+// setSparsifier (re)wires the preconditioner side of the solver to h. At
+// or below factorMaxN it factors L_H + J/n once, sequentially, so every
+// later preconditioner solve — each Chebyshev iteration, the certificate,
+// every kappa attempt, RHS and structure-keeping Reweight — is exact and
+// bit-identical at any worker count. Above the cap, or if factoring fails,
+// it keeps L_H for the CG path.
 func (s *Solver) setSparsifier(h *graph.Graph) {
 	s.h = h
+	s.hf, s.lh = nil, nil
+	if h.N() <= factorMaxN {
+		if f, err := linalg.LaplacianCholesky(h); err == nil {
+			s.hf = f
+			return
+		}
+	}
 	s.lh = linalg.NewLaplacian(h)
 	s.lh.SetPool(s.pool)
-	s.hSolve = linalg.LaplacianCGSolver(s.lh, s.opts.InternalTol)
+}
+
+// hSolver returns the preconditioner solve dst = L_H^+ r: the exact
+// factored solve, or CG on L_H to the given tolerance.
+func (s *Solver) hSolver(tol float64) func(dst, r linalg.Vec) error {
+	if f := s.hf; f != nil {
+		return func(dst, r linalg.Vec) error {
+			f.PseudoSolveTo(dst, r)
+			return nil
+		}
+	}
+	cg := linalg.LaplacianCGSolver(s.lh, tol)
+	return func(dst, r linalg.Vec) error {
+		y, err := cg(r)
+		if err != nil {
+			return err
+		}
+		copy(dst, y)
+		return nil
+	}
 }
 
 // Reweight points the solver at new edge weights for its (fixed) topology:
@@ -314,9 +372,10 @@ func (s *Solver) Reweight(w []float64) error {
 	}
 	s.lg.Refresh()
 	res, err := sparsify.RandomizedSparsify(s.g, sparsify.RandomOptions{
-		Seed:   s.opts.RandomSeed,
-		Ledger: s.opts.Ledger,
-		Trace:  s.opts.Trace,
+		Seed:    s.opts.RandomSeed,
+		Ledger:  s.opts.Ledger,
+		Trace:   s.opts.Trace,
+		Metrics: s.opts.Metrics,
 	})
 	if err != nil {
 		return fmt.Errorf("lapsolver: %w", err)
@@ -384,11 +443,16 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 		return linalg.NewVec(s.g.N()), stats, nil
 	}
 
+	// The preconditioner solve with L_H. On the CG path the tighten rung
+	// below swaps in a tighter one for the rest of this call only.
+	tol := s.opts.InternalTol
+	hSolve := s.hSolver(tol)
+
 	// Residual acceptance in the preconditioner norm: with
 	// (1/a) L_H <= L_G <= a L_H and a^2 <= kappa,
 	//   ||x - x*||_A / ||x*||_A <= a * ||r||_{B+} / ||b||_{B+},
 	// so accepting at ratio <= eps/sqrt(kappa) certifies the target.
-	bNorm, err := s.precondNorm(rhs)
+	bNorm, err := s.precondNorm(hSolve, rhs)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -417,19 +481,20 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 	}
 	tightened := false
 	for {
-		if err := s.opts.Budget.Check(fmt.Sprintf("lapsolve-attempt-%d", stats.Attempts+1)); err != nil {
-			return nil, stats, fmt.Errorf("lapsolver: %w", err)
+		if s.opts.Budget != nil { // skip formatting the phase name when unbounded
+			if err := s.opts.Budget.Check(fmt.Sprintf("lapsolve-attempt-%d", stats.Attempts+1)); err != nil {
+				return nil, stats, fmt.Errorf("lapsolver: %w", err)
+			}
 		}
 		stats.Attempts++
 		asp := s.opts.Trace.Startf("attempt-%d", stats.Attempts)
 		scale := math.Sqrt(kappa)
-		bSolve := func(r linalg.Vec) (linalg.Vec, error) {
-			y, err := s.hSolve(r)
-			if err != nil {
-				return nil, err
+		bSolve := func(dst, r linalg.Vec) error {
+			if err := hSolve(dst, r); err != nil {
+				return err
 			}
-			y.Scale(1 / scale) // (sqrt(kappa) L_H)^+
-			return y, nil
+			dst.Scale(1 / scale) // (sqrt(kappa) L_H)^+
+			return nil
 		}
 		// Run at the tighter internal target eps/sqrt(kappa) so the
 		// certificate below can fire.
@@ -455,6 +520,7 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 			// round accounting matches the window-free solver exactly.
 			StagnationTol: chebyEps,
 			Pool:          s.pool,
+			Scratch:       &s.cheby,
 			OnIteration: func() {
 				if s.opts.Ledger != nil {
 					// One matvec with L_G per iteration: one round.
@@ -465,7 +531,8 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 		x, res, err := linalg.PreconCheby(s.lg, bSolve, rhs, chebyOpts)
 		if err != nil && x0 != nil {
 			// A near-exact seed can push the shifted right-hand side b - A x0
-			// to the inner CG's floating-point floor. Warm starting is an
+			// to the floating-point floor, where the iteration stagnates (or,
+			// on the CG path, the inner CG fails). Warm starting is an
 			// optimization, never a correctness dependency: retry this
 			// attempt cold.
 			x0 = nil
@@ -483,20 +550,17 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 		stats.Iterations += res.Iterations
 
 		// Certificate: compute r = b - A x (one matvec round) and its
-		// preconditioner norm (internal) plus one aggregation round.
-		r := linalg.NewVec(len(rhs))
+		// preconditioner norm (internal) plus one aggregation round. The
+		// subtraction runs as -Ax + b, which rounds identically.
+		r := s.res
 		s.lg.Apply(r, x)
-		s.pool.Range(len(r), func(lo, hi int) {
-			rs, bs := r[lo:hi], rhs[lo:hi]
-			for i := range rs {
-				rs[i] = bs[i] - rs[i]
-			}
-		})
+		s.pool.Scale(r, -1)
+		s.pool.AXPY(r, 1, rhs)
 		s.pool.RemoveMean(r)
 		if s.opts.Ledger != nil {
 			s.opts.Ledger.Add("lapsolve-residual", rounds.Measured, 2, "residual matvec + aggregation")
 		}
-		rNorm, err := s.precondNorm(r)
+		rNorm, err := s.precondNorm(hSolve, r)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -522,16 +586,19 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 				return nil, stats, fmt.Errorf("lapsolver: kappa cap %v reached with residual ratio %v (target %v)",
 					s.opts.MaxKappa, rNorm/bNorm, target)
 			}
-			if !tightened {
-				// Rung 1: retry the same kappa with a 100x tighter internal
-				// sparsifier solve. The certificate norm is defined by that
-				// solve, so recompute the right-hand side's norm under it.
+			if s.hf == nil && !tightened {
+				// Rung 1, CG path only: retry the same kappa with a 100x
+				// tighter internal sparsifier solve, for the rest of this
+				// call. The certificate norm is defined by that solve, so
+				// recompute the right-hand side's norm under it. An exact
+				// factored solve has nothing to tighten: re-running it
+				// cannot change the certificate.
 				tightened = true
 				stats.Escalations++
 				esp := s.opts.Trace.Start("escalate-tighten")
-				s.opts.InternalTol /= 100
-				s.setSparsifier(s.h)
-				bNorm, err = s.precondNorm(rhs)
+				tol /= 100
+				hSolve = s.hSolver(tol)
+				bNorm, err = s.precondNorm(hSolve, rhs)
 				esp.End()
 				if err != nil {
 					return nil, stats, err
@@ -573,22 +640,24 @@ func (s *Solver) denseFallback(rhs linalg.Vec) (linalg.Vec, error) {
 			rounds.TrivialGatherRounds(s.g.N(), s.g.M(), int64(math.Ceil(s.g.MaxWeight()))),
 			"trivial gather, section 1.1; exact dense fallback")
 	}
-	x, err := linalg.LaplacianPseudoSolve(s.lg.Dense(), rhs)
+	f, err := linalg.LaplacianCholesky(s.g)
 	if err != nil {
 		return nil, fmt.Errorf("lapsolver: dense fallback: %w", err)
 	}
+	x := linalg.NewVec(len(rhs))
+	f.PseudoSolveTo(x, rhs)
 	return x, nil
 }
 
 // precondNorm returns sqrt(v^T L_H^+ v), the preconditioner seminorm used
-// by the acceptance certificate. Internal computation: L_H is globally
-// known.
-func (s *Solver) precondNorm(v linalg.Vec) (float64, error) {
-	y, err := s.hSolve(v)
-	if err != nil {
+// by the acceptance certificate, with L_H^+ applied by hSolve into the
+// solver's precondNorm buffer (v must not be that buffer). Internal
+// computation: L_H is globally known.
+func (s *Solver) precondNorm(hSolve func(dst, r linalg.Vec) error, v linalg.Vec) (float64, error) {
+	if err := hSolve(s.pn, v); err != nil {
 		return 0, fmt.Errorf("lapsolver: preconditioner norm: %w", err)
 	}
-	q := s.pool.Dot(v, y)
+	q := s.pool.Dot(v, s.pn)
 	if q < 0 {
 		q = 0
 	}

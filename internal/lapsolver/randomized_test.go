@@ -5,6 +5,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
+	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
 )
 
@@ -88,5 +89,33 @@ func TestRandomizedSolverChargesFV22(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("randomized sparsifier charge missing")
+	}
+}
+
+// TestRandomizedReweightCountsRebuilds: every randomized rebuild — the one
+// NewSolver runs and one per Reweight — reaches the registry, so a solver
+// reweighted twice reads three builds.
+func TestRandomizedReweightCountsRebuilds(t *testing.T) {
+	g, err := graph.RandomRegular(32, 6, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	s, err := NewSolver(g, Options{Randomized: true, RandomSeed: 3, Ledger: rounds.New(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float64, g.M())
+	for k := 1; k <= 2; k++ {
+		for i := range w {
+			w[i] = float64(k + i%3)
+		}
+		if err := s.Reweight(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	builds := reg.Counter("lapcc_sparsify_random_builds_total", "Randomized sparsifier builds.").Value()
+	if builds != 3 {
+		t.Fatalf("lapcc_sparsify_random_builds_total = %d after a build and two reweights, want 3", builds)
 	}
 }

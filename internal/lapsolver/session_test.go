@@ -47,8 +47,12 @@ func TestSolverReweightSolvesNewSystem(t *testing.T) {
 	for i := range w {
 		w[i] = 1 + rng.Float64() // stays within class 0: chain reuses exactly
 	}
+	factor := s.hf
 	if err := s.Reweight(w); err != nil {
 		t.Fatal(err)
+	}
+	if factor == nil || s.hf != factor {
+		t.Fatal("an exact-reuse reweight re-factored the unchanged sparsifier")
 	}
 	x, _, err := s.Solve(b, eps)
 	if err != nil {

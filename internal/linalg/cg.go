@@ -70,8 +70,9 @@ type CGScratch struct {
 	rhs, r, z, p, ap Vec
 }
 
-// take returns *v resized to n, allocating only when the dimension changed.
-func (s *CGScratch) take(v *Vec, n int) Vec {
+// takeVec returns *v resized to n, allocating only when the dimension
+// changed: the shared helper behind the solvers' reusable scratch.
+func takeVec(v *Vec, n int) Vec {
 	if len(*v) != n {
 		*v = NewVec(n)
 	}
@@ -108,7 +109,7 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 	}
 	pool := opts.Pool
 
-	rhs := scratch.take(&scratch.rhs, n)
+	rhs := takeVec(&scratch.rhs, n)
 	copy(rhs, b)
 	if opts.ProjectMean {
 		pool.RemoveMean(rhs)
@@ -141,9 +142,9 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 		})
 	}
 
-	r := scratch.take(&scratch.r, n)
+	r := takeVec(&scratch.r, n)
 	copy(r, rhs)
-	z := scratch.take(&scratch.z, n)
+	z := takeVec(&scratch.z, n)
 	z.Zero()
 	if opts.X0 != nil {
 		// r = b - A x0; from here the iteration is the standard one.
@@ -161,9 +162,9 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 	if opts.ProjectMean {
 		pool.RemoveMean(z)
 	}
-	p := scratch.take(&scratch.p, n)
+	p := takeVec(&scratch.p, n)
 	copy(p, z)
-	ap := scratch.take(&scratch.ap, n)
+	ap := takeVec(&scratch.ap, n)
 	rz := pool.Dot(r, z)
 
 	var res CGResult

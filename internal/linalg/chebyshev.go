@@ -60,6 +60,20 @@ type ChebyOptions struct {
 	// norms on the given worker pool. Like CGOptions.Pool, results are
 	// bit-identical with and without it. Nil runs sequentially.
 	Pool *Pool
+	// Scratch, if non-nil, provides the iteration's work vectors — among
+	// them z, the buffer bSolve writes into — so that, given an
+	// allocation-free bSolve and vectors of at most one reduction block
+	// (larger ones dispatch pooled closures), an iteration allocates
+	// nothing. The returned iterate is still allocated fresh. Results are
+	// bit-identical with or without it.
+	Scratch *ChebyScratch
+}
+
+// ChebyScratch holds PreconCheby's work vectors across calls. The zero value
+// is ready to use; vectors are (re)allocated on first use or on a dimension
+// change. A ChebyScratch must not be shared by concurrent iterations.
+type ChebyScratch struct {
+	r, av, d, z Vec
 }
 
 // ChebyResult reports a PreconCheby run.
@@ -68,9 +82,10 @@ type ChebyResult struct {
 }
 
 // PreconCheby runs the preconditioned Chebyshev iteration. bSolve must
-// return an (approximate) solution of B y = r; for Laplacian preconditioners
-// it should project out the nullspace. The returned x approximates A^+ b.
-func PreconCheby(a Operator, bSolve func(Vec) (Vec, error), b Vec, opts ChebyOptions) (Vec, ChebyResult, error) {
+// write an (approximate) solution of B y = r into dst, overwriting it; for
+// Laplacian preconditioners it should project out the nullspace. dst and r
+// never alias. The returned x approximates A^+ b.
+func PreconCheby(a Operator, bSolve func(dst, r Vec) error, b Vec, opts ChebyOptions) (Vec, ChebyResult, error) {
 	n := a.Dim()
 	if len(b) != n {
 		return nil, ChebyResult{}, fmt.Errorf("linalg: rhs length %d for operator dimension %d", len(b), n)
@@ -95,9 +110,15 @@ func PreconCheby(a Operator, bSolve func(Vec) (Vec, error), b Vec, opts ChebyOpt
 	delta := (lamMax - lamMin) / 2
 
 	pool := opts.Pool
+	scratch := opts.Scratch
+	if scratch == nil {
+		scratch = &ChebyScratch{}
+	}
 	x := NewVec(n)
-	r := b.Clone()
-	av := NewVec(n)
+	r := takeVec(&scratch.r, n)
+	copy(r, b)
+	av := takeVec(&scratch.av, n)
+	z := takeVec(&scratch.z, n)
 	if opts.X0 != nil {
 		if len(opts.X0) != n {
 			return nil, ChebyResult{}, fmt.Errorf("linalg: warm start length %d for operator dimension %d", len(opts.X0), n)
@@ -141,8 +162,7 @@ func PreconCheby(a Operator, bSolve func(Vec) (Vec, error), b Vec, opts ChebyOpt
 			if opts.OnIteration != nil {
 				opts.OnIteration()
 			}
-			z, err := bSolve(r)
-			if err != nil {
+			if err := bSolve(z, r); err != nil {
 				return nil, ChebyResult{}, err
 			}
 			pool.Scale(z, 1/theta)
@@ -163,11 +183,11 @@ func PreconCheby(a Operator, bSolve func(Vec) (Vec, error), b Vec, opts ChebyOpt
 	if opts.OnIteration != nil {
 		opts.OnIteration()
 	}
-	z, err := bSolve(r)
-	if err != nil {
+	if err := bSolve(z, r); err != nil {
 		return nil, ChebyResult{}, err
 	}
-	d := z.Clone()
+	d := takeVec(&scratch.d, n)
+	copy(d, z)
 	pool.Scale(d, 1/theta)
 
 	count := 1
@@ -181,17 +201,24 @@ func PreconCheby(a Operator, bSolve func(Vec) (Vec, error), b Vec, opts ChebyOpt
 		if stuck, serr := stagnated(k); stuck {
 			return x, ChebyResult{Iterations: count}, serr
 		}
-		z, err = bSolve(r)
-		if err != nil {
+		if err := bSolve(z, r); err != nil {
 			return nil, ChebyResult{}, err
 		}
 		rhoNext := 1 / (2*sigma - rho)
-		pool.Range(n, func(lo, hi int) {
-			ds, zs := d[lo:hi], z[lo:hi]
-			for i := range ds {
-				ds[i] = rhoNext*rho*ds[i] + 2*rhoNext/delta*zs[i]
+		cd, cz := rhoNext*rho, 2*rhoNext/delta
+		if n <= reduceBlock {
+			// One block: run inline rather than through a Range closure.
+			for i := range d {
+				d[i] = cd*d[i] + cz*z[i]
 			}
-		})
+		} else {
+			pool.Range(n, func(lo, hi int) {
+				ds, zs := d[lo:hi], z[lo:hi]
+				for i := range ds {
+					ds[i] = cd*ds[i] + cz*zs[i]
+				}
+			})
+		}
 		rho = rhoNext
 		count++
 	}

@@ -7,10 +7,25 @@ import (
 	"lapcc/internal/graph"
 )
 
+// cgPrecond is PreconCheby's preconditioner callback for c*L^+ through the
+// high-precision CG solver: dst = c * L^+ r.
+func cgPrecond(l *Laplacian, tol, c float64) func(dst, r Vec) error {
+	inner := LaplacianCGSolver(l, tol)
+	return func(dst, r Vec) error {
+		y, err := inner(r)
+		if err != nil {
+			return err
+		}
+		copy(dst, y)
+		dst.Scale(c)
+		return nil
+	}
+}
+
 // chebySetup builds a weighted connected graph G, a "sparsifier" H (here: G
 // itself with perturbed weights so that the pencil has a known modest
 // kappa), and the exact B-solver for alpha*L_H.
-func chebySetup(t *testing.T, perturb float64) (lg *Laplacian, bSolve func(Vec) (Vec, error), kappa float64) {
+func chebySetup(t *testing.T, perturb float64) (lg *Laplacian, bSolve func(dst, r Vec) error, kappa float64) {
 	t.Helper()
 	g, err := graph.ConnectedGNM(20, 50, 16)
 	if err != nil {
@@ -32,20 +47,11 @@ func chebySetup(t *testing.T, perturb float64) (lg *Laplacian, bSolve func(Vec) 
 	// Edge-wise sandwich: L_G/(1+perturb) <= L_H <= (1+perturb) L_G,
 	// i.e. with alpha = 1+perturb: (1/alpha) L_H <= L_G <= alpha L_H.
 	alpha := 1 + perturb
-	lh := NewLaplacian(h)
-	inner := LaplacianCGSolver(lh, 1e-13)
 	// Theorem 2.2 setup from Corollary 2.3: A = L_G, B = alpha*L_H,
 	// kappa = alpha^2... actually the corollary uses kappa = alpha with
 	// B = alpha L_H since L_G <= alpha L_H <= alpha^2 L_G.
-	bSolve = func(r Vec) (Vec, error) {
-		y, err := inner(r)
-		if err != nil {
-			return nil, err
-		}
-		y.Scale(1 / alpha) // (alpha*L_H)^+ = (1/alpha) L_H^+
-		return y, nil
-	}
-	return lg, bSolve, alpha * alpha
+	// (alpha*L_H)^+ = (1/alpha) L_H^+.
+	return lg, cgPrecond(NewLaplacian(h), 1e-13, 1/alpha), alpha * alpha
 }
 
 func TestPreconChebyConvergesToTolerance(t *testing.T) {
@@ -93,7 +99,7 @@ func TestPreconChebyKappaOne(t *testing.T) {
 	// B = A exactly: kappa = 1 takes the Richardson fast path.
 	g := graph.Path(10)
 	lg := NewLaplacian(g)
-	bSolve := LaplacianCGSolver(lg, 1e-13)
+	bSolve := cgPrecond(lg, 1e-13, 1)
 	b := meanFreeRandomVec(10, 20)
 	x, _, err := PreconCheby(lg, bSolve, b, ChebyOptions{Kappa: 1, Eps: 1e-8})
 	if err != nil {
@@ -128,7 +134,7 @@ func TestPreconChebyOnIterationHook(t *testing.T) {
 
 func TestPreconChebyParameterValidation(t *testing.T) {
 	lg := NewLaplacian(graph.Path(4))
-	bSolve := LaplacianCGSolver(lg, 1e-12)
+	bSolve := cgPrecond(lg, 1e-12, 1)
 	b := NewVec(4)
 	if _, _, err := PreconCheby(lg, bSolve, b, ChebyOptions{Kappa: 0.5, Eps: 0.1}); err == nil {
 		t.Fatal("kappa < 1 should error")

@@ -4,12 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"lapcc/internal/graph"
 )
 
 // Dense is a square dense matrix in row-major order, used for small-scale
-// verification (exact solves that the tests compare iterative results
-// against) and for the internal solves of globally-known sparsifiers when n
-// is small.
+// verification: the exact solves and eigensolves the tests compare
+// iterative results against. Exact solves with a globally-known sparsifier
+// do not go through Dense: they factor the sparsifier's shifted Laplacian
+// straight from its edge list (LaplacianCholesky) into a packed
+// CholeskyFactor.
 type Dense struct {
 	n int
 	a []float64
@@ -56,88 +60,161 @@ func (d *Dense) Clone() *Dense {
 }
 
 // Cholesky computes the lower-triangular factor of a symmetric positive
-// definite matrix, returning a solver for systems with it.
+// definite matrix, returning a solver for systems with it. Only the lower
+// triangle is read.
 func (d *Dense) Cholesky() (*CholeskyFactor, error) {
-	n := d.n
-	l := d.Clone()
-	for j := 0; j < n; j++ {
-		diag := l.At(j, j)
-		for k := 0; k < j; k++ {
-			diag -= l.At(j, k) * l.At(j, k)
-		}
-		if diag <= 0 || math.IsNaN(diag) {
-			return nil, fmt.Errorf("%w: pivot %d is %v", ErrNotPD, j, diag)
-		}
-		diag = math.Sqrt(diag)
-		l.Set(j, j, diag)
-		for i := j + 1; i < n; i++ {
-			s := l.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s/diag)
-		}
+	c := packLower(d)
+	if err := c.factor(); err != nil {
+		return nil, err
 	}
-	// Zero the (unused) upper triangle for cleanliness.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			l.Set(i, j, 0)
-		}
-	}
-	return &CholeskyFactor{l: l}, nil
+	return c, nil
 }
 
-// CholeskyFactor is a lower-triangular Cholesky factor L with A = L L^T.
+// CholeskyFactor is a lower-triangular Cholesky factor L with A = L L^T,
+// stored as a packed row-major lower triangle: row i holds L[i][0..i] at
+// offset i(i+1)/2, n(n+1)/2 entries in all. The factorization and both
+// triangular sweeps walk whole rows front to back, so they stream memory.
 type CholeskyFactor struct {
-	l *Dense
+	n int
+	l []float64
 }
 
-// Solve computes x with A x = b via forward/back substitution.
-func (c *CholeskyFactor) Solve(b Vec) Vec {
-	n := c.l.n
-	y := b.Clone()
+func newCholeskyFactor(n int) *CholeskyFactor {
+	return &CholeskyFactor{n: n, l: make([]float64, n*(n+1)/2)}
+}
+
+// packLower returns an unfactored CholeskyFactor holding d's lower triangle.
+func packLower(d *Dense) *CholeskyFactor {
+	c := newCholeskyFactor(d.n)
+	for i := 0; i < d.n; i++ {
+		copy(c.row(i), d.a[i*d.n:i*d.n+i+1])
+	}
+	return c
+}
+
+// row returns the packed row i, L[i][0..i].
+func (c *CholeskyFactor) row(i int) []float64 {
+	o := i * (i + 1) / 2
+	return c.l[o : o+i+1]
+}
+
+// factor overwrites the packed lower triangle of A with its Cholesky factor,
+// row by row: L[i][j] = (A[i][j] - sum_{k<j} L[i][k] L[j][k]) / L[j][j],
+// each sum taken in ascending k. It fails with ErrNotPD on the first pivot
+// that is not positive and finite.
+func (c *CholeskyFactor) factor() error {
+	for i := 0; i < c.n; i++ {
+		ri := c.row(i)
+		for j := 0; j < i; j++ {
+			rj := c.row(j)
+			s := ri[j]
+			for k, v := range rj[:j] {
+				s -= ri[k] * v
+			}
+			ri[j] = s / rj[j]
+		}
+		piv := ri[i]
+		for _, v := range ri[:i] {
+			piv -= v * v
+		}
+		if !(piv > 0) || math.IsInf(piv, 0) {
+			return fmt.Errorf("%w: pivot %d is %v", ErrNotPD, i, piv)
+		}
+		ri[i] = math.Sqrt(piv)
+	}
+	return nil
+}
+
+// SolveTo sets dst to the x with A x = b by forward then back substitution.
+// It allocates nothing, and dst may alias b.
+func (c *CholeskyFactor) SolveTo(dst, b Vec) {
+	n := c.n
+	// Forward: L y = b, one row dot per entry.
 	for i := 0; i < n; i++ {
-		s := y[i]
-		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * y[k]
+		ri := c.row(i)
+		s := b[i]
+		for k, v := range ri[:i] {
+			s -= v * dst[k]
 		}
-		y[i] = s / c.l.At(i, i)
+		dst[i] = s / ri[i]
 	}
+	// Back: L^T x = y. Column i of L^T is row i of L, so once x[i] is final
+	// the sweep subtracts its contribution from the entries above it.
 	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * y[k]
+		ri := c.row(i)
+		xi := dst[i] / ri[i]
+		dst[i] = xi
+		for k, v := range ri[:i] {
+			dst[k] -= v * xi
 		}
-		y[i] = s / c.l.At(i, i)
 	}
-	return y
+}
+
+// Solve returns the x with A x = b.
+func (c *CholeskyFactor) Solve(b Vec) Vec {
+	x := NewVec(c.n)
+	c.SolveTo(x, b)
+	return x
+}
+
+// LaplacianCholesky factors L + J/n for the Laplacian L of g, assembled
+// straight from the edge list into the packed lower triangle (n(n+1)/2
+// entries; no n x n temporary). For a connected graph the shifted matrix is
+// positive definite and PseudoSolveTo applies L^+ with it; otherwise — or
+// on weights that overflow the factorization — it fails with ErrNotPD. The
+// factorization is sequential and the assembly runs in edge order, so the
+// factor is a pure function of g's edge list.
+func LaplacianCholesky(g *graph.Graph) (*CholeskyFactor, error) {
+	c := newCholeskyFactor(g.N())
+	for _, e := range g.Edges() {
+		c.row(e.U)[e.U] += e.W
+		c.row(e.V)[e.V] += e.W
+		c.row(e.V)[e.U] -= e.W // U < V: the pair's lower-triangle entry
+	}
+	c.shiftJ()
+	if err := c.factor(); err != nil {
+		return nil, fmt.Errorf("linalg: shifted Laplacian factorization (graph disconnected?): %w", err)
+	}
+	return c, nil
+}
+
+// shiftJ adds the rank-one shift J/n to every packed entry.
+func (c *CholeskyFactor) shiftJ() {
+	inv := 1.0 / float64(c.n)
+	for i := range c.l {
+		c.l[i] += inv
+	}
+}
+
+// PseudoSolveTo sets dst = L^+ b for a factor of L + J/n (LaplacianCholesky,
+// LaplacianPseudoSolve): it projects b onto the mean-free subspace, solves,
+// and projects the result, using the identity L^+ b = (L + J/n)^{-1} b for
+// mean-free b — J annihilates range(L) and L L^+ projects onto it. It
+// allocates nothing, and dst may alias b.
+func (c *CholeskyFactor) PseudoSolveTo(dst, b Vec) {
+	copy(dst, b)
+	dst.RemoveMean()
+	c.SolveTo(dst, dst)
+	dst.RemoveMean()
 }
 
 // LaplacianPseudoSolve solves L x = b for a connected graph's Laplacian
 // given as a dense matrix, where b must be orthogonal to the all-ones
-// vector. It uses the identity L^+ b = (L + (1/n) J)^{-1} b, which holds
-// because J annihilates range(L) and LL^+ projects onto it. The returned x
-// has zero mean. This is the reference exact solver the tests compare
-// iterative solvers against.
+// vector. It factors L + J/n from the lower triangle of l and applies
+// PseudoSolveTo, the same code the solver's exact sparsifier and dense
+// fallback solves run. The returned x has zero mean. This is the reference
+// exact solver the tests compare iterative solvers against.
 func LaplacianPseudoSolve(l *Dense, b Vec) (Vec, error) {
 	n := l.Dim()
 	if len(b) != n {
 		return nil, fmt.Errorf("linalg: rhs length %d for matrix dimension %d", len(b), n)
 	}
-	shift := l.Clone()
-	inv := 1.0 / float64(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			shift.Add(i, j, inv)
-		}
-	}
-	f, err := shift.Cholesky()
-	if err != nil {
+	c := packLower(l)
+	c.shiftJ()
+	if err := c.factor(); err != nil {
 		return nil, fmt.Errorf("linalg: pseudo-solve shift factorization (graph disconnected?): %w", err)
 	}
-	bb := b.Clone()
-	bb.RemoveMean()
-	x := f.Solve(bb)
-	x.RemoveMean()
+	x := NewVec(n)
+	c.PseudoSolveTo(x, b)
 	return x, nil
 }

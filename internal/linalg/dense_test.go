@@ -110,3 +110,159 @@ func TestLaplacianPseudoSolveDisconnected(t *testing.T) {
 		t.Skip("shifted factorization unexpectedly succeeded; disconnected graphs are documented as unsupported")
 	}
 }
+
+func TestCholeskyRejectsNonFinitePivot(t *testing.T) {
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		a := NewDense(1)
+		a.Set(0, 0, v)
+		if _, err := a.Cholesky(); !errors.Is(err, ErrNotPD) {
+			t.Fatalf("pivot %v: error = %v, want ErrNotPD", v, err)
+		}
+	}
+}
+
+// TestCholeskySolveToInPlace: SolveTo with dst aliasing b gives the same
+// bits as into a separate vector, and neither form allocates.
+func TestCholeskySolveToInPlace(t *testing.T) {
+	g, err := graph.ConnectedGNM(30, 90, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := LaplacianCholesky(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := meanFreeRandomVec(30, 9)
+	want := NewVec(30)
+	f.SolveTo(want, b)
+	got := b.Clone()
+	f.SolveTo(got, got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("in-place SolveTo[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { f.SolveTo(want, b); f.PseudoSolveTo(got, b) }); a != 0 {
+		t.Fatalf("SolveTo + PseudoSolveTo allocate %v times", a)
+	}
+}
+
+// eigenPseudoSolve is the independent reference for the factored solves:
+// L^+ b from the Jacobi eigendecomposition of a connected graph's dense
+// Laplacian, dropping the single zero eigenvalue (the smallest).
+func eigenPseudoSolve(t *testing.T, g *graph.Graph, b Vec) Vec {
+	t.Helper()
+	vals, vecs, err := NewLaplacian(g).Dense().SymEigen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	x := NewVec(n)
+	for j := 1; j < n; j++ {
+		var vb float64
+		for i := 0; i < n; i++ {
+			vb += vecs.At(i, j) * b[i]
+		}
+		c := vb / vals[j]
+		for i := 0; i < n; i++ {
+			x[i] += c * vecs.At(i, j)
+		}
+	}
+	return x
+}
+
+// TestLaplacianCholeskyMatchesEigenPseudoinverse checks the factor of
+// L + J/n, assembled from the edge list, against the eigensolver's
+// pseudoinverse on a multigraph, a path (the worst-conditioned tree) and a
+// 1e8 weight ratio; the solution must be mean-free and the residual, taken
+// through Laplacian.Apply, small.
+func TestLaplacianCholeskyMatchesEigenPseudoinverse(t *testing.T) {
+	multi, err := graph.ConnectedGNM(24, 60, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		e := multi.Edge(3 * i)
+		multi.MustAddEdge(e.U, e.V, 0.25+float64(i%5))
+	}
+	ratio, err := graph.ConnectedGNM(24, 70, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ratio.M(); i += 2 {
+		if err := ratio.SetWeight(i, 1e8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		tol  float64 // relative error bound against the reference
+	}{
+		{"multigraph", multi, 1e-12},
+		{"path", graph.Path(40), 1e-11},
+		{"ratio-1e8", ratio, 1e-11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.g.N()
+			f, err := LaplacianCholesky(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := meanFreeRandomVec(n, 13)
+			x := NewVec(n)
+			f.PseudoSolveTo(x, b)
+			want := eigenPseudoSolve(t, tc.g, b)
+			if rel := x.Sub(want).Norm2() / want.Norm2(); rel > tc.tol {
+				t.Fatalf("relative error %v against the eigensolver, want <= %v", rel, tc.tol)
+			}
+			if m := math.Abs(x.Mean()); m > 1e-14*x.NormInf() {
+				t.Fatalf("solution mean %v, want mean-free", m)
+			}
+			lx := NewVec(n)
+			NewLaplacian(tc.g).Apply(lx, x)
+			if r := lx.Sub(b).Norm2() / b.Norm2(); r > 1e-8 {
+				t.Fatalf("relative residual %v", r)
+			}
+		})
+	}
+}
+
+// TestLaplacianCholeskyRejectsNotPD: without edges on four vertices the
+// shifted matrix is J/4, rank one; its second pivot is exactly zero.
+func TestLaplacianCholeskyRejectsNotPD(t *testing.T) {
+	if _, err := LaplacianCholesky(graph.New(4)); !errors.Is(err, ErrNotPD) {
+		t.Fatalf("error = %v, want ErrNotPD", err)
+	}
+}
+
+// TestLaplacianCholeskyAssembly: the edge-list assembly of L + J/n is the
+// dense assembly's — so the factor matches factoring the dense Laplacian
+// plus the shift, bit for bit.
+func TestLaplacianCholeskyAssembly(t *testing.T) {
+	g, err := graph.ConnectedGNM(20, 45, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg := graph.WithRandomWeights(g, 9, 15)
+	wg.MustAddEdge(wg.Edge(0).U, wg.Edge(0).V, 0.3) // a parallel edge
+	got, err := LaplacianCholesky(wg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewLaplacian(wg).Dense()
+	for i := 0; i < 20; i++ {
+		for j := 0; j < 20; j++ {
+			d.Add(i, j, 1.0/20)
+		}
+	}
+	want, err := d.Cholesky()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.l {
+		if got.l[i] != want.l[i] {
+			t.Fatalf("packed factor entry %d = %v, want %v", i, got.l[i], want.l[i])
+		}
+	}
+}

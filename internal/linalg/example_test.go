@@ -8,13 +8,18 @@ import (
 )
 
 // ExamplePreconCheby solves a Laplacian system with an exact preconditioner
-// (kappa = 1): the potential difference across a path of three unit
-// resistors is 3 volts at 1 ampere.
+// (kappa = 1), the factored pseudoinverse of the same Laplacian: the
+// potential difference across a path of three unit resistors is 3 volts at
+// 1 ampere.
 func ExamplePreconCheby() {
 	g := graph.Path(4)
 	l := linalg.NewLaplacian(g)
 	b := linalg.Vec{1, 0, 0, -1}
-	solve := linalg.LaplacianCGSolver(l, 1e-13)
+	f, _ := linalg.LaplacianCholesky(g)
+	solve := func(dst, r linalg.Vec) error {
+		f.PseudoSolveTo(dst, r)
+		return nil
+	}
 	x, _, _ := linalg.PreconCheby(l, solve, b, linalg.ChebyOptions{Kappa: 1, Eps: 1e-10})
 	fmt.Printf("%.3f\n", x[0]-x[3])
 	// Output: 3.000

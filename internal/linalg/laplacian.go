@@ -41,10 +41,11 @@ type Laplacian struct {
 
 	pool *Pool // nil = sequential Apply (the historical path)
 
-	// CSR over pair incidences, built only when a pool is attached: row u
-	// lists the pairs touching u in ascending pair order, which makes the
-	// row-parallel Apply accumulate each dst[u] in exactly the sequential
-	// pair loop's floating-point order (owner-computes, no merge).
+	// CSR over pair incidences, built only when a pool is attached to an
+	// operator with more than one row block: row u lists the pairs touching
+	// u in ascending pair order, which makes the row-parallel Apply
+	// accumulate each dst[u] in exactly the sequential pair loop's
+	// floating-point order (owner-computes, no merge).
 	rowPtr   []int32 // n+1 offsets into rowPair/rowOther
 	rowPair  []int32 // pair index per incidence
 	rowOther []int32 // opposite endpoint per incidence
@@ -111,9 +112,17 @@ func (l *Laplacian) buildPairs() {
 	l.cw = NewVec(len(l.cu))
 	l.gen = l.g.Gen()
 	l.rowPtr = nil // pair indices changed; rebuild incidence rows if pooled
-	if l.pool != nil {
+	if l.blocked() {
 		l.buildRows()
 	}
+}
+
+// blocked reports whether Apply takes the row-parallel path: a pool is
+// attached and the output spans more than one row block. A single block
+// has nothing to split, so it runs the sequential pair loop — the same bits
+// without the CSR indirection or a dispatched closure.
+func (l *Laplacian) blocked() bool {
+	return l.pool != nil && l.g.N() > applyRowBlock
 }
 
 // buildRows constructs the CSR incidence rows over the coalesced pairs.
@@ -145,12 +154,13 @@ func (l *Laplacian) buildRows() {
 }
 
 // SetPool attaches a worker pool for Apply and Quad (nil reverts to the
-// sequential path). Attaching a pool builds the CSR incidence rows once, so
-// concurrent Applies afterwards are read-only on the operator. Results are
-// bit-identical with and without a pool; see parallel.go for the contract.
+// sequential path). Attaching a pool to an operator with more than one row
+// block builds the CSR incidence rows once, so concurrent Applies afterwards
+// are read-only on the operator. Results are bit-identical with and without
+// a pool; see parallel.go for the contract.
 func (l *Laplacian) SetPool(p *Pool) {
 	l.pool = p
-	if p != nil && l.rowPtr == nil {
+	if l.blocked() && l.rowPtr == nil {
 		l.buildRows()
 	}
 }
@@ -197,15 +207,15 @@ func (l *Laplacian) Degrees() Vec { return l.deg }
 // only shifts scheduling, never results.
 const applyRowBlock = 512
 
-// Apply computes dst = L*src. Without a pool it runs the sequential
-// coalesced-pair loop; with one it sweeps the CSR incidence rows with the
-// output partitioned across workers. The two paths accumulate every dst[u]
-// in the same floating-point order — diagonal first, then the incident pairs
-// by ascending pair index — so Apply is bit-identical at any worker count.
+// Apply computes dst = L*src. Without a pool, or when dst fits in one row
+// block, it runs the sequential coalesced-pair loop; otherwise it sweeps the
+// CSR incidence rows with the output partitioned across workers. The two
+// paths accumulate every dst[u] in the same floating-point order — diagonal
+// first, then the incident pairs by ascending pair index — so Apply is
+// bit-identical at any worker count.
 func (l *Laplacian) Apply(dst, src Vec) {
 	kernelCalls(kernelApply)
-	p := l.pool
-	if p == nil {
+	if !l.blocked() {
 		for i := range dst {
 			dst[i] = l.deg[i] * src[i]
 		}
@@ -219,7 +229,7 @@ func (l *Laplacian) Apply(dst, src Vec) {
 	}
 	n := len(dst)
 	nb := (n + applyRowBlock - 1) / applyRowBlock
-	p.ForBlocks(nb, func(b int) {
+	l.pool.ForBlocks(nb, func(b int) {
 		lo, hi := b*applyRowBlock, (b+1)*applyRowBlock
 		if hi > n {
 			hi = n

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -133,15 +134,24 @@ func TestPoolKernelsBitIdentical(t *testing.T) {
 }
 
 // TestPooledApplyBitIdentical checks the row-parallel CSR Apply against the
-// sequential coalesced-pair loop, including through a weight refresh, on a
-// multigraph (parallel edges exercise the pair coalescing).
+// sequential coalesced-pair loop, including through a weight refresh, on
+// multigraphs (parallel edges exercise the pair coalescing). The sizes
+// straddle the single-block rule: at n = applyRowBlock a pooled Apply takes
+// the sequential loop, builds no CSR rows and allocates nothing; one vertex
+// more and it splits into row blocks.
 func TestPooledApplyBitIdentical(t *testing.T) {
-	g, err := graph.ConnectedGNM(2000, 12000, 3)
+	for _, n := range []int{applyRowBlock, applyRowBlock + 1, 2000} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { pooledApplyBitIdentical(t, n) })
+	}
+}
+
+func pooledApplyBitIdentical(t *testing.T, n int) {
+	g, err := graph.ConnectedGNM(n, 6*n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate some edges so pairs coalesce more than one edge.
-	for i := 0; i < 500; i++ {
+	for i := 0; i < n/4; i++ {
 		e := g.Edge(i)
 		g.MustAddEdge(e.U, e.V, 0.5+float64(i%7))
 	}
@@ -155,6 +165,9 @@ func TestPooledApplyBitIdentical(t *testing.T) {
 		lp := NewLaplacian(g)
 		lp.SetPool(SharedPool(workers))
 		lp.Refresh()
+		if single := n <= applyRowBlock; single != (lp.rowPtr == nil) {
+			t.Fatalf("workers=%d: CSR rows built = %v for %d row block(s)", workers, lp.rowPtr != nil, (n+applyRowBlock-1)/applyRowBlock)
+		}
 		got := NewVec(g.N())
 		lp.Apply(got, src)
 		for i := range want {
@@ -164,6 +177,11 @@ func TestPooledApplyBitIdentical(t *testing.T) {
 		}
 		if q, sq := lp.Quad(src), l.Quad(src); q != sq {
 			t.Fatalf("workers=%d: Quad = %v, want %v", workers, q, sq)
+		}
+		if n <= applyRowBlock {
+			if a := testing.AllocsPerRun(20, func() { lp.Apply(got, src) }); a != 0 {
+				t.Fatalf("workers=%d: single-block pooled Apply allocates %v times", workers, a)
+			}
 		}
 
 		// Reweight in place and Refresh: still bit-identical.

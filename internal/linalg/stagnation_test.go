@@ -104,7 +104,7 @@ func TestPreconChebyStagnationDetected(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	b.RemoveMean()
-	exact := LaplacianCGSolver(l, 1e-13)
+	exact := cgPrecond(l, 1e-13, 1)
 	iters := 0
 	const maxIter = 5000
 	x, res, err := PreconCheby(l, exact, b, ChebyOptions{
@@ -141,7 +141,7 @@ func TestPreconChebyStagnationWindowScalesWithKappa(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	b.RemoveMean()
-	exact := LaplacianCGSolver(l, 1e-13)
+	exact := cgPrecond(l, 1e-13, 1)
 	kappa := 100.0
 	window := StagnationWindowFor(kappa)
 	x, _, err := PreconCheby(l, exact, b, ChebyOptions{

@@ -218,7 +218,12 @@ func TestParallelDifferentialChebyshev(t *testing.T) {
 		pool := linalg.SharedPool(workers)
 		l.SetPool(pool)
 		l.Refresh()
-		solver := linalg.LaplacianCGSolver(l, 1e-12)
+		inner := linalg.LaplacianCGSolver(l, 1e-12)
+		solver := func(dst, r linalg.Vec) error {
+			y, err := inner(r)
+			copy(dst, y)
+			return err
+		}
 		x, _, err := linalg.PreconCheby(l, solver, b, linalg.ChebyOptions{
 			Eps: 1e-8, Kappa: 16, Pool: pool,
 		})
