@@ -1,8 +1,8 @@
 # Build/verify entry points. `make check` is the CI gate: it checks
 # formatting, vets, builds, runs the full test suite under the race detector
 # (continuously validating the parallel engine and the concurrent round
-# ledger), smoke-runs every benchmark once, and compiles the bench/ module,
-# so the benchmark programs themselves cannot rot.
+# ledger), smoke-runs every benchmark once, and compiles and tests the bench/
+# module, so the benchmark programs themselves cannot rot.
 
 GO ?= go
 
@@ -16,8 +16,8 @@ GATE_BENCHTIME ?= 1s
 # hardcodes the same pairs in internal/benchgate.Suites).
 BENCH_ENGINE_BENCH := BenchmarkEngineRun|BenchmarkRoute
 BENCH_ENGINE_PKGS  := ./internal/cc/
-BENCH_SOLVER_BENCH := BenchmarkIPM|BenchmarkSolverSession
-BENCH_SOLVER_PKGS  := ./internal/maxflow/ ./internal/lapsolver/
+BENCH_SOLVER_BENCH := BenchmarkIPM|BenchmarkSolverSession|BenchmarkCholeskySolveTo|BenchmarkLaplacianCholesky
+BENCH_SOLVER_PKGS  := ./internal/maxflow/ ./internal/lapsolver/ ./internal/linalg/
 BENCH_SCALING_BENCH := BenchmarkScaling
 BENCH_SCALING_PKGS  := ./internal/linalg/
 
@@ -26,7 +26,7 @@ define run-bench
 $(GO) test -run xxx -bench '$(1)' -benchmem -benchtime $(BENCHTIME) $(2)
 endef
 
-.PHONY: all build fmt-check vet test race bench-smoke bench-build bench-engine bench-baseline bench-solver bench-scaling bench-gate check experiments trace-smoke stress bench-faults serve-smoke net-smoke bench-net chaos-smoke bench-chaos
+.PHONY: all build fmt-check vet test race bench-smoke bench-build bench-test bench-engine bench-baseline bench-solver bench-scaling bench-gate check experiments trace-smoke stress bench-faults serve-smoke net-smoke bench-net chaos-smoke bench-chaos
 
 all: build
 
@@ -55,7 +55,9 @@ bench-engine:
 	$(call run-bench,$(BENCH_ENGINE_BENCH),$(BENCH_ENGINE_PKGS))
 
 # The session-layer benchmarks behind BENCH_solver.json: build-once/solve-many
-# vs rebuild-per-solve through the max-flow IPM and the many-RHS solver.
+# vs rebuild-per-solve through the max-flow IPM and the many-RHS solver, plus
+# the factored sparsifier's kernels (one triangular solve, one factorization
+# of L + J/n) at n = 128, 512 and 1024.
 bench-solver:
 	$(call run-bench,$(BENCH_SOLVER_BENCH),$(BENCH_SOLVER_PKGS))
 
@@ -185,4 +187,11 @@ bench-chaos:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null .
 
-check: fmt-check vet build race bench-smoke bench-build trace-smoke serve-smoke net-smoke chaos-smoke
+# Run the benchmark module's tests (about a minute): unit tests plus every
+# workload's one-second smoke run, traced and untraced, with each answer
+# checked against its oracle — the only end-to-end answer check of the four
+# workloads.
+bench-test:
+	cd bench && $(GO) test ./...
+
+check: fmt-check vet build race bench-smoke bench-build bench-test trace-smoke serve-smoke net-smoke chaos-smoke

@@ -52,8 +52,8 @@ var Suites = []Suite{
 	{
 		Name:     "solver",
 		Baseline: "BENCH_solver.json",
-		Bench:    "BenchmarkIPM|BenchmarkSolverSession",
-		Packages: []string{"./internal/maxflow/", "./internal/lapsolver/"},
+		Bench:    "BenchmarkIPM|BenchmarkSolverSession|BenchmarkCholeskySolveTo|BenchmarkLaplacianCholesky",
+		Packages: []string{"./internal/maxflow/", "./internal/lapsolver/", "./internal/linalg/"},
 	},
 	{
 		Name:     "faults",

@@ -129,9 +129,18 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 		}
 	}
 
+	// The Jacobi sweep and the p update run inline when n fits in one
+	// block, rather than through a Range closure allocated per iteration.
 	applyPrecond := func(dst, r Vec) {
 		if opts.Precond == nil {
 			copy(dst, r)
+			return
+		}
+		if n <= reduceBlock {
+			d, rs, pc := dst[:n], r[:n], opts.Precond[:n]
+			for i := range d {
+				d[i] = rs[i] / pc[i]
+			}
 			return
 		}
 		pool.Range(len(dst), func(lo, hi int) {
@@ -216,12 +225,19 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 		rzNew := pool.Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
-		pool.Range(n, func(lo, hi int) {
-			ps, zs := p[lo:hi], z[lo:hi]
+		if n <= reduceBlock {
+			ps, zs := p[:n], z[:n]
 			for i := range ps {
 				ps[i] = zs[i] + beta*ps[i]
 			}
-		})
+		} else {
+			pool.Range(n, func(lo, hi int) {
+				ps, zs := p[lo:hi], z[lo:hi]
+				for i := range ps {
+					ps[i] = zs[i] + beta*ps[i]
+				}
+			})
+		}
 	}
 	if opts.ProjectMean {
 		pool.RemoveMean(x)

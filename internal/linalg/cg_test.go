@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,5 +114,45 @@ func TestLaplacianCGSolverClosure(t *testing.T) {
 	l.Apply(lx, x)
 	if r := lx.Sub(b).Norm2(); r > 1e-10 {
 		t.Fatalf("residual %v", r)
+	}
+}
+
+// TestSolveCGIterationAllocatesNothing: a warm SolveCG with Scratch makes
+// as many allocations at Tol 1e-11 as at 1e-4, with and without a pool, so
+// an iteration allocates nothing — at n = 128 the Jacobi sweep and the p
+// update run inline instead of through per-iteration Range closures.
+func TestSolveCGIterationAllocatesNothing(t *testing.T) {
+	g, err := graph.RandomRegular(128, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := meanFreeRandomVec(g.N(), 5)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			l := NewLaplacian(g)
+			if workers > 0 {
+				l.SetPool(SharedPool(workers))
+			}
+			opts := CGOptions{Precond: l.Degrees().Clone(), ProjectMean: true, Scratch: &CGScratch{}, Pool: l.Pool()}
+			measure := func(tol float64) (allocs float64, res CGResult) {
+				opts.Tol = tol
+				allocs = testing.AllocsPerRun(20, func() {
+					var err error
+					if _, res, err = SolveCG(l, b, opts); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return allocs, res
+			}
+			loose, looseRes := measure(1e-4)
+			tight, tightRes := measure(1e-11)
+			if tightRes.Iterations <= looseRes.Iterations {
+				t.Fatalf("Tol 1e-11 ran %d iterations, 1e-4 %d: want more", tightRes.Iterations, looseRes.Iterations)
+			}
+			if tight != loose {
+				t.Fatalf("SolveCG allocates %v times at Tol 1e-11 (%d iterations) and %v at 1e-4 (%d): an iteration allocates",
+					tight, tightRes.Iterations, loose, looseRes.Iterations)
+			}
+		})
 	}
 }

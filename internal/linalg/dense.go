@@ -74,6 +74,17 @@ func (d *Dense) Cholesky() (*CholeskyFactor, error) {
 // stored as a packed row-major lower triangle: row i holds L[i][0..i] at
 // offset i(i+1)/2, n(n+1)/2 entries in all. The factorization and both
 // triangular sweeps walk whole rows front to back, so they stream memory.
+//
+// They work on four rows per pass. The forward sweep accumulates the dots
+// of rows i..i+3 in one pass over the solved prefix (subDots4), the back
+// sweep subtracts the contributions of four finished rows in one pass
+// (subAxpy4), and the factorization computes L[i][j..j+3] together with
+// the forward helper. Four independent accumulations hide the latency a
+// single row's serial chain exposes. Every entry still receives the same
+// operations in the same order as in a row-at-a-time loop — each dot
+// ascending in k, each back-sweep update in descending row order — so the
+// factor and the solutions are bit-identical to it for every n, including
+// when dst aliases b.
 type CholeskyFactor struct {
 	n int
 	l []float64
@@ -100,19 +111,13 @@ func (c *CholeskyFactor) row(i int) []float64 {
 
 // factor overwrites the packed lower triangle of A with its Cholesky factor,
 // row by row: L[i][j] = (A[i][j] - sum_{k<j} L[i][k] L[j][k]) / L[j][j],
-// each sum taken in ascending k. It fails with ErrNotPD on the first pivot
-// that is not positive and finite.
+// each sum taken in ascending k. That is a forward sweep of the rows
+// already factored over row i's own prefix, in place. It fails with
+// ErrNotPD on the first pivot that is not positive and finite.
 func (c *CholeskyFactor) factor() error {
 	for i := 0; i < c.n; i++ {
 		ri := c.row(i)
-		for j := 0; j < i; j++ {
-			rj := c.row(j)
-			s := ri[j]
-			for k, v := range rj[:j] {
-				s -= ri[k] * v
-			}
-			ri[j] = s / rj[j]
-		}
+		c.forward(ri[:i], ri[:i])
 		piv := ri[i]
 		for _, v := range ri[:i] {
 			piv -= v * v
@@ -125,12 +130,24 @@ func (c *CholeskyFactor) factor() error {
 	return nil
 }
 
-// SolveTo sets dst to the x with A x = b by forward then back substitution.
-// It allocates nothing, and dst may alias b.
-func (c *CholeskyFactor) SolveTo(dst, b Vec) {
-	n := c.n
-	// Forward: L y = b, one row dot per entry.
-	for i := 0; i < n; i++ {
+// forward sets dst to the y with L' y = b, where L' is the leading
+// len(dst) x len(dst) block of L: y[i] = (b[i] - sum_{k<i} L[i][k] y[k]) /
+// L[i][i], each sum in ascending k. Four rows share one pass over y[:i];
+// the rows left over when len(dst) is not a multiple of four run one at a
+// time. dst may alias b.
+func (c *CholeskyFactor) forward(dst, b []float64) {
+	n := len(dst)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0, r1, r2, r3 := c.row(i), c.row(i+1), c.row(i+2), c.row(i+3)
+		s0, s1, s2, s3 := subDots4(dst[:i], r0, r1, r2, r3, b[i], b[i+1], b[i+2], b[i+3])
+		y0 := s0 / r0[i]
+		y1 := (s1 - r1[i]*y0) / r1[i+1]
+		y2 := (s2 - r2[i]*y0 - r2[i+1]*y1) / r2[i+2]
+		y3 := (s3 - r3[i]*y0 - r3[i+1]*y1 - r3[i+2]*y2) / r3[i+3]
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = y0, y1, y2, y3
+	}
+	for ; i < n; i++ {
 		ri := c.row(i)
 		s := b[i]
 		for k, v := range ri[:i] {
@@ -138,9 +155,56 @@ func (c *CholeskyFactor) SolveTo(dst, b Vec) {
 		}
 		dst[i] = s / ri[i]
 	}
+}
+
+// subDots4 returns s_m - sum_k r_m[k] x[k] for m = 0..3, each sum taken in
+// ascending k over x. Each r_m must be at least as long as x. It and
+// subAxpy4 stay out of line: inlined, their loops share registers with the
+// caller's and spill the loop counter on every iteration.
+//
+//go:noinline
+func subDots4(x, r0, r1, r2, r3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+	for k, v := range x {
+		s0 -= r0[k] * v
+		s1 -= r1[k] * v
+		s2 -= r2[k] * v
+		s3 -= r3[k] * v
+	}
+	return s0, s1, s2, s3
+}
+
+// subAxpy4 sets x[k] = x[k] - r0[k] a0 - r1[k] a1 - r2[k] a2 - r3[k] a3,
+// subtracting in that order. Each r_m must be at least as long as x.
+//
+//go:noinline
+func subAxpy4(x, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
+	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+	for k := range x {
+		x[k] = x[k] - r0[k]*a0 - r1[k]*a1 - r2[k]*a2 - r3[k]*a3
+	}
+}
+
+// SolveTo sets dst to the x with A x = b by forward then back substitution.
+// It allocates nothing, and dst may alias b.
+func (c *CholeskyFactor) SolveTo(dst, b Vec) {
+	// Forward: L y = b.
+	c.forward(dst[:c.n], b[:c.n])
 	// Back: L^T x = y. Column i of L^T is row i of L, so once x[i] is final
-	// the sweep subtracts its contribution from the entries above it.
-	for i := n - 1; i >= 0; i-- {
+	// the sweep subtracts its contribution from the entries above it: four
+	// rows i..i-3 are finished against each other, then all four are
+	// subtracted from dst[:i-3] in one pass.
+	i := c.n - 1
+	for ; i >= 3; i -= 4 {
+		r0, r1, r2, r3 := c.row(i), c.row(i-1), c.row(i-2), c.row(i-3)
+		x0 := dst[i] / r0[i]
+		x1 := (dst[i-1] - r0[i-1]*x0) / r1[i-1]
+		x2 := (dst[i-2] - r0[i-2]*x0 - r1[i-2]*x1) / r2[i-2]
+		x3 := (dst[i-3] - r0[i-3]*x0 - r1[i-3]*x1 - r2[i-3]*x2) / r3[i-3]
+		dst[i], dst[i-1], dst[i-2], dst[i-3] = x0, x1, x2, x3
+		subAxpy4(dst[:i-3], r0, r1, r2, r3, x0, x1, x2, x3)
+	}
+	for ; i >= 0; i-- {
 		ri := c.row(i)
 		xi := dst[i] / ri[i]
 		dst[i] = xi

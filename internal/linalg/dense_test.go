@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -264,5 +265,223 @@ func TestLaplacianCholeskyAssembly(t *testing.T) {
 		if got.l[i] != want.l[i] {
 			t.Fatalf("packed factor entry %d = %v, want %v", i, got.l[i], want.l[i])
 		}
+	}
+}
+
+// rowFactor and rowSolveTo are the row-at-a-time Cholesky kernels, one
+// serial dot per entry, kept as the reference the four-row kernels must
+// match bit for bit.
+func rowFactor(c *CholeskyFactor) error {
+	for i := 0; i < c.n; i++ {
+		ri := c.row(i)
+		for j := 0; j < i; j++ {
+			rj := c.row(j)
+			s := ri[j]
+			for k, v := range rj[:j] {
+				s -= ri[k] * v
+			}
+			ri[j] = s / rj[j]
+		}
+		piv := ri[i]
+		for _, v := range ri[:i] {
+			piv -= v * v
+		}
+		if !(piv > 0) || math.IsInf(piv, 0) {
+			return fmt.Errorf("%w: pivot %d is %v", ErrNotPD, i, piv)
+		}
+		ri[i] = math.Sqrt(piv)
+	}
+	return nil
+}
+
+func rowSolveTo(c *CholeskyFactor, dst, b Vec) {
+	n := c.n
+	for i := 0; i < n; i++ {
+		ri := c.row(i)
+		s := b[i]
+		for k, v := range ri[:i] {
+			s -= v * dst[k]
+		}
+		dst[i] = s / ri[i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		ri := c.row(i)
+		xi := dst[i] / ri[i]
+		dst[i] = xi
+		for k, v := range ri[:i] {
+			dst[k] -= v * xi
+		}
+	}
+}
+
+// sameBits fails the test at the first entry of got whose bits differ from
+// want's.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v (row-at-a-time)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// randomMultigraph returns a connected multigraph on n vertices: a random
+// spanning tree plus 2n random edges, some of them parallel to tree edges.
+// With heavy set every other edge weighs 1e8, the rest 0.5..4.5.
+func randomMultigraph(n int, heavy bool, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(n)
+	w := func() float64 {
+		if heavy && g.M()%2 == 0 {
+			return 1e8
+		}
+		return 0.5 + 4*rng.Float64()
+	}
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(rng.Intn(v), v, w())
+	}
+	for i := 0; n > 1 && i < 2*n; i++ {
+		if i%4 == 0 {
+			e := g.Edge(rng.Intn(n - 1))
+			g.MustAddEdge(e.U, e.V, w())
+			continue
+		}
+		u, v := rng.Intn(n), rng.Intn(n-1)
+		if v >= u {
+			v++
+		}
+		g.MustAddEdge(u, v, w())
+	}
+	return g
+}
+
+// TestCholeskyBlockedBitIdentical: the four-row factorization and sweeps
+// give the row-at-a-time kernels' bits, at every residue of n mod 4, on
+// factors from LaplacianCholesky (a multigraph, a path, a 1e8 weight ratio)
+// and from Dense.Cholesky (a diagonally dominant random matrix), solving
+// into a separate vector and in place. At n = 1024, the solver's factor
+// cap, only the multigraph runs: the row-at-a-time reference costs seconds
+// per factor there under the race detector.
+func TestCholeskyBlockedBitIdentical(t *testing.T) {
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 127, 128, 129, 130, 131, 132, 1024}
+	for _, n := range sizes {
+		rng := rand.New(rand.NewSource(int64(n)))
+		spd := NewDense(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				v := rng.NormFloat64()
+				spd.Set(i, j, v)
+				spd.Set(j, i, v)
+			}
+		}
+		for i := 0; i < n; i++ {
+			d := 1 + rng.Float64()
+			for j := 0; j < n; j++ {
+				d += math.Abs(spd.At(i, j))
+			}
+			spd.Set(i, i, d)
+		}
+		cases := []struct {
+			name string
+			g    *graph.Graph // nil: factor spd with Dense.Cholesky
+		}{
+			{"dense", nil},
+			{"multigraph", randomMultigraph(n, false, int64(n))},
+			{"path", graph.Path(n)},
+			{"ratio-1e8", randomMultigraph(n, true, int64(n))},
+		}
+		if n == 1024 {
+			cases = cases[1:2]
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
+				a := spd
+				var got *CholeskyFactor
+				var err error
+				if tc.g == nil {
+					got, err = a.Cholesky()
+				} else {
+					// The dense assembly of L + J/n matches the edge-list
+					// one bit for bit (TestLaplacianCholeskyAssembly).
+					a = NewLaplacian(tc.g).Dense()
+					for i := 0; i < n; i++ {
+						for j := 0; j < n; j++ {
+							a.Add(i, j, 1/float64(n))
+						}
+					}
+					got, err = LaplacianCholesky(tc.g)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := packLower(a)
+				if err := rowFactor(want); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, "factor", got.l, want.l)
+
+				b := NewVec(n)
+				for i := range b {
+					b[i] = rng.NormFloat64()
+				}
+				wantX, gotX := NewVec(n), NewVec(n)
+				rowSolveTo(want, wantX, b)
+				got.SolveTo(gotX, b)
+				sameBits(t, "SolveTo", gotX, wantX)
+				wantIn, gotIn := b.Clone(), b.Clone()
+				rowSolveTo(want, wantIn, wantIn)
+				got.SolveTo(gotIn, gotIn)
+				sameBits(t, "in-place SolveTo", gotIn, wantIn)
+			})
+		}
+	}
+}
+
+// choleskyBenchSizes are the recorded kernel sizes (BENCH_solver.json):
+// the serving benchmark's sparsifier dimension up to the solver's factor
+// cap.
+var choleskyBenchSizes = []int{128, 512, 1024}
+
+func choleskyBenchGraph(b *testing.B, n int) *graph.Graph {
+	b.Helper()
+	g, err := graph.RandomRegular(n, 6, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkCholeskySolveTo times one solve with the factor of L + J/n on
+// RandomRegular(n, 6): the forward and back sweeps every Chebyshev
+// iteration of a factored solver runs.
+func BenchmarkCholeskySolveTo(b *testing.B) {
+	for _, n := range choleskyBenchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			f, err := LaplacianCholesky(choleskyBenchGraph(b, n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rhs, x := meanFreeRandomVec(n, 2), NewVec(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.SolveTo(x, rhs)
+			}
+		})
+	}
+}
+
+// BenchmarkLaplacianCholesky times assembling and factoring L + J/n on
+// RandomRegular(n, 6): the once-per-sparsifier cost of a factored solver.
+func BenchmarkLaplacianCholesky(b *testing.B) {
+	for _, n := range choleskyBenchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := choleskyBenchGraph(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := LaplacianCholesky(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
