@@ -1,10 +1,10 @@
 // Command experiments regenerates every experiment table in EXPERIMENTS.md
-// (E1-E14), reproducing the quantitative claims of the paper's theorems as
+// (E1-E16), reproducing the quantitative claims of the paper's theorems as
 // scaling measurements plus the simulator's own instrumentation profile
 // (E10). See DESIGN.md section 5 for the experiment index.
 //
 //	go run ./cmd/experiments            # all experiments
-//	go run ./cmd/experiments -run E3,E5 # a subset
+//	go run ./cmd/experiments -run E3,E5 # a subset (any case; unknown IDs fail)
 //	go run ./cmd/experiments -quick     # smaller sweeps
 //	go run ./cmd/experiments -trace out.json  # traced stack profile only
 //	go run ./cmd/experiments -faults seed=1,drop=0.01 -run E2
@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	runFlag := flag.String("run", "all", "comma-separated experiment ids (E1..E14) or 'all'")
+	runFlag := flag.String("run", "all", "comma-separated experiment ids (E1..E16, any case) or 'all'")
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	trOut := flag.String("trace", "", "run one traced solve per algorithm and write a Chrome trace_event file")
 	trEv := flag.String("trace-events", "", "like -trace but writing the deterministic JSONL event stream")
@@ -44,6 +44,10 @@ func main() {
 }
 
 func run(runFlag string, quick bool, trOut, trEv, faults, budget, debugAddr string, debugHold time.Duration, workers int) error {
+	selected, err := selectExperiments(runFlag)
+	if err != nil {
+		return err
+	}
 	cfg := experiments.Config{BudgetSpec: budget, Workers: workers}
 	if faults != "" {
 		plan, err := cc.ParseFaultPlan(faults)
@@ -93,24 +97,48 @@ func run(runFlag string, quick bool, trOut, trEv, faults, budget, debugAddr stri
 		return nil
 	}
 
-	want := map[string]bool{}
-	if runFlag == "all" {
-		for _, e := range experiments.All() {
-			want[e.ID] = true
-		}
-	} else {
-		for _, id := range strings.Split(runFlag, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
-		}
-	}
-	for _, e := range experiments.All() {
-		if !want[e.ID] {
-			continue
-		}
+	for _, e := range selected {
 		fmt.Printf("\n================================================================\n%s\n================================================================\n", e.Title)
 		if err := e.Run(os.Stdout, quick); err != nil {
 			return fmt.Errorf("%s failed: %w", e.ID, err)
 		}
 	}
 	return nil
+}
+
+// selectExperiments resolves the -run flag against the registry: "all", or
+// comma-separated IDs in any case with optional spaces. The selection keeps
+// registry order; an ID the registry does not know is an error naming the
+// known ones.
+func selectExperiments(runFlag string) ([]experiments.Experiment, error) {
+	all := experiments.All()
+	if runFlag == "all" {
+		return all, nil
+	}
+	known := make(map[string]bool, len(all))
+	ids := make([]string, len(all))
+	for i, e := range all {
+		known[e.ID] = true
+		ids[i] = e.ID
+	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(runFlag, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !known[id] {
+			unknown = append(unknown, id)
+		}
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment id %s (known: %s)",
+			strings.Join(unknown, ", "), strings.Join(ids, ", "))
+	}
+	var out []experiments.Experiment
+	for _, e := range all {
+		if want[e.ID] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"slices"
 	"sync"
 
 	"lapcc/internal/rounds"
@@ -8,7 +9,8 @@ import (
 
 // batchScratch holds the reusable working state of one RouteBatched
 // invocation: the per-node admissibility counters and the current batch's
-// packet arena. Instances are recycled through batchPool so steady-state
+// packet arena, which every flush zeroes so pooled scratch does not pin
+// caller data. Instances are recycled through batchPool so steady-state
 // RouteBatched calls allocate only their output (matching Route, whose own
 // scratch is pooled in routing.go).
 type batchScratch struct {
@@ -18,30 +20,25 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-func (s *batchScratch) resize(n, m int) {
+// counters returns zeroed per-node source and destination counters.
+func (s *batchScratch) counters(n int) (srcCount, dstCount []int) {
 	if cap(s.srcCount) < n {
 		s.srcCount = make([]int, n)
 		s.dstCount = make([]int, n)
 	}
 	s.srcCount = s.srcCount[:n]
 	s.dstCount = s.dstCount[:n]
-	for i := 0; i < n; i++ {
-		s.srcCount[i] = 0
-		s.dstCount[i] = 0
-	}
+	clear(s.srcCount)
+	clear(s.dstCount)
+	return s.srcCount, s.dstCount
+}
+
+// batchArena returns an empty packet arena with room for m packets.
+func (s *batchScratch) batchArena(m int) []Packet {
 	if cap(s.batch) < m {
 		s.batch = make([]Packet, 0, m)
 	}
-	s.batch = s.batch[:0]
-}
-
-// release zeroes the batch arena's payload pointers so pooled scratch does
-// not pin caller data, then returns the scratch to the pool.
-func (s *batchScratch) release() {
-	for i := range s.batch[:cap(s.batch)] {
-		s.batch[:cap(s.batch)][i] = Packet{}
-	}
-	batchPool.Put(s)
+	return s.batch[:0]
 }
 
 // RouteBatched delivers an arbitrary packet set by splitting it into
@@ -59,34 +56,43 @@ func RouteBatched(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([
 // own barrier and the per-destination concatenation order matches the
 // in-process version batch for batch.
 func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
-	out := make([][]Packet, n)
 	var agg RouteResult
 	s := batchPool.Get().(*batchScratch)
-	defer s.release()
-	s.resize(n, len(packets))
-	srcCount := s.srcCount
-	dstCount := s.dstCount
-	batch := s.batch
+	defer batchPool.Put(s)
+	srcCount, dstCount := s.counters(n)
 
-	// Final per-destination totals are known upfront; sizing the output
-	// exactly once replaces the per-flush append-growth reallocations.
+	// Final per-node totals are known upfront. A non-empty set within the
+	// admissibility bound everywhere is exactly the one-flush case below —
+	// one batch holding every packet in order — so it is RouteVia's result
+	// as it stands, with the same charges and the same single barrier.
+	valid := true
 	for _, p := range packets {
-		if p.Dst >= 0 && p.Dst < n {
-			dstCount[p.Dst]++
+		if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
+			valid = false
+			continue
 		}
+		srcCount[p.Src]++
+		dstCount[p.Dst]++
 	}
-	for d := 0; d < n; d++ {
-		if dstCount[d] > 0 {
-			out[d] = make([]Packet, 0, dstCount[d])
-		}
-		dstCount[d] = 0
+	if valid && len(packets) > 0 && slices.Max(srcCount) <= n && slices.Max(dstCount) <= n {
+		return RouteVia(t, n, packets, ledger, tag)
 	}
+	// Otherwise size the output exactly once from the per-destination
+	// totals, replacing per-flush append growth.
+	out := flatOutput(n, dstCount)
+	clear(srcCount)
+	clear(dstCount)
+	batch := s.batchArena(len(packets))
 
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
 		delivered, res, err := RouteVia(t, n, batch, ledger, tag)
+		// Zero the flushed packets' payload pointers so pooled scratch
+		// does not pin caller data.
+		clear(batch)
+		batch = batch[:0]
 		if err != nil {
 			return err
 		}
@@ -97,11 +103,8 @@ func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger
 		for d := 0; d < n; d++ {
 			out[d] = append(out[d], delivered[d]...)
 		}
-		batch = batch[:0]
-		for i := range srcCount {
-			srcCount[i] = 0
-			dstCount[i] = 0
-		}
+		clear(srcCount)
+		clear(dstCount)
 		return nil
 	}
 

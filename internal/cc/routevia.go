@@ -57,16 +57,16 @@ func transportDeliver(t Transport, n int, packets []Packet) ([][]Packet, Deliver
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make([][]Packet, n)
+	// Rebuild the output in one flat arena; starts, spent by the sort
+	// above, holds the per-destination counts.
 	for d := 0; d < n; d++ {
-		if len(inb[d]) == 0 {
-			continue
+		starts[d] = len(inb[d])
+	}
+	out := flatOutput(n, starts)
+	for d := 0; d < n; d++ {
+		for _, m := range inb[d] {
+			out[d] = append(out[d], Packet{Src: m.From, Dst: d, Data: m.Data})
 		}
-		pk := make([]Packet, len(inb[d]))
-		for i, m := range inb[d] {
-			pk[i] = Packet{Src: m.From, Dst: d, Data: m.Data}
-		}
-		out[d] = pk
 	}
 	return out, stats, nil
 }

@@ -1,9 +1,10 @@
 package cc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"lapcc/internal/rounds"
@@ -110,10 +111,11 @@ func (s *routeScratch) release() {
 // It requires the Lenzen admissibility condition: every node is the source
 // of at most n packets and the destination of at most n packets.
 //
-// The returned slice is indexed by destination; packets for the same
-// destination preserve no particular order (the model delivers a round's
-// messages as a set). The ledger, if non-nil, is charged Result.Charged
-// measured rounds under the given tag.
+// The returned slice is indexed by destination, each destination's packets
+// in canonical (source, payload) order. It is freshly allocated and owned
+// by the caller: two allocations per call, every out[d] a capacity-capped
+// window of one arena (see flatOutput). The ledger, if non-nil, is charged
+// Result.Charged measured rounds under the given tag.
 func Route(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
 	s := routePool.Get().(*routeScratch)
 	defer s.release()
@@ -199,12 +201,7 @@ func Route(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Pack
 	// intermediates w, of the largest per-destination multiplicity at w.
 	// The multiplicity table is a flat epoch-stamped array: bumping the
 	// epoch per intermediate replaces clearing (or reallocating) a map.
-	out := make([][]Packet, n)
-	for d := 0; d < n; d++ {
-		if dstCount[d] > 0 {
-			out[d] = make([]Packet, 0, dstCount[d])
-		}
-	}
+	out := flatOutput(n, dstCount)
 	var phase2 int64
 	perDst, perDstStamp := s.perDst, s.perDstStamp
 	segStart = 0
@@ -257,27 +254,45 @@ func Route(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Pack
 	return out, res, nil
 }
 
+// flatOutput returns a routing output with room for count[d] packets at
+// destination d: every out[d] is an empty window of one shared arena,
+// capacity-capped at count[d], so filling it by append never reallocates
+// and a caller's later append to out[d] reallocates instead of overwriting
+// out[d+1]'s packets. One call makes two allocations however many
+// destinations receive.
+func flatOutput(n int, count []int) [][]Packet {
+	total := 0
+	for _, c := range count[:n] {
+		total += c
+	}
+	arena := make([]Packet, total)
+	out := make([][]Packet, n)
+	off := 0
+	for d, c := range count[:n] {
+		if c > 0 {
+			out[d] = arena[off : off : off+c]
+			off += c
+		}
+	}
+	return out
+}
+
 // canonicalOrder sorts every destination's packets by (source, payload) —
 // the deterministic order Route, the reliable layer, and the transport-backed
 // variants all promise, which is what makes their outputs interchangeable.
 func canonicalOrder(out [][]Packet) {
-	for d := range out {
-		sort.Slice(out[d], func(i, j int) bool {
-			if out[d][i].Src != out[d][j].Src {
-				return out[d][i].Src < out[d][j].Src
-			}
-			return lessData(out[d][i].Data, out[d][j].Data)
-		})
+	for _, pk := range out {
+		slices.SortFunc(pk, comparePackets)
 	}
 }
 
-func lessData(a, b []int64) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+// comparePackets orders packets by source, then payload lexicographically
+// (a proper prefix first).
+func comparePackets(a, b Packet) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	return len(a) < len(b)
+	return slices.Compare(a.Data, b.Data)
 }
 
 // BroadcastAll performs the one-round primitive in which every node

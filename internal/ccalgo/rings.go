@@ -78,35 +78,35 @@ func (r *Rings) ringSlots() []int {
 }
 
 // exchange sends, for every slot in slots, the value vals[slot] to the slot
-// named by target(slot), and returns the received value per receiving slot.
-// One invocation is one batched routing step.
-func (r *Rings) exchange(slots []int, vals []int64, target func(int) int, led *rounds.Ledger, tag string) (map[int]int64, error) {
-	pkts := make([]cc.Packet, 0, len(slots))
-	for _, s := range slots {
+// named by target(slot), and returns, indexed by slot, the value each slot
+// received and whether it received one. One invocation is one batched
+// routing step.
+func (r *Rings) exchange(slots []int, vals []int64, target func(int) int, led *rounds.Ledger, tag string) (got []int64, ok []bool, err error) {
+	pkts := make([]cc.Packet, len(slots))
+	words := make([]int64, 2*len(slots)) // every packet's [target, value]
+	for i, s := range slots {
 		t := target(s)
-		pkts = append(pkts, cc.Packet{
-			Src:  r.Owner[s],
-			Dst:  r.Owner[t],
-			Data: []int64{int64(t), vals[s]},
-		})
+		data := words[2*i : 2*i+2 : 2*i+2]
+		data[0], data[1] = int64(t), vals[s]
+		pkts[i] = cc.Packet{Src: r.Owner[s], Dst: r.Owner[t], Data: data}
 	}
 	var delivered [][]cc.Packet
-	var err error
 	if r.Faults != nil {
 		delivered, _, err = cc.ReliableRouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag, r.Faults)
 	} else {
 		delivered, _, err = cc.RouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("ccalgo: %s exchange: %w", tag, err)
+		return nil, nil, fmt.Errorf("ccalgo: %s exchange: %w", tag, err)
 	}
-	got := make(map[int]int64, len(slots))
+	got = make([]int64, len(r.Owner))
+	ok = make([]bool, len(r.Owner))
 	for _, inbox := range delivered {
 		for _, p := range inbox {
-			got[int(p.Data[0])] = p.Data[1]
+			got[p.Data[0]], ok[p.Data[0]] = p.Data[1], true
 		}
 	}
-	return got, nil
+	return got, ok, nil
 }
 
 // ThreeColor computes a proper 3-coloring (colors 0..2) of every ring using
@@ -141,7 +141,7 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 		if iter >= maxIter {
 			return nil, fmt.Errorf("ccalgo: Cole-Vishkin did not reduce below 6 colors in %d iterations", maxIter)
 		}
-		succColor, err := r.exchange(slots, colors, func(i int) int { return r.Pred[i] }, led, "cv-color")
+		succColor, fromSucc, err := r.exchange(slots, colors, func(i int) int { return r.Pred[i] }, led, "cv-color")
 		if err != nil {
 			return nil, err
 		}
@@ -150,11 +150,10 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 		next := make([]int64, s)
 		copy(next, colors)
 		for _, i := range slots {
-			sc, ok := succColor[i]
-			if !ok {
+			if !fromSucc[i] {
 				return nil, fmt.Errorf("ccalgo: slot %d missed successor color", i)
 			}
-			diff := colors[i] ^ sc
+			diff := colors[i] ^ succColor[i]
 			if diff == 0 {
 				return nil, fmt.Errorf("ccalgo: coloring not proper at slot %d (color %d)", i, colors[i])
 			}
@@ -173,11 +172,11 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 	// smallest free color in {0,1,2}; same-color slots are never adjacent,
 	// so simultaneous recoloring stays proper.
 	for doomed := int64(3); doomed <= 5; doomed++ {
-		fromSucc, err := r.exchange(slots, colors, func(i int) int { return r.Pred[i] }, led, "cv-shiftdown")
+		succColor, fromSucc, err := r.exchange(slots, colors, func(i int) int { return r.Pred[i] }, led, "cv-shiftdown")
 		if err != nil {
 			return nil, err
 		}
-		fromPred, err := r.exchange(slots, colors, func(i int) int { return r.Succ[i] }, led, "cv-shiftdown")
+		predColor, fromPred, err := r.exchange(slots, colors, func(i int) int { return r.Succ[i] }, led, "cv-shiftdown")
 		if err != nil {
 			return nil, err
 		}
@@ -186,10 +185,10 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 				continue
 			}
 			used := [3]bool{}
-			if c, ok := fromSucc[i]; ok && c < 3 {
+			if c := succColor[i]; fromSucc[i] && c < 3 {
 				used[c] = true
 			}
-			if c, ok := fromPred[i]; ok && c < 3 {
+			if c := predColor[i]; fromPred[i] && c < 3 {
 				used[c] = true
 			}
 			for c := int64(0); c < 3; c++ {
@@ -247,13 +246,13 @@ func (r *Rings) MaximalMatching(led *rounds.Ledger) ([]bool, error) {
 		if len(proposers) == 0 {
 			continue
 		}
-		received, err := r.exchange(proposers, proposal, func(i int) int { return r.Succ[i] }, led, "match-propose")
+		received, _, err := r.exchange(proposers, proposal, func(i int) int { return r.Succ[i] }, led, "match-propose")
 		if err != nil {
 			return nil, err
 		}
 		// Acceptance: an unmatched slot accepts the (unique) proposal.
-		// Iterate in slot order (not map order) so packet batching — and
-		// hence the round count — is deterministic run to run.
+		// Iterate in slot order so packet batching — and hence the round
+		// count — is deterministic run to run.
 		accept := make([]int64, s)
 		var accepters []int
 		for _, i := range slots {
@@ -266,7 +265,7 @@ func (r *Rings) MaximalMatching(led *rounds.Ledger) ([]bool, error) {
 		if len(accepters) == 0 {
 			continue
 		}
-		acks, err := r.exchange(accepters, accept, func(i int) int { return r.Pred[i] }, led, "match-accept")
+		acks, _, err := r.exchange(accepters, accept, func(i int) int { return r.Pred[i] }, led, "match-accept")
 		if err != nil {
 			return nil, err
 		}

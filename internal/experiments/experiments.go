@@ -83,7 +83,7 @@ func expWorkers() int { return config.Workers }
 
 // Experiment is one reproducible table generator.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E8).
+	// ID is the experiment identifier (E1..E16).
 	ID string
 	// Title is the header line describing the claim.
 	Title string

@@ -74,8 +74,8 @@ func TestSolveBudgetAllowsCompletion(t *testing.T) {
 }
 
 // TestSolveEscalatesToDenseFallback: a small kappa cap rejects every
-// iterative attempt. The sparsifier is factored (n <= factorMaxN), so its
-// solve is exact and re-running it cannot change the certificate: the
+// iterative attempt. The sparsifier is factored (n <= linalg.FactorMaxN),
+// so its solve is exact and re-running it cannot change the certificate: the
 // ladder skips the tighten rung and hands the solve straight to the exact
 // dense path — one escalation — and the answer must still certify against
 // the reference solution.
@@ -131,7 +131,7 @@ func TestSolveEscalatesToDenseFallback(t *testing.T) {
 // solver's InternalTol is unchanged after two escalating solves, so a
 // pooled solver does not carry a compounded tolerance into later solves.
 func TestSolveCGPathTightensThenFallsBack(t *testing.T) {
-	n := factorMaxN + 1
+	n := linalg.FactorMaxN + 1
 	g, err := graph.ConnectedGNM(n, 3*n, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -7,10 +7,10 @@
 // globally-known sparsifier and a constant number of vector operations,
 // both internal.
 //
-// The sparsifier solve is exact, as the model assumes: up to factorMaxN
-// vertices the solver factors L_H + J/n once per sparsifier build
-// (linalg.LaplacianCholesky) and every preconditioner solve is a pair of
-// triangular sweeps. Only above that memory cap, or if factoring fails,
+// The sparsifier solve is exact, as the model assumes: up to
+// linalg.FactorMaxN vertices the solver factors L_H + J/n once per
+// sparsifier build (linalg.LaplacianCholesky) and every preconditioner
+// solve is a pair of triangular sweeps. Only above that memory cap, or if factoring fails,
 // does it run a Jacobi-preconditioned CG to Options.InternalTol instead.
 //
 // The paper knows the approximation factor alpha analytically
@@ -63,9 +63,9 @@ type Options struct {
 	MaxKappa float64
 	// InternalTol is the tolerance of the internal CG solves of the
 	// globally-known sparsifier (default 1e-13). It applies only on the CG
-	// path — graphs above factorMaxN vertices, or a sparsifier that failed
-	// to factor; below the cap the sparsifier solve is exact. These solves
-	// cost zero rounds in the model.
+	// path — graphs above linalg.FactorMaxN vertices, or a sparsifier that
+	// failed to factor; below the cap the sparsifier solve is exact. These
+	// solves cost zero rounds in the model.
 	InternalTol float64
 	// WarmStart keeps solver state across Solve calls: the previously
 	// accepted kappa seeds the next attempt schedule (skipping re-rejected
@@ -167,8 +167,8 @@ type Solver struct {
 	lg *linalg.Laplacian
 	h  *graph.Graph
 	// The preconditioner side holds exactly one of: hf, the exact factor of
-	// L_H + J/n (n <= factorMaxN), or lh, the sparsifier Laplacian the CG
-	// path solves with.
+	// L_H + J/n (n <= linalg.FactorMaxN), or lh, the sparsifier Laplacian
+	// the CG path solves with.
 	hf    *linalg.CholeskyFactor
 	lh    *linalg.Laplacian
 	opts  Options
@@ -294,13 +294,8 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 	return s, nil
 }
 
-// factorMaxN is the largest vertex count whose sparsifier the solver
-// factors: the packed factor of L_H + J/n holds n(n+1)/2 float64s, 4 MiB
-// at n = 1024. Above it the preconditioner solve is CG.
-const factorMaxN = 1024
-
 // setSparsifier (re)wires the preconditioner side of the solver to h. At
-// or below factorMaxN it factors L_H + J/n once, sequentially, so every
+// or below linalg.FactorMaxN it factors L_H + J/n once, sequentially, so every
 // later preconditioner solve — each Chebyshev iteration, the certificate,
 // every kappa attempt, RHS and structure-keeping Reweight — is exact and
 // bit-identical at any worker count. Above the cap, or if factoring fails,
@@ -308,7 +303,7 @@ const factorMaxN = 1024
 func (s *Solver) setSparsifier(h *graph.Graph) {
 	s.h = h
 	s.hf, s.lh = nil, nil
-	if h.N() <= factorMaxN {
+	if h.N() <= linalg.FactorMaxN {
 		if f, err := linalg.LaplacianCholesky(h); err == nil {
 			s.hf = f
 			return

@@ -242,6 +242,31 @@ func LaplacianCholesky(g *graph.Graph) (*CholeskyFactor, error) {
 	return c, nil
 }
 
+// FactorMaxN is the largest vertex count whose Laplacian the internal exact
+// solves factor: the packed factor of L + J/n holds n(n+1)/2 float64s,
+// 4 MiB at n = 1024. Above it they run CG. The Laplacian solver's
+// sparsifier solve and the alpha measurement's pencil solves share this cap.
+const FactorMaxN = 1024
+
+// LaplacianSolver returns the internal solver for a graph Laplacian: a
+// closure mapping b to L^+ b in a freshly allocated vector. At or below
+// FactorMaxN vertices it factors L + J/n once (LaplacianCholesky) and every
+// call is an exact PseudoSolveTo; above the cap, or when factoring fails
+// (a disconnected graph), it is LaplacianCGSolver(l, tol). Either way it
+// models a node solving a globally-known graph internally, at zero rounds.
+func LaplacianSolver(l *Laplacian, tol float64) func(Vec) (Vec, error) {
+	if l.Dim() <= FactorMaxN {
+		if f, err := LaplacianCholesky(l.Graph()); err == nil {
+			return func(b Vec) (Vec, error) {
+				x := NewVec(len(b))
+				f.PseudoSolveTo(x, b)
+				return x, nil
+			}
+		}
+	}
+	return LaplacianCGSolver(l, tol)
+}
+
 // shiftJ adds the rank-one shift J/n to every packed entry.
 func (c *CholeskyFactor) shiftJ() {
 	inv := 1.0 / float64(c.n)

@@ -413,7 +413,9 @@ func productDemandSparsifier(sub *graph.Graph, cutoff int) *graph.Graph {
 // g by pencil eigenvalue bounds: the smallest alpha with
 // (1/alpha) L_H <= L_G <= alpha L_H on the measured spectrum. Both graphs
 // must be connected with the same vertex set. iters controls power-
-// iteration accuracy (100-300 is typical).
+// iteration accuracy (100-300 is typical). The pencil solves are exact
+// factored solves up to linalg.FactorMaxN vertices and CG to 1e-11 above
+// (linalg.LaplacianSolver).
 func MeasureAlpha(g, h *graph.Graph, iters int) (float64, error) {
 	if g.N() != h.N() {
 		return 0, fmt.Errorf("sparsify: vertex counts differ: %d vs %d", g.N(), h.N())
@@ -421,7 +423,7 @@ func MeasureAlpha(g, h *graph.Graph, iters int) (float64, error) {
 	lg := linalg.NewLaplacian(g)
 	lh := linalg.NewLaplacian(h)
 	lamMin, lamMax, err := linalg.PencilBounds(lg, lh,
-		linalg.LaplacianCGSolver(lg, 1e-11), linalg.LaplacianCGSolver(lh, 1e-11), iters)
+		linalg.LaplacianSolver(lg, 1e-11), linalg.LaplacianSolver(lh, 1e-11), iters)
 	if err != nil {
 		return 0, fmt.Errorf("sparsify: alpha measurement: %w", err)
 	}
@@ -444,8 +446,8 @@ func MeasureAlphaLanczos(g, h *graph.Graph, k int) (float64, error) {
 	}
 	lg := linalg.NewLaplacian(g)
 	lh := linalg.NewLaplacian(h)
-	aSolve := linalg.LaplacianCGSolver(lg, 1e-12)
-	bSolve := linalg.LaplacianCGSolver(lh, 1e-12)
+	aSolve := linalg.LaplacianSolver(lg, 1e-12)
+	bSolve := linalg.LaplacianSolver(lh, 1e-12)
 	pLo, pHi, err := linalg.PencilBounds(lg, lh, aSolve, bSolve, 80)
 	if err != nil {
 		return 0, fmt.Errorf("sparsify: alpha measurement: %w", err)

@@ -52,13 +52,14 @@ package tcp
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/exec"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -697,9 +698,8 @@ func (t *Transport) deliverOnce(rc uint64, n int, perProc [][]transport.Msg, dc 
 	if got != total {
 		return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: round %d delivered %d of %d messages", rc, got, total)
 	}
-	for d := 0; d < n; d++ {
-		msgs := inboxes[d]
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
+	for _, msgs := range inboxes {
+		slices.SortStableFunc(msgs, func(a, b cc.Message) int { return cmp.Compare(a.From, b.From) })
 	}
 	return inboxes, stats, shardDigests, recs, nil
 }
