@@ -26,7 +26,7 @@ define run-bench
 $(GO) test -run xxx -bench '$(1)' -benchmem -benchtime $(BENCHTIME) $(2)
 endef
 
-.PHONY: all build fmt-check vet test race bench-smoke bench-build bench-test bench-engine bench-baseline bench-solver bench-scaling bench-gate check experiments trace-smoke stress bench-faults serve-smoke net-smoke bench-net chaos-smoke bench-chaos
+.PHONY: all build fmt-check vet test race bench-smoke bench-build bench-test bench-all bench-engine bench-baseline bench-solver bench-scaling bench-gate check experiments trace-smoke stress bench-faults serve-smoke net-smoke bench-net chaos-smoke bench-chaos
 
 all: build
 
@@ -193,5 +193,29 @@ bench-build:
 # workloads.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# Run the benchmark in full, as BENCHMARK.json declares it: every workload
+# it names at seed 1 with a 20 s window, untraced and traced (about three
+# minutes on a 2-vCPU host). Fails on a non-zero exit or on a result line with failed
+# requests or a wrong answer. bench-test's smoke runs (1 s window, one
+# set-up, a 1-request digest prefix, 3 replays) cannot reach a fault that
+# only a full run triggers. Not part of `make check`.
+bench-all:
+	@set -e; \
+	workloads=$$(awk '/"workloads"/ {on = 1; next} on && /^ *\]/ {exit} on' BENCHMARK.json \
+		| grep -o '"name": *"[^"]*"' | sed 's/.*"\([^"]*\)"$$/\1/'); \
+	[ -n "$$workloads" ] || { echo "bench-all: no workloads found in BENCHMARK.json"; exit 1; }; \
+	for w in $$workloads; do \
+		for tr in 0 1; do \
+			echo "== bench-all: $$w --trace $$tr"; \
+			out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 20 --trace $$tr) \
+				|| { echo "$$out"; echo "bench-all: FAILED ($$w --trace $$tr exited non-zero)"; exit 1; }; \
+			res=$$(printf '%s\n' "$$out" | tail -n 1); \
+			printf '%s\n' "$$res" | grep -o '"correct":[a-z]*,"attempted":[0-9]*,"failed":[0-9]*' || true; \
+			printf '%s\n' "$$res" | grep -q '"correct":true,' && printf '%s\n' "$$res" | grep -q '"failed":0,' \
+				|| { echo "bench-all: FAILED ($$w --trace $$tr: failed requests or a wrong answer)"; exit 1; }; \
+		done; \
+	done; \
+	echo "bench-all: OK"
 
 check: fmt-check vet build race bench-smoke bench-build bench-test trace-smoke serve-smoke net-smoke chaos-smoke

@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,8 +41,48 @@ type Workload struct {
 	OverheadPct  float64 `json:"overhead_pct"`
 }
 
+// Host is the block a BENCH_*.json records about the machine that measured
+// it. A fresh file gets the measuring process's block (see MeasuringHost),
+// never the baseline's, so a re-record names the host that produced it.
+type Host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+// MeasuringHost returns the running process's host block. The timing
+// suites' `go test` children inherit the process's environment, so they
+// run at the same GOMAXPROCS.
+func MeasuringHost() Host {
+	info, _ := os.ReadFile("/proc/cpuinfo")
+	return Host{
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPU:        cpuModel(string(info)),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Go:         runtime.Version(),
+	}
+}
+
+// cpuModel returns the first "model name" of a /proc/cpuinfo listing, or
+// "unknown" when it names none (no such file, or another OS).
+func cpuModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			if v := strings.TrimSpace(val); v != "" {
+				return v
+			}
+		}
+	}
+	return "unknown"
+}
+
 // File mirrors the BENCH_*.json schema. Fields the gate does not interpret
-// (host, headline) pass through as raw JSON so a refreshed file keeps them.
+// (description, headline) pass through as raw JSON so a refreshed file
+// keeps them.
 type File struct {
 	Description string              `json:"description,omitempty"`
 	Recorded    string              `json:"recorded,omitempty"`

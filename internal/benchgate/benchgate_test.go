@@ -1,7 +1,10 @@
 package benchgate
 
 import (
+	"bytes"
+	"encoding/json"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -257,5 +260,57 @@ func TestGatePerturbedBaselineFails(t *testing.T) {
 	// The fresh measurements are still written out for inspection.
 	if perturbed.Fresh.Workloads["lapsolver"].FaultyRounds == wl.FaultyRounds {
 		t.Fatal("fresh measurement echoed the perturbed baseline")
+	}
+}
+
+// TestFreshFileNamesMeasuringHost: a re-measured file carries the running
+// process's host block, not the baseline's, and keeps the baseline's
+// description and headline.
+func TestFreshFileNamesMeasuringHost(t *testing.T) {
+	dir := t.TempDir()
+	base := &File{
+		Description: "a baseline",
+		Host:        json.RawMessage(`{"goos":"plan9","goarch":"386","cpu":"Old CPU","gomaxprocs":64,"go":"go1.1"}`),
+		Workloads:   map[string]Workload{"w": {Instance: "i", CleanRounds: 3, FaultyRounds: 4}},
+		Headline:    json.RawMessage(`{"note":"kept"}`),
+	}
+	if err := base.WriteFile(filepath.Join(dir, "BENCH_x.json")); err != nil {
+		t.Fatal(err)
+	}
+	s := Suite{Name: "x", Baseline: "BENCH_x.json", Measure: func() (map[string]Workload, error) {
+		return base.Workloads, nil
+	}}
+	res, err := GateSuite(s, dir, "", "", DefaultTolerance, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Host
+	if err := json.Unmarshal(res.Fresh.Host, &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := MeasuringHost(); got != want {
+		t.Fatalf("fresh host block %+v, want the measuring host %+v", got, want)
+	}
+	if got.GOMAXPROCS != runtime.GOMAXPROCS(0) || got.Go != runtime.Version() || got.GOOS != runtime.GOOS || got.GOARCH != runtime.GOARCH {
+		t.Fatalf("host block %+v does not describe this process", got)
+	}
+	var headline bytes.Buffer
+	if err := json.Compact(&headline, res.Fresh.Headline); err != nil {
+		t.Fatal(err)
+	}
+	if res.Fresh.Description != base.Description || headline.String() != string(base.Headline) {
+		t.Fatalf("description %q and headline %s not kept", res.Fresh.Description, res.Fresh.Headline)
+	}
+}
+
+func TestCPUModel(t *testing.T) {
+	info := "processor\t: 0\nvendor_id\t: AuthenticAMD\nmodel name\t: AMD EPYC 7B13\nflags\t\t: fpu\n\nprocessor\t: 1\nmodel name\t: AMD EPYC 7B13\n"
+	if got := cpuModel(info); got != "AMD EPYC 7B13" {
+		t.Fatalf("cpuModel = %q", got)
+	}
+	for _, info := range []string{"", "processor\t: 0\n", "model name\t:   \n"} {
+		if got := cpuModel(info); got != "unknown" {
+			t.Fatalf("cpuModel(%q) = %q, want unknown", info, got)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package benchgate
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -156,10 +157,15 @@ func GateSuite(s Suite, dir, benchtime, recorded string, tol Tolerance, echo io.
 			return nil, err
 		}
 	}
-	fresh := *base // carry description/host/headline through to the .new file
+	fresh := *base // carry description/headline through to the .new file
 	if recorded != "" {
 		fresh.Recorded = recorded
 	}
+	host, err := json.Marshal(MeasuringHost())
+	if err != nil {
+		return nil, err
+	}
+	fresh.Host = host
 
 	if s.Tol != nil {
 		tol = *s.Tol

@@ -8,14 +8,16 @@ import (
 )
 
 // batchScratch holds the reusable working state of one RouteBatched
-// invocation: the per-node admissibility counters and the current batch's
-// packet arena, which every flush zeroes so pooled scratch does not pin
-// caller data. Instances are recycled through batchPool so steady-state
-// RouteBatched calls allocate only their output (matching Route, whose own
-// scratch is pooled in routing.go).
+// invocation: the per-node admissibility counters, the current batch's
+// packet arena and the output each flush is routed into before it is
+// appended to the call's output. Every flush zeroes the packets it used in
+// both, so pooled scratch does not pin caller data. Instances are recycled
+// through batchPool so steady-state RouteBatched calls allocate only their
+// output (matching Route, whose own scratch is pooled in routing.go).
 type batchScratch struct {
 	srcCount, dstCount []int
 	batch              []Packet
+	flushed            RouteBuffer
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -48,14 +50,15 @@ func (s *batchScratch) batchArena(m int) []Packet {
 // need more rounds to move proportionally more messages; batching charges
 // exactly that.
 func RouteBatched(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
-	return routeBatchedVia(nil, n, packets, ledger, tag)
+	return routeBatchedVia(nil, n, packets, ledger, tag, nil)
 }
 
 // routeBatchedVia is the batching loop with an optional transport threaded
 // into every flush, so each admissible batch is physically delivered on its
 // own barrier and the per-destination concatenation order matches the
-// in-process version batch for batch.
-func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
+// in-process version batch for batch. The output is laid out in buf (fresh
+// when buf is nil).
+func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer) ([][]Packet, RouteResult, error) {
 	var agg RouteResult
 	s := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(s)
@@ -75,11 +78,11 @@ func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger
 		dstCount[p.Dst]++
 	}
 	if valid && len(packets) > 0 && slices.Max(srcCount) <= n && slices.Max(dstCount) <= n {
-		return RouteVia(t, n, packets, ledger, tag)
+		return routeVia(t, n, packets, ledger, tag, buf)
 	}
 	// Otherwise size the output exactly once from the per-destination
 	// totals, replacing per-flush append growth.
-	out := flatOutput(n, dstCount)
+	out := buf.output(n, dstCount)
 	clear(srcCount)
 	clear(dstCount)
 	batch := s.batchArena(len(packets))
@@ -88,7 +91,7 @@ func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger
 		if len(batch) == 0 {
 			return nil
 		}
-		delivered, res, err := RouteVia(t, n, batch, ledger, tag)
+		delivered, res, err := routeVia(t, n, batch, ledger, tag, &s.flushed)
 		// Zero the flushed packets' payload pointers so pooled scratch
 		// does not pin caller data.
 		clear(batch)
@@ -102,6 +105,7 @@ func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger
 		agg.Overflowed = agg.Overflowed || res.Overflowed
 		for d := 0; d < n; d++ {
 			out[d] = append(out[d], delivered[d]...)
+			clear(delivered[d])
 		}
 		clear(srcCount)
 		clear(dstCount)

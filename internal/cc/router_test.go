@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
 )
 
@@ -141,8 +142,9 @@ func TestRouteOutputsCapacityCapped(t *testing.T) {
 }
 
 // TestRouteAllocations pins the routers' steady-state allocations: a warm
-// Route allocates its output only (the arena and the per-destination
-// slice headers), and RouteBatched two more of its own per flush.
+// Route or RouteBatched allocates its output only (the arena and the
+// per-destination slice headers), however many flushes the set needs, and
+// a warm RouteBuffer allocates nothing.
 func TestRouteAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of Puts under the race detector")
@@ -159,15 +161,15 @@ func TestRouteAllocations(t *testing.T) {
 		}
 	}
 	const n = 128
+	var buf RouteBuffer
 	for _, k := range []int{n, 4 * n} {
 		pkts := hotSourcePackets(n, k)
 		flushes := (k + n - 1) / n
-		want := float64(2)
-		if flushes > 1 {
-			want = float64(2 + 2*flushes)
+		if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return RouteBatched(n, pkts, nil, "") }); a != 2 {
+			t.Fatalf("%d packets in %d flushes: RouteBatched allocates %v times, want 2", k, flushes, a)
 		}
-		if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return RouteBatched(n, pkts, nil, "") }); a != want {
-			t.Fatalf("%d packets in %d flushes: RouteBatched allocates %v times, want %v", k, flushes, a, want)
+		if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return buf.RouteBatchedVia(nil, n, pkts, nil, "") }); a != 0 {
+			t.Fatalf("%d packets in %d flushes: a warm RouteBuffer allocates %v times, want 0", k, flushes, a)
 		}
 	}
 }
@@ -249,4 +251,132 @@ func TestRouteConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// routeRecord is everything a routing call reports besides its packets:
+// the result, the ledger it charged, and the route metrics it recorded.
+type routeRecord struct {
+	res                  RouteResult
+	err                  string
+	ledger               string
+	rounds, msgs, words  int64
+	callCount, callTotal int64
+}
+
+// recordRoute runs one routing call against a fresh ledger and a fresh
+// process-wide metrics registry and returns what it reported.
+func recordRoute(t *testing.T, route func(*rounds.Ledger) ([][]Packet, RouteResult, error)) ([][]Packet, routeRecord) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	SetMetrics(reg)
+	defer SetMetrics(nil)
+	led := rounds.New()
+	out, res, err := route(led)
+	rec := routeRecord{
+		res:    res,
+		ledger: led.Report(),
+		rounds: counterValue(reg, "lapcc_route_rounds_total"),
+		msgs:   counterValue(reg, "lapcc_route_messages_total"),
+		words:  counterValue(reg, "lapcc_route_words_total"),
+	}
+	if err != nil {
+		rec.err = err.Error()
+	}
+	h := reg.Histogram("lapcc_route_call_messages", "")
+	rec.callCount, rec.callTotal = h.Count(), h.Sum()
+	return out, rec
+}
+
+// TestRouteViaChargesLikeRoute: over a transport the routing core only
+// charges, and the charge is Route's own — RouteResult, ledger, route
+// metrics and error — on a one-flush set, a 3n+1 hot source that needs
+// four flushes, an empty set and a set with a bad endpoint. The delivered
+// packets are the in-process ones.
+func TestRouteViaChargesLikeRoute(t *testing.T) {
+	const n = 16
+	bad := randomPackets(rand.New(rand.NewSource(3)), n, n)
+	bad[5].Dst = n
+	cases := []struct {
+		name    string
+		packets []Packet
+		batched bool
+		wantErr bool
+	}{
+		{"one flush", randomPackets(rand.New(rand.NewSource(1)), n, n), false, false},
+		{"one flush batched", randomPackets(rand.New(rand.NewSource(1)), n, n), true, false},
+		{"hot source 3n+1", hotSourcePackets(n, 3*n+1), true, false},
+		{"empty", nil, false, false},
+		{"empty batched", nil, true, false},
+		{"bad endpoint", bad, false, true},
+		{"bad endpoint batched", bad, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &countingTransport{}
+			via, viaRec := recordRoute(t, func(led *rounds.Ledger) ([][]Packet, RouteResult, error) {
+				if tc.batched {
+					return RouteBatchedVia(tr, n, tc.packets, led, "c")
+				}
+				return RouteVia(tr, n, tc.packets, led, "c")
+			})
+			plain, plainRec := recordRoute(t, func(led *rounds.Ledger) ([][]Packet, RouteResult, error) {
+				if tc.batched {
+					return RouteBatched(n, tc.packets, led, "c")
+				}
+				return Route(n, tc.packets, led, "c")
+			})
+			if viaRec != plainRec {
+				t.Fatalf("over the transport %+v, in process %+v", viaRec, plainRec)
+			}
+			if (viaRec.err != "") != tc.wantErr {
+				t.Fatalf("error %q, want an error: %v", viaRec.err, tc.wantErr)
+			}
+			if !slices.Equal(flatten(via), flatten(plain)) {
+				t.Fatal("delivered packets differ between transport and in-process routing")
+			}
+		})
+	}
+}
+
+// TestRouteBufferReuse drives one RouteBuffer through calls whose clique
+// size and packet count grow and shrink, with and without a transport.
+// Every call returns exactly what the package-level RouteBatchedVia
+// returns — packets, RouteResult and ledger — and a destination that
+// receives nothing reads nil rather than a stale window of an earlier call.
+func TestRouteBufferReuse(t *testing.T) {
+	type step struct{ n, k int }
+	steps := []step{{8, 8}, {32, 200}, {4, 1}, {64, 64}, {16, 0}, {64, 700}, {8, 30}, {24, 24}, {2, 5}}
+	for _, tr := range []Transport{nil, &countingTransport{}} {
+		var buf RouteBuffer
+		for i, st := range steps {
+			rng := rand.New(rand.NewSource(int64(40 + i)))
+			pkts := randomPackets(rng, st.n, st.k)
+			if st.k > st.n {
+				pkts = append(pkts, hotSourcePackets(st.n, st.k)...)
+			}
+			bufLed, freshLed := rounds.New(), rounds.New()
+			got, gotRes, err := buf.RouteBatchedVia(tr, st.n, pkts, bufLed, "r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantRes, err := RouteBatchedVia(tr, st.n, pkts, freshLed, "r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotRes != wantRes || bufLed.Report() != freshLed.Report() {
+				t.Fatalf("step %d: RouteResult %+v / %+v, ledgers\n%s\nvs\n%s", i, gotRes, wantRes, bufLed.Report(), freshLed.Report())
+			}
+			if len(got) != st.n {
+				t.Fatalf("step %d: %d destinations, want %d", i, len(got), st.n)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d (n=%d, %d packets, transport %v): the buffer's delivery differs from a fresh one", i, st.n, len(pkts), tr != nil)
+			}
+			for d := range got {
+				if len(want[d]) == 0 && got[d] != nil {
+					t.Fatalf("step %d: empty destination %d reads %v, want nil", i, d, got[d])
+				}
+			}
+		}
+	}
 }

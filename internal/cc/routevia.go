@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"sync"
 
 	"lapcc/internal/rounds"
 )
@@ -21,22 +22,43 @@ import (
 // counterpart, which is how the solver stack is wired: options thread one
 // optional Transport down to these call sites.
 
+// deliverScratch is transportDeliver's reusable working state: the
+// counting-sort tables and the one outbox handed to the transport. Deliver
+// is a synchronous barrier, so none of it is referenced once it returns.
+// Instances are recycled through deliverPool.
+type deliverScratch struct {
+	starts []int
+	order  []int
+	msgs   []OutMsg
+	words  []int64
+	outbox [1]Outbox
+}
+
+var deliverPool = sync.Pool{New: func() any { return new(deliverScratch) }}
+
 // transportDeliver ships packets through t as one delivery barrier and
 // returns them re-materialized per destination, in the transport's
-// ascending-source order. It requires a backend whose delivered payloads are
-// freshly allocated (true of the wire backends; the engine-internal local
-// merge, which recycles arenas, is not reachable here).
-func transportDeliver(t Transport, n int, packets []Packet) ([][]Packet, DeliveryStats, error) {
+// ascending-source order, laid out in buf's output (fresh when buf is nil).
+// It requires a backend whose delivered payloads are freshly allocated
+// (true of the wire backends; the engine-internal local merge, which
+// recycles arenas, is not reachable here), since the outbox words are
+// recycled for the next call.
+func transportDeliver(t Transport, n int, packets []Packet, buf *RouteBuffer) ([][]Packet, DeliveryStats, error) {
+	s := deliverPool.Get().(*deliverScratch)
+	defer deliverPool.Put(s)
 	// Stable counting sort by source: the transport contract wants ascending
 	// source order across the outbox.
-	starts := make([]int, n+1)
+	starts := grow(s.starts, n+1)
+	clear(starts)
+	s.starts = starts
 	for _, p := range packets {
 		starts[p.Src+1]++
 	}
 	for v := 0; v < n; v++ {
 		starts[v+1] += starts[v]
 	}
-	order := make([]int, len(packets))
+	order := grow(s.order, len(packets))
+	s.order = order
 	for i, p := range packets {
 		order[starts[p.Src]] = i
 		starts[p.Src]++
@@ -45,15 +67,18 @@ func transportDeliver(t Transport, n int, packets []Packet) ([][]Packet, Deliver
 	for _, p := range packets {
 		words += len(p.Data)
 	}
-	msgs := make([]OutMsg, len(packets))
-	arena := make([]int64, 0, words)
+	msgs := grow(s.msgs, len(packets))
+	arena := grow(s.words, words)[:0]
 	for pos, idx := range order {
 		p := packets[idx]
 		off := len(arena)
 		arena = append(arena, p.Data...)
 		msgs[pos] = OutMsg{From: int32(p.Src), To: int32(p.Dst), Off: int32(off), Width: int32(len(p.Data))}
 	}
-	inb, stats, err := t.Deliver(0, n, []Outbox{{Msgs: msgs, Arena: arena}})
+	s.msgs, s.words = msgs, arena
+	s.outbox[0] = Outbox{Msgs: msgs, Arena: arena}
+	inb, stats, err := t.Deliver(0, n, s.outbox[:])
+	s.outbox[0] = Outbox{}
 	if err != nil {
 		return nil, stats, err
 	}
@@ -62,7 +87,7 @@ func transportDeliver(t Transport, n int, packets []Packet) ([][]Packet, Deliver
 	for d := 0; d < n; d++ {
 		starts[d] = len(inb[d])
 	}
-	out := flatOutput(n, starts)
+	out := buf.output(n, starts)
 	for d := 0; d < n; d++ {
 		for _, m := range inb[d] {
 			out[d] = append(out[d], Packet{Src: m.From, Dst: d, Data: m.Data})
@@ -72,16 +97,27 @@ func transportDeliver(t Transport, n int, packets []Packet) ([][]Packet, Deliver
 }
 
 // RouteVia is Route with the payload bytes physically carried by t: the
-// packet set is routed normally for admissibility checking, round charging,
-// and metrics (the ledger records exactly what Route records), then shipped
-// through the transport and rebuilt from its wire output in canonical order.
-// A nil transport is plain Route. Outputs are bit-identical either way.
+// packet set is checked for admissibility and charged exactly as Route
+// charges it (the ledger, RouteResult and metrics record what Route
+// records), then shipped through the transport and rebuilt from its wire
+// output in canonical order. A nil transport is plain Route. Outputs are
+// bit-identical either way.
 func RouteVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
-	out, res, err := Route(n, packets, ledger, tag)
-	if t == nil || err != nil {
-		return out, res, err
+	return routeVia(t, n, packets, ledger, tag, nil)
+}
+
+// routeVia is RouteVia with the output laid out in buf (fresh when nil).
+// Over a transport the routing core only charges: the transport's delivery
+// is the output, so building Route's as well would be thrown away.
+func routeVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer) ([][]Packet, RouteResult, error) {
+	if t == nil {
+		return routeCore(n, packets, ledger, tag, buf, true)
 	}
-	phys, _, err := transportDeliver(t, n, packets)
+	_, res, err := routeCore(n, packets, ledger, tag, nil, false)
+	if err != nil {
+		return nil, res, err
+	}
+	phys, _, err := transportDeliver(t, n, packets, buf)
 	if err != nil {
 		return nil, res, fmt.Errorf("cc: transport route %q: %w", tag, err)
 	}
@@ -93,7 +129,7 @@ func RouteVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag s
 // carried by t, preserving the per-destination batch concatenation order of
 // the in-process version. A nil transport is plain RouteBatched.
 func RouteBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
-	return routeBatchedVia(t, n, packets, ledger, tag)
+	return routeBatchedVia(t, n, packets, ledger, tag, nil)
 }
 
 // BroadcastAllVia is BroadcastAll with the announcements physically carried
@@ -116,7 +152,7 @@ func BroadcastAllVia(t Transport, n int, values []int64, ledger *rounds.Ledger, 
 			}
 		}
 	}
-	inb, _, err := transportDeliver(t, n, pkts)
+	inb, _, err := transportDeliver(t, n, pkts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("cc: transport broadcast %q: %w", tag, err)
 	}

@@ -114,9 +114,20 @@ func (s *routeScratch) release() {
 // The returned slice is indexed by destination, each destination's packets
 // in canonical (source, payload) order. It is freshly allocated and owned
 // by the caller: two allocations per call, every out[d] a capacity-capped
-// window of one arena (see flatOutput). The ledger, if non-nil, is charged
-// Result.Charged measured rounds under the given tag.
+// window of one arena (see RouteBuffer.output). The ledger, if non-nil, is
+// charged Result.Charged measured rounds under the given tag.
 func Route(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
+	return routeCore(n, packets, ledger, tag, nil, true)
+}
+
+// routeCore is the one implementation behind every routing primitive: the
+// admissibility checks, the relay schedule, the ledger charges and the route
+// metrics. With build set it also lays the delivery out into buf's output
+// (a fresh one when buf is nil) in canonical order. Without it the call only
+// charges — the transport-backed paths, whose delivery the transport
+// rebuilds, skip the output layout, the append loop and the sort, and
+// return a nil output.
+func routeCore(n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer, build bool) ([][]Packet, RouteResult, error) {
 	s := routePool.Get().(*routeScratch)
 	defer s.release()
 	s.resize(n, len(packets))
@@ -201,7 +212,10 @@ func Route(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Pack
 	// intermediates w, of the largest per-destination multiplicity at w.
 	// The multiplicity table is a flat epoch-stamped array: bumping the
 	// epoch per intermediate replaces clearing (or reallocating) a map.
-	out := flatOutput(n, dstCount)
+	var out [][]Packet
+	if build {
+		out = buf.output(n, dstCount)
+	}
 	var phase2 int64
 	perDst, perDstStamp := s.perDst, s.perDstStamp
 	segStart = 0
@@ -210,7 +224,9 @@ func Route(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Pack
 		for j := segStart; j < interOff[w]; j++ {
 			p := atInter[j]
 			if p.Dst == w {
-				out[w] = append(out[w], p) // already local: no round needed
+				if build {
+					out[w] = append(out[w], p) // already local: no round needed
+				}
 				continue
 			}
 			linkMessages++
@@ -222,7 +238,9 @@ func Route(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Pack
 			if perDst[p.Dst] > phase2 {
 				phase2 = perDst[p.Dst]
 			}
-			out[p.Dst] = append(out[p.Dst], p)
+			if build {
+				out[p.Dst] = append(out[p.Dst], p)
+			}
 		}
 		segStart = interOff[w]
 	}
@@ -254,27 +272,64 @@ func Route(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Pack
 	return out, res, nil
 }
 
-// flatOutput returns a routing output with room for count[d] packets at
-// destination d: every out[d] is an empty window of one shared arena,
+// RouteBuffer is a caller-owned, reusable routing output. Its
+// RouteBatchedVia delivers exactly what the package-level RouteBatchedVia
+// delivers — the same packets, RouteResult, ledger charges and barriers —
+// but lays the output out in the buffer's own memory, which it grows to the
+// largest delivery seen and then reuses, so a warm call allocates nothing
+// of its own. The returned per-destination slices alias the buffer and are
+// valid until its next call; a destination that receives nothing reads nil.
+// The zero value is ready to use. A RouteBuffer must not be used by two
+// goroutines at once.
+type RouteBuffer struct {
+	arena []Packet
+	out   [][]Packet
+}
+
+// RouteBatchedVia is RouteBatchedVia with the output laid out in b.
+func (b *RouteBuffer) RouteBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
+	return routeBatchedVia(t, n, packets, ledger, tag, b)
+}
+
+// output returns a routing output with room for count[d] packets at
+// destination d: every out[d] is an empty window of one arena,
 // capacity-capped at count[d], so filling it by append never reallocates
 // and a caller's later append to out[d] reallocates instead of overwriting
-// out[d+1]'s packets. One call makes two allocations however many
-// destinations receive.
-func flatOutput(n int, count []int) [][]Packet {
+// out[d+1]'s packets; a destination with no packets gets nil. A nil b
+// returns a fresh output (two allocations however many destinations
+// receive); otherwise the windows are carved from b's memory.
+func (b *RouteBuffer) output(n int, count []int) [][]Packet {
 	total := 0
 	for _, c := range count[:n] {
 		total += c
 	}
-	arena := make([]Packet, total)
-	out := make([][]Packet, n)
+	var arena []Packet
+	var out [][]Packet
+	if b == nil {
+		arena, out = make([]Packet, total), make([][]Packet, n)
+	} else {
+		b.arena, b.out = grow(b.arena, total), grow(b.out, n)
+		arena, out = b.arena, b.out
+	}
 	off := 0
 	for d, c := range count[:n] {
 		if c > 0 {
 			out[d] = arena[off : off : off+c]
 			off += c
+		} else {
+			out[d] = nil
 		}
 	}
 	return out
+}
+
+// grow returns buf resized to length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // canonicalOrder sorts every destination's packets by (source, payload) —

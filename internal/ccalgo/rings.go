@@ -35,6 +35,53 @@ type Rings struct {
 	// given delivery backend (see cc.Transport); nil keeps the in-process
 	// path. Results are bit-identical either way.
 	Transport cc.Transport
+
+	// Working memory, sized on first use and reused by every exchange of
+	// this and later calls, so a Rings kept across calls (as the Euler
+	// orientation keeps one per orientation) routes without garbage.
+	pkts                 []cc.Packet
+	words                []int64
+	routed               cc.RouteBuffer
+	res                  [2]slotValues // the shift-down reads two exchanges at once
+	colors, next         []int64       // Cole-Vishkin double buffer
+	ones                 []int64       // proposal and acceptance payloads
+	slots                []int
+	matched              []bool
+	proposers, accepters []int
+}
+
+// slotValues is one exchange's per-slot result: slot i received val[i] when
+// stamp[i] equals epoch. Bumping the epoch per exchange replaces clearing.
+type slotValues struct {
+	val   []int64
+	stamp []int
+	epoch int
+}
+
+// reset empties v for s slots.
+func (v *slotValues) reset(s int) {
+	if cap(v.stamp) < s {
+		v.val, v.stamp, v.epoch = make([]int64, s), make([]int, s), 0
+	}
+	v.val, v.stamp = v.val[:s], v.stamp[:s]
+	v.epoch++
+}
+
+// get returns what slot i received and whether it received anything.
+func (v *slotValues) get(i int) (int64, bool) {
+	if v.stamp[i] != v.epoch {
+		return 0, false
+	}
+	return v.val[i], true
+}
+
+// grow returns buf resized to length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // ErrInconsistentRings reports a rings structure whose Succ/Pred pointers do
@@ -66,67 +113,88 @@ func (r *Rings) Validate() error {
 	return nil
 }
 
-// ringSlots returns the alive slots that are on proper rings (length >= 2).
+// ringSlots returns the alive slots that are on proper rings (length >= 2),
+// in r's scratch.
 func (r *Rings) ringSlots() []int {
-	var out []int
+	out := r.slots[:0]
 	for i := range r.Owner {
 		if r.Alive[i] && r.Succ[i] != i {
 			out = append(out, i)
 		}
 	}
+	r.slots = out
 	return out
 }
 
-// exchange sends, for every slot in slots, the value vals[slot] to the slot
-// named by target(slot), and returns, indexed by slot, the value each slot
-// received and whether it received one. One invocation is one batched
-// routing step.
-func (r *Rings) exchange(slots []int, vals []int64, target func(int) int, led *rounds.Ledger, tag string) (got []int64, ok []bool, err error) {
-	pkts := make([]cc.Packet, len(slots))
-	words := make([]int64, 2*len(slots)) // every packet's [target, value]
+// exchange sends, for every slot in slots, the value vals[slot] to its ring
+// successor (toSucc) or predecessor, and records into what each slot
+// received. One invocation is one batched routing step. The packets and
+// their payload words are r's scratch: on the in-process path a delivered
+// payload aliases them, so every delivery is read into `into` before the
+// next exchange rewrites them.
+func (r *Rings) exchange(into *slotValues, slots []int, vals []int64, toSucc bool, led *rounds.Ledger, tag string) error {
+	pkts := grow(r.pkts, len(slots))
+	words := grow(r.words, 2*len(slots)) // every packet's [target, value]
+	r.pkts, r.words = pkts, words
 	for i, s := range slots {
-		t := target(s)
+		t := r.Pred[s]
+		if toSucc {
+			t = r.Succ[s]
+		}
 		data := words[2*i : 2*i+2 : 2*i+2]
 		data[0], data[1] = int64(t), vals[s]
 		pkts[i] = cc.Packet{Src: r.Owner[s], Dst: r.Owner[t], Data: data}
 	}
 	var delivered [][]cc.Packet
+	var err error
 	if r.Faults != nil {
 		delivered, _, err = cc.ReliableRouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag, r.Faults)
 	} else {
-		delivered, _, err = cc.RouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag)
+		delivered, _, err = r.routed.RouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("ccalgo: %s exchange: %w", tag, err)
+		return fmt.Errorf("ccalgo: %s exchange: %w", tag, err)
 	}
-	got = make([]int64, len(r.Owner))
-	ok = make([]bool, len(r.Owner))
+	into.reset(len(r.Owner))
 	for _, inbox := range delivered {
 		for _, p := range inbox {
-			got[p.Data[0]], ok[p.Data[0]] = p.Data[1], true
+			i := p.Data[0]
+			into.val[i], into.stamp[i] = p.Data[1], into.epoch
 		}
 	}
-	return got, ok, nil
+	return nil
 }
 
 // ThreeColor computes a proper 3-coloring (colors 0..2) of every ring using
 // the deterministic Cole-Vishkin bit-reduction, in O(log* S) neighbor
 // exchanges where S is the number of slots. Self-rings receive color 0.
 func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
+	colors, err := r.threeColor(led)
+	if err != nil {
+		return nil, err
+	}
+	return toIntColors(colors), nil
+}
+
+// threeColor is ThreeColor with the colors in r's scratch, valid until r's
+// next call.
+func (r *Rings) threeColor(led *rounds.Ledger) ([]int64, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
 	s := len(r.Owner)
-	colors := make([]int64, s)
+	colors, next := grow(r.colors, s), grow(r.next, s)
+	r.colors, r.next = colors, next // the loop below swaps the two freely
 	for i := range colors {
 		colors[i] = int64(i) // unique ids = proper coloring
 	}
 	slots := r.ringSlots()
 	if len(slots) == 0 {
-		return toIntColors(colors), nil
+		return colors, nil
 	}
 
 	// Bit-reduction phase: O(log* S) iterations bring colors below 6.
+	succColor, predColor := &r.res[0], &r.res[1]
 	maxIter := rounds.LogStar(s) + 5
 	for iter := 0; ; iter++ {
 		maxColor := int64(0)
@@ -141,19 +209,18 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 		if iter >= maxIter {
 			return nil, fmt.Errorf("ccalgo: Cole-Vishkin did not reduce below 6 colors in %d iterations", maxIter)
 		}
-		succColor, fromSucc, err := r.exchange(slots, colors, func(i int) int { return r.Pred[i] }, led, "cv-color")
-		if err != nil {
+		if err := r.exchange(succColor, slots, colors, false, led, "cv-color"); err != nil {
 			return nil, err
 		}
 		// Slot i now knows its successor's color (its successor sent to
 		// pred = i). New color: 2k + bit_k, k = lowest differing bit.
-		next := make([]int64, s)
 		copy(next, colors)
 		for _, i := range slots {
-			if !fromSucc[i] {
+			sc, ok := succColor.get(i)
+			if !ok {
 				return nil, fmt.Errorf("ccalgo: slot %d missed successor color", i)
 			}
-			diff := colors[i] ^ succColor[i]
+			diff := colors[i] ^ sc
 			if diff == 0 {
 				return nil, fmt.Errorf("ccalgo: coloring not proper at slot %d (color %d)", i, colors[i])
 			}
@@ -164,7 +231,7 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 			}
 			next[i] = 2*k + (colors[i]>>uint(k))&1
 		}
-		colors = next
+		colors, next = next, colors
 	}
 
 	// Shift-down phase: eliminate colors 3, 4, 5 one at a time. Each round,
@@ -172,12 +239,10 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 	// smallest free color in {0,1,2}; same-color slots are never adjacent,
 	// so simultaneous recoloring stays proper.
 	for doomed := int64(3); doomed <= 5; doomed++ {
-		succColor, fromSucc, err := r.exchange(slots, colors, func(i int) int { return r.Pred[i] }, led, "cv-shiftdown")
-		if err != nil {
+		if err := r.exchange(succColor, slots, colors, false, led, "cv-shiftdown"); err != nil {
 			return nil, err
 		}
-		predColor, fromPred, err := r.exchange(slots, colors, func(i int) int { return r.Succ[i] }, led, "cv-shiftdown")
-		if err != nil {
+		if err := r.exchange(predColor, slots, colors, true, led, "cv-shiftdown"); err != nil {
 			return nil, err
 		}
 		for _, i := range slots {
@@ -185,10 +250,10 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 				continue
 			}
 			used := [3]bool{}
-			if c := succColor[i]; fromSucc[i] && c < 3 {
+			if c, ok := succColor.get(i); ok && c < 3 {
 				used[c] = true
 			}
-			if c := predColor[i]; fromPred[i] && c < 3 {
+			if c, ok := predColor.get(i); ok && c < 3 {
 				used[c] = true
 			}
 			for c := int64(0); c < 3; c++ {
@@ -204,7 +269,7 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 			return nil, fmt.Errorf("ccalgo: slot %d kept color %d after shift-down", i, colors[i])
 		}
 	}
-	return toIntColors(colors), nil
+	return colors, nil
 }
 
 func toIntColors(colors []int64) []int {
@@ -221,56 +286,60 @@ func toIntColors(colors []int64) []int {
 // Every slot is in at most one matched pair, and maximality holds: no two
 // adjacent slots are both unmatched.
 func (r *Rings) MaximalMatching(led *rounds.Ledger) ([]bool, error) {
-	colors, err := r.ThreeColor(led)
+	colors, err := r.threeColor(led)
 	if err != nil {
 		return nil, err
 	}
 	s := len(r.Owner)
 	matchSucc := make([]bool, s)
-	matched := make([]bool, s)
-	slots := r.ringSlots()
+	matched := grow(r.matched, s)
+	clear(matched)
+	r.matched = matched
+	ones := grow(r.ones, s)
+	for i := range ones {
+		ones[i] = 1 // 1 = proposing / accepting
+	}
+	r.ones = ones
+	slots := r.slots // threeColor's ring slots
+	received, acks := &r.res[0], &r.res[1]
 
-	for phase := 0; phase < 3; phase++ {
+	for phase := int64(0); phase < 3; phase++ {
 		// Proposal: unmatched slots of this phase's color offer to their
-		// successor (1 = proposing). Neighbors have different colors, so no
-		// slot both proposes and is proposed to by a same-phase proposer
-		// chain; each slot receives at most one proposal (unique pred).
-		proposal := make([]int64, s)
-		var proposers []int
+		// successor. Neighbors have different colors, so no slot both
+		// proposes and is proposed to by a same-phase proposer chain; each
+		// slot receives at most one proposal (unique pred).
+		proposers := r.proposers[:0]
 		for _, i := range slots {
 			if colors[i] == phase && !matched[i] {
-				proposal[i] = 1
 				proposers = append(proposers, i)
 			}
 		}
+		r.proposers = proposers
 		if len(proposers) == 0 {
 			continue
 		}
-		received, _, err := r.exchange(proposers, proposal, func(i int) int { return r.Succ[i] }, led, "match-propose")
-		if err != nil {
+		if err := r.exchange(received, proposers, ones, true, led, "match-propose"); err != nil {
 			return nil, err
 		}
 		// Acceptance: an unmatched slot accepts the (unique) proposal.
 		// Iterate in slot order so packet batching — and hence the round
 		// count — is deterministic run to run.
-		accept := make([]int64, s)
-		var accepters []int
+		accepters := r.accepters[:0]
 		for _, i := range slots {
-			if received[i] == 1 && !matched[i] {
-				accept[i] = 1
+			if v, ok := received.get(i); ok && v == 1 && !matched[i] {
 				accepters = append(accepters, i)
 				matched[i] = true
 			}
 		}
+		r.accepters = accepters
 		if len(accepters) == 0 {
 			continue
 		}
-		acks, _, err := r.exchange(accepters, accept, func(i int) int { return r.Pred[i] }, led, "match-accept")
-		if err != nil {
+		if err := r.exchange(acks, accepters, ones, false, led, "match-accept"); err != nil {
 			return nil, err
 		}
-		for i, v := range acks {
-			if v == 1 {
+		for i := 0; i < s; i++ {
+			if v, ok := acks.get(i); ok && v == 1 {
 				matched[i] = true
 				matchSucc[i] = true
 			}

@@ -2,6 +2,7 @@ package ccalgo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -254,5 +255,61 @@ func TestRingsRandomProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRingsReuse keeps one Rings across a sequence of ring sets — random
+// sets that grow and shrink, each then contracted in place the way the
+// Euler orientation contracts its rings between iterations — and checks
+// that every call gives the colors, matching and ledger of a fresh Rings
+// on the same set.
+func TestRingsReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var reused Rings
+	for set := 0; set < 12; set++ {
+		var cycles [][]int
+		next := 0
+		for c := 0; c < 1+rng.Intn(6); c++ {
+			l := 2 + rng.Intn(5+20*(set%3))
+			cycles = append(cycles, seqCycle(next, l))
+			next += l
+		}
+		r := buildRings(2+rng.Intn(12), cycles)
+		for step := 0; step < 3; step++ {
+			reused.CliqueN, reused.Owner, reused.Succ, reused.Pred, reused.Alive = r.CliqueN, r.Owner, r.Succ, r.Pred, r.Alive
+			fresh := &Rings{CliqueN: r.CliqueN, Owner: r.Owner, Succ: r.Succ, Pred: r.Pred, Alive: r.Alive}
+			reusedLed, freshLed := rounds.New(), rounds.New()
+			gotColors, err := reused.ThreeColor(reusedLed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotMatch, err := reused.MaximalMatching(reusedLed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantColors, err := fresh.ThreeColor(freshLed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMatch, err := fresh.MaximalMatching(freshLed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotColors, wantColors) || !reflect.DeepEqual(gotMatch, wantMatch) {
+				t.Fatalf("set %d step %d: reused Rings differs from a fresh one", set, step)
+			}
+			if reusedLed.Report() != freshLed.Report() {
+				t.Fatalf("set %d step %d: ledgers differ:\n%s\nvs\n%s", set, step, reusedLed.Report(), freshLed.Report())
+			}
+			// Contract: splice out every unmatched-with-successor slot whose
+			// successor is also alive, leaving shorter rings and self-rings.
+			for i, m := range gotMatch {
+				if m && r.Alive[i] && r.Succ[i] != i {
+					s := r.Succ[i]
+					r.Succ[i], r.Pred[r.Succ[s]] = r.Succ[s], i
+					r.Alive[s] = false
+				}
+			}
+		}
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"lapcc/internal/cc"
 	"lapcc/internal/ccalgo"
@@ -163,6 +164,7 @@ func orientImpl(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, e
 	sp := tr.Start("euler-orient")
 	defer sp.End()
 	s := newStateSet(g, dirCost, opts)
+	defer s.release()
 
 	// Contraction loop: reduce every ring to a single leader state. The
 	// randomized mode gets a larger iteration allowance: markings can
@@ -174,8 +176,10 @@ func orientImpl(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, e
 	opts.Budget.BindIfUnbound(led)
 	iter := 0
 	for s.anyProperRing() {
-		if err := opts.Budget.Check(fmt.Sprintf("euler-contract-%d", iter)); err != nil {
-			return nil, Stats{}, fmt.Errorf("euler: %w", err)
+		if opts.Budget != nil {
+			if err := opts.Budget.Check(fmt.Sprintf("euler-contract-%d", iter)); err != nil {
+				return nil, Stats{}, fmt.Errorf("euler: %w", err)
+			}
 		}
 		if iter >= maxIter {
 			return nil, Stats{}, fmt.Errorf("euler: contraction did not finish in %d iterations", maxIter)
@@ -207,7 +211,14 @@ func orientImpl(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, e
 	return orient, Stats{Iterations: iter, States: 2 * m, DeadProbes: s.deadProbes}, nil
 }
 
-// stateSet is the driver-side bookkeeping for the 2m directed states.
+// stateSet is the simulator-side bookkeeping for the 2m directed states, and
+// the working memory of one orientation: every array, the ring view the
+// matching runs on, and the packets, payload words and routing output of
+// every probe, reply, expansion and mirror step are sized once per
+// orientation and reused by all of its routing steps. Instances are
+// recycled through statePool, so the orientations of one request (one per
+// flow-rounding level) reuse one set of scratch; a recycled instance holds
+// no graph, transport or fault plan.
 type stateSet struct {
 	g     *graph.Graph
 	owner []int
@@ -222,32 +233,58 @@ type stateSet struct {
 	known    []bool
 
 	mode       Mode
-	rng        *rand.Rand
+	rng        *rand.Rand // Randomized mode only
 	deadProbes int
 	faults     *cc.FaultPlan
 	transport  cc.Transport
 
-	// expansion[k] holds the contraction records of iteration k.
-	expansion [][]contractionRecord
+	// rings views the state arrays as the rings the matching runs on. One
+	// per orientation, so its exchange scratch is reused by every
+	// contraction iteration.
+	rings ccalgo.Rings
+
+	// The contraction records of every iteration, which expand reads back
+	// in reverse: iteration k's records end at levels[k], and each
+	// record's removed chain is a span of members.
+	records []contractionRecord
+	levels  []int
+	members []chainEntry
+
+	// Per-step scratch.
+	partner  []int // exit edge of every state (newStateSet)
+	marked   []bool
+	probes   []probe
+	arrivals []arrival
+	pkts     []cc.Packet
+	// words holds the packets' payloads. Probe hops alternate between the
+	// two: on the in-process path a delivered payload aliases its sender's
+	// words, and a relayed probe reads its chain from the payload that
+	// carried it while the next hop's payloads are written.
+	words  [2][]int64
+	routed cc.RouteBuffer
 }
+
+var statePool = sync.Pool{New: func() any { return new(stateSet) }}
 
 // route delivers one batched routing step, through the reliable
 // retransmission layer when a fault plan is installed and over the
-// configured delivery backend when one is.
+// configured delivery backend when one is. Without a fault plan the
+// output is s's routing buffer, valid until the next step.
 func (s *stateSet) route(n int, pkts []cc.Packet, led *rounds.Ledger, tag string) ([][]cc.Packet, error) {
 	if s.faults != nil {
 		out, _, err := cc.ReliableRouteBatchedVia(s.transport, n, pkts, led, tag, s.faults)
 		return out, err
 	}
-	out, _, err := cc.RouteBatchedVia(s.transport, n, pkts, led, tag)
+	out, _, err := s.routed.RouteBatchedVia(s.transport, n, pkts, led, tag)
 	return out, err
 }
 
 // contractionRecord remembers one contracted run: informer stayed alive and
-// must later forward the cycle decision to the removed chain members.
+// must later forward the cycle decision to the removed chain members,
+// members[off : off+count] of the state set.
 type contractionRecord struct {
-	informer int
-	members  []chainEntry
+	informer   int
+	off, count int
 }
 
 type chainEntry struct {
@@ -255,40 +292,65 @@ type chainEntry struct {
 	owner int
 }
 
+// probe is a probe in flight: held by state at, launched by origin, with
+// the cost accumulated so far. chain is the (state, owner) word pairs of
+// the relays it passed before reaching at, aliasing the payload that
+// carried it here; at itself joins the chain on the next hop unless it is
+// the origin.
+type probe struct {
+	at     int
+	origin int
+	cost   int64
+	chain  []int64
+}
+
+// arrival is a probe that reached the next marked state, target. The
+// relays it passed are members[off : off+count].
+type arrival struct {
+	origin     int
+	target     int
+	cost       int64
+	off, count int
+}
+
 func newStateSet(g *graph.Graph, dirCost []int64, opts Options) *stateSet {
 	m := g.M()
-	s := &stateSet{
-		mode:      opts.Mode,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		faults:    opts.Faults,
-		transport: opts.Transport,
-		g:         g,
-		owner:     make([]int, 2*m),
-		succ:      make([]int, 2*m),
-		pred:      make([]int, 2*m),
-		alive:     make([]bool, 2*m),
-		cost:      make([]int64, 2*m),
-		leaderID:  make([]int64, 2*m),
-		want:      make([]bool, 2*m),
-		known:     make([]bool, 2*m),
+	s := statePool.Get().(*stateSet)
+	s.g, s.mode, s.faults, s.transport = g, opts.Mode, opts.Faults, opts.Transport
+	s.deadProbes = 0
+	if opts.Mode == Randomized {
+		s.rng = rand.New(rand.NewSource(opts.Seed))
 	}
-	// Pair incident edges at every vertex by adjacency position: this is the
-	// internal, zero-round step 1 of Theorem 1.4.
-	partner := make([]map[int]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		adj := g.Adj(v)
-		partner[v] = make(map[int]int, len(adj))
-		for k := 0; k+1 < len(adj); k += 2 {
-			a, b := adj[k].Edge, adj[k+1].Edge
-			partner[v][a] = b
-			partner[v][b] = a
-		}
-	}
+	s.owner, s.succ, s.pred = grow(s.owner, 2*m), grow(s.succ, 2*m), grow(s.pred, 2*m)
+	s.alive, s.cost = grow(s.alive, 2*m), grow(s.cost, 2*m)
+	s.leaderID, s.want, s.known = grow(s.leaderID, 2*m), grow(s.want, 2*m), grow(s.known, 2*m)
+	clear(s.cost)
+	clear(s.leaderID)
+	clear(s.want)
+	clear(s.known)
+	s.records, s.levels, s.members = s.records[:0], s.levels[:0], s.members[:0]
+	s.rings.CliqueN, s.rings.Owner, s.rings.Succ, s.rings.Pred, s.rings.Alive = g.N(), s.owner, s.succ, s.pred, s.alive
+	s.rings.Faults, s.rings.Transport = opts.Faults, opts.Transport
+
 	stateOf := func(edge, enteredVertex int) int {
 		if g.Edge(edge).V == enteredVertex {
 			return 2*edge + 1
 		}
 		return 2 * edge
+	}
+	// Pair incident edges at every vertex by adjacency position: this is the
+	// internal, zero-round step 1 of Theorem 1.4. The state entering v along
+	// one edge of a pair leaves along the other.
+	partner := grow(s.partner, 2*m)
+	clear(partner)
+	s.partner = partner
+	for v := 0; v < g.N(); v++ {
+		adj := g.Adj(v)
+		for k := 0; k+1 < len(adj); k += 2 {
+			a, b := adj[k].Edge, adj[k+1].Edge
+			partner[stateOf(a, v)] = b
+			partner[stateOf(b, v)] = a
+		}
 	}
 	for st := 0; st < 2*m; st++ {
 		e := st / 2
@@ -300,7 +362,7 @@ func newStateSet(g *graph.Graph, dirCost []int64, opts Options) *stateSet {
 		}
 		s.owner[st] = v
 		s.alive[st] = true
-		exit := partner[v][e]
+		exit := partner[st]
 		w := g.Edge(exit).U
 		if w == v {
 			w = g.Edge(exit).V
@@ -321,6 +383,23 @@ func newStateSet(g *graph.Graph, dirCost []int64, opts Options) *stateSet {
 	return s
 }
 
+// release returns s to statePool, dropping its references to the caller's
+// graph, transport and fault plan.
+func (s *stateSet) release() {
+	s.g, s.rng, s.faults, s.transport = nil, nil, nil, nil
+	s.rings.Faults, s.rings.Transport = nil, nil
+	statePool.Put(s)
+}
+
+// grow returns buf resized to length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 func (s *stateSet) anyProperRing() bool {
 	for st, a := range s.alive {
 		if a && s.succ[st] != st {
@@ -332,7 +411,9 @@ func (s *stateSet) anyProperRing() bool {
 
 // contractOnce performs one marking + contraction iteration.
 func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
-	marked := make([]bool, len(s.alive))
+	marked := grow(s.marked, len(s.alive))
+	clear(marked)
+	s.marked = marked
 	switch s.mode {
 	case Randomized:
 		// Paper remark after Theorem 1.4: sample each state with constant
@@ -343,8 +424,7 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 			}
 		}
 	default:
-		rings := &ccalgo.Rings{CliqueN: n, Owner: s.owner, Succ: s.succ, Pred: s.pred, Alive: s.alive, Faults: s.faults, Transport: s.transport}
-		matchSucc, err := rings.MaximalMatching(led)
+		matchSucc, err := s.rings.MaximalMatching(led)
 		if err != nil {
 			return fmt.Errorf("euler: iteration %d: %w", level, err)
 		}
@@ -376,23 +456,11 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 	//   [1] originator state, [2] originator owner
 	//   [3] accumulated cost
 	//   [4] chain length L, followed by L (state, owner) pairs
-	type probe struct {
-		at     int // state currently holding the probe
-		origin int
-		cost   int64
-		chain  []chainEntry
-	}
-	var probes []probe
+	probes := s.probes[:0]
 	for st, a := range s.alive {
 		if a && marked[st] && s.succ[st] != st {
 			probes = append(probes, probe{at: st, origin: st, cost: s.cost[st]})
 		}
-	}
-	type arrival struct {
-		origin int
-		target int
-		cost   int64
-		chain  []chainEntry
 	}
 	hopCap := maxProbeHops
 	if s.mode == Randomized {
@@ -400,17 +468,31 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 		// probability; longer runs just retry next iteration.
 		hopCap = 2*int(math.Ceil(math.Log2(float64(len(s.alive)+2)))) + 8
 	}
-	var arrivals []arrival
+	arrivals := s.arrivals[:0]
 	for hop := 0; hop < hopCap && len(probes) > 0; hop++ {
-		pkts := make([]cc.Packet, 0, len(probes))
+		size := 0
 		for _, p := range probes {
-			next := s.succ[p.at]
-			data := []int64{int64(next), int64(p.origin), int64(s.owner[p.origin]), p.cost, int64(len(p.chain))}
-			for _, ce := range p.chain {
-				data = append(data, int64(ce.state), int64(ce.owner))
+			size += 5 + len(p.chain)
+			if p.at != p.origin {
+				size += 2
 			}
-			pkts = append(pkts, cc.Packet{Src: s.owner[p.at], Dst: s.owner[next], Data: data})
 		}
+		pkts := grow(s.pkts, len(probes))
+		words := grow(s.words[hop%2], size)[:0]
+		for i, p := range probes {
+			next := s.succ[p.at]
+			off := len(words)
+			l := len(p.chain) / 2
+			words = append(words, int64(next), int64(p.origin), int64(s.owner[p.origin]), p.cost, 0)
+			words = append(words, p.chain...)
+			if p.at != p.origin {
+				words = append(words, int64(p.at), int64(s.owner[p.at]))
+				l++
+			}
+			words[off+4] = int64(l)
+			pkts[i] = cc.Packet{Src: s.owner[p.at], Dst: s.owner[next], Data: words[off:len(words):len(words)]}
+		}
+		s.pkts, s.words[hop%2] = pkts, words
 		delivered, err := s.route(n, pkts, led, "euler-probe")
 		if err != nil {
 			return fmt.Errorf("euler: probe relay: %w", err)
@@ -421,20 +503,20 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 				target := int(pk.Data[0])
 				origin := int(pk.Data[1])
 				cost := pk.Data[3]
-				l := int(pk.Data[4])
-				chain := make([]chainEntry, 0, l)
-				for i := 0; i < l; i++ {
-					chain = append(chain, chainEntry{state: int(pk.Data[5+2*i]), owner: int(pk.Data[6+2*i])})
-				}
-				if marked[target] {
-					arrivals = append(arrivals, arrival{origin: origin, target: target, cost: cost, chain: chain})
+				chain := pk.Data[5 : 5+2*int(pk.Data[4])]
+				if !marked[target] {
+					probes = append(probes, probe{at: target, origin: origin, cost: cost + s.cost[target], chain: chain})
 					continue
 				}
-				chain = append(chain, chainEntry{state: target, owner: s.owner[target]})
-				probes = append(probes, probe{at: target, origin: origin, cost: cost + s.cost[target], chain: chain})
+				a := arrival{origin: origin, target: target, cost: cost, off: len(s.members), count: len(chain) / 2}
+				for i := 0; i < len(chain); i += 2 {
+					s.members = append(s.members, chainEntry{state: int(chain[i]), owner: int(chain[i+1])})
+				}
+				arrivals = append(arrivals, a)
 			}
 		}
 	}
+	s.probes, s.arrivals = probes, arrivals
 	if len(probes) > 0 {
 		if s.mode == Randomized {
 			// Dropped probes leave their ring segments uncontracted; the
@@ -448,32 +530,38 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 	// Reply round: terminating states answer the originators. (A single
 	// routed message per probe; the contraction data it carries is what the
 	// originator needs to rewire its ring pointer.)
-	replyPkts := make([]cc.Packet, 0, len(arrivals))
+	size := 0
 	for _, a := range arrivals {
-		data := []int64{int64(a.origin), int64(a.target), a.cost, int64(len(a.chain))}
-		for _, ce := range a.chain {
-			data = append(data, int64(ce.state), int64(ce.owner))
-		}
-		replyPkts = append(replyPkts, cc.Packet{Src: s.owner[a.target], Dst: s.owner[a.origin], Data: data})
+		size += 4 + 2*a.count
 	}
-	if _, err := s.route(n, replyPkts, led, "euler-reply"); err != nil {
+	pkts := grow(s.pkts, len(arrivals))
+	words := grow(s.words[0], size)[:0]
+	for i, a := range arrivals {
+		off := len(words)
+		words = append(words, int64(a.origin), int64(a.target), a.cost, int64(a.count))
+		for _, ce := range s.members[a.off : a.off+a.count] {
+			words = append(words, int64(ce.state), int64(ce.owner))
+		}
+		pkts[i] = cc.Packet{Src: s.owner[a.target], Dst: s.owner[a.origin], Data: words[off:len(words):len(words)]}
+	}
+	s.pkts, s.words[0] = pkts, words
+	if _, err := s.route(n, pkts, led, "euler-reply"); err != nil {
 		return fmt.Errorf("euler: probe reply: %w", err)
 	}
 
 	// Apply the rewiring (each originator acts on its reply).
-	var records []contractionRecord
 	for _, a := range arrivals {
 		s.succ[a.origin] = a.target
 		s.pred[a.target] = a.origin
 		s.cost[a.origin] = a.cost
-		for _, ce := range a.chain {
+		for _, ce := range s.members[a.off : a.off+a.count] {
 			s.alive[ce.state] = false
 		}
-		if len(a.chain) > 0 {
-			records = append(records, contractionRecord{informer: a.origin, members: a.chain})
+		if a.count > 0 {
+			s.records = append(s.records, contractionRecord{informer: a.origin, off: a.off, count: a.count})
 		}
 	}
-	s.expansion = append(s.expansion, records)
+	s.levels = append(s.levels, len(s.records))
 	return nil
 }
 
@@ -492,9 +580,19 @@ func (s *stateSet) decideAtLeaders() {
 // expand pushes (leaderID, want) back down the contraction tree, one routed
 // batch per contraction level, in reverse order.
 func (s *stateSet) expand(n int, led *rounds.Ledger) error {
-	for level := len(s.expansion) - 1; level >= 0; level-- {
-		var pkts []cc.Packet
-		for _, rec := range s.expansion[level] {
+	for level := len(s.levels) - 1; level >= 0; level-- {
+		first := 0
+		if level > 0 {
+			first = s.levels[level-1]
+		}
+		recs := s.records[first:s.levels[level]]
+		size := 0
+		for _, rec := range recs {
+			size += rec.count
+		}
+		pkts := grow(s.pkts, size)[:0]
+		words := grow(s.words[0], 3*size)
+		for _, rec := range recs {
 			if !s.known[rec.informer] {
 				return fmt.Errorf("euler: informer %d lacks decision at level %d", rec.informer, level)
 			}
@@ -502,14 +600,13 @@ func (s *stateSet) expand(n int, led *rounds.Ledger) error {
 			if s.want[rec.informer] {
 				w = 1
 			}
-			for _, ce := range rec.members {
-				pkts = append(pkts, cc.Packet{
-					Src:  s.owner[rec.informer],
-					Dst:  ce.owner,
-					Data: []int64{int64(ce.state), s.leaderID[rec.informer], w},
-				})
+			for _, ce := range s.members[rec.off : rec.off+rec.count] {
+				data := words[3*len(pkts) : 3*len(pkts)+3 : 3*len(pkts)+3]
+				data[0], data[1], data[2] = int64(ce.state), s.leaderID[rec.informer], w
+				pkts = append(pkts, cc.Packet{Src: s.owner[rec.informer], Dst: ce.owner, Data: data})
 			}
 		}
+		s.pkts, s.words[0] = pkts, words
 		delivered, err := s.route(n, pkts, led, "euler-expand")
 		if err != nil {
 			return fmt.Errorf("euler: expansion level %d: %w", level, err)
@@ -531,7 +628,9 @@ func (s *stateSet) expand(n int, led *rounds.Ledger) error {
 // same deterministic rule, yielding a consistent orientation per cycle.
 func (s *stateSet) resolveOrientations(n int, led *rounds.Ledger) ([]bool, error) {
 	m := s.g.M()
-	pkts := make([]cc.Packet, 0, 2*m)
+	pkts := grow(s.pkts, 2*m)
+	words := grow(s.words[0], 3*2*m)
+	s.pkts, s.words[0] = pkts, words
 	for st := 0; st < 2*m; st++ {
 		if !s.known[st] {
 			return nil, fmt.Errorf("euler: state %d never received a decision", st)
@@ -541,11 +640,9 @@ func (s *stateSet) resolveOrientations(n int, led *rounds.Ledger) ([]bool, error
 		if s.want[st] {
 			w = 1
 		}
-		pkts = append(pkts, cc.Packet{
-			Src:  s.owner[st],
-			Dst:  s.owner[mirror],
-			Data: []int64{int64(mirror), s.leaderID[st], w},
-		})
+		data := words[3*st : 3*st+3 : 3*st+3]
+		data[0], data[1], data[2] = int64(mirror), s.leaderID[st], w
+		pkts[st] = cc.Packet{Src: s.owner[st], Dst: s.owner[mirror], Data: data}
 	}
 	if _, err := s.route(n, pkts, led, "euler-mirror"); err != nil {
 		return nil, fmt.Errorf("euler: mirror exchange: %w", err)
