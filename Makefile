@@ -1,6 +1,6 @@
 # Build/verify entry points. `make check` is the CI gate: it checks
 # formatting, vets, builds, runs the full test suite under the race detector
-# (continuously validating the parallel engine and the concurrent round
+# (continuously validating the concurrent routers and the concurrent round
 # ledger), smoke-runs every benchmark once, and compiles and tests the bench/
 # module, so the benchmark programs themselves cannot rot.
 
@@ -14,7 +14,7 @@ GATE_BENCHTIME ?= 1s
 # The recorded suites: one -bench regexp + package list per BENCH_*.json,
 # shared by the human-facing bench-* targets and cmd/benchgate (which
 # hardcodes the same pairs in internal/benchgate.Suites).
-BENCH_ENGINE_BENCH := BenchmarkEngineRun|BenchmarkRoute
+BENCH_ENGINE_BENCH := BenchmarkRoute
 BENCH_ENGINE_PKGS  := ./internal/cc/
 BENCH_SOLVER_BENCH := BenchmarkIPM|BenchmarkSolverSession|BenchmarkCholeskySolveTo|BenchmarkLaplacianCholesky
 BENCH_SOLVER_PKGS  := ./internal/maxflow/ ./internal/lapsolver/ ./internal/linalg/
@@ -50,7 +50,7 @@ race:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# The engine/routing microbenchmarks behind BENCH_engine.json.
+# The routing microbenchmarks behind BENCH_engine.json.
 bench-engine:
 	$(call run-bench,$(BENCH_ENGINE_BENCH),$(BENCH_ENGINE_PKGS))
 
@@ -89,7 +89,7 @@ experiments:
 # unit tests, all under the race detector. See DESIGN.md §9.
 stress:
 	$(GO) test -race -count=1 -run 'FaultDifferential|ParallelDifferential' .
-	$(GO) test -race -count=1 -run 'Fault|Reliable|Stall|Crash' ./internal/cc/
+	$(GO) test -race -count=1 -run 'Fault|Reliable' ./internal/cc/
 	$(GO) test -race -count=1 -run 'Concurrent|Parallel|Pool|Batch' ./internal/linalg/ ./internal/sparsify/ ./internal/electrical/
 
 # Re-measure the reliable-delivery round overhead behind BENCH_faults.json.

@@ -71,11 +71,11 @@ func chaosTransport(t *testing.T, plan *transport.ChaosPlan) *tcp.Transport {
 	return tr
 }
 
-// faultCounts reads the engine's injected-fault counters (the metrics
-// mirror of cc.FaultStats) out of a run's registry.
-func faultCounts(reg *metrics.Registry) [5]int64 {
-	var out [5]int64
-	for i, typ := range []string{"dropped", "corrupted", "duplicated", "delayed", "stalled_steps"} {
+// faultCounts reads the reliable layer's injected-fault counters (the
+// metrics mirror of cc.FaultStats) out of a run's registry.
+func faultCounts(reg *metrics.Registry) [4]int64 {
+	var out [4]int64
+	for i, typ := range []string{"dropped", "corrupted", "duplicated", "delayed"} {
 		out[i] = reg.Counter("lapcc_engine_faults_total", "", "type", typ).Value()
 	}
 	return out

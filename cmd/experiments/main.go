@@ -1,7 +1,7 @@
 // Command experiments regenerates every experiment table in EXPERIMENTS.md
-// (E1-E16), reproducing the quantitative claims of the paper's theorems as
-// scaling measurements plus the simulator's own instrumentation profile
-// (E10). See DESIGN.md section 5 for the experiment index.
+// (E1-E16; E10 is retired), reproducing the quantitative claims of the
+// paper's theorems as scaling measurements. See DESIGN.md section 5 for the
+// experiment index.
 //
 //	go run ./cmd/experiments            # all experiments
 //	go run ./cmd/experiments -run E3,E5 # a subset (any case; unknown IDs fail)

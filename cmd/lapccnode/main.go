@@ -1,6 +1,6 @@
 // Command lapccnode is one worker process of a multi-process congested
-// clique. It is not run by hand: the TCP transport coordinator (an engine
-// configured with -transport tcp, or the net-smoke harness) execs one
+// clique. It is not run by hand: the TCP transport coordinator (a CLI run
+// with -transport tcp, or the net-smoke harness) execs one
 // lapccnode per worker, hands it the coordinator address, and the process
 // serves delivery barriers until it is shut down. A supervising coordinator
 // additionally passes its timeouts, the mesh epoch, and the chaos plan, so

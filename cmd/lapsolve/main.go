@@ -233,8 +233,8 @@ func runSession(g *graph.Graph, source, sink int, eps float64, k int, ro core.Ru
 	return nil
 }
 
-// startDebug creates the process-wide metrics registry, points the clique
-// engine at it, and serves the debug endpoints on addr (plus the flight
+// startDebug creates the process-wide metrics registry, points the routing
+// primitives and the numerical kernels at it, and serves the debug endpoints on addr (plus the flight
 // recorder on /debug/flight when one is attached).
 func startDebug(addr string, fl *trace.Flight) (*metrics.DebugServer, *metrics.Registry, error) {
 	reg := metrics.NewRegistry()

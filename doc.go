@@ -19,17 +19,18 @@
 //
 // # Simulator execution model
 //
-// The congested-clique simulator (internal/cc) executes each round's n node
-// steps on a pool of worker goroutines with private, recycled send buffers,
-// then merges the buffers deterministically in node order at the round
-// barrier — so results are bit-identical to a sequential execution, while
-// the hot path performs no steady-state allocation. Engine.SetSequential(true)
-// forces inline single-goroutine execution as an escape hatch,
-// Engine.SetWorkers overrides the worker count, and Engine.SetObserver opts
-// into per-round instrumentation (message counts, link-load maxima, phase
-// timings; see experiment E10). Randomized differential tests pin the
-// parallel, sequential, and legacy-reference executions to each other, and
-// `make check` runs the simulator's test suite under the race detector.
+// The congested-clique simulator (internal/cc) moves every algorithm's
+// messages with three routing primitives: Lenzen routing (cc.Route),
+// batched routing for sets that exceed Lenzen's per-node bound
+// (cc.RouteBatched), and the one-round all-to-all broadcast
+// (cc.BroadcastAll). Each checks the model's per-pair bandwidth limit and
+// charges its rounds to the ledger. Their Via forms carry the same packets
+// through a pluggable transport (in-process wire codec or a TCP mesh of
+// worker processes) with bit-identical output, and their Reliable forms
+// replay a deterministic fault plan with acknowledgement and
+// retransmission. Differential tests pin answers, ledgers and fault counts
+// across backends, and `make check` runs the simulator's test suite under
+// the race detector.
 //
 // # Tracing convention
 //

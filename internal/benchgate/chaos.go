@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/core"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
@@ -71,46 +70,45 @@ func chaosRecord(out map[string]Workload, name, instance string, kills int,
 	return nil
 }
 
-// measureChaosEngine runs the net suite's engine workload through one
+// measureChaosRoute runs the net suite's routing schedule through one
 // supervised clique and returns the final checkpoint, recovery stats, and
 // transcript checksum.
-func measureChaosEngine(kills ...transport.Kill) (tcp.Checkpoint, tcp.RecoveryStats, uint64, error) {
+func measureChaosRoute(kills ...transport.Kill) (tcp.Checkpoint, tcp.RecoveryStats, uint64, error) {
 	tr, err := chaosTransport(kills...)
 	if err != nil {
 		return tcp.Checkpoint{}, tcp.RecoveryStats{}, 0, err
 	}
 	defer tr.Close()
-	e := cc.NewEngine(netN)
-	e.SetTransport(tr)
-	step, sum := netStep()
-	if _, err := e.Run(step, netRounds+8); err != nil {
+	sum, err := runNet(tr)
+	if err != nil {
 		return tcp.Checkpoint{}, tcp.RecoveryStats{}, 0, err
 	}
-	return tr.Checkpoint(), tr.Recovery(), sum(), nil
+	return tr.Checkpoint(), tr.Recovery(), sum, nil
 }
 
-// MeasureChaosWorkloads re-measures BENCH_chaos.json: the engine workload
-// and a Laplacian solve through supervised TCP cliques with worker kills
-// scheduled mid-run, recording the barrier-replay overhead of recovery.
+// MeasureChaosWorkloads re-measures BENCH_chaos.json: the net suite's
+// routing schedule and a Laplacian solve through supervised TCP cliques
+// with worker kills scheduled mid-run, recording the barrier-replay
+// overhead of recovery.
 func MeasureChaosWorkloads() (map[string]Workload, error) {
 	out := map[string]Workload{}
 
-	// Engine workload, clean supervised baseline.
-	cleanCk, cleanRec, cleanSum, err := measureChaosEngine()
+	// Routing schedule, clean supervised baseline.
+	cleanCk, cleanRec, cleanSum, err := measureChaosRoute()
 	if err != nil {
-		return nil, fmt.Errorf("benchgate: chaos/engine clean: %w", err)
+		return nil, fmt.Errorf("benchgate: chaos/route clean: %w", err)
 	}
 	if cleanRec.Restarts != 0 {
-		return nil, fmt.Errorf("benchgate: chaos/engine clean run restarted: %+v", cleanRec)
+		return nil, fmt.Errorf("benchgate: chaos/route clean run restarted: %+v", cleanRec)
 	}
 
-	engineKills := [][]transport.Kill{
+	routeKills := [][]transport.Kill{
 		{{Barrier: 3, Proc: 1}},
 		{{Barrier: 1, Proc: 2}, {Barrier: 9, Proc: 0}},
 	}
-	for i, kills := range engineKills {
-		name := fmt.Sprintf("engine-kill%d", len(kills))
-		ck, rec, sum, err := measureChaosEngine(kills...)
+	for i, kills := range routeKills {
+		name := fmt.Sprintf("route-kill%d", len(kills))
+		ck, rec, sum, err := measureChaosRoute(kills...)
 		if err != nil {
 			return nil, fmt.Errorf("benchgate: chaos/%s: %w", name, err)
 		}
@@ -118,8 +116,8 @@ func MeasureChaosWorkloads() (map[string]Workload, error) {
 			return nil, fmt.Errorf("benchgate: chaos/%s: transcript checksum diverges: clean=%x killed=%x",
 				name, cleanSum, sum)
 		}
-		instance := fmt.Sprintf("net workload n=%d fan=%d rounds=%d procs=%d, %d kill(s), plan %d",
-			netN, netFan, netRounds, netProcs, len(kills), i+1)
+		instance := fmt.Sprintf("net workload n=%d fan=%d calls=%d procs=%d, %d kill(s), plan %d",
+			netN, netFan, netCalls, netProcs, len(kills), i+1)
 		if err := chaosRecord(out, name, instance, len(kills), cleanCk, ck, rec); err != nil {
 			return nil, err
 		}

@@ -47,7 +47,7 @@ var Suites = []Suite{
 	{
 		Name:     "engine",
 		Baseline: "BENCH_engine.json",
-		Bench:    "BenchmarkEngineRun|BenchmarkRoute",
+		Bench:    "BenchmarkRoute",
 		Packages: []string{"./internal/cc/"},
 	},
 	{

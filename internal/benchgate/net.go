@@ -2,6 +2,8 @@ package benchgate
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"lapcc/internal/cc"
@@ -9,87 +11,115 @@ import (
 	"lapcc/internal/transport/tcp"
 )
 
-// NetTolerance gates the net suite. The gated figure is engine ns-per-round
-// through each delivery backend. The local figure is a plain function call;
-// the mem figure adds an encode/decode of every message; the tcp figure
-// stacks loopback sockets, the chunked barrier, and kernel scheduling on
-// top, so its wall time swings far more between runs than any
-// microbenchmark — hence a ratio even wider than the serve suite's. The
-// suite's real teeth are not the timings at all: the measurement
-// cross-checks that all three backends produced bit-identical inbox
-// transcripts and fails hard on any divergence.
-var NetTolerance = Tolerance{Ns: 5.0}
+// NetTolerance gates the net suite. The gated figure is ns per RouteVia
+// call through each delivery backend. The local figure is plain Route; the
+// mem figure adds an encode/decode of every packet; the tcp figure stacks
+// loopback sockets, the chunked barrier, and kernel scheduling on top, so
+// its wall time swings far more between runs than any microbenchmark —
+// hence a ratio even wider than the serve suite's. Bytes and allocations
+// per call barely move: over ten runs at GOMAXPROCS=2 they stayed within
+// 0.3%, and at GOMAXPROCS 1 to 8 within 4% (tcp bytes) and 0.4%, so they
+// gate at 1.25x and 1.10x. The suite's real teeth are not the timings at
+// all: the measurement cross-checks that all three backends produced
+// bit-identical transcripts and fails hard on any divergence.
+var NetTolerance = Tolerance{Ns: 5.0, Bytes: 1.25, Allocs: 1.10}
 
-// The net workload: netN nodes, each sending netFan messages to rotating
-// recipients every round for netRounds rounds. Sized so a TCP round moves
-// several frames per worker pair without making the gate slow.
+// The net workload: a fixed schedule of netCalls routing calls on netN
+// nodes, each node sending netFan packets per call to rotating recipients.
+// Each call is one transport barrier. Sized so a TCP barrier moves several
+// frames per worker pair without making the gate slow.
 const (
-	netN      = 48
-	netFan    = 4
-	netRounds = 32
-	netProcs  = 4
+	netN     = 48
+	netFan   = 4
+	netCalls = 32
+	netProcs = 4
+	// netRuns is the number of timed runs per backend; the suite records
+	// their median.
+	netRuns = 5
 )
 
-// netStep returns the deterministic workload step plus the run's transcript
-// checksum, order-sensitive over every message each node receives. The
-// engine runs step functions concurrently, so each node hashes into its own
-// slot and the checksum folds the slots in node order.
-func netStep() (cc.Step, func() uint64) {
-	sums := make([]uint64, netN)
-	step := func(node, round int, inbox []cc.Message, send func(int, ...int64)) bool {
-		for _, m := range inbox {
-			for _, v := range m.Data {
-				sums[node] = sums[node]*0x100000001b3 ^ uint64(v) ^ uint64(m.From)<<32
+// runNet sends the schedule through t (nil routes in-process) and returns
+// the run's transcript checksum, order-sensitive over every packet each
+// node receives. Call r's packet from node v with fan index k carries
+// (v, r<<8|k) to node (v+1+(k*7+r)%(netN-1))%netN.
+func runNet(t cc.Transport) (uint64, error) {
+	pkts := make([]cc.Packet, netN*netFan)
+	words := make([]int64, 2*len(pkts))
+	var h uint64
+	for r := 0; r < netCalls; r++ {
+		for v := 0; v < netN; v++ {
+			for k := 1; k <= netFan; k++ {
+				i := v*netFan + k - 1
+				w := words[2*i : 2*i+2 : 2*i+2]
+				w[0], w[1] = int64(v), int64(r<<8|k)
+				pkts[i] = cc.Packet{Src: v, Dst: (v + 1 + (k*7+r)%(netN-1)) % netN, Data: w}
 			}
 		}
-		if round >= netRounds {
-			return true
+		out, _, err := cc.RouteVia(t, netN, pkts, nil, "net")
+		if err != nil {
+			return 0, err
 		}
-		for k := 1; k <= netFan; k++ {
-			send((node+1+(k*7+round)%(netN-1))%netN, int64(node), int64(round<<8|k))
+		for d, inbox := range out {
+			for _, p := range inbox {
+				for _, x := range p.Data {
+					h = h*0x100000001b3 ^ uint64(x) ^ uint64(p.Src)<<32 ^ uint64(d)<<48
+				}
+			}
 		}
-		return false
 	}
-	return step, func() uint64 {
-		var h uint64
-		for _, s := range sums {
-			h = h*0x100000001b3 ^ s
-		}
-		return h
-	}
+	return h, nil
 }
 
 // measureNet runs the workload through one transport (nil = in-process
-// merge) and returns ns-per-round plus the transcript checksum.
-func measureNet(tr cc.Transport) (float64, uint64, error) {
-	e := cc.NewEngine(netN)
-	if tr != nil {
-		e.SetTransport(tr)
-	}
-	step, sum := netStep()
-	start := time.Now()
-	rounds, err := e.Run(step, netRounds+8)
+// Route): one warm-up run, then netRuns timed runs. It returns the medians
+// of ns, bytes and allocations per call, the latter two read from
+// runtime.MemStats, plus the transcript checksum, which must agree across
+// all runs.
+func measureNet(t cc.Transport) (Metrics, uint64, error) {
+	sum, err := runNet(t)
 	if err != nil {
-		return 0, 0, err
+		return Metrics{}, 0, err
 	}
-	if rounds <= 0 {
-		return 0, 0, fmt.Errorf("benchgate: net workload ran %d rounds", rounds)
+	var ns, bytes, allocs [netRuns]float64
+	for i := range ns {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		got, err := runNet(t)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return Metrics{}, 0, err
+		}
+		if got != sum {
+			return Metrics{}, 0, fmt.Errorf("benchgate: net transcript changed between runs: %x then %x", sum, got)
+		}
+		ns[i] = float64(elapsed.Nanoseconds()) / netCalls
+		bytes[i] = float64(after.TotalAlloc-before.TotalAlloc) / netCalls
+		allocs[i] = float64(after.Mallocs-before.Mallocs) / netCalls
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(rounds), sum(), nil
+	return Metrics{NsPerOp: median(ns[:]), BytesPerOp: median(bytes[:]), AllocsPerOp: median(allocs[:])}, sum, nil
 }
 
-// MeasureNetWorkload re-measures BENCH_net.json in-process: the same engine
-// workload through the in-process merge, the Mem wire-codec transport, and
-// a netProcs-worker TCP loopback clique (in-process worker mode — real
+// median returns the middle value of an odd-length sample.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
+}
+
+// MeasureNetWorkload re-measures BENCH_net.json in-process: the same
+// routing schedule through in-process Route, the Mem wire-codec transport,
+// and a netProcs-worker TCP loopback clique (in-process worker mode — real
 // sockets and frames, no subprocess spawn cost polluting the figure). The
 // three transcripts must be bit-identical or the measurement itself fails.
 func MeasureNetWorkload() (map[string]Metrics, error) {
-	localNs, localSum, err := measureNet(nil)
+	local, localSum, err := measureNet(nil)
 	if err != nil {
 		return nil, fmt.Errorf("benchgate: net/local: %w", err)
 	}
 
-	memNs, memSum, err := measureNet(transport.NewMem())
+	mem, memSum, err := measureNet(transport.NewMem())
 	if err != nil {
 		return nil, fmt.Errorf("benchgate: net/mem: %w", err)
 	}
@@ -98,7 +128,7 @@ func MeasureNetWorkload() (map[string]Metrics, error) {
 	if err != nil {
 		return nil, fmt.Errorf("benchgate: net/tcp: %w", err)
 	}
-	tcpNs, tcpSum, err := measureNet(tt)
+	tcpM, tcpSum, err := measureNet(tt)
 	cerr := tt.Close()
 	if err != nil {
 		return nil, fmt.Errorf("benchgate: net/tcp: %w", err)
@@ -112,8 +142,8 @@ func MeasureNetWorkload() (map[string]Metrics, error) {
 			localSum, memSum, tcpSum)
 	}
 	return map[string]Metrics{
-		"Net/local": {NsPerOp: localNs},
-		"Net/mem":   {NsPerOp: memNs},
-		"Net/tcp":   {NsPerOp: tcpNs},
+		"Net/local": local,
+		"Net/mem":   mem,
+		"Net/tcp":   tcpM,
 	}, nil
 }

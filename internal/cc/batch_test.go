@@ -2,6 +2,7 @@ package cc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,5 +113,40 @@ func TestRouteBatchedDeliveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRouteBatchedOutOfRangeEndpoints covers the RouteBatched bad-endpoint
+// path directly for every flavor of out-of-range Src/Dst, including the
+// negative indices that would panic the counting arrays if the delegated
+// error check ever fell through.
+func TestRouteBatchedOutOfRangeEndpoints(t *testing.T) {
+	n := 4
+	cases := []Packet{
+		{Src: -1, Dst: 0},
+		{Src: 0, Dst: -2},
+		{Src: n, Dst: 0},
+		{Src: 0, Dst: n},
+		{Src: -5, Dst: n + 3},
+	}
+	for _, bad := range cases {
+		t.Run(fmt.Sprintf("src=%d,dst=%d", bad.Src, bad.Dst), func(t *testing.T) {
+			// The bad packet is surrounded by valid traffic so the batching
+			// bookkeeping is active when it is hit.
+			pkts := []Packet{
+				{Src: 0, Dst: 1, Data: []int64{1}},
+				bad,
+				{Src: 2, Dst: 3, Data: []int64{2}},
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("RouteBatched panicked: %v", r)
+				}
+			}()
+			_, _, err := RouteBatched(n, pkts, nil, "")
+			if !errors.Is(err, ErrBadRecipient) {
+				t.Fatalf("error = %v, want ErrBadRecipient", err)
+			}
+		})
 	}
 }

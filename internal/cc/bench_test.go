@@ -3,128 +3,7 @@ package cc
 import (
 	"fmt"
 	"testing"
-
-	"lapcc/internal/metrics"
 )
-
-// broadcastStyleStep returns the benchmark workload of the acceptance
-// criteria: an n-node broadcast-style program in which every node sends a
-// 3-word message to every other node for rounds rounds — the densest legal
-// traffic pattern the model admits (full all-to-all each round). The
-// payload slice is passed through with ... so the caller allocates nothing
-// per send; all remaining allocation cost is the engine's own.
-func broadcastStyleStep(n, rounds int) Step {
-	payload := []int64{1, 2, 3}
-	return func(node, round int, inbox []Message, send func(int, ...int64)) bool {
-		if round >= rounds {
-			return true
-		}
-		for v := 0; v < n; v++ {
-			if v != node {
-				send(v, payload...)
-			}
-		}
-		return false
-	}
-}
-
-// BenchmarkEngineRun compares the worker-pool engine (default and
-// sequential modes) against the retained legacy map-based implementation on
-// the n=256 broadcast-style program. The parallel/sequential variants reuse
-// one Engine across iterations, which is the production pattern and what
-// makes the steady state allocation-free.
-func BenchmarkEngineRun(b *testing.B) {
-	const n = 256
-	const rounds = 4
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := NewEngine(n)
-			if _, err := e.runReference(broadcastStyleStep(n, rounds), rounds+1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, mode := range []string{"sequential", "parallel"} {
-		b.Run(mode, func(b *testing.B) {
-			e := NewEngine(n)
-			if mode == "sequential" {
-				e.SetSequential(true)
-			}
-			step := broadcastStyleStep(n, rounds)
-			if _, err := e.Run(step, rounds+1); err != nil { // warm the recycled buffers
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(step, rounds+1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineRunMetrics measures the metrics registry's overhead on
-// the engine hot path: the same n=256 broadcast-style program as
-// BenchmarkEngineRun, once with metrics disabled (the default — one nil
-// check per round) and once recording into a live registry (atomic adds
-// into pre-resolved instruments plus the per-round payload-word scan).
-// Both variants must stay at the engine's steady-state allocation floor.
-func BenchmarkEngineRunMetrics(b *testing.B) {
-	const n = 256
-	const rounds = 4
-	for _, variant := range []string{"disabled", "enabled"} {
-		b.Run(variant, func(b *testing.B) {
-			e := NewEngine(n)
-			e.SetSequential(true)
-			if variant == "enabled" {
-				e.SetMetrics(metrics.NewRegistry())
-			}
-			step := broadcastStyleStep(n, rounds)
-			if _, err := e.Run(step, rounds+1); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(step, rounds+1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineRunSparse is the light-traffic counterpart: each node
-// talks to 8 neighbors per round, the shape of the repo's ring/relay
-// primitives.
-func BenchmarkEngineRunSparse(b *testing.B) {
-	const n = 256
-	const rounds = 16
-	payload := []int64{7, 8}
-	step := func(node, round int, inbox []Message, send func(int, ...int64)) bool {
-		if round >= rounds {
-			return true
-		}
-		for i := 1; i <= 8; i++ {
-			send((node+i)%n, payload...)
-		}
-		return false
-	}
-	e := NewEngine(n)
-	if _, err := e.Run(step, rounds+1); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(step, rounds+1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkRoute measures the Lenzen relay on an admissible all-to-many
 // instance: every node sends one packet to each of 32 destinations.

@@ -7,18 +7,14 @@ import (
 	"strings"
 )
 
-// FaultPlan describes a deterministic fault schedule for the simulator: a
-// seed-driven program deciding, per round and per ordered node pair, whether
-// a message is dropped, corrupted, duplicated, or delayed, and which nodes
-// are stalled or crashed in which rounds. Every decision is a pure function
-// of (Seed, round, endpoints), so a plan replays identically across runs,
-// worker counts, and sequential/parallel execution — no math/rand global
-// state is consulted anywhere.
-//
-// A plan is installed on an engine with Engine.SetFaults (engine-level
-// message faults and node stalls) and consumed by the reliable routing layer
-// (ReliableRoute and friends), which restores delivery guarantees on top of
-// a lossy plan via acknowledgements and bounded retransmission.
+// FaultPlan describes a deterministic fault schedule for the reliable
+// routing layer (ReliableRoute and friends): a seed-driven program deciding,
+// per packet and per transmission wave, whether the packet is dropped,
+// corrupted, duplicated, or delayed. Every decision is a pure function of
+// (Seed, packet, wave), so a plan replays identically across runs, worker
+// counts, and delivery backends — no math/rand global state is consulted
+// anywhere. The layer restores delivery on top of a lossy plan via
+// acknowledgements and bounded retransmission.
 type FaultPlan struct {
 	// Seed drives every fault decision. Two plans with equal rates and
 	// seeds inject exactly the same faults.
@@ -40,27 +36,12 @@ type FaultPlan struct {
 	// ErrDeliveryFailed when packets remain undelivered after this many
 	// retries.
 	MaxRetries int
-	// Stalls lists node stall/crash windows (engine-level only).
-	Stalls []Stall
 }
 
-// Stall silences one node: during rounds [From, From+For) node Node does not
-// execute its step (it counts as busy so the program cannot terminate around
-// it), and messages addressed to it are buffered by the engine and delivered
-// when it wakes. For < 0 crashes the node instead: from round From on it
-// never steps again, counts as done, and messages to it are dropped.
-// Round indices are relative to the Run call the plan is active in.
-type Stall struct {
-	Node int
-	From int
-	For  int
-}
-
-// FaultStats counts injected faults. Engine counters are cumulative across
-// rounds; RoundStats carries the per-round delta.
+// FaultStats counts the faults a plan injected into one reliable-delivery
+// call (ReliableResult.Faults).
 type FaultStats struct {
-	// Dropped counts messages destroyed in flight (including messages
-	// addressed to crashed nodes).
+	// Dropped counts messages destroyed in flight.
 	Dropped int64
 	// Corrupted counts messages whose payload was bit-flipped.
 	Corrupted int64
@@ -68,9 +49,6 @@ type FaultStats struct {
 	Duplicated int64
 	// Delayed counts messages held back at least one extra round.
 	Delayed int64
-	// StalledSteps counts node-rounds in which a stalled node skipped its
-	// step.
-	StalledSteps int64
 }
 
 func (s *FaultStats) add(o FaultStats) {
@@ -78,12 +56,11 @@ func (s *FaultStats) add(o FaultStats) {
 	s.Corrupted += o.Corrupted
 	s.Duplicated += o.Duplicated
 	s.Delayed += o.Delayed
-	s.StalledSteps += o.StalledSteps
 }
 
 // Total returns the total number of injected faults.
 func (s FaultStats) Total() int64 {
-	return s.Dropped + s.Corrupted + s.Duplicated + s.Delayed + s.StalledSteps
+	return s.Dropped + s.Corrupted + s.Duplicated + s.Delayed
 }
 
 // ErrBadFaultPlan reports an invalid fault plan (rates outside [0,1] or
@@ -94,7 +71,7 @@ var ErrBadFaultPlan = errors.New("cc: invalid fault plan")
 // retransmission budget with packets still undelivered.
 var ErrDeliveryFailed = errors.New("cc: reliable delivery exhausted retries")
 
-// Validate checks the plan's rates and stall windows.
+// Validate checks the plan's rates and bounds.
 func (p *FaultPlan) Validate() error {
 	if p == nil {
 		return nil
@@ -113,16 +90,11 @@ func (p *FaultPlan) Validate() error {
 	if p.MaxRetries < 0 {
 		return fmt.Errorf("%w: MaxRetries %d", ErrBadFaultPlan, p.MaxRetries)
 	}
-	for _, s := range p.Stalls {
-		if s.Node < 0 || s.From < 0 {
-			return fmt.Errorf("%w: stall %+v", ErrBadFaultPlan, s)
-		}
-	}
 	return nil
 }
 
-// messageFates reports whether the plan can fault messages at all; a plan
-// with only stalls leaves the message path clean.
+// messageFates reports whether the plan can fault messages at all; a
+// zero-rate plan leaves the message path clean.
 func (p *FaultPlan) messageFates() bool {
 	return p != nil && p.Drop+p.Corrupt+p.Duplicate+p.Delay > 0
 }
@@ -174,10 +146,9 @@ const (
 	faultDelay
 )
 
-// Domain salts keep the engine's per-pair draws and the reliable layer's
-// per-packet draws independent streams of the same seed.
+// Domain salts keep the per-packet fate, delay and corruption draws
+// independent streams of the same seed.
 const (
-	saltEngine   = 0x9d8f3a27
 	saltPacket   = 0x51c6e7b9
 	saltDelayAmt = 0x2f0b4c85
 	saltCorrupt  = 0xb7e15162
@@ -200,52 +171,17 @@ func (p *FaultPlan) fate(salt, a, b, c uint64) (kind, delay int) {
 	return faultNone, 0
 }
 
-// engineFate decides the fate of the engine message from->to sent in round r.
-func (p *FaultPlan) engineFate(r, from, to int) (kind, delay int) {
-	return p.fate(saltEngine, uint64(r), uint64(from), uint64(to))
-}
-
 // packetFate decides the fate of reliable-layer packet seq on retransmission
 // wave w.
 func (p *FaultPlan) packetFate(seq, wave int) (kind, delay int) {
 	return p.fate(saltPacket, uint64(seq), uint64(wave), 0)
 }
 
-// stalledAt reports whether node is silenced in round r (stalled or
-// crashed).
-func (p *FaultPlan) stalledAt(node, r int) bool {
-	if p == nil {
-		return false
-	}
-	for _, s := range p.Stalls {
-		if s.Node != node || r < s.From {
-			continue
-		}
-		if s.For < 0 || r < s.From+s.For {
-			return true
-		}
-	}
-	return false
-}
-
-// crashedAt reports whether node is permanently down in round r.
-func (p *FaultPlan) crashedAt(node, r int) bool {
-	if p == nil {
-		return false
-	}
-	for _, s := range p.Stalls {
-		if s.Node == node && s.For < 0 && r >= s.From {
-			return true
-		}
-	}
-	return false
-}
-
 // ParseFaultPlan parses the -faults flag syntax: a comma-separated list of
-// key=value pairs with keys seed, drop, corrupt, dup, delay, maxdelay,
-// retries, and stall (stall=node:from:for, repeatable; for=-1 crashes the
-// node). The shorthand of a bare number is a drop rate: "-faults 0.01" is
-// "-faults drop=0.01". An empty string returns a nil plan.
+// key=value pairs with keys seed, drop, corrupt, dup, delay, maxdelay and
+// retries; any other key is an ErrBadFaultPlan. The shorthand of a bare
+// number is a drop rate: "-faults 0.01" is "-faults drop=0.01". An empty
+// string returns a nil plan.
 func ParseFaultPlan(s string) (*FaultPlan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -296,20 +232,6 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 			} else {
 				p.MaxRetries = i
 			}
-		case "stall":
-			parts := strings.Split(val, ":")
-			if len(parts) != 3 {
-				return nil, fmt.Errorf("%w: stall %q is not node:from:for", ErrBadFaultPlan, val)
-			}
-			var nums [3]int
-			for i, part := range parts {
-				x, err := strconv.Atoi(part)
-				if err != nil {
-					return nil, fmt.Errorf("%w: stall %q", ErrBadFaultPlan, val)
-				}
-				nums[i] = x
-			}
-			p.Stalls = append(p.Stalls, Stall{Node: nums[0], From: nums[1], For: nums[2]})
 		default:
 			return nil, fmt.Errorf("%w: unknown key %q", ErrBadFaultPlan, key)
 		}
@@ -342,9 +264,6 @@ func (p *FaultPlan) String() string {
 	}
 	if p.MaxRetries > 0 {
 		parts = append(parts, fmt.Sprintf("retries=%d", p.MaxRetries))
-	}
-	for _, s := range p.Stalls {
-		parts = append(parts, fmt.Sprintf("stall=%d:%d:%d", s.Node, s.From, s.For))
 	}
 	return strings.Join(parts, ",")
 }

@@ -6,27 +6,22 @@ import (
 	"lapcc/internal/metrics"
 )
 
-// The engine's metrics binding follows the same discipline as the observer
-// hook: everything is resolved before the round loop, so the per-round cost
-// with metrics enabled is a handful of atomic adds and with metrics
-// disabled is one nil check. Instruments are registered once per registry
-// and cached by registry identity, never looked up inside Run.
+// Instruments are registered once per registry and cached by registry
+// identity, so a routing call with metrics enabled pays a handful of atomic
+// adds and with metrics disabled one nil check.
 
-// globalMetrics is the process-wide default registry, used by every Engine
-// without an explicit SetMetrics and by the package-level routing
-// primitives (the reliable-delivery layer), which have no engine to hang a
-// registry on.
+// globalMetrics is the process-wide registry the routing primitives and the
+// reliable-delivery layer record into.
 var globalMetrics atomic.Pointer[metrics.Registry]
 
 // globalInstr caches the instruments resolved from globalMetrics so the
 // reliable layer does not re-register on every call.
 var globalInstr atomic.Pointer[ccInstruments]
 
-// SetMetrics installs reg as the process-wide default metrics registry for
-// the cc package: engines without a per-engine registry and the
-// reliable-delivery primitives record into it. A nil reg disables
-// recording. Safe for concurrent use with running engines — an engine picks
-// up the change at its next Run call.
+// SetMetrics installs reg as the process-wide metrics registry for the cc
+// package: the routing primitives and the reliable-delivery layer record
+// into it. A nil reg disables recording. Safe for concurrent use with
+// running calls; each call picks up the change when it starts.
 func SetMetrics(reg *metrics.Registry) {
 	globalMetrics.Store(reg)
 	globalInstr.Store(nil)
@@ -41,21 +36,11 @@ func MetricsRegistry() *metrics.Registry { return globalMetrics.Load() }
 type ccInstruments struct {
 	reg *metrics.Registry
 
-	// Engine per-round accounting.
-	rounds        *metrics.Counter
-	messages      *metrics.Counter
-	words         *metrics.Counter
-	roundMessages *metrics.Histogram
-	roundWords    *metrics.Histogram
-	stepNs        *metrics.Histogram
-	mergeNs       *metrics.Histogram
-
 	// Injected-fault counters (mirror FaultStats).
 	faultDropped    *metrics.Counter
 	faultCorrupted  *metrics.Counter
 	faultDuplicated *metrics.Counter
 	faultDelayed    *metrics.Counter
-	faultStalled    *metrics.Counter
 
 	// Reliable-delivery protocol counters.
 	relWaves         *metrics.Counter
@@ -75,23 +60,14 @@ type ccInstruments struct {
 }
 
 func resolveInstruments(reg *metrics.Registry) *ccInstruments {
-	faultHelp := "Faults injected by the engine's fault plan, by type."
+	faultHelp := "Faults injected by the reliable layer's fault plan, by type."
 	return &ccInstruments{
 		reg: reg,
-
-		rounds:        reg.Counter("lapcc_engine_rounds_total", "Communication rounds executed by the clique engine."),
-		messages:      reg.Counter("lapcc_engine_messages_total", "Messages sent on the clique, summed over rounds."),
-		words:         reg.Counter("lapcc_engine_words_total", "Payload words sent on the clique, summed over rounds."),
-		roundMessages: reg.Histogram("lapcc_engine_round_messages", "Messages sent per engine round."),
-		roundWords:    reg.Histogram("lapcc_engine_round_words", "Payload words sent per engine round."),
-		stepNs:        reg.Histogram("lapcc_engine_step_duration_ns", "Wall time of the compute phase per round, nanoseconds."),
-		mergeNs:       reg.Histogram("lapcc_engine_merge_duration_ns", "Wall time of the merge phase per round, nanoseconds."),
 
 		faultDropped:    reg.Counter("lapcc_engine_faults_total", faultHelp, "type", "dropped"),
 		faultCorrupted:  reg.Counter("lapcc_engine_faults_total", faultHelp, "type", "corrupted"),
 		faultDuplicated: reg.Counter("lapcc_engine_faults_total", faultHelp, "type", "duplicated"),
 		faultDelayed:    reg.Counter("lapcc_engine_faults_total", faultHelp, "type", "delayed"),
-		faultStalled:    reg.Counter("lapcc_engine_faults_total", faultHelp, "type", "stalled_steps"),
 
 		relWaves:         reg.Counter("lapcc_reliable_waves_total", "Transmission waves (first sends plus retransmit waves) of the reliable-delivery layer."),
 		relRetransmitted: reg.Counter("lapcc_reliable_retransmitted_packets_total", "Packets retransmitted after a missing acknowledgement."),
@@ -122,39 +98,12 @@ func instrumentsFor(reg *metrics.Registry) *ccInstruments {
 	return in
 }
 
-// SetMetrics pins reg as this engine's registry, overriding the package
-// default for this engine only (nil reverts to the package default). Like
-// SetObserver, call it before Run.
-func (e *Engine) SetMetrics(reg *metrics.Registry) {
-	e.metricsReg = reg
-	e.mi = nil
-}
-
-// bindMetrics resolves the engine's instruments for this Run call: the
-// pinned registry if set, the package default otherwise. The resolution is
-// cached by registry identity so repeated Runs do no registry lookups.
-func (e *Engine) bindMetrics() *ccInstruments {
-	reg := e.metricsReg
-	if reg == nil {
-		reg = globalMetrics.Load()
-	}
-	if reg == nil {
-		e.mi = nil
-		return nil
-	}
-	if e.mi == nil || e.mi.reg != reg {
-		e.mi = resolveInstruments(reg)
-	}
-	return e.mi
-}
-
-// recordFaults mirrors one round's FaultStats into the fault counters.
+// recordFaults mirrors one call's FaultStats into the fault counters.
 func (mi *ccInstruments) recordFaults(f FaultStats) {
 	mi.faultDropped.Add(f.Dropped)
 	mi.faultCorrupted.Add(f.Corrupted)
 	mi.faultDuplicated.Add(f.Duplicated)
 	mi.faultDelayed.Add(f.Delayed)
-	mi.faultStalled.Add(f.StalledSteps)
 }
 
 // recordRoute mirrors one Route call into the routing-primitive counters.

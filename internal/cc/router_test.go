@@ -144,32 +144,41 @@ func TestRouteOutputsCapacityCapped(t *testing.T) {
 // TestRouteAllocations pins the routers' steady-state allocations: a warm
 // Route or RouteBatched allocates its output only (the arena and the
 // per-destination slice headers), however many flushes the set needs, and
-// a warm RouteBuffer allocates nothing.
+// a warm RouteBuffer allocates nothing. Recording into a metrics registry
+// installed with SetMetrics adds no allocation to either.
 func TestRouteAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of Puts under the race detector")
 	}
-	for _, n := range []int{64, 256} {
-		pkts := make([]Packet, 0, 32*n)
-		for s := 0; s < n; s++ {
-			for k := 0; k < 32; k++ {
-				pkts = append(pkts, Packet{Src: s, Dst: (s + 1 + k) % n, Data: []int64{1, 2}})
+	defer SetMetrics(nil)
+	for _, reg := range []*metrics.Registry{nil, metrics.NewRegistry()} {
+		SetMetrics(reg)
+		label := fmt.Sprintf("metrics=%t", reg != nil)
+		for _, n := range []int{64, 256} {
+			pkts := make([]Packet, 0, 32*n)
+			for s := 0; s < n; s++ {
+				for k := 0; k < 32; k++ {
+					pkts = append(pkts, Packet{Src: s, Dst: (s + 1 + k) % n, Data: []int64{1, 2}})
+				}
+			}
+			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return Route(n, pkts, nil, "") }); a != 2 {
+				t.Fatalf("%s n=%d: Route allocates %v times, want 2", label, n, a)
 			}
 		}
-		if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return Route(n, pkts, nil, "") }); a != 2 {
-			t.Fatalf("n=%d: Route allocates %v times, want 2", n, a)
+		const n = 128
+		var buf RouteBuffer
+		for _, k := range []int{n, 4 * n} {
+			pkts := hotSourcePackets(n, k)
+			flushes := (k + n - 1) / n
+			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return RouteBatched(n, pkts, nil, "") }); a != 2 {
+				t.Fatalf("%s: %d packets in %d flushes: RouteBatched allocates %v times, want 2", label, k, flushes, a)
+			}
+			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return buf.RouteBatchedVia(nil, n, pkts, nil, "") }); a != 0 {
+				t.Fatalf("%s: %d packets in %d flushes: a warm RouteBuffer allocates %v times, want 0", label, k, flushes, a)
+			}
 		}
-	}
-	const n = 128
-	var buf RouteBuffer
-	for _, k := range []int{n, 4 * n} {
-		pkts := hotSourcePackets(n, k)
-		flushes := (k + n - 1) / n
-		if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return RouteBatched(n, pkts, nil, "") }); a != 2 {
-			t.Fatalf("%d packets in %d flushes: RouteBatched allocates %v times, want 2", k, flushes, a)
-		}
-		if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return buf.RouteBatchedVia(nil, n, pkts, nil, "") }); a != 0 {
-			t.Fatalf("%d packets in %d flushes: a warm RouteBuffer allocates %v times, want 0", k, flushes, a)
+		if reg != nil && counterValue(reg, "lapcc_route_rounds_total") == 0 {
+			t.Fatalf("%s: the installed registry recorded no routing rounds", label)
 		}
 	}
 }

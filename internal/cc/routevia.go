@@ -39,10 +39,9 @@ var deliverPool = sync.Pool{New: func() any { return new(deliverScratch) }}
 // transportDeliver ships packets through t as one delivery barrier and
 // returns them re-materialized per destination, in the transport's
 // ascending-source order, laid out in buf's output (fresh when buf is nil).
-// It requires a backend whose delivered payloads are freshly allocated
-// (true of the wire backends; the engine-internal local merge, which
-// recycles arenas, is not reachable here), since the outbox words are
-// recycled for the next call.
+// It requires a backend whose delivered payloads do not alias the outbox
+// (true of the wire backends, which decode fresh copies), since the outbox
+// words are recycled for the next call.
 func transportDeliver(t Transport, n int, packets []Packet, buf *RouteBuffer) ([][]Packet, DeliveryStats, error) {
 	s := deliverPool.Get().(*deliverScratch)
 	defer deliverPool.Put(s)

@@ -1,3 +1,25 @@
+// Package cc simulates the congested clique model of Lotker, Patt-Shamir,
+// Pavlov, and Peleg [LPSPP05]: n processors communicate in synchronous
+// rounds, and in each round every ordered pair of nodes may exchange one
+// message of O(log n) bits.
+//
+// Every algorithm in this repository reaches the clique through three
+// routing primitives, and the simulator counts the rounds each one uses:
+//
+//   - Route, Lenzen's routing [Len13]: any packet set in which every node is
+//     the source and the destination of at most n packets, delivered by a
+//     two-phase relay in which each ordered pair carries at most one message
+//     per round;
+//   - RouteBatched, for sets that break that condition: the set is split
+//     into admissible batches, each routed in turn;
+//   - BroadcastAll: every node announces one word to all others in one
+//     round.
+//
+// Their Via forms (routevia.go) carry the same packets through a Transport,
+// the in-process wire codec or a TCP mesh, with the same charges and
+// bit-identical output. Their Reliable forms (reliable.go) run them under a
+// deterministic FaultPlan and restore delivery with acknowledgements and
+// bounded retransmission.
 package cc
 
 import (
@@ -35,6 +57,10 @@ type RouteResult struct {
 	// Overflowed records whether Executed exceeded the Lenzen bound.
 	Overflowed bool
 }
+
+// ErrBadRecipient reports a packet whose source or destination is outside
+// the clique.
+var ErrBadRecipient = errors.New("cc: recipient out of range")
 
 // ErrRoutingOverload reports a message set violating the admissibility
 // condition of Lenzen routing: some node is the source or destination of

@@ -194,24 +194,3 @@ func TestRouteCountsLinkMessages(t *testing.T) {
 		t.Fatalf("LinkMessages = %d, want 2..4 for 2 packets", res.LinkMessages)
 	}
 }
-
-func TestEngineCountsMessages(t *testing.T) {
-	e := NewEngine(4)
-	step := func(node, round int, inbox []Message, send func(int, ...int64)) bool {
-		if round == 0 {
-			for v := 0; v < 4; v++ {
-				if v != node {
-					send(v, 1)
-				}
-			}
-			return false
-		}
-		return true
-	}
-	if _, err := e.Run(step, 3); err != nil {
-		t.Fatal(err)
-	}
-	if e.Messages() != 12 {
-		t.Fatalf("Messages = %d, want 12 (all-to-all on 4 nodes)", e.Messages())
-	}
-}

@@ -1,6 +1,7 @@
 // Package experiments contains the generators for every EXPERIMENTS.md
-// table (E1-E16): each experiment reproduces one quantitative claim of the
-// paper as a scaling measurement. The cmd/experiments CLI is a thin wrapper
+// table (E1-E9, E11-E16; E10 was retired with the step engine it profiled):
+// each experiment reproduces one quantitative claim of the paper as a
+// scaling measurement. The cmd/experiments CLI is a thin wrapper
 // around this package; tests run the quick variants against a buffer.
 package experiments
 
@@ -83,7 +84,7 @@ func expWorkers() int { return config.Workers }
 
 // Experiment is one reproducible table generator.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E16).
+	// ID is the experiment identifier (E1..E16; E10 is retired).
 	ID string
 	// Title is the header line describing the claim.
 	Title string
@@ -103,7 +104,6 @@ func All() []Experiment {
 		{"E7", "E7 — section 1.1: ours vs Ford-Fulkerson vs trivial gather; crossover", e7Baselines},
 		{"E8", "E8 — Cor 2.3 ablation: Chebyshev iterations ~ sqrt(kappa) log(1/eps)", e8Chebyshev},
 		{"E9", "E9 — section 1.1 model comparison: clique vs CONGEST vs BCC round formulas", e9RelatedWork},
-		{"E10", "E10 — engine instrumentation: per-round load profile and parallel speedup", e10Instrumentation},
 		{"E11", "E11 — trace profile: per-phase round attribution across the algorithm stack", e11TraceProfile},
 		{"E12", "E12 — session layer: preprocess once, solve many (throughput vs #RHS)", e12Session},
 		{"E13", "E13 — fault injection: reliable-delivery round overhead vs drop rate", e13FaultSweep},
@@ -682,127 +682,6 @@ func e9RelatedWork(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "than our algorithms for sufficiently dense graphs' (1.1); at table sizes the")
 	fmt.Fprintln(w, "per-iteration solver constant (~600 rounds) also favors BCC, and BCC is")
 	fmt.Fprintln(w, "randomized while everything measured here is deterministic.")
-	return nil
-}
-
-// --- E10 ------------------------------------------------------------------
-
-// e10Step builds the three-phase profile program: an all-to-all gossip
-// (round 0), a gather of local sums at node 0 (round 1), and a broadcast of
-// the grand total (round 2). Each phase stresses a different link-load
-// shape, which the engine's instrumentation hook makes visible per round.
-func e10Step(n int, sums []int64, totals []int64) cc.Step {
-	return func(node, round int, inbox []cc.Message, send func(int, ...int64)) bool {
-		switch round {
-		case 0:
-			sums[node] = int64(node + 1)
-			for v := 0; v < n; v++ {
-				if v != node {
-					send(v, int64(node+1))
-				}
-			}
-			return false
-		case 1:
-			for _, m := range inbox {
-				sums[node] += m.Data[0]
-			}
-			if node != 0 {
-				send(0, sums[node])
-				return false
-			}
-			return false
-		case 2:
-			if node == 0 {
-				// Every gathered sum equals the grand total already; the
-				// gather is kept to profile the n-into-1 load shape.
-				totals[0] = sums[0]
-				for v := 1; v < n; v++ {
-					send(v, totals[0])
-				}
-			}
-			return node != 0
-		default:
-			for _, m := range inbox {
-				totals[node] = m.Data[0]
-			}
-			return true
-		}
-	}
-}
-
-func e10Run(n int, sequential bool, observe func(cc.RoundStats)) (time.Duration, error) {
-	e := cc.NewEngine(n)
-	e.SetSequential(sequential)
-	if observe != nil {
-		e.SetObserver(observe)
-	}
-	sums := make([]int64, n)
-	totals := make([]int64, n)
-	t0 := time.Now()
-	if _, err := e.Run(e10Step(n, sums, totals), 8); err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(t0)
-	want := int64(n) * int64(n+1) / 2
-	for v := 0; v < n; v++ {
-		if totals[v] != want {
-			return 0, fmt.Errorf("e10: node %d total %d, want %d", v, totals[v], want)
-		}
-	}
-	return elapsed, nil
-}
-
-func e10Instrumentation(w io.Writer, quick bool) error {
-	n := 256
-	reps := 5
-	if quick {
-		n = 64
-		reps = 2
-	}
-	fmt.Fprintf(w, "-- per-round load profile, n = %d (gossip / gather / broadcast) --\n", n)
-	fmt.Fprintf(w, "%6s %10s %10s %8s %8s %8s %12s %12s\n",
-		"round", "messages", "words", "maxOut", "maxIn", "busy", "step", "merge")
-	var stats []cc.RoundStats
-	if _, err := e10Run(n, false, func(s cc.RoundStats) { stats = append(stats, s) }); err != nil {
-		return err
-	}
-	for _, s := range stats {
-		fmt.Fprintf(w, "%6d %10d %10d %8d %8d %8d %12s %12s\n",
-			s.Round, s.Messages, s.Words, s.MaxOut, s.MaxIn, s.Busy,
-			s.StepDuration.Round(time.Microsecond), s.MergeDuration.Round(time.Microsecond))
-	}
-
-	fmt.Fprintln(w, "\n-- wall clock: sequential escape hatch vs worker-pool engine --")
-	best := func(sequential bool) (time.Duration, error) {
-		var min time.Duration
-		for i := 0; i < reps; i++ {
-			d, err := e10Run(n, sequential, nil)
-			if err != nil {
-				return 0, err
-			}
-			if min == 0 || d < min {
-				min = d
-			}
-		}
-		return min, nil
-	}
-	seq, err := best(true)
-	if err != nil {
-		return err
-	}
-	par, err := best(false)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-12s %12s\n%-12s %12s\nspeedup %.2fx\n",
-		"sequential", seq.Round(time.Microsecond), "parallel", par.Round(time.Microsecond),
-		float64(seq)/float64(par))
-
-	fmt.Fprintln(w, "\nclaim shape: link load peaks at n-1 exactly in the all-to-all, gather, and")
-	fmt.Fprintln(w, "broadcast phases (the clique's per-pair capacity is never exceeded); results")
-	fmt.Fprintln(w, "are bit-identical in both modes, and the parallel/sequential ratio tracks the")
-	fmt.Fprintln(w, "host's core count (~1x on single-core machines, where the engine's win is the")
-	fmt.Fprintln(w, "allocation-free hot path). Wall-clock rows vary per host; the count columns do not.")
 	return nil
 }
 

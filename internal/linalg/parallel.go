@@ -1,10 +1,8 @@
 // Parallel runtime of the linalg package: a small shared worker pool plus
-// blocked kernels with deterministic reduction order, porting the
-// worker-pool/arena idiom of internal/cc into the numerical core.
+// blocked kernels with deterministic reduction order.
 //
-// The determinism contract is the same one the cc engine honors for message
-// merges: results are bit-identical at any worker count, including the
-// sequential path. Three mechanisms deliver it:
+// The determinism contract: results are bit-identical at any worker count,
+// including the sequential path. Three mechanisms deliver it:
 //
 //   - Fixed block partition. Every reduction splits its input into blocks of
 //     exactly reduceBlock elements (the last block ragged). The partition
@@ -211,7 +209,7 @@ func treeReduce(parts []float64) float64 {
 }
 
 // partsPool recycles block-partial slices so pooled reductions allocate only
-// on growth, mirroring the cc engine's per-worker arenas.
+// on growth.
 var partsPool = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
 
 func getParts(n int) *[]float64 {

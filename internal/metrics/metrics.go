@@ -2,16 +2,15 @@
 // a dependency-free registry of counters, gauges, and log-bucketed
 // histograms that the whole solver stack reports into while a run is in
 // flight. Where a trace answers "where did the rounds go" after the fact,
-// the registry answers "what is the engine doing right now" — it is what
+// the registry answers "what is the solver doing right now" — it is what
 // the CLIs' -debug-addr HTTP server scrapes.
 //
 // Design rules, in priority order:
 //
 //   - Zero-allocation hot path. Recording into an instrument is one or two
 //     atomic adds; instruments are resolved (name -> pointer) once, outside
-//     the hot loop, exactly like the PR 1 engine pre-sizes its arenas. The
-//     cc engine's disabled path is untouched (a nil registry resolves to
-//     nil instruments, and every method is a no-op on a nil receiver).
+//     the hot loop. The disabled path is untouched (a nil registry resolves
+//     to nil instruments, and every method is a no-op on a nil receiver).
 //   - Deterministic exposition. Snapshot, WritePrometheus, and WriteJSON
 //     emit metrics sorted by name and label set, so two snapshots of equal
 //     state are byte-identical — the same discipline as the JSONL trace

@@ -49,16 +49,6 @@ type jsonlTraffic struct {
 	Words    int64  `json:"words"`
 }
 
-type jsonlRound struct {
-	Ev       string `json:"ev"`
-	Seq      int    `json:"seq"`
-	Span     int    `json:"span"`
-	Messages int64  `json:"messages"`
-	Words    int64  `json:"words"`
-	MaxOut   int    `json:"maxOut"`
-	MaxIn    int    `json:"maxIn"`
-}
-
 type jsonlMark struct {
 	Ev      string `json:"ev"`
 	Seq     int    `json:"seq"`
@@ -98,8 +88,6 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 			rec = jsonlCost{Ev: "cost", Seq: seq, Span: ev.span, Tag: ev.tag, Kind: ev.costKind.String(), Rounds: ev.rounds}
 		case evTraffic:
 			rec = jsonlTraffic{Ev: "traffic", Seq: seq, Span: ev.span, Tag: ev.tag, Messages: ev.messages, Words: ev.words}
-		case evRound:
-			rec = jsonlRound{Ev: "round", Seq: seq, Span: ev.span, Messages: ev.messages, Words: ev.words, MaxOut: ev.maxOut, MaxIn: ev.maxIn}
 		case evMark:
 			rec = jsonlMark{Ev: "mark", Seq: seq, Span: ev.span, Name: ev.tag, Barrier: ev.barrier, Epoch: ev.epoch, Node: ev.node}
 		default:
@@ -156,14 +144,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				Name: s.name, Cat: "span", Ph: "X",
 				Ts: usec(s.start), Dur: &dur, Pid: 1, Tid: 1,
 				Args: map[string]any{
-					"path":         s.path,
-					"measured":     s.measured,
-					"charged":      s.charged,
-					"engineRounds": s.engineRounds,
-					"messages":     s.messages,
-					"words":        s.words,
-					"maxOut":       s.maxOut,
-					"maxIn":        s.maxIn,
+					"path":     s.path,
+					"measured": s.measured,
+					"charged":  s.charged,
+					"messages": s.messages,
+					"words":    s.words,
 				},
 			})
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/rounds"
 )
 
@@ -25,12 +24,10 @@ func populated() *Tracer {
 	tr := New()
 	led := rounds.New()
 	tr.Attach(led)
-	obs := tr.Observer()
 	led.Add("pre", rounds.Measured, 1, "unattributed")
 	a := tr.Start("a")
 	led.Add("work", rounds.Measured, 4, "matvec")
 	led.AddTraffic("route", 3, 9)
-	obs(cc.RoundStats{Messages: 2, Words: 2, MaxOut: 1, MaxIn: 1})
 	b := tr.Start("b")
 	led.Add("cited", rounds.Charged, 6, "black box")
 	b.End()

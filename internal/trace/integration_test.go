@@ -64,17 +64,15 @@ func head(b []byte) []byte {
 	return b
 }
 
-// TestConcurrentRecordingRace stresses span recording while a multi-worker
-// engine drives the tracer's observer and other goroutines hammer the
-// ledger sink; run under -race this proves the tracer's locking.
+// TestConcurrentRecordingRace stresses span recording while routing calls
+// report rounds and link traffic into the tracer and other goroutines hammer
+// the ledger sink; run under -race this proves the tracer's locking.
 func TestConcurrentRecordingRace(t *testing.T) {
 	tr := trace.New()
 	led := rounds.New()
 	tr.Attach(led)
 
 	const n = 32
-	e := cc.NewEngine(n)
-	e.SetObserver(tr.Observer())
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -110,23 +108,22 @@ func TestConcurrentRecordingRace(t *testing.T) {
 			}
 		}(w)
 	}
-	// The engine's workers run an all-to-all gossip; each completed round
-	// fires the observer.
-	step := func(node, round int, inbox []cc.Message, send func(int, ...int64)) bool {
-		if round >= 20 {
-			return true
-		}
-		for v := 0; v < n; v++ {
-			if v != node {
-				send(v, int64(round))
+	// Twenty all-to-all routes; each charges its rounds and reports its
+	// link traffic through the shared ledger.
+	pkts := make([]cc.Packet, 0, n*(n-1))
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if dst != src {
+				pkts = append(pkts, cc.Packet{Src: src, Dst: dst, Data: []int64{int64(src)}})
 			}
 		}
-		return false
 	}
-	if _, err := e.Run(step, 64); err != nil {
-		close(stop)
-		wg.Wait()
-		t.Fatal(err)
+	for r := 0; r < 20; r++ {
+		if _, _, err := cc.Route(n, pkts, led, "gossip"); err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()

@@ -7,8 +7,7 @@
 //
 //   - measured and charged rounds, fed from rounds.Ledger via Ledger.SetSink
 //     (the Tracer implements rounds.Sink and rounds.TrafficSink);
-//   - engine-level message/word/link-load counters, fed from cc.Engine via
-//     SetObserver (use Tracer.Observer) and from the routing primitives'
+//   - message and payload-word counts, fed from the routing primitives'
 //     link-traffic reports;
 //   - wall-clock time per span.
 //
@@ -31,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/rounds"
 )
 
@@ -51,11 +49,8 @@ type Span struct {
 	measured int64 // rounds attributed while innermost
 	charged  int64
 
-	engineRounds int64 // cc.Engine rounds observed while innermost
-	messages     int64 // engine messages + routing link messages
-	words        int64 // payload words across those messages
-	maxOut       int   // max per-node outgoing link load seen
-	maxIn        int   // max per-node incoming link load seen
+	messages int64 // routing link messages
+	words    int64 // payload words across those messages
 }
 
 type eventKind uint8
@@ -65,7 +60,6 @@ const (
 	evEnd
 	evCost
 	evTraffic
-	evRound
 	evMark
 )
 
@@ -79,8 +73,6 @@ func (k eventKind) String() string {
 		return "cost"
 	case evTraffic:
 		return "traffic"
-	case evRound:
-		return "round"
 	case evMark:
 		return "mark"
 	default:
@@ -100,10 +92,8 @@ type event struct {
 	costKind rounds.Kind // cost
 	rounds   int64       // cost
 
-	messages int64 // traffic, round
-	words    int64 // traffic, round
-	maxOut   int   // round
-	maxIn    int   // round
+	messages int64 // traffic
+	words    int64 // traffic
 
 	barrier uint64 // mark: barrier index at the transition
 	epoch   uint64 // mark: mesh epoch at the transition
@@ -113,7 +103,7 @@ type event struct {
 // Tracer records spans and events. The zero value is not usable; call New.
 // A nil *Tracer is a valid, disabled tracer. A Tracer is intended for one
 // logical execution: Start/End from the driving goroutine establish the
-// span tree, while cost and observer callbacks may arrive from any
+// span tree, while cost and traffic callbacks may arrive from any
 // goroutine and are attributed to the innermost open span.
 type Tracer struct {
 	mu    sync.Mutex
@@ -315,38 +305,6 @@ func (t *Tracer) Attach(led *rounds.Ledger) *Tracer {
 	}
 	led.AttachSink(t)
 	return t
-}
-
-// Observer returns an engine instrumentation hook (for cc.Engine.SetObserver)
-// that attributes per-round engine statistics to the innermost open span.
-// On a nil tracer it returns nil, which keeps the engine on its
-// observer-disabled fast path — zero added cost, zero allocations.
-func (t *Tracer) Observer() func(cc.RoundStats) {
-	if t == nil {
-		return nil
-	}
-	return func(rs cc.RoundStats) {
-		t.mu.Lock()
-		id := -1
-		if s := t.cur; s != nil {
-			id = s.id
-			s.engineRounds++
-			s.messages += int64(rs.Messages)
-			s.words += int64(rs.Words)
-			if rs.MaxOut > s.maxOut {
-				s.maxOut = rs.MaxOut
-			}
-			if rs.MaxIn > s.maxIn {
-				s.maxIn = rs.MaxIn
-			}
-		}
-		t.evs = append(t.evs, event{
-			kind: evRound, span: id, at: time.Since(t.epoch),
-			messages: int64(rs.Messages), words: int64(rs.Words),
-			maxOut: rs.MaxOut, maxIn: rs.MaxIn,
-		})
-		t.mu.Unlock()
-	}
 }
 
 // SpanCount returns the number of spans recorded so far (0 on nil).

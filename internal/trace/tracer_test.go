@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/rounds"
 )
 
@@ -29,9 +28,6 @@ func TestNilTracerIsSafeAndSilent(t *testing.T) {
 	tr.LinkTraffic("x", 1, 2)
 	if tr.Attach(rounds.New()) != nil {
 		t.Fatal("nil tracer Attach returned non-nil")
-	}
-	if tr.Observer() != nil {
-		t.Fatal("nil tracer Observer must return nil to keep the engine fast path")
 	}
 	if tr.SpanCount() != 0 {
 		t.Fatal("nil tracer has spans")
@@ -159,20 +155,6 @@ func TestTrafficAttribution(t *testing.T) {
 	if spans[sp.id].messages != 10 || spans[sp.id].words != 40 {
 		t.Fatalf("span traffic %d msgs %d words, want 10 and 40",
 			spans[sp.id].messages, spans[sp.id].words)
-	}
-}
-
-func TestObserverAttribution(t *testing.T) {
-	tr := New()
-	obs := tr.Observer()
-	sp := tr.Start("engine")
-	obs(cc.RoundStats{Round: 0, Messages: 6, Words: 12, MaxOut: 3, MaxIn: 2})
-	obs(cc.RoundStats{Round: 1, Messages: 4, Words: 4, MaxOut: 1, MaxIn: 4})
-	sp.End()
-	spans, _, _, _ := tr.snapshot()
-	s := spans[sp.id]
-	if s.engineRounds != 2 || s.messages != 10 || s.words != 16 || s.maxOut != 3 || s.maxIn != 4 {
-		t.Fatalf("engine attribution %+v", s)
 	}
 }
 

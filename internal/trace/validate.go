@@ -131,15 +131,6 @@ func ValidateJSONL(r io.Reader) error {
 					return err
 				}
 			}
-		case "round":
-			if err := checkSpanRef(begun, span, line); err != nil {
-				return err
-			}
-			for _, f := range []string{"messages", "words", "maxOut", "maxIn"} {
-				if _, err := intField(raw, f, line); err != nil {
-					return err
-				}
-			}
 		case "mark":
 			if err := checkSpanRef(begun, span, line); err != nil {
 				return err
@@ -184,7 +175,6 @@ var eventFields = map[string]map[string]bool{
 	"end":     set("ev", "seq", "span", "measured", "charged"),
 	"cost":    set("ev", "seq", "span", "tag", "kind", "rounds"),
 	"traffic": set("ev", "seq", "span", "tag", "messages", "words"),
-	"round":   set("ev", "seq", "span", "messages", "words", "maxOut", "maxIn"),
 	"mark":    set("ev", "seq", "span", "name", "barrier", "epoch", "node"),
 }
 

@@ -15,7 +15,7 @@ import (
 // ChaosPlan describes a deterministic socket-level fault schedule for the
 // multi-process TCP backend: the layer *below* the transport, complementing
 // cc.FaultPlan which injects *above* it. Where a FaultPlan decides the fate
-// of logical messages the engine already received, a ChaosPlan attacks the
+// of logical messages the transport already delivered, a ChaosPlan attacks the
 // machinery that moves the bytes — mesh connections are reset mid-stream,
 // frame writes are fragmented or stalled, and whole worker processes are
 // killed at chosen barriers. The supervised coordinator

@@ -1,8 +1,8 @@
-// Package transport implements the wire layer of the engine's pluggable
-// delivery boundary (see internal/cc.Transport): a length-prefixed,
+// Package transport implements the wire layer of the routing primitives'
+// pluggable delivery boundary (see internal/cc.Transport): a length-prefixed,
 // checksummed frame codec shared by every backend that serializes messages,
-// plus the in-process Mem backend that round-trips each round through the
-// codec without sockets. The multi-process TCP backend in
+// plus the in-process Mem backend that round-trips each delivery through
+// the codec without sockets. The multi-process TCP backend in
 // internal/transport/tcp speaks the same frames over real connections.
 //
 // Wire format, little-endian throughout:

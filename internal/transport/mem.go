@@ -90,7 +90,7 @@ func (m *Mem) Deliver(round, n int, out []cc.Outbox) ([][]cc.Message, cc.Deliver
 
 	// Decode the byte stream back and assemble the inboxes. Chunks decode
 	// in encode order, so per destination the messages arrive in ascending
-	// source order — the same order the in-process merge produces.
+	// source order, as the transport contract prescribes.
 	inboxes := make([][]cc.Message, n)
 	for d := 0; d < n; d++ {
 		if dc[d] > 0 {

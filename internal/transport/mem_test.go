@@ -1,75 +1,83 @@
 package transport
 
 import (
-	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"lapcc/internal/cc"
 )
 
-// TestMemEngineDifferential: an engine delivering through the wire codec
-// produces bit-identical transcripts, round counts, and message counts to
-// the in-process merge, with and without an injected fault plan.
-func TestMemEngineDifferential(t *testing.T) {
-	mix := func(vals ...int64) uint64 {
-		h := uint64(0x9e3779b97f4a7c15)
-		for _, v := range vals {
-			h ^= uint64(v) + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-			h *= 0xbf58476d1ce4e5b9
-			h ^= h >> 27
-		}
-		return h
+// mix is a tiny deterministic hash for building pseudo-random but
+// repeatable schedules.
+func mix(vals ...int64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range vals {
+		h ^= uint64(v) + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
 	}
-	program := func(n int, seed int64) (cc.Step, [][]int64) {
-		tr := make([][]int64, n)
-		step := func(node, round int, inbox []cc.Message, send func(int, ...int64)) bool {
-			for _, m := range inbox {
-				tr[node] = append(tr[node], int64(round), int64(m.From), int64(len(m.Data)))
-				tr[node] = append(tr[node], m.Data...)
-			}
-			if round >= 1+int(mix(seed, int64(node))%5) {
-				return true
-			}
-			h := mix(seed, int64(node), int64(round))
-			for i, k := 0, int(h%4); i < k && k <= n-1; i++ {
-				send((node+1+(int((h>>8)%uint64(n-1))+i)%(n-1))%n, int64(h>>16), int64(i))
-			}
-			return false
-		}
-		return step, tr
-	}
-	run := func(n int, seed int64, m *Mem, plan *cc.FaultPlan) (int64, int64, [][]int64) {
-		e := cc.NewEngine(n)
-		if m != nil {
-			e.SetTransport(m)
-		}
-		if plan != nil {
-			e.SetFaults(plan)
-		}
-		step, tr := program(n, seed)
-		if _, err := e.Run(step, 256); err != nil {
-			t.Fatalf("n=%d seed=%d: %v", n, seed, err)
-		}
-		return e.Rounds(), e.Messages(), tr
-	}
+	return h
+}
+
+// TestMemDeliver: every round of a seeded schedule, split across one to
+// three contiguous source-block outboxes, comes back through the wire codec
+// exactly as a stable sort of its messages by source, and the wire stats
+// are recorded.
+func TestMemDeliver(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		n := []int{3, 6, 11, 17, 24}[seed-1]
-		for _, plan := range []*cc.FaultPlan{nil, {Seed: 5, Drop: 0.05, Duplicate: 0.03, Delay: 0.05, MaxDelay: 2}} {
-			m := NewMem()
-			r1, m1, t1 := run(n, seed, nil, plan)
-			r2, m2, t2 := run(n, seed, m, plan)
-			if r1 != r2 || m1 != m2 {
-				t.Fatalf("n=%d seed=%d plan=%v: local (%d rounds, %d msgs) != mem (%d, %d)", n, seed, plan, r1, m1, r2, m2)
+		m := NewMem()
+		for r := 0; r < int(4+mix(seed)%4); r++ {
+			// Each source sends zero to three messages of zero to three
+			// words, to any node including itself.
+			var out []cc.Outbox
+			type sent struct {
+				to int32
+				m  cc.Message
 			}
-			for node := range t1 {
-				if !reflect.DeepEqual(t1[node], t2[node]) {
-					t.Fatalf("n=%d seed=%d plan=%v node=%d: transcript diverges\nlocal: %v\nmem:   %v",
-						n, seed, plan, node, t1[node], t2[node])
+			var all []sent
+			blocks := 1 + int(mix(seed, int64(r))%3)
+			for b := 0; b < blocks; b++ {
+				var ob cc.Outbox
+				for v := b * n / blocks; v < (b+1)*n/blocks; v++ {
+					h := mix(seed, int64(r), int64(v))
+					for k := 0; k < int(h%4); k++ {
+						to := int32(mix(seed, int64(r), int64(v), int64(k)) % uint64(n))
+						om := cc.OutMsg{From: int32(v), To: to, Off: int32(len(ob.Arena)), Width: int32((h >> (8 + 2*k)) % 4)}
+						for w := int32(0); w < om.Width; w++ {
+							ob.Arena = append(ob.Arena, int64(mix(seed, int64(r), int64(v), int64(k), int64(w))))
+						}
+						ob.Msgs = append(ob.Msgs, om)
+					}
+				}
+				out = append(out, ob)
+				for _, om := range ob.Msgs {
+					all = append(all, sent{om.To, cc.Message{From: int(om.From), Data: ob.Data(om)}})
 				}
 			}
-			if st := m.Stats(); st.Messages == 0 || st.Frames == 0 || st.FrameBytes == 0 {
-				t.Fatalf("n=%d seed=%d: wire stats not recorded: %+v", n, seed, st)
+			sort.SliceStable(all, func(i, j int) bool { return all[i].m.From < all[j].m.From })
+			want := make([][]cc.Message, n)
+			for _, s := range all {
+				want[s.to] = append(want[s.to], s.m)
 			}
+			got, st, err := m.Deliver(r, n, out)
+			if err != nil {
+				t.Fatalf("n=%d seed=%d round %d: %v", n, seed, r, err)
+			}
+			if st.Messages != int64(len(all)) {
+				t.Fatalf("n=%d seed=%d round %d: delivered %d messages, sent %d", n, seed, r, st.Messages, len(all))
+			}
+			for d := range want {
+				if !slices.EqualFunc(got[d], want[d], func(a, b cc.Message) bool {
+					return a.From == b.From && slices.Equal(a.Data, b.Data)
+				}) {
+					t.Fatalf("n=%d seed=%d round %d: inbox %d diverges\nwant %v\ngot  %v", n, seed, r, d, want[d], got[d])
+				}
+			}
+		}
+		if st := m.Stats(); st.Messages == 0 || st.Frames == 0 || st.FrameBytes == 0 {
+			t.Fatalf("n=%d seed=%d: wire stats not recorded: %+v", n, seed, st)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // Open resolves a -transport flag value into a delivery backend:
 //
-//	local                     in-process merge (returns nil: the engine default)
+//	local                     in-process routing (returns nil: the default)
 //	mem                       wire-codec round trip in process
 //	tcp[,procs=N][,bin=PATH]  multi-process loopback clique; bin execs that
 //	                          lapccnode binary per worker, otherwise workers
@@ -23,7 +23,8 @@ import (
 // delivery attempt.
 //
 // The returned Transport is nil for "local" (callers pass it straight to
-// Options; the engine treats nil as the built-in path). Callers own Close.
+// Options; the routing primitives treat nil as the in-process path).
+// Callers own Close.
 func Open(spec string) (cc.Transport, error) {
 	return OpenWith(spec, nil)
 }

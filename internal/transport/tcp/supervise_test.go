@@ -7,14 +7,13 @@ import (
 	"testing"
 	"time"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/transport"
 )
 
 // TestSuperviseKillRecovery: chaos-scheduled worker kills under supervision
-// are invisible to the engine — the killed barrier replays on a respawned
-// mesh and the run's outcome, transcripts, and final checkpoint digests are
-// bit-identical to an undisturbed supervised run.
+// are invisible to the caller — the killed barrier replays on a respawned
+// mesh, every delivery still matches the reference, and the final checkpoint
+// digests are bit-identical to an undisturbed supervised run.
 func TestSuperviseKillRecovery(t *testing.T) {
 	const n, seed = 12, 4
 	clean, err := New(Options{Procs: 4, Supervise: true, HeartbeatInterval: -1, Stderr: io.Discard})
@@ -22,7 +21,9 @@ func TestSuperviseKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
-	base, baseTr := runEngine(t, n, seed, clean, nil)
+	if err := deliverSchedule(t, clean, n, seed); err != nil {
+		t.Fatal(err)
+	}
 	ckClean := clean.Checkpoint()
 
 	chaotic, err := New(Options{
@@ -37,12 +38,9 @@ func TestSuperviseKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer chaotic.Close()
-	got, gotTr := runEngine(t, n, seed, chaotic, nil)
-
-	if got != base {
-		t.Fatalf("killed outcome %+v != clean %+v", got, base)
+	if err := deliverSchedule(t, chaotic, n, seed); err != nil {
+		t.Fatal(err)
 	}
-	diffTranscripts(t, "killed", baseTr, gotTr)
 
 	rec := chaotic.Recovery()
 	if rec.Kills == 0 || rec.Restarts == 0 || rec.Respawns == 0 || rec.ReplayedBarriers == 0 {
@@ -64,7 +62,7 @@ func TestSuperviseKillRecovery(t *testing.T) {
 
 // TestSuperviseResetRecovery: socket-level connection resets inside the
 // mesh collapse the worker set; the supervisor respawns it (resets are
-// bounded to epoch 0, so the run converges) and the engine sees nothing.
+// bounded to epoch 0, so the run converges) and the caller sees nothing.
 func TestSuperviseResetRecovery(t *testing.T) {
 	tr, err := New(Options{
 		Procs: 4, Supervise: true, HeartbeatInterval: -1, Stderr: io.Discard,
@@ -77,12 +75,9 @@ func TestSuperviseResetRecovery(t *testing.T) {
 	defer tr.Close()
 	for seed := int64(1); seed <= 3; seed++ {
 		n := []int{7, 12, 17}[seed-1]
-		base, baseTr := runEngine(t, n, seed, nil, nil)
-		got, gotTr := runEngine(t, n, seed, tr, nil)
-		if got != base {
-			t.Fatalf("n=%d seed=%d: reset-chaos outcome %+v != local %+v", n, seed, got, base)
+		if err := deliverSchedule(t, tr, n, seed); err != nil {
+			t.Fatal(err)
 		}
-		diffTranscripts(t, "reset", baseTr, gotTr)
 	}
 	if rec := tr.Recovery(); rec.Restarts == 0 {
 		t.Fatalf("reset rate 0.05 never collapsed the mesh: %+v", rec)
@@ -90,8 +85,8 @@ func TestSuperviseResetRecovery(t *testing.T) {
 }
 
 // TestSuperviseHeartbeat: a worker dying *between* barriers is detected by
-// the ping/pong probe, the mesh is respawned eagerly, and the next engine
-// run proceeds as if nothing happened.
+// the ping/pong probe, the mesh is respawned eagerly, and the next
+// deliveries proceed as if nothing happened.
 func TestSuperviseHeartbeat(t *testing.T) {
 	tr, err := New(Options{
 		Procs: 3, Supervise: true,
@@ -122,12 +117,9 @@ func TestSuperviseHeartbeat(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	base, baseTr := runEngine(t, 8, 5, nil, nil)
-	got, gotTr := runEngine(t, 8, 5, tr, nil)
-	if got != base {
-		t.Fatalf("post-recovery outcome %+v != local %+v", got, base)
+	if err := deliverSchedule(t, tr, 8, 5); err != nil {
+		t.Fatal(err)
 	}
-	diffTranscripts(t, "heartbeat", baseTr, gotTr)
 	if tr.Epoch() == 0 {
 		t.Fatal("mesh epoch never advanced")
 	}
@@ -145,10 +137,7 @@ func TestUnsupervisedKillFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	e := cc.NewEngine(6)
-	e.SetTransport(tr)
-	step, _ := program(6, 2)
-	if _, err := e.Run(step, 64); err == nil {
+	if err := deliverSchedule(t, tr, 6, 2); err == nil {
 		t.Fatal("unsupervised run survived a worker kill")
 	}
 }

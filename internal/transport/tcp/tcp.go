@@ -1,7 +1,7 @@
-// Package tcp is the multi-process delivery backend of the engine's
-// transport boundary: the clique's nodes run as separate OS processes
-// (cmd/lapccnode) connected by a full TCP mesh, and the engine side acts as
-// the round coordinator. Every frame is length-prefixed and checksummed
+// Package tcp is the multi-process delivery backend of the routing
+// primitives' transport boundary: the clique's nodes run as separate OS
+// processes (cmd/lapccnode) connected by a full TCP mesh, and the calling
+// process acts as the round coordinator. Every frame is length-prefixed and checksummed
 // (internal/transport's codec), and chunk streams between peers are
 // sequenced. There is no acknowledgement or retransmission layer: TCP
 // delivers each connection's bytes in order or fails the connection, and a
@@ -27,14 +27,14 @@
 // peer's barrier arrival.
 //
 // The coordinator concatenates shards in process order and stable-sorts each
-// destination's messages by source, which reproduces the in-process merge
-// order exactly.
+// destination's messages by source, which is exactly the order the
+// transport contract prescribes.
 //
 // # Supervision
 //
 // With Options.Supervise the coordinator also owns worker liveness. The
 // barrier is the recovery unit: workers hold no solver state between
-// barriers (everything lives on the engine side), so when a worker dies —
+// barriers (everything lives on the coordinator side), so when a worker dies —
 // detected by a heartbeat between barriers or a connection error/deadline
 // during one — the supervisor tears the whole mesh down, respawns every
 // worker under a new epoch, and replays the in-flight barrier from its
@@ -511,8 +511,8 @@ func (t *Transport) splitSends(n int, out []cc.Outbox) (perProc [][]transport.Ms
 }
 
 // Deliver implements cc.Transport: one synchronous barrier across the worker
-// processes. The round argument is informational (engine rounds restart per
-// Run); the coordinator sequences barriers with its own monotone counter,
+// processes. The round argument is informational; the coordinator
+// sequences barriers with its own monotone counter,
 // which advances only when the barrier commits — a supervised replay reuses
 // the same sequence number. Under Options.Supervise a failed attempt tears
 // the mesh down, respawns the workers, and replays the barrier, up to
@@ -677,8 +677,8 @@ func (t *Transport) deliverOnce(rc uint64, n int, perProc [][]transport.Msg, dc 
 
 	// Assemble: process order first, then a stable per-destination sort by
 	// source. Messages sharing (source, destination) travel in one chunk
-	// stream, so stability preserves their send order — together this
-	// reproduces the in-process merge order exactly.
+	// stream, so stability preserves their send order — together this is
+	// exactly the order the transport contract prescribes.
 	inboxes := make([][]cc.Message, n)
 	for d := 0; d < n; d++ {
 		if dc[d] > 0 {

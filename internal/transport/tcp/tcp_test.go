@@ -1,8 +1,11 @@
 package tcp
 
 import (
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"lapcc/internal/cc"
@@ -10,7 +13,7 @@ import (
 )
 
 // mix is a tiny deterministic hash for building pseudo-random but
-// repeatable programs (no shared RNG: step functions run concurrently).
+// repeatable schedules.
 func mix(vals ...int64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vals {
@@ -21,76 +24,88 @@ func mix(vals ...int64) uint64 {
 	return h
 }
 
-// program returns a deterministic step function plus per-node transcripts;
-// two engine runs are equivalent iff transcripts, rounds, and messages all
-// match (order included).
-func program(n int, seed int64) (cc.Step, [][]int64) {
-	tr := make([][]int64, n)
-	step := func(node, round int, inbox []cc.Message, send func(int, ...int64)) bool {
-		for _, m := range inbox {
-			tr[node] = append(tr[node], int64(round), int64(m.From), int64(len(m.Data)))
-			tr[node] = append(tr[node], m.Data...)
+// schedule returns a seeded delivery workload on n nodes: four to seven
+// rounds, each split across one to three outboxes over contiguous,
+// ascending source blocks. Every round each source sends zero to three
+// messages of zero to three words, to any node including itself, and
+// possibly several to one destination.
+func schedule(n int, seed int64) [][]cc.Outbox {
+	rounds := make([][]cc.Outbox, 4+mix(seed)%4)
+	for r := range rounds {
+		blocks := 1 + int(mix(seed, int64(r))%3)
+		for b := 0; b < blocks; b++ {
+			var ob cc.Outbox
+			for v := b * n / blocks; v < (b+1)*n/blocks; v++ {
+				h := mix(seed, int64(r), int64(v))
+				for k := 0; k < int(h%4); k++ {
+					to := int(mix(seed, int64(r), int64(v), int64(k)) % uint64(n))
+					width := int((h >> (8 + 2*k)) % 4)
+					ob.Msgs = append(ob.Msgs, cc.OutMsg{
+						From: int32(v), To: int32(to), Off: int32(len(ob.Arena)), Width: int32(width),
+					})
+					for w := 0; w < width; w++ {
+						ob.Arena = append(ob.Arena, int64(mix(seed, int64(r), int64(v), int64(k), int64(w))))
+					}
+				}
+			}
+			rounds[r] = append(rounds[r], ob)
 		}
-		if round >= 1+int(mix(seed, int64(node))%5) {
-			return true
-		}
-		h := mix(seed, int64(node), int64(round))
-		k := int(h % 4)
-		if k > n-1 {
-			k = n - 1
-		}
-		start := int((h >> 8) % uint64(n-1))
-		width := 1 + int((h>>32)%3)
-		var payload [3]int64
-		for w := 0; w < width; w++ {
-			payload[w] = int64(mix(seed, int64(node), int64(round), int64(w)))
-		}
-		for i := 0; i < k; i++ {
-			send((node+1+(start+i)%(n-1))%n, payload[:width]...)
-		}
-		return false
 	}
-	return step, tr
+	return rounds
 }
 
-type outcome struct {
-	used, rounds, messages int64
-	faults                 cc.FaultStats
+// sortedBySource is the reference delivery of one round: every message,
+// grouped by destination, in a stable sort by source.
+func sortedBySource(n int, out []cc.Outbox) [][]cc.Message {
+	type sent struct {
+		to int32
+		m  cc.Message
+	}
+	var all []sent
+	for _, ob := range out {
+		for _, om := range ob.Msgs {
+			all = append(all, sent{om.To, cc.Message{From: int(om.From), Data: ob.Data(om)}})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].m.From < all[j].m.From })
+	want := make([][]cc.Message, n)
+	for _, s := range all {
+		want[s.to] = append(want[s.to], s.m)
+	}
+	return want
 }
 
-// runEngine executes the seeded program on a fresh engine with the given
-// transport (nil = in-process merge) and optional fault plan.
-func runEngine(t *testing.T, n int, seed int64, tr cc.Transport, plan *cc.FaultPlan) (outcome, [][]int64) {
+// deliverSchedule passes every round of the seeded schedule to tr.Deliver
+// and checks each delivery and its message count against sortedBySource.
+// It returns the first Deliver error.
+func deliverSchedule(t *testing.T, tr cc.Transport, n int, seed int64) error {
 	t.Helper()
-	e := cc.NewEngine(n)
-	if tr != nil {
-		e.SetTransport(tr)
-	}
-	if plan != nil {
-		e.SetFaults(plan)
-	}
-	step, transcripts := program(n, seed)
-	used, err := e.Run(step, 256)
-	if err != nil {
-		t.Fatalf("run(n=%d, seed=%d): %v", n, seed, err)
-	}
-	return outcome{used: used, rounds: e.Rounds(), messages: e.Messages(), faults: e.FaultStats()}, transcripts
-}
-
-func diffTranscripts(t *testing.T, label string, want, got [][]int64) {
-	t.Helper()
-	for node := range want {
-		if !reflect.DeepEqual(want[node], got[node]) {
-			t.Fatalf("%s: node %d transcript diverges\nlocal: %v\ntcp:   %v", label, node, want[node], got[node])
+	for r, out := range schedule(n, seed) {
+		got, st, err := tr.Deliver(r, n, out)
+		if err != nil {
+			return fmt.Errorf("n=%d seed=%d round %d: %w", n, seed, r, err)
+		}
+		want := sortedBySource(n, out)
+		total := 0
+		for d := range want {
+			total += len(want[d])
+			if !slices.EqualFunc(got[d], want[d], func(a, b cc.Message) bool {
+				return a.From == b.From && slices.Equal(a.Data, b.Data)
+			}) {
+				t.Fatalf("n=%d seed=%d round %d: inbox %d diverges\nwant %v\ngot  %v", n, seed, r, d, want[d], got[d])
+			}
+		}
+		if st.Messages != int64(total) {
+			t.Fatalf("n=%d seed=%d round %d: delivered %d messages, sent %d", n, seed, r, st.Messages, total)
 		}
 	}
+	return nil
 }
 
-// TestEngineDifferentialTCP: the multi-process backend reproduces the
-// in-process merge bit for bit — transcripts, round counts, message counts —
-// across several clique sizes, including n not divisible by the process
-// count and n smaller than it.
-func TestEngineDifferentialTCP(t *testing.T) {
+// TestDeliverTCP: the multi-process backend delivers every round of a
+// seeded schedule in ascending source order, across several clique sizes,
+// including n not divisible by the process count and n smaller than it.
+func TestDeliverTCP(t *testing.T) {
 	tr, err := New(Options{Procs: 4, Stderr: io.Discard})
 	if err != nil {
 		t.Fatal(err)
@@ -98,41 +113,15 @@ func TestEngineDifferentialTCP(t *testing.T) {
 	defer tr.Close()
 	for seed := int64(1); seed <= 6; seed++ {
 		n := []int{3, 7, 8, 12, 17, 25}[seed-1]
-		base, baseTr := runEngine(t, n, seed, nil, nil)
-		got, gotTr := runEngine(t, n, seed, tr, nil)
-		if got != base {
-			t.Fatalf("n=%d seed=%d: tcp outcome %+v != local %+v", n, seed, got, base)
+		if err := deliverSchedule(t, tr, n, seed); err != nil {
+			t.Fatal(err)
 		}
-		diffTranscripts(t, "clean", baseTr, gotTr)
-	}
-}
-
-// TestEngineDifferentialTCPFaulted: a fault plan injected above the
-// transport boundary charges the same fates and yields the same transcripts
-// no matter which backend delivered the clean messages underneath.
-func TestEngineDifferentialTCPFaulted(t *testing.T) {
-	tr, err := New(Options{Procs: 3, Stderr: io.Discard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	plan := func() *cc.FaultPlan {
-		return &cc.FaultPlan{Seed: 77, Drop: 0.05, Duplicate: 0.04, Delay: 0.05, MaxDelay: 2}
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		n := []int{5, 9, 13, 20}[seed-1]
-		base, baseTr := runEngine(t, n, seed, nil, plan())
-		got, gotTr := runEngine(t, n, seed, tr, plan())
-		if got != base {
-			t.Fatalf("n=%d seed=%d: faulted tcp outcome %+v != local %+v", n, seed, got, base)
-		}
-		diffTranscripts(t, "faulted", baseTr, gotTr)
 	}
 }
 
 // TestMultiChunkDeliver: one barrier moving more than 2×ChunkMsgs messages
 // from worker 0's nodes to worker 1's nodes arrives as several in-order
-// chunks, assembles into exactly the local merge's inboxes, and costs
+// chunks, assembles into exactly the expected inboxes, and costs
 // exactly one frame per chunk (plus worker 1's empty chunk back).
 func TestMultiChunkDeliver(t *testing.T) {
 	const n, perSrc = 8, 600 // sources 0,2,4,6 (worker 0) send 2400 remote messages
@@ -166,7 +155,7 @@ func TestMultiChunkDeliver(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("multi-chunk inboxes diverge from the local merge")
+		t.Fatal("multi-chunk inboxes diverge from the expected delivery")
 	}
 	chunks := (remote + transport.ChunkMsgs - 1) / transport.ChunkMsgs
 	if st := tr.Stats(); st.Frames != int64(chunks+1) {

@@ -2,7 +2,7 @@ package lapcc_test
 
 // End-to-end observability test: the acceptance path of the metrics
 // subsystem is "curl /metrics during a fault-injected run and see the
-// engine, routing, reliable-delivery, and ledger families move". This test
+// routing, reliable-delivery, and ledger families move". This test
 // does exactly that — same debug server as the CLIs' -debug-addr flag,
 // same registry wiring as core.RunOptions{Metrics} — and asserts on the
 // scraped Prometheus text rather than on registry internals.

@@ -61,7 +61,7 @@ func tracedChaosSolve(t *testing.T) (string, *trace.Tracer, []float64, *trace.Fl
 
 	// The batched solver fits an undisturbed run into a single barrier;
 	// the deterministic drop plan forces retransmission rounds so the kill
-	// schedule at barriers 1 and 2 actually lands (engine-level faults are
+	// schedule at barriers 1 and 2 actually lands (the plan's faults are
 	// seeded, so they do not perturb byte determinism).
 	res, err := core.SolveLaplacianWith(g, b, 1e-8, core.RunOptions{
 		Transport: tr, Trace: tracer, Faults: dropPlan(101),
