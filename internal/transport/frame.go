@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // FrameType tags a frame's role in the coordinator/node protocol.
@@ -284,7 +285,8 @@ func (d *decoder) blob() []byte {
 	return b
 }
 
-func (d *decoder) msgs() []Msg {
+// msgs reads a message list into dc's table and word arena.
+func (d *decoder) msgs(dc *Decoder) []Msg {
 	count := d.u32()
 	if d.err != nil || count == 0 {
 		return nil
@@ -295,63 +297,105 @@ func (d *decoder) msgs() []Msg {
 		d.fail()
 		return nil
 	}
-	msgs := make([]Msg, 0, count)
+	// Walk the list once to check its structure and total its words, so
+	// the table and the arena are sized before anything is copied.
+	scan := *d
+	words := 0
 	for i := uint32(0); i < count; i++ {
+		scan.u32() // from
+		scan.u32() // to
+		width := scan.u32()
+		if scan.err == nil && (width > maxMsgWidth || scan.off+int(width)*8 > len(scan.b)) {
+			scan.fail()
+		}
+		if scan.err != nil {
+			d.err = scan.err
+			return nil
+		}
+		scan.off += int(width) * 8
+		words += int(width)
+	}
+	if cap(dc.msgs) < int(count) {
+		dc.msgs = make([]Msg, count)
+	}
+	msgs := dc.msgs[:count]
+	var arena []int64
+	if dc.Recycle {
+		start := len(dc.words)
+		dc.words = slices.Grow(dc.words, words)[:start+words]
+		arena = dc.words[start:]
+	} else if words > 0 {
+		arena = make([]int64, words)
+	}
+	for i := range msgs {
 		from := int32(d.u32())
 		to := int32(d.u32())
-		width := d.u32()
-		if d.err != nil {
-			return nil
-		}
-		if width > maxMsgWidth || d.off+int(width)*8 > len(d.b) {
-			d.fail()
-			return nil
-		}
+		width := int(d.u32())
 		var data []int64
 		if width > 0 {
-			data = make([]int64, width)
+			data, arena = arena[:width:width], arena[width:]
 			for j := range data {
 				data[j] = int64(binary.LittleEndian.Uint64(d.b[d.off:]))
 				d.off += 8
 			}
 		}
-		msgs = append(msgs, Msg{From: from, To: to, Data: data})
+		msgs[i] = Msg{From: from, To: to, Data: data}
 	}
 	return msgs
 }
 
-// Decode decodes the first frame in b, returning it and the number of bytes
-// consumed. ErrTruncated means b ends mid-frame (read more and retry); other
-// errors mean the stream is corrupt at this position.
-func Decode(b []byte) (*Frame, int, error) {
+// A Decoder decodes frames into memory it keeps. Its message table is
+// reused by every decode, so a decoded frame's Msgs are valid until the
+// next one. The payload words of each frame go to one fresh arena that the
+// Decoder never touches again, so callers may keep them; with Recycle set
+// they go to an arena the Decoder keeps, where they stay valid until the
+// next Release. The zero value decodes into fresh arenas.
+type Decoder struct {
+	// Recycle keeps payload words in the decoder's own arena, which grows
+	// across decodes until Release lets it be overwritten.
+	Recycle bool
+
+	msgs  []Msg
+	words []int64
+}
+
+// Release lets a recycling decoder overwrite the payload words of every
+// frame it has decoded.
+func (dc *Decoder) Release() { dc.words = dc.words[:0] }
+
+// Decode decodes the first frame in b into f, replacing all of f's
+// contents, and returns the number of bytes consumed. Errors are those of
+// the package-level Decode; on error f is left unspecified.
+func (dc *Decoder) Decode(b []byte, f *Frame) (int, error) {
 	if len(b) < frameHeaderLen {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	length := binary.LittleEndian.Uint32(b)
 	if length > MaxFrameBytes {
-		return nil, 0, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, length)
+		return 0, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, length)
 	}
 	if length == 0 {
-		return nil, 0, fmt.Errorf("%w: empty payload", ErrBadFrame)
+		return 0, fmt.Errorf("%w: empty payload", ErrBadFrame)
 	}
 	end := frameHeaderLen + int(length)
 	if len(b) < end {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	payload := b[frameHeaderLen:end]
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
-		return nil, 0, ErrBadChecksum
+		return 0, ErrBadChecksum
 	}
-	f, err := decodePayload(payload)
-	if err != nil {
-		return nil, 0, err
+	if err := dc.DecodePayload(payload, f); err != nil {
+		return 0, err
 	}
-	return f, end, nil
+	return end, nil
 }
 
-func decodePayload(payload []byte) (*Frame, error) {
-	d := &decoder{b: payload}
-	f := &Frame{Type: FrameType(d.u8())}
+// DecodePayload decodes one checked frame payload, as Reader.Next returns
+// it, into f, replacing all of f's contents.
+func (dc *Decoder) DecodePayload(payload []byte, f *Frame) error {
+	d := decoder{b: payload}
+	*f = Frame{Type: FrameType(d.u8())}
 	switch f.Type {
 	case FrameHello:
 		f.Node = int32(d.u32())
@@ -369,7 +413,7 @@ func decodePayload(payload []byte) (*Frame, error) {
 	case FrameRound:
 		f.Round = d.u64()
 		f.Flags = d.u32()
-		f.Msgs = d.msgs()
+		f.Msgs = d.msgs(dc)
 	case FrameTrace:
 		f.Round = d.u64()
 		f.Node = int32(d.u32())
@@ -379,25 +423,39 @@ func decodePayload(payload []byte) (*Frame, error) {
 		f.Node = int32(d.u32())
 		f.Seq = d.u32()
 		f.Total = d.u32()
-		f.Msgs = d.msgs()
+		f.Msgs = d.msgs(dc)
 	case FrameInbox:
 		f.Round = d.u64()
 		f.Node = int32(d.u32())
-		f.Msgs = d.msgs()
+		f.Msgs = d.msgs(dc)
 		f.Stats.Frames = d.u64()
 		f.Stats.FrameBytes = d.u64()
 	case FrameError:
 		f.Addr = d.str()
 	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadFrame, f.Type)
+		return fmt.Errorf("%w: unknown type %d", ErrBadFrame, f.Type)
 	}
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(d.b)-d.off)
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(d.b)-d.off)
 	}
-	return f, nil
+	return nil
+}
+
+// Decode decodes the first frame in b, returning it and the number of bytes
+// consumed. ErrTruncated means b ends mid-frame (read more and retry); other
+// errors mean the stream is corrupt at this position. The frame owns all of
+// its memory.
+func Decode(b []byte) (*Frame, int, error) {
+	var dc Decoder
+	f := new(Frame)
+	n, err := dc.Decode(b, f)
+	if err != nil {
+		return nil, 0, err
+	}
+	return f, n, nil
 }
 
 // WriteFrame encodes f and writes the framed bytes to w in one Write call
@@ -414,28 +472,65 @@ func WriteFrame(w io.Writer, f *Frame) (int, error) {
 // ReadFrame reads exactly one frame from r, tolerating arbitrarily
 // fragmented reads (partial writes on the other side). io.EOF is returned
 // untouched at a clean frame boundary; mid-frame EOF becomes
-// io.ErrUnexpectedEOF.
+// io.ErrUnexpectedEOF. The frame owns all of its memory; a connection that
+// carries more than a handful of frames reads them through a Reader.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	f := new(Frame)
+	if err := NewReader(r).Read(f); err != nil {
 		return nil, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[:])
+	return f, nil
+}
+
+// A Reader reads frames from one stream into memory it reuses: a payload
+// buffer kept from frame to frame, and its Decoder.
+type Reader struct {
+	Decoder
+
+	r       io.Reader
+	hdr     [frameHeaderLen]byte
+	payload []byte
+}
+
+// NewReader returns a Reader of r's frames.
+func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+
+// Next reads one frame from the stream and returns its checked payload,
+// valid until the next call, for DecodePayload. It has ReadFrame's error
+// semantics.
+func (r *Reader) Next() ([]byte, error) {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+		return nil, err
+	}
+	length := binary.LittleEndian.Uint32(r.hdr[:])
 	if length > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, length)
 	}
 	if length == 0 {
 		return nil, fmt.Errorf("%w: empty payload", ErrBadFrame)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if cap(r.payload) < int(length) {
+		r.payload = make([]byte, length)
+	}
+	payload := r.payload[:length]
+	if _, err := io.ReadFull(r.r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(r.hdr[4:]) {
 		return nil, ErrBadChecksum
 	}
-	return decodePayload(payload)
+	return payload, nil
+}
+
+// Read reads one frame from the stream and decodes it into f, replacing
+// all of f's contents.
+func (r *Reader) Read(f *Frame) error {
+	payload, err := r.Next()
+	if err != nil {
+		return err
+	}
+	return r.DecodePayload(payload, f)
 }

@@ -207,14 +207,20 @@ func TestFrameReorderedDelivery(t *testing.T) {
 
 // FuzzFrameDecode: Decode must never panic or over-read on arbitrary input,
 // and anything it accepts must re-encode to exactly the bytes it consumed
-// (the codec is canonical). Seeds cover every frame type plus corrupted
-// variants; the checked-in corpus under testdata extends them.
+// (the codec is canonical). Every input is also decoded into reused,
+// dirty memory — decoders and a Reader that have already decoded every
+// sample frame, without a Release, into a frame still holding the last of
+// them — which must give the same frame or the same error. Seeds cover
+// every frame type plus corrupted variants; the checked-in corpus under
+// testdata extends them.
 func FuzzFrameDecode(f *testing.F) {
+	var samples []byte
 	for _, fr := range sampleFrames() {
 		buf, err := Append(nil, fr)
 		if err != nil {
 			f.Fatal(err)
 		}
+		samples = append(samples, buf...)
 		f.Add(buf)
 		if len(buf) > 10 {
 			f.Add(buf[:10])
@@ -223,8 +229,44 @@ func FuzzFrameDecode(f *testing.F) {
 		mut[len(mut)/2] ^= 0x40
 		f.Add(mut)
 	}
+	dirty := func(t *testing.T, dc *Decoder, df *Frame) {
+		for off := 0; off < len(samples); {
+			n, err := dc.Decode(samples[off:], df)
+			if err != nil {
+				t.Fatalf("dirtying decoder: %v", err)
+			}
+			off += n
+		}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, consumed, err := Decode(b)
+
+		for _, recycle := range []bool{false, true} {
+			dc := Decoder{Recycle: recycle}
+			var df Frame
+			dirty(t, &dc, &df)
+			n, derr := dc.Decode(b, &df)
+			if (err == nil) != (derr == nil) || err != nil && err.Error() != derr.Error() {
+				t.Fatalf("recycle=%v: reused decoder returned error %v, fresh decode %v", recycle, derr, err)
+			}
+			if err == nil && (n != consumed || !reflect.DeepEqual(&df, fr)) {
+				t.Fatalf("recycle=%v: reused decoder diverges:\n got %+v (%d bytes)\nwant %+v (%d bytes)", recycle, &df, n, fr, consumed)
+			}
+		}
+		if err == nil {
+			rd := NewReader(bytes.NewReader(append(append([]byte(nil), samples...), b...)))
+			rd.Recycle = true
+			var rf Frame
+			for range sampleFrames() {
+				if err := rd.Read(&rf); err != nil {
+					t.Fatalf("dirtying reader: %v", err)
+				}
+			}
+			if err := rd.Read(&rf); err != nil || !reflect.DeepEqual(&rf, fr) {
+				t.Fatalf("reused reader diverges (%v):\n got %+v\nwant %+v", err, &rf, fr)
+			}
+		}
+
 		if err != nil {
 			if fr != nil || consumed != 0 {
 				t.Fatalf("error %v returned frame %v / consumed %d", err, fr, consumed)

@@ -16,14 +16,19 @@ const ChunkMsgs = 1024
 // messages into FrameData chunks, decodes them back, and assembles the
 // inboxes from the decoded copies. No sockets are involved, so the codec —
 // the part of the TCP backend that handles real data — runs under the race
-// detector and the fuzzers at full speed. Delivered payloads are freshly
-// allocated by the decoder and never recycled.
+// detector and the fuzzers at full speed. Each decoded frame's payloads
+// land in one fresh arena that is never recycled; the encode buffer, the
+// chunk table and the inbox layout are reused from one Deliver to the next.
 //
 // Mem is safe for concurrent Deliver calls (they serialize on an internal
 // lock, matching the TCP coordinator's barrier semantics).
 type Mem struct {
-	mu  sync.Mutex
-	buf []byte // recycled encode buffer
+	mu    sync.Mutex
+	buf   []byte // recycled encode buffer
+	chunk []Msg  // recycled chunk table
+	dc    []int  // messages per destination
+	dec   Decoder
+	inbox Inboxes
 
 	stats cc.DeliveryStats // cumulative, for tests and metrics
 }
@@ -38,24 +43,21 @@ func (m *Mem) Deliver(round, n int, out []cc.Outbox) ([][]cc.Message, cc.Deliver
 	defer m.mu.Unlock()
 
 	// Count per-destination totals up front for exact inbox sizing, and
-	// validate recipients before anything is encoded.
-	dc := make([]int, n)
-	total := 0
-	for _, ob := range out {
-		for _, om := range ob.Msgs {
-			if om.To < 0 || int(om.To) >= n {
-				return nil, cc.DeliveryStats{}, fmt.Errorf("transport: recipient %d out of range (n=%d)", om.To, n)
-			}
-			dc[om.To]++
-			total++
-		}
+	// validate both endpoints before anything is encoded.
+	if cap(m.dc) < n {
+		m.dc = make([]int, n)
+	}
+	dc := m.dc[:n]
+	total, err := CountSends(n, out, dc)
+	if err != nil {
+		return nil, cc.DeliveryStats{}, err
 	}
 
 	// Encode in outbox order (= ascending source order per the transport
 	// contract) as chunked data frames.
 	buf := m.buf[:0]
 	var frames int64
-	chunk := make([]Msg, 0, ChunkMsgs)
+	chunk := m.chunk[:0]
 	var seq uint32
 	flush := func() error {
 		if len(chunk) == 0 {
@@ -86,20 +88,16 @@ func (m *Mem) Deliver(round, n int, out []cc.Outbox) ([][]cc.Message, cc.Deliver
 	if err := flush(); err != nil {
 		return nil, cc.DeliveryStats{}, err
 	}
-	m.buf = buf
+	m.buf, m.chunk = buf, chunk
 
 	// Decode the byte stream back and assemble the inboxes. Chunks decode
 	// in encode order, so per destination the messages arrive in ascending
 	// source order, as the transport contract prescribes.
-	inboxes := make([][]cc.Message, n)
-	for d := 0; d < n; d++ {
-		if dc[d] > 0 {
-			inboxes[d] = make([]cc.Message, 0, dc[d])
-		}
-	}
+	inboxes := m.inbox.Layout(dc)
 	decoded := 0
+	var f Frame
 	for off := 0; off < len(buf); {
-		f, consumed, err := Decode(buf[off:])
+		consumed, err := m.dec.Decode(buf[off:], &f)
 		if err != nil {
 			return nil, cc.DeliveryStats{}, fmt.Errorf("transport: decoding round %d at byte %d: %w", round, off, err)
 		}

@@ -29,14 +29,6 @@ type NodeConfig struct {
 	Chaos *transport.ChaosPlan
 }
 
-// event is one unit of work for the node's single-threaded main loop: a
-// decoded frame from a connection, or that connection's read error.
-type event struct {
-	frame *transport.Frame
-	peer  int32 // sending worker; -1 for the coordinator
-	err   error
-}
-
 // barrier is a worker's state for the one delivery barrier in flight. The
 // coordinator dispatches round r+1 only after it has collected every
 // worker's inbox for round r, so a worker never sees traffic for two rounds
@@ -45,10 +37,9 @@ type barrier struct {
 	active    bool // a frame of round has arrived and the inbox is not yet sent
 	started   bool // at least one barrier has begun on this worker
 	round     uint64
-	haveRound bool
+	haveRound bool // this worker's Round frame is in and its chunks are written
 
 	local []transport.Msg   // sends owned by this worker for itself
-	out   [][]transport.Msg // this worker's sends, per receiving peer
 	in    [][]transport.Msg // assembled chunks, per sending peer
 	next  []uint32          // next expected chunk, per sending peer
 	total []uint32          // chunk count, per sending peer (0: none yet)
@@ -61,81 +52,45 @@ type barrier struct {
 	sentWords int64 // payload words across them
 }
 
-// writer drains an unbounded frame queue onto one mesh connection. Mesh
-// sends must never block the protocol loop: two workers simultaneously
-// blocked writing large frames to each other, with their loops unable to
-// drain reads, would deadlock. Queueing decouples the loop from socket
-// backpressure; a write error is latched and the connection's reader
-// surfaces it to the loop.
-type writer struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      [][]byte
-	closed bool
-}
-
-func newWriter(conn net.Conn) *writer {
-	w := &writer{}
-	w.cond = sync.NewCond(&w.mu)
-	go func() {
-		for {
-			w.mu.Lock()
-			for len(w.q) == 0 && !w.closed {
-				w.cond.Wait()
-			}
-			if w.closed && len(w.q) == 0 {
-				w.mu.Unlock()
-				return
-			}
-			batch := w.q
-			w.q = nil
-			w.mu.Unlock()
-			for _, b := range batch {
-				if _, err := conn.Write(b); err != nil {
-					w.mu.Lock()
-					w.closed = true // drop the rest; the reader reports the error
-					w.q = nil
-					w.mu.Unlock()
-					return
-				}
-			}
-		}
-	}()
-	return w
-}
-
-func (w *writer) enqueue(b []byte) {
-	w.mu.Lock()
-	if !w.closed {
-		w.q = append(w.q, b)
-		w.cond.Signal()
-	}
-	w.mu.Unlock()
-}
-
-func (w *writer) close() {
-	w.mu.Lock()
-	w.closed = true
-	w.cond.Signal()
-	w.mu.Unlock()
-}
-
-// node is a worker's full connection and round state. All state is owned by
-// the run loop; reader goroutines only feed the event channel.
+// node is a worker's full connection and round state. Each connection has
+// one reader goroutine, which reads a frame, then decodes it and runs its
+// protocol step under mu. That cannot deadlock: a reader blocks only on
+// its socket or on mu, and mu is never held across a peer write (a Round
+// step releases it while it writes its chunks), so every peer write
+// finishes once the peer's reader drains it. Writes to the coordinator
+// (inbox, trace, pong, error) do happen under mu; the coordinator reads
+// every inbox of a barrier before it sends anything else, and a worker
+// writes its inbox only after every peer chunk of the barrier has arrived,
+// so no peer is left writing to a worker that blocks there.
 type node struct {
 	id    int32
 	procs int
 	cfg   NodeConfig
 
 	coord net.Conn
-	peers []net.Conn      // peers[id] == nil
-	prd   []*bufio.Reader // per-peer readers, created at mesh time
-	pw    []*writer       // per-peer async writers
+	crd   *transport.Reader   // coordinator link
+	peers []net.Conn          // peers[id] == nil
+	prd   []*transport.Reader // per-peer frame readers, created at mesh time
 
-	cwmu   sync.Mutex
-	events chan event
+	// cwmu serializes writes to the coordinator link and guards cbuf,
+	// their encode buffer.
+	cwmu sync.Mutex
+	cbuf []byte
 
-	cur barrier
+	// sendTo and pbuf belong to the coordinator link's reader, the only
+	// goroutine that writes to peers: its Round step partitions the sends
+	// by peer into sendTo and encodes each chunk into pbuf.
+	sendTo [][]transport.Msg
+	pbuf   []byte
+
+	// mu guards the protocol state and every reader's decoder. Frames are
+	// decoded under it, so the recycled word arenas are released, at the
+	// end of a barrier, only while no decode and no other step runs.
+	mu    sync.Mutex
+	cur   barrier
+	ended bool
+	err   error         // the node's outcome, set when it ends
+	done  chan struct{} // closed when the node ends
 }
 
 func newNode(id, procs int, cfg NodeConfig) *node {
@@ -147,16 +102,25 @@ func newNode(id, procs int, cfg NodeConfig) *node {
 		procs:  procs,
 		cfg:    cfg,
 		peers:  make([]net.Conn, procs),
-		prd:    make([]*bufio.Reader, procs),
-		pw:     make([]*writer, procs),
-		events: make(chan event, 4*procs),
+		prd:    make([]*transport.Reader, procs),
+		sendTo: make([][]transport.Msg, procs),
+		done:   make(chan struct{}),
 		cur: barrier{
-			out:   make([][]transport.Msg, procs),
 			in:    make([][]transport.Msg, procs),
 			next:  make([]uint32, procs),
 			total: make([]uint32, procs),
 		},
 	}
+}
+
+// newReader returns the frame reader of one of a worker's connections.
+// Workers recycle everything they decode: nothing outlives its barrier,
+// because a frame of round r+1 can only arrive after the coordinator has
+// read this worker's inbox for round r.
+func newReader(br *bufio.Reader) *transport.Reader {
+	rd := transport.NewReader(br)
+	rd.Recycle = true
+	return rd
 }
 
 // RunNodeWith runs one worker of a multi-process clique: it dials the
@@ -175,7 +139,7 @@ func RunNodeWith(coordAddr string, id, procs int, cfg NodeConfig) error {
 		}
 		return err
 	}
-	return nd.loop()
+	return nd.serve()
 }
 
 // join performs the mesh bootstrap: hello to the coordinator, receive the
@@ -254,7 +218,7 @@ func (nd *node) join(coordAddr string) error {
 		// coordinator link stays clean so an injected fault is never
 		// mistaken for a dead supervisor.
 		nd.peers[j] = nd.cfg.Chaos.WrapConn(conn, nd.cfg.Epoch, nd.id, j)
-		nd.prd[j] = bufio.NewReader(conn)
+		nd.prd[j] = newReader(bufio.NewReader(conn))
 	}
 	for i := 0; i < expect; i++ {
 		acc := <-accCh
@@ -266,67 +230,135 @@ func (nd *node) join(coordAddr string) error {
 			return fmt.Errorf("node %d: duplicate or invalid mesh peer %d", nd.id, acc.id)
 		}
 		nd.peers[acc.id] = nd.cfg.Chaos.WrapConn(acc.conn, nd.cfg.Epoch, nd.id, acc.id)
-		nd.prd[acc.id] = acc.rd
+		nd.prd[acc.id] = newReader(acc.rd)
 	}
 
-	// Mesh complete: spawn one reader and one async writer per peer
-	// connection, then report ready.
-	go nd.read(crd, -1)
-	for j := int32(0); int(j) < nd.procs; j++ {
-		if j == nd.id {
-			continue
-		}
-		nd.pw[j] = newWriter(nd.peers[j])
-		go nd.read(nd.prd[j], j)
-	}
+	// Mesh complete: report ready. Frames that arrive before serve starts
+	// the readers wait in the socket buffers.
+	nd.crd = newReader(crd)
 	if err := nd.sendCoord(&transport.Frame{Type: transport.FrameReady, Node: nd.id}); err != nil {
 		return fmt.Errorf("node %d: ready: %w", nd.id, err)
 	}
 	return nil
 }
 
-// read pumps decoded frames from one connection into the event channel.
-func (nd *node) read(rd *bufio.Reader, peer int32) {
+// serve runs one reader goroutine per connection until one of them ends
+// the node, then closes every connection and waits for the readers.
+func (nd *node) serve() error {
+	var wg sync.WaitGroup
+	start := func(rd *transport.Reader, peer int32) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nd.read(rd, peer)
+		}()
+	}
+	start(nd.crd, -1)
+	for j, rd := range nd.prd {
+		if rd != nil {
+			start(rd, int32(j))
+		}
+	}
+	<-nd.done
+	nd.closeAll()
+	wg.Wait()
+	return nd.err
+}
+
+// read is one connection's reader: it reads each frame from the socket,
+// then decodes it and runs its protocol step under mu. peer is the sending
+// worker, or -1 for the coordinator link. Any protocol error, and any
+// corrupt frame, is reported to the coordinator in a FrameError before the
+// worker ends.
+func (nd *node) read(rd *transport.Reader, peer int32) {
+	var f transport.Frame
 	for {
-		f, err := transport.ReadFrame(rd)
-		if err != nil {
-			nd.events <- event{peer: peer, err: err}
+		payload, err := rd.Next()
+		nd.mu.Lock()
+		if nd.ended {
+			nd.mu.Unlock()
 			return
 		}
-		nd.events <- event{frame: f, peer: peer}
-		if f.Type == transport.FrameShutdown {
+		if err == nil {
+			err = rd.DecodePayload(payload, &f)
+		}
+		if err != nil {
+			nd.readFailed(peer, err)
+			nd.mu.Unlock()
+			return
+		}
+		switch {
+		case peer >= 0 && f.Type == transport.FrameData:
+			err = nd.onData(&f, peer)
+		case peer < 0 && f.Type == transport.FrameRound:
+			err = nd.onRound(&f)
+		case peer < 0 && f.Type == transport.FramePing:
+			// Supervisor liveness probe; only sent between barriers.
+			err = nd.sendCoord(&transport.Frame{Type: transport.FramePong, Node: nd.id})
+		case peer < 0 && f.Type == transport.FrameShutdown:
+			nd.end(nil, false)
+		default:
+			err = fmt.Errorf("node %d: unexpected frame type %d from %d", nd.id, f.Type, peer)
+		}
+		if err != nil {
+			nd.end(err, true)
+		}
+		ended := nd.ended
+		nd.mu.Unlock()
+		if ended {
 			return
 		}
 	}
 }
 
+// readFailed ends the node on a connection's read error. Called under mu.
+func (nd *node) readFailed(peer int32, err error) {
+	err = fmt.Errorf("node %d: connection to %d: %w", nd.id, peer, err)
+	switch {
+	case corrupt(err):
+		nd.end(err, true)
+	case nd.cur.active:
+		// A connection dropping while a barrier is in flight is a real
+		// failure.
+		nd.end(err, false)
+	default:
+		// Between barriers it is the normal shutdown race: the
+		// coordinator's Shutdown frames race the mesh teardown of workers
+		// that processed theirs first.
+		nd.end(nil, false)
+	}
+}
+
+// end ends the node with err (nil: a clean exit), reporting err to the
+// coordinator first when report is set. The first call decides the
+// outcome. Called under mu.
+func (nd *node) end(err error, report bool) {
+	if nd.ended {
+		return
+	}
+	nd.ended, nd.err = true, err
+	if report {
+		nd.sendCoord(&transport.Frame{Type: transport.FrameError, Addr: err.Error()})
+	}
+	close(nd.done)
+}
+
+// sendCoord encodes f into the coordinator link's buffer and writes it in
+// one Write call.
 func (nd *node) sendCoord(f *transport.Frame) error {
 	nd.cwmu.Lock()
 	defer nd.cwmu.Unlock()
-	_, err := transport.WriteFrame(nd.coord, f)
-	return err
-}
-
-// sendPeer encodes the frame and queues it on the peer's async writer,
-// returning the wire size. Socket errors surface through the connection's
-// reader, never here.
-func (nd *node) sendPeer(p int32, f *transport.Frame) (int, error) {
-	buf, err := transport.Append(nil, f)
-	if err != nil {
-		return 0, err
+	var err error
+	if nd.cbuf, err = transport.Append(nd.cbuf[:0], f); err != nil {
+		return err
 	}
-	nd.pw[p].enqueue(buf)
-	return len(buf), nil
+	_, err = nd.coord.Write(nd.cbuf)
+	return err
 }
 
 func (nd *node) closeAll() {
 	if nd.coord != nil {
 		nd.coord.Close()
-	}
-	for _, w := range nd.pw {
-		if w != nil {
-			w.close()
-		}
 	}
 	for _, c := range nd.peers {
 		if c != nil {
@@ -340,45 +372,6 @@ func (nd *node) closeAll() {
 func corrupt(err error) bool {
 	return errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadFrame) ||
 		errors.Is(err, transport.ErrFrameTooLarge)
-}
-
-// loop is the worker's single-threaded protocol engine. Any protocol error,
-// and any corrupt frame on any connection, is reported to the coordinator
-// in a FrameError before the worker exits.
-func (nd *node) loop() error {
-	for ev := range nd.events {
-		var err error
-		switch {
-		case ev.err != nil:
-			err = fmt.Errorf("node %d: connection to %d: %w", nd.id, ev.peer, ev.err)
-			// A connection dropping while a barrier is in flight is a real
-			// failure. Between barriers it is the normal shutdown race: the
-			// coordinator's Shutdown frames race the mesh teardown of
-			// workers that processed theirs first.
-			if !corrupt(ev.err) {
-				if nd.cur.active {
-					return err
-				}
-				return nil
-			}
-		case ev.frame.Type == transport.FrameShutdown:
-			return nil
-		case ev.frame.Type == transport.FramePing:
-			// Supervisor liveness probe; only sent between barriers.
-			err = nd.sendCoord(&transport.Frame{Type: transport.FramePong, Node: nd.id})
-		case ev.frame.Type == transport.FrameRound:
-			err = nd.onRound(ev.frame)
-		case ev.frame.Type == transport.FrameData:
-			err = nd.onData(ev.frame, ev.peer)
-		default:
-			err = fmt.Errorf("node %d: unexpected frame type %d from %d", nd.id, ev.frame.Type, ev.peer)
-		}
-		if err != nil {
-			nd.sendCoord(&transport.Frame{Type: transport.FrameError, Addr: err.Error()})
-			return err
-		}
-	}
-	return nil
 }
 
 // begin admits a frame of round rc into the current barrier, starting the
@@ -399,7 +392,10 @@ func (nd *node) begin(rc uint64) error {
 	return nil
 }
 
-// onRound chunks this worker's owned sends to their destination owners.
+// onRound chunks this worker's owned sends to their destination owners. It
+// releases mu while it writes the chunks, so this worker's readers keep
+// draining its peers' chunks meanwhile, and the Round counts as arrived
+// only once every chunk is written. Called under mu; returns under mu.
 func (nd *node) onRound(f *transport.Frame) error {
 	if err := nd.begin(f.Round); err != nil {
 		return err
@@ -408,7 +404,6 @@ func (nd *node) onRound(f *transport.Frame) error {
 	if b.haveRound {
 		return fmt.Errorf("node %d: duplicate round %d", nd.id, f.Round)
 	}
-	b.haveRound = true
 	if f.Flags&transport.RoundFlagTrace != 0 {
 		b.traced = true
 		b.sentMsgs = int64(len(f.Msgs))
@@ -425,13 +420,32 @@ func (nd *node) onRound(f *transport.Frame) error {
 			b.local = append(b.local, m)
 			continue
 		}
-		b.out[p] = append(b.out[p], m)
+		nd.sendTo[p] = append(nd.sendTo[p], m)
 	}
+	rc := f.Round
+	nd.mu.Unlock()
+	st, err := nd.sendChunks(rc)
+	nd.mu.Lock()
+	if err != nil || nd.ended {
+		return err
+	}
+	b.stats.Frames += st.Frames
+	b.stats.FrameBytes += st.FrameBytes
+	b.haveRound = true
+	return nd.maybeFinish()
+}
+
+// sendChunks writes this worker's sends of round rc to every peer as
+// Data frames of at most ChunkMsgs messages, one Write per frame. It runs
+// without mu and touches only sendTo, pbuf and the peer connections, which
+// no other goroutine uses.
+func (nd *node) sendChunks(rc uint64) (transport.WireStats, error) {
+	var st transport.WireStats
 	for j := int32(0); int(j) < nd.procs; j++ {
 		if j == nd.id {
 			continue
 		}
-		msgs := b.out[j]
+		msgs := nd.sendTo[j]
 		// Every peer pair exchanges at least one (possibly empty) chunk per
 		// round, so a peer's last chunk doubles as its barrier arrival even
 		// when nothing is sent.
@@ -439,19 +453,23 @@ func (nd *node) onRound(f *transport.Frame) error {
 		for c := 0; c < nchunks; c++ {
 			lo := c * transport.ChunkMsgs
 			hi := min(lo+transport.ChunkMsgs, len(msgs))
-			nb, err := nd.sendPeer(j, &transport.Frame{
-				Type: transport.FrameData, Round: f.Round, Node: nd.id,
+			var err error
+			nd.pbuf, err = transport.Append(nd.pbuf[:0], &transport.Frame{
+				Type: transport.FrameData, Round: rc, Node: nd.id,
 				Seq: uint32(c), Total: uint32(nchunks), Msgs: msgs[lo:hi],
 			})
-			if err != nil {
-				return fmt.Errorf("node %d: sending data to %d: %w", nd.id, j, err)
+			if err == nil {
+				_, err = nd.peers[j].Write(nd.pbuf)
 			}
-			b.stats.Frames++
-			b.stats.FrameBytes += uint64(nb)
+			if err != nil {
+				return st, fmt.Errorf("node %d: sending data to %d: %w", nd.id, j, err)
+			}
+			st.Frames++
+			st.FrameBytes += uint64(len(nd.pbuf))
 		}
-		b.out[j] = msgs[:0]
+		nd.sendTo[j] = msgs[:0]
 	}
-	return nd.maybeFinish()
+	return st, nil
 }
 
 // onData appends a peer's chunk to its stream. TCP delivers each
@@ -463,7 +481,7 @@ func (nd *node) onData(f *transport.Frame, peer int32) error {
 		return err
 	}
 	b := &nd.cur
-	if peer < 0 || peer == nd.id || f.Node != peer {
+	if f.Node != peer {
 		return fmt.Errorf("node %d: data frame from node %d on connection %d", nd.id, f.Node, peer)
 	}
 	if f.Seq != b.next[peer] || f.Seq >= f.Total || (f.Seq > 0 && f.Total != b.total[peer]) {
@@ -477,8 +495,8 @@ func (nd *node) onData(f *transport.Frame, peer int32) error {
 }
 
 // maybeFinish assembles and sends the worker's inbox shard once the barrier
-// condition holds: this worker's Round frame is here, and every peer's
-// chunks 0..Total-1 have arrived.
+// condition holds: this worker's Round frame is in and its chunks written,
+// and every peer's chunks 0..Total-1 have arrived.
 func (nd *node) maybeFinish() error {
 	b := &nd.cur
 	if !b.haveRound {
@@ -512,7 +530,14 @@ func (nd *node) maybeFinish() error {
 		return fmt.Errorf("node %d: inbox for round %d: %w", nd.id, b.round, err)
 	}
 
-	// Reset for the next barrier, keeping every buffer's capacity.
+	// Reset for the next barrier, keeping every buffer's capacity. The
+	// inbox is encoded, so the readers may overwrite this barrier's words.
+	nd.crd.Release()
+	for _, rd := range nd.prd {
+		if rd != nil {
+			rd.Release()
+		}
+	}
 	b.shard = shard[:0]
 	b.local = b.local[:0]
 	for j := range b.in {
@@ -526,8 +551,8 @@ func (nd *node) maybeFinish() error {
 }
 
 // sendTrace ships the barrier's trace records to the coordinator,
-// immediately before the inbox frame on the same connection and goroutine,
-// so the coordinator reads trace-then-inbox in order. Only
+// immediately before the inbox frame on the same connection and under the
+// same lock, so the coordinator reads trace-then-inbox in order. Only
 // seed-reproducible quantities are recorded: the worker's sent and
 // assembled-shard traffic. Wire counters travel in the inbox's stats and the
 // coordinator's flight recorder, outside the deterministic trace stream.

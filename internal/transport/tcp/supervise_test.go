@@ -142,6 +142,38 @@ func TestUnsupervisedKillFails(t *testing.T) {
 	}
 }
 
+// TestUnsupervisedCheckpoint: only a replay reads the checkpoint digests,
+// so an unsupervised transport skips them, yet its checkpoint still counts
+// the committed barriers and their delivery stats. A supervised transport
+// digests the same schedule's input and every worker's shard.
+func TestUnsupervisedCheckpoint(t *testing.T) {
+	const n, seed = 7, 3
+	for _, supervise := range []bool{false, true} {
+		tr, err := New(Options{Procs: 2, Supervise: supervise, HeartbeatInterval: -1, Stderr: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := deliverSchedule(t, tr, n, seed); err != nil {
+			t.Fatal(err)
+		}
+		ck := tr.Checkpoint()
+		tr.Close()
+		if want := uint64(len(schedule(n, seed))); ck.Barriers != want {
+			t.Fatalf("supervise=%v: checkpoint counts %d barriers, want %d", supervise, ck.Barriers, want)
+		}
+		if st := tr.Stats(); ck.Stats != st || st.Messages == 0 || st.Frames == 0 {
+			t.Fatalf("supervise=%v: checkpoint stats %+v, transport stats %+v", supervise, ck.Stats, st)
+		}
+		digested := ck.InDigest != 0 || len(ck.ShardDigests) != 0
+		if supervise && (ck.InDigest == 0 || len(ck.ShardDigests) != 2) {
+			t.Fatalf("supervised checkpoint lacks digests: %+v", ck)
+		}
+		if !supervise && digested {
+			t.Fatalf("unsupervised checkpoint carries digests: %+v", ck)
+		}
+	}
+}
+
 // TestSuperviseOptionDefaults: the robustness knobs default sanely and only
 // activate the supervised ones under Supervise.
 func TestSuperviseOptionDefaults(t *testing.T) {

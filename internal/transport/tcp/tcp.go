@@ -45,7 +45,8 @@
 // differential suites pin. The per-barrier Checkpoint records the committed
 // round counter and splitmix64 digests of the barrier's inputs and inbox
 // shards; a replay re-digests its inputs and refuses to proceed if they
-// changed. Scheduled faults come from a transport.ChaosPlan: process kills
+// changed; only a supervised transport computes the digests. Scheduled
+// faults come from a transport.ChaosPlan: process kills
 // executed by the coordinator at chosen barriers, and socket-level write
 // faults injected inside the workers' mesh connections.
 package tcp
@@ -150,7 +151,9 @@ func owner(v int32, procs int) int32 { return v % int32(procs) }
 // is what a replay is checked against: the round counter the next barrier
 // must use, digests of the inputs and the per-worker inbox shards, and the
 // committed cumulative delivery counters (recovery re-runs a barrier, so
-// only committed attempts count).
+// only committed attempts count). Only a supervised transport digests its
+// barriers: an unsupervised checkpoint carries a zero InDigest and no
+// ShardDigests, and still counts Barriers and Stats.
 type Checkpoint struct {
 	// Barriers is the number of committed barriers — equally, the sequence
 	// number the next barrier will use.
@@ -191,7 +194,7 @@ type Transport struct {
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    []net.Conn
-	rds      []*bufio.Reader
+	rds      []*transport.Reader // per-worker frame readers of the current epoch
 	cmds     []*exec.Cmd
 	wg       sync.WaitGroup // in-process workers of the current epoch
 	round    uint64
@@ -208,6 +211,12 @@ type Transport struct {
 	tracer     *trace.Tracer // merged distributed trace plane (nil: untraced)
 	flight     *trace.Flight // crash flight recorder (nil: disabled)
 	flightDump string        // JSONL dump path on unrecoverable failure
+
+	// Barrier scratch, reused from one Deliver to the next under mu.
+	wbuf    []byte            // Round frame encoding
+	perProc [][]transport.Msg // each worker's sends
+	dc      []int             // messages per destination
+	inbox   transport.Inboxes // the returned inbox layout
 }
 
 // New boots a coordinator and its worker processes and blocks until the full
@@ -225,10 +234,11 @@ func New(opts Options) (*Transport, error) {
 		}
 	}
 	t := &Transport{
-		opts:   opts,
-		procs:  opts.Procs,
-		killed: make(map[transport.Kill]bool),
-		stopHB: make(chan struct{}),
+		opts:    opts,
+		procs:   opts.Procs,
+		killed:  make(map[transport.Kill]bool),
+		stopHB:  make(chan struct{}),
+		perProc: make([][]transport.Msg, opts.Procs),
 	}
 	if err := t.boot(); err != nil {
 		t.Close()
@@ -345,7 +355,8 @@ func (t *Transport) boot() error {
 // table, and waits for every worker's Ready.
 func (t *Transport) bootstrap() error {
 	t.conns = make([]net.Conn, t.procs)
-	t.rds = make([]*bufio.Reader, t.procs)
+	t.rds = make([]*transport.Reader, t.procs)
+	brs := make([]*bufio.Reader, t.procs)
 	addrs := make([]string, t.procs)
 	deadline := time.Now().Add(t.opts.AcceptTimeout)
 	for i := 0; i < t.procs; i++ {
@@ -365,7 +376,7 @@ func (t *Transport) bootstrap() error {
 			return fmt.Errorf("tcp: bad hello (type %d, node %d)", f.Type, f.Node)
 		}
 		t.conns[f.Node] = conn
-		t.rds[f.Node] = rd
+		brs[f.Node] = rd
 		addrs[f.Node] = f.Addr
 	}
 	for i, conn := range t.conns {
@@ -374,7 +385,7 @@ func (t *Transport) bootstrap() error {
 		}
 	}
 	for i := range t.conns {
-		f, err := transport.ReadFrame(t.rds[i])
+		f, err := transport.ReadFrame(brs[i])
 		if err != nil {
 			return fmt.Errorf("tcp: waiting for worker %d ready: %w", i, err)
 		}
@@ -384,6 +395,7 @@ func (t *Transport) bootstrap() error {
 		if f.Type != transport.FrameReady {
 			return fmt.Errorf("tcp: worker %d sent frame type %d instead of ready", i, f.Type)
 		}
+		t.rds[i] = transport.NewReader(brs[i])
 	}
 	return nil
 }
@@ -490,24 +502,28 @@ func digestRound(perProc [][]transport.Msg) uint64 {
 	return h
 }
 
-// splitSends partitions a round's sends by owning process, preserving the
-// global ascending-source order within each process's list, and counts
-// messages per destination.
-func (t *Transport) splitSends(n int, out []cc.Outbox) (perProc [][]transport.Msg, dc []int, total int, err error) {
-	perProc = make([][]transport.Msg, t.procs)
-	dc = make([]int, n)
+// splitSends validates a round's sends, counts them per destination into
+// t.dc, and partitions them by owning process into t.perProc, preserving the
+// global ascending-source order within each process's list. Called under
+// mu.
+func (t *Transport) splitSends(n int, out []cc.Outbox) (total int, err error) {
+	if cap(t.dc) < n {
+		t.dc = make([]int, n)
+	}
+	t.dc = t.dc[:n]
+	if total, err = transport.CountSends(n, out, t.dc); err != nil {
+		return 0, err
+	}
+	for p := range t.perProc {
+		t.perProc[p] = t.perProc[p][:0]
+	}
 	for _, ob := range out {
 		for _, om := range ob.Msgs {
-			if om.To < 0 || int(om.To) >= n {
-				return nil, nil, 0, fmt.Errorf("tcp: recipient %d out of range (n=%d)", om.To, n)
-			}
 			p := owner(om.From, t.procs)
-			perProc[p] = append(perProc[p], transport.Msg{From: om.From, To: om.To, Data: ob.Data(om)})
-			dc[om.To]++
-			total++
+			t.perProc[p] = append(t.perProc[p], transport.Msg{From: om.From, To: om.To, Data: ob.Data(om)})
 		}
 	}
-	return perProc, dc, total, nil
+	return total, nil
 }
 
 // Deliver implements cc.Transport: one synchronous barrier across the worker
@@ -524,11 +540,14 @@ func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.D
 		return nil, cc.DeliveryStats{}, errors.New("tcp: transport is closed")
 	}
 	rc := t.round
-	perProc, dc, total, err := t.splitSends(n, out)
+	total, err := t.splitSends(n, out)
 	if err != nil {
 		return nil, cc.DeliveryStats{}, err
 	}
-	inDigest := digestRound(perProc)
+	var inDigest uint64
+	if t.opts.Supervise {
+		inDigest = digestRound(t.perProc)
+	}
 
 	t.executeKills(rc)
 
@@ -544,7 +563,7 @@ func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.D
 			if attempt > 0 {
 				// Replaying a failed attempt: the checkpoint contract says
 				// the inputs must be exactly what the failed attempt saw.
-				if d := digestRound(perProc); d != inDigest {
+				if d := digestRound(t.perProc); d != inDigest {
 					t.flight.Record(trace.FlightEvent{Kind: "replay-digest-mismatch", Barrier: rc, Epoch: t.epoch, Node: -1})
 					t.dumpFlight()
 					return nil, cc.DeliveryStats{}, fmt.Errorf("tcp: barrier %d input digest changed across replay (%#x != %#x)", rc, d, inDigest)
@@ -554,7 +573,7 @@ func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.D
 				t.flight.Record(trace.FlightEvent{Kind: "replay", Barrier: rc, Epoch: t.epoch, Node: -1})
 			}
 		}
-		inboxes, stats, shardDigests, recs, err := t.deliverOnce(rc, n, perProc, dc, total, traced)
+		inboxes, stats, shardDigests, recs, err := t.deliverOnce(rc, n, total, traced)
 		if err == nil {
 			// Only the committed attempt's worker records reach the trace:
 			// a failed attempt's mesh is torn down with its partial spans,
@@ -594,17 +613,16 @@ func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.D
 	}
 }
 
-// readWorker reads one frame from a worker's coordinator connection,
-// surfacing a FrameError as the worker's own failure description.
-func (t *Transport) readWorker(p int, rc uint64) (*transport.Frame, error) {
-	f, err := transport.ReadFrame(t.rds[p])
-	if err != nil {
-		return nil, fmt.Errorf("tcp: reading from worker %d in round %d: %w", p, rc, err)
+// readWorker reads one frame from a worker's coordinator connection into
+// f, surfacing a FrameError as the worker's own failure description.
+func (t *Transport) readWorker(p int, rc uint64, f *transport.Frame) error {
+	if err := t.rds[p].Read(f); err != nil {
+		return fmt.Errorf("tcp: reading from worker %d in round %d: %w", p, rc, err)
 	}
 	if f.Type == transport.FrameError {
-		return nil, fmt.Errorf("tcp: worker %d failed in round %d: %s", p, rc, f.Addr)
+		return fmt.Errorf("tcp: worker %d failed in round %d: %s", p, rc, f.Addr)
 	}
-	return f, nil
+	return nil
 }
 
 // deliverOnce runs one delivery attempt for one barrier against the current
@@ -613,7 +631,12 @@ func (t *Transport) readWorker(p int, rc uint64) (*transport.Frame, error) {
 // inboxes. With a BarrierTimeout every coordinator connection carries an
 // absolute deadline for the attempt, so a hung worker surfaces as an error
 // here instead of stalling the coordinator.
-func (t *Transport) deliverOnce(rc uint64, n int, perProc [][]transport.Msg, dc []int, total int, traced bool) ([][]cc.Message, cc.DeliveryStats, []uint64, [][]trace.Rec, error) {
+//
+// The inbox layout is reused by the next Deliver, but each Inbox frame's
+// payload words are decoded into a fresh arena: callers keep payloads
+// across later barriers (a batched route appends every flush into one
+// output, and the reliable layer returns early waves after later ones).
+func (t *Transport) deliverOnce(rc uint64, n, total int, traced bool) ([][]cc.Message, cc.DeliveryStats, []uint64, [][]trace.Rec, error) {
 	if t.opts.BarrierTimeout > 0 {
 		deadline := time.Now().Add(t.opts.BarrierTimeout)
 		for _, conn := range t.conns {
@@ -632,25 +655,39 @@ func (t *Transport) deliverOnce(rc uint64, n int, perProc [][]transport.Msg, dc 
 		flags = transport.RoundFlagTrace
 	}
 	for p := 0; p < t.procs; p++ {
-		if _, err := transport.WriteFrame(t.conns[p], &transport.Frame{
-			Type: transport.FrameRound, Round: rc, Flags: flags, Msgs: perProc[p],
-		}); err != nil {
+		var err error
+		t.wbuf, err = transport.Append(t.wbuf[:0], &transport.Frame{
+			Type: transport.FrameRound, Round: rc, Flags: flags, Msgs: t.perProc[p],
+		})
+		if err == nil {
+			_, err = t.conns[p].Write(t.wbuf)
+		}
+		if err != nil {
 			return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: sending round %d to worker %d: %w", rc, p, err)
 		}
 	}
 
-	// Collect every worker's inbox shard. Shards arrive in any order across
-	// connections but reading sequentially is fine: TCP buffers them.
-	shards := make([][]transport.Msg, t.procs)
-	shardDigests := make([]uint64, t.procs)
+	// Collect every worker's inbox shard, assembling as they come: process
+	// order first, then a stable per-destination sort by source. Messages
+	// sharing (source, destination) travel in one chunk stream, so
+	// stability preserves their send order — together this is exactly the
+	// order the transport contract prescribes. Shards arrive in any order
+	// across connections but reading sequentially is fine: TCP buffers
+	// them.
+	var shardDigests []uint64
+	if t.opts.Supervise {
+		shardDigests = make([]uint64, t.procs)
+	}
 	var recs [][]trace.Rec
 	if traced {
 		recs = make([][]trace.Rec, t.procs)
 	}
+	inboxes := t.inbox.Layout(t.dc)
 	stats := cc.DeliveryStats{Messages: int64(total)}
+	got := 0
+	var f transport.Frame
 	for p := 0; p < t.procs; p++ {
-		f, err := t.readWorker(p, rc)
-		if err != nil {
+		if err := t.readWorker(p, rc, &f); err != nil {
 			return nil, cc.DeliveryStats{}, nil, nil, err
 		}
 		if traced {
@@ -662,32 +699,19 @@ func (t *Transport) deliverOnce(rc uint64, n int, perProc [][]transport.Msg, dc 
 				return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: decoding trace records of worker %d in round %d: %w", p, rc, derr)
 			}
 			recs[p] = rr
-			if f, err = t.readWorker(p, rc); err != nil {
+			if err := t.readWorker(p, rc, &f); err != nil {
 				return nil, cc.DeliveryStats{}, nil, nil, err
 			}
 		}
 		if f.Type != transport.FrameInbox || f.Round != rc {
 			return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: worker %d sent frame type %d (round %d) instead of inbox for round %d", p, f.Type, f.Round, rc)
 		}
-		shards[p] = f.Msgs
-		shardDigests[p] = digestMsgs(splitmix64(uint64(p)), f.Msgs)
+		if shardDigests != nil {
+			shardDigests[p] = digestMsgs(splitmix64(uint64(p)), f.Msgs)
+		}
 		stats.Frames += int64(f.Stats.Frames)
 		stats.FrameBytes += int64(f.Stats.FrameBytes)
-	}
-
-	// Assemble: process order first, then a stable per-destination sort by
-	// source. Messages sharing (source, destination) travel in one chunk
-	// stream, so stability preserves their send order — together this is
-	// exactly the order the transport contract prescribes.
-	inboxes := make([][]cc.Message, n)
-	for d := 0; d < n; d++ {
-		if dc[d] > 0 {
-			inboxes[d] = make([]cc.Message, 0, dc[d])
-		}
-	}
-	got := 0
-	for p := 0; p < t.procs; p++ {
-		for _, wm := range shards[p] {
+		for _, wm := range f.Msgs {
 			if wm.To < 0 || int(wm.To) >= n {
 				return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: worker %d delivered recipient %d out of range", p, wm.To)
 			}
@@ -787,9 +811,9 @@ func (t *Transport) pingAll(interval time.Duration) error {
 			return fmt.Errorf("tcp: ping to worker %d: %w", p, err)
 		}
 	}
+	var f transport.Frame
 	for p := 0; p < t.procs; p++ {
-		f, err := transport.ReadFrame(t.rds[p])
-		if err != nil {
+		if err := t.rds[p].Read(&f); err != nil {
 			return fmt.Errorf("tcp: pong from worker %d: %w", p, err)
 		}
 		if f.Type != transport.FramePong {
