@@ -120,13 +120,15 @@ serve-smoke:
 	$$tmp/loadgen -base http://$(SERVE_ADDR) -gate
 
 # Multi-process transport smoke + gate: build the worker binary and flowcc,
-# solve the same max-flow instance (with an injected fault plan) through the
-# in-process merge and through a 4-process TCP clique on loopback, and
-# require byte-identical reports — flow value, IPM iteration counts, and the
-# full charged-round breakdown. Exercises the subprocess spawn, mesh
-# bootstrap, barrier, and shutdown paths end to end; the worker processes
-# are owned and reaped by flowcc's coordinator, so teardown is just the
-# temp dir.
+# solve the same max-flow instance in process and through a 4-process TCP
+# clique on loopback, once with an injected fault plan and once without,
+# and require byte-identical reports — flow value, IPM iteration counts, and
+# the full charged-round breakdown. The fault-free run takes the path the
+# flow-tcp workload serves, where a batched route's batches and the ring
+# layer's paired exchanges share delivery barriers; the faulty run takes
+# the reliable layer's. Exercises the subprocess spawn, mesh bootstrap,
+# barrier, and shutdown paths end to end; the worker processes are owned
+# and reaped by flowcc's coordinator, so teardown is just the temp dir.
 net-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'rm -rf "$$tmp"' EXIT; \
@@ -136,7 +138,11 @@ net-smoke:
 	$$tmp/flowcc -algo maxflow -width 6 -faults seed=3,drop=0.02 \
 		-transport tcp,procs=4,bin=$$tmp/lapccnode | grep -v '^transport:' >$$tmp/tcp.out; \
 	diff -u $$tmp/local.out $$tmp/tcp.out; \
-	echo "net-smoke: OK (tcp output byte-identical to local)"
+	$$tmp/flowcc -algo maxflow -width 6 >$$tmp/clean-local.out; \
+	$$tmp/flowcc -algo maxflow -width 6 \
+		-transport tcp,procs=4,bin=$$tmp/lapccnode | grep -v '^transport:' >$$tmp/clean-tcp.out; \
+	diff -u $$tmp/clean-local.out $$tmp/clean-tcp.out; \
+	echo "net-smoke: OK (tcp output byte-identical to local, with and without faults)"
 
 # Re-measure the per-backend delivery figures behind BENCH_net.json.
 bench-net:

@@ -7,67 +7,93 @@ import (
 	"lapcc/internal/rounds"
 )
 
-// batchScratch holds the reusable working state of one RouteBatched
-// invocation: the per-node admissibility counters, the current batch's
-// packet arena and the output each flush is routed into before it is
-// appended to the call's output. Every flush zeroes the packets it used in
-// both, so pooled scratch does not pin caller data. Instances are recycled
-// through batchPool so steady-state RouteBatched calls allocate only their
-// output (matching Route, whose own scratch is pooled in routing.go).
-type batchScratch struct {
+// stepsScratch holds the reusable working state of one batched or
+// transport-backed routing call: the per-node admissibility counters, the
+// call's admissible batches and the arena holding the batches that had to
+// be split out of their step, the output each in-process batch is routed
+// into before it is appended to the call's output, and the delivery tables
+// of the transport path (routevia.go). release zeroes every reference to
+// caller data, so pooled scratch pins none. Instances are recycled through
+// stepsPool so steady-state calls allocate only their output (matching
+// Route, whose own scratch is pooled in routing.go).
+type stepsScratch struct {
 	srcCount, dstCount []int
-	batch              []Packet
+	units              []unit
+	arena              []Packet
+	total              []int
 	flushed            RouteBuffer
+
+	// The transport path's delivery tables (routevia.go).
+	outs      [][][]Packet // every step's output
+	cur       []int        // cur[u*n+d]: unit u's next slot in its step's out[d]
+	stepWords [][]int64    // every step's payload arena
+	wordOff   []int        // every step's next free payload word
+	srcStart  []int
+	dstStart  []int
+	msgs      []OutMsg
+	unitOf    []int32 // the unit of every outbox position
+	byDst     []int32 // outbox positions grouped by destination
+	words     []int64 // the outbox's payload arena
+	outbox    [1]Outbox
 }
 
-var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+// unit is one admissible batch of a step: routed by one relay schedule,
+// charged on its own, and shipped whole in one delivery. Its packets are
+// window lo..hi of the step's own packets, or of the scratch arena when
+// the step was split; a window, not a slice, so pooled scratch never holds
+// a caller's packet slice and the slice need not escape to the heap.
+type unit struct {
+	step   int
+	lo, hi int
+	split  bool
+	words  int // payload words, totalled by the transport path's layout
+}
+
+// msgs is the number of messages u carries.
+func (u unit) msgs() int { return u.hi - u.lo }
+
+// wireBytes bounds u's encoded size on the wire generously: the wire codec
+// spends 12 bytes on a message's header and 8 on each payload word.
+func (u unit) wireBytes() int { return 16*u.msgs() + 8*u.words }
+
+// batch returns u's packets; packets is the packet set of u's step.
+func (s *stepsScratch) batch(u unit, packets []Packet) []Packet {
+	if u.split {
+		return s.arena[u.lo:u.hi]
+	}
+	return packets[u.lo:u.hi]
+}
+
+var stepsPool = sync.Pool{New: func() any { return new(stepsScratch) }}
+
+// release zeroes every reference the scratch holds to caller packets and
+// outputs, then returns it to the pool.
+func (s *stepsScratch) release() {
+	s.units = s.units[:0]
+	clear(s.arena)
+	s.arena = s.arena[:0]
+	clear(s.outs)
+	clear(s.stepWords)
+	stepsPool.Put(s)
+}
 
 // counters returns zeroed per-node source and destination counters.
-func (s *batchScratch) counters(n int) (srcCount, dstCount []int) {
-	if cap(s.srcCount) < n {
-		s.srcCount = make([]int, n)
-		s.dstCount = make([]int, n)
-	}
-	s.srcCount = s.srcCount[:n]
-	s.dstCount = s.dstCount[:n]
+func (s *stepsScratch) counters(n int) (srcCount, dstCount []int) {
+	s.srcCount, s.dstCount = grow(s.srcCount, n), grow(s.dstCount, n)
 	clear(s.srcCount)
 	clear(s.dstCount)
 	return s.srcCount, s.dstCount
 }
 
-// batchArena returns an empty packet arena with room for m packets.
-func (s *batchScratch) batchArena(m int) []Packet {
-	if cap(s.batch) < m {
-		s.batch = make([]Packet, 0, m)
-	}
-	return s.batch[:0]
-}
-
-// RouteBatched delivers an arbitrary packet set by splitting it into
-// admissible batches (every node source and destination of at most n packets
-// per batch) and routing each batch with Route. Nodes owning many virtual
-// objects (e.g. a flow-network vertex with many parallel edges) legitimately
-// need more rounds to move proportionally more messages; batching charges
-// exactly that.
-func RouteBatched(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
-	return routeBatchedVia(nil, n, packets, ledger, tag, nil)
-}
-
-// routeBatchedVia is the batching loop with an optional transport threaded
-// into every flush, so each admissible batch is physically delivered on its
-// own barrier and the per-destination concatenation order matches the
-// in-process version batch for batch. The output is laid out in buf (fresh
-// when buf is nil).
-func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer) ([][]Packet, RouteResult, error) {
-	var agg RouteResult
-	s := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(s)
+// split appends step's admissible batches to s.units, in packet order: the
+// whole set when it is non-empty and every node is the source and the
+// destination of at most n of its packets, otherwise windows of s.arena,
+// each closed when the next packet would take some node past n. A packet
+// with an endpoint outside the clique closes the current batch and ends the
+// split with Route's error for it, so the batches ahead of it are still
+// routed and charged, as routing the set batch by batch would.
+func (s *stepsScratch) split(n, step int, packets []Packet) error {
 	srcCount, dstCount := s.counters(n)
-
-	// Final per-node totals are known upfront. A non-empty set within the
-	// admissibility bound everywhere is exactly the one-flush case below —
-	// one batch holding every packet in order — so it is RouteVia's result
-	// as it stands, with the same charges and the same single barrier.
 	valid := true
 	for _, p := range packets {
 		if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
@@ -77,66 +103,83 @@ func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger
 		srcCount[p.Src]++
 		dstCount[p.Dst]++
 	}
-	if valid && len(packets) > 0 && slices.Max(srcCount) <= n && slices.Max(dstCount) <= n {
-		return routeVia(t, n, packets, ledger, tag, buf)
-	}
-	// Otherwise size the output exactly once from the per-destination
-	// totals, replacing per-flush append growth.
-	out := buf.output(n, dstCount)
-	clear(srcCount)
-	clear(dstCount)
-	batch := s.batchArena(len(packets))
-
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		delivered, res, err := routeVia(t, n, batch, ledger, tag, &s.flushed)
-		// Zero the flushed packets' payload pointers so pooled scratch
-		// does not pin caller data.
-		clear(batch)
-		batch = batch[:0]
-		if err != nil {
-			return err
-		}
-		agg.Executed += res.Executed
-		agg.Charged += res.Charged
-		agg.LinkMessages += res.LinkMessages
-		agg.Overflowed = agg.Overflowed || res.Overflowed
-		for d := 0; d < n; d++ {
-			out[d] = append(out[d], delivered[d]...)
-			clear(delivered[d])
-		}
-		clear(srcCount)
-		clear(dstCount)
+	if len(packets) > 0 && valid && slices.Max(srcCount) <= n && slices.Max(dstCount) <= n {
+		s.units = append(s.units, unit{step: step, hi: len(packets)})
 		return nil
 	}
-
+	clear(srcCount)
+	clear(dstCount)
+	start := len(s.arena)
+	closeBatch := func() {
+		if end := len(s.arena); end > start {
+			s.units = append(s.units, unit{step: step, lo: start, hi: end, split: true})
+			start = end
+			clear(srcCount)
+			clear(dstCount)
+		}
+	}
 	for _, p := range packets {
 		if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
-			// Let Route produce the canonical error for bad endpoints. The
-			// continue is load-bearing: without it a (hypothetically)
-			// non-erroring delegated call would fall through to the
-			// srcCount/dstCount indexing below and panic on a negative or
-			// out-of-range index.
-			if err := flush(); err != nil {
-				return nil, agg, err
-			}
-			if _, _, err := Route(n, []Packet{p}, nil, tag); err != nil {
-				return nil, agg, err
-			}
-			continue
+			closeBatch()
+			return badRecipient(n, p)
 		}
 		if srcCount[p.Src] >= n || dstCount[p.Dst] >= n {
-			if err := flush(); err != nil {
-				return nil, agg, err
-			}
+			closeBatch()
 		}
 		srcCount[p.Src]++
 		dstCount[p.Dst]++
-		batch = append(batch, p)
+		s.arena = append(s.arena, p)
 	}
-	if err := flush(); err != nil {
+	closeBatch()
+	return nil
+}
+
+// RouteBatched delivers an arbitrary packet set by splitting it into
+// admissible batches (every node source and destination of at most n packets
+// per batch) and routing each batch with Route. Nodes owning many virtual
+// objects (e.g. a flow-network vertex with many parallel edges) legitimately
+// need more rounds to move proportionally more messages; batching charges
+// exactly that.
+func RouteBatched(n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
+	return routeBatched(n, packets, ledger, tag, nil)
+}
+
+// routeBatched is RouteBatched with the output laid out in buf (fresh when
+// buf is nil). A set that is one admissible batch is Route's output as it
+// stands; otherwise each batch is routed in turn and appended, so every
+// destination's packets come batch by batch, each batch in canonical order.
+func routeBatched(n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer) ([][]Packet, RouteResult, error) {
+	s := stepsPool.Get().(*stepsScratch)
+	defer s.release()
+	err := s.split(n, 0, packets)
+	if err == nil && len(s.units) == 1 && !s.units[0].split {
+		return routeCore(n, packets, ledger, tag, buf, true)
+	}
+	// Size the output once from the per-destination totals, replacing
+	// per-batch append growth.
+	total := grow(s.total, n)
+	s.total = total
+	clear(total)
+	for _, u := range s.units {
+		for _, p := range s.batch(u, packets) {
+			total[p.Dst]++
+		}
+	}
+	out := buf.output(n, total)
+	var agg RouteResult
+	for _, u := range s.units {
+		delivered, res, rerr := routeCore(n, s.batch(u, packets), ledger, tag, &s.flushed, true)
+		if rerr != nil {
+			return nil, agg, rerr
+		}
+		agg.add(res)
+		for d := 0; d < n; d++ {
+			out[d] = append(out[d], delivered[d]...)
+			// Drop the flush buffer's references to caller payloads.
+			clear(delivered[d])
+		}
+	}
+	if err != nil {
 		return nil, agg, err
 	}
 	return out, agg, nil

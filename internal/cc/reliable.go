@@ -189,10 +189,7 @@ func reliableDeliver(n int, packets []Packet, ledger *rounds.Ledger, tag string,
 		if err != nil {
 			return nil, agg, err
 		}
-		agg.Executed += res.Executed
-		agg.Charged += res.Charged
-		agg.LinkMessages += res.LinkMessages
-		agg.Overflowed = agg.Overflowed || res.Overflowed
+		agg.add(res)
 
 		// Apply the plan's fates to this wave's transmissions. Every fate is
 		// a pure function of (sequence number, wave), so the replay is

@@ -42,19 +42,22 @@ func (c *countingTransport) Close() error { return nil }
 type routeCall func() ([][]Packet, RouteResult, error)
 
 // hotSourcePackets is an inadmissible set: node 0 sends k packets, so
-// batching splits it into ceil(k/n) batches.
+// batching splits it into ceil(k/n) batches. Payloads fall from packet to
+// packet, so a destination's canonical order across batches is the reverse
+// of its batch-by-batch order.
 func hotSourcePackets(n, k int) []Packet {
 	pkts := make([]Packet, k)
 	for i := range pkts {
-		pkts[i] = Packet{Src: 0, Dst: 1 + i%(n-1), Data: []int64{int64(i)}}
+		pkts[i] = Packet{Src: 0, Dst: 1 + i%(n-1), Data: []int64{int64(k - i)}}
 	}
 	return pkts
 }
 
 // TestRouteBatchedViaBarriers pins how many transport barriers a batched
-// route makes: none for an empty set, one for a set that is one admissible
-// batch, one per batch otherwise. Output, RouteResult and ledger match the
-// in-process RouteBatched in every case.
+// route makes: none for an empty set, and otherwise one per n² packets,
+// however many admissible batches the set splits into — a delivery carries
+// batches until the next would take it past n² messages. Output,
+// RouteResult and ledger match the in-process RouteBatched in every case.
 func TestRouteBatchedViaBarriers(t *testing.T) {
 	const n = 16
 	cases := []struct {
@@ -65,8 +68,10 @@ func TestRouteBatchedViaBarriers(t *testing.T) {
 		{"empty", nil, 0},
 		{"one batch", randomPackets(rand.New(rand.NewSource(1)), n, n), 1},
 		{"one full batch", hotSourcePackets(n, n), 1},
-		{"three batches", hotSourcePackets(n, 3*n), 3},
-		{"four batches", hotSourcePackets(n, 3*n+1), 4},
+		{"three batches", hotSourcePackets(n, 3*n), 1},
+		{"four batches", hotSourcePackets(n, 3*n+1), 1},
+		{"n*n packets in n batches", hotSourcePackets(n, n*n), 1},
+		{"n*n+1 packets in n+1 batches", hotSourcePackets(n, n*n+1), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,7 +2,9 @@ package cc
 
 import (
 	"fmt"
-	"sync"
+	"slices"
+	"strconv"
+	"strings"
 
 	"lapcc/internal/rounds"
 )
@@ -18,81 +20,375 @@ import (
 // makes the result bit-identical to the in-process computation; the
 // differential suites pin exactly that.
 //
+// Charging and delivery are separate passes. A call first checks and
+// charges every admissible batch of every step it carries, in order, as
+// routing them one at a time would; then it ships the batches through the
+// transport, consecutive batches sharing one Deliver call while it carries
+// at most n² messages — one admissible batch's worth, which is all a
+// barrier carried when each batch had its own — and at most
+// sharedDeliveryBytes, so no merged wire frame nears the frame limit. So a
+// batched route costs one barrier however many batches it needs, and
+// RouteStepsVia lets independent steps share that barrier as well.
+//
 // A nil transport makes every *Via function identical to its plain
 // counterpart, which is how the solver stack is wired: options thread one
 // optional Transport down to these call sites.
 
-// deliverScratch is transportDeliver's reusable working state: the
-// counting-sort tables and the one outbox handed to the transport. Deliver
-// is a synchronous barrier, so none of it is referenced once it returns.
-// Instances are recycled through deliverPool.
-type deliverScratch struct {
-	starts []int
-	order  []int
-	msgs   []OutMsg
-	words  []int64
-	outbox [1]Outbox
+// Step is one step of a multi-step routing call (RouteStepsVia): a packet
+// set, routed and charged under Tag exactly as its own RouteBatchedVia call
+// would route and charge it.
+type Step struct {
+	Packets []Packet
+	Tag     string
+	// Buf, if non-nil, holds the step's output, as RouteBuffer's
+	// RouteBatchedVia lays it out; nil gives a fresh output. Two steps of
+	// one call must not share a buffer.
+	Buf *RouteBuffer
+
+	// Out and Result are what RouteBatchedVia returns for the step alone,
+	// set by the call.
+	Out    [][]Packet
+	Result RouteResult
 }
 
-var deliverPool = sync.Pool{New: func() any { return new(deliverScratch) }}
+// sharedDeliveryBytes caps the estimated wire size (unit.wireBytes) of a
+// delivery that carries more than one admissible batch. Every wire frame
+// of such a delivery holds a subset of its messages, so the cap keeps
+// merged frames far below the 16 MiB frame limit of the wire backends,
+// while a lone batch ships alone whatever its size, as it always has. A
+// delivery this large spends far longer moving bytes than crossing its
+// barrier, so a larger cap would save nothing.
+const sharedDeliveryBytes = 1 << 20
 
-// transportDeliver ships packets through t as one delivery barrier and
-// returns them re-materialized per destination, in the transport's
-// ascending-source order, laid out in buf's output (fresh when buf is nil).
-// It requires a backend whose delivered payloads do not alias the outbox
-// (true of the wire backends, which decode fresh copies), since the outbox
-// words are recycled for the next call.
-func transportDeliver(t Transport, n int, packets []Packet, buf *RouteBuffer) ([][]Packet, DeliveryStats, error) {
-	s := deliverPool.Get().(*deliverScratch)
-	defer deliverPool.Put(s)
-	// Stable counting sort by source: the transport contract wants ascending
-	// source order across the outbox.
-	starts := grow(s.starts, n+1)
-	clear(starts)
-	s.starts = starts
-	for _, p := range packets {
-		starts[p.Src+1]++
+// RouteStepsVia routes independent steps — no step's packets may depend on
+// another step's delivery — through t in one call. Every step, and every
+// admissible batch inside it, is checked and charged in order exactly as
+// its own RouteBatchedVia call would be: the same Result, the same ledger
+// entries in the same order and the same route metrics. Over a transport
+// all the steps then share delivery barriers, as few as hold at most n²
+// messages and about a megabyte each, and each step's Out is, packet for
+// packet, what RouteBatchedVia returns for it; an empty step is neither
+// charged nor shipped. A nil transport routes the steps one after another
+// in process.
+//
+// On error no step's Out is set. The steps ahead of the failing one, and
+// the failing step's batches ahead of a bad packet, are charged, as routing
+// the steps one call at a time would charge them; a charge error names the
+// failing step's index and tag.
+func RouteStepsVia(t Transport, n int, steps []Step, ledger *rounds.Ledger) error {
+	for i := range steps {
+		steps[i].Out, steps[i].Result = nil, RouteResult{}
 	}
-	for v := 0; v < n; v++ {
-		starts[v+1] += starts[v]
+	if t == nil {
+		for i := range steps {
+			st := &steps[i]
+			out, res, err := routeBatched(n, st.Packets, ledger, st.Tag, st.Buf)
+			st.Result = res
+			if err != nil {
+				for j := range steps[:i] {
+					steps[j].Out = nil
+				}
+				return stepError(i, st.Tag, err)
+			}
+			st.Out = out
+		}
+		return nil
 	}
-	order := grow(s.order, len(packets))
-	s.order = order
-	for i, p := range packets {
-		order[starts[p.Src]] = i
-		starts[p.Src]++
-	}
-	words := 0
-	for _, p := range packets {
-		words += len(p.Data)
-	}
-	msgs := grow(s.msgs, len(packets))
-	arena := grow(s.words, words)[:0]
-	for pos, idx := range order {
-		p := packets[idx]
-		off := len(arena)
-		arena = append(arena, p.Data...)
-		msgs[pos] = OutMsg{From: int32(p.Src), To: int32(p.Dst), Off: int32(off), Width: int32(len(p.Data))}
-	}
-	s.msgs, s.words = msgs, arena
-	s.outbox[0] = Outbox{Msgs: msgs, Arena: arena}
-	inb, stats, err := t.Deliver(0, n, s.outbox[:])
-	s.outbox[0] = Outbox{}
-	if err != nil {
-		return nil, stats, err
-	}
-	// Rebuild the output in one flat arena; starts, spent by the sort
-	// above, holds the per-destination counts.
-	for d := 0; d < n; d++ {
-		starts[d] = len(inb[d])
-	}
-	out := buf.output(n, starts)
-	for d := 0; d < n; d++ {
-		for _, m := range inb[d] {
-			out[d] = append(out[d], Packet{Src: m.From, Dst: d, Data: m.Data})
+	s := stepsPool.Get().(*stepsScratch)
+	defer s.release()
+	for i := range steps {
+		st := &steps[i]
+		res, err := s.charge(n, i, st.Packets, ledger, st.Tag, true)
+		st.Result = res
+		if err != nil {
+			return stepError(i, st.Tag, err)
 		}
 	}
-	return out, stats, nil
+	if err := s.deliver(t, n, steps); err != nil {
+		return fmt.Errorf("cc: transport route %s: %w", stepTags(steps), err)
+	}
+	for i := range steps {
+		steps[i].Out = s.outs[i]
+	}
+	return nil
+}
+
+// stepError names the step a routing error came from.
+func stepError(i int, tag string, err error) error {
+	return fmt.Errorf("cc: route step %d %q: %w", i, tag, err)
+}
+
+// stepTags names the steps of a failed delivery: the tags of the non-empty
+// steps, quoted and joined by "+", a run of equal tags named once.
+func stepTags(steps []Step) string {
+	var b strings.Builder
+	prev := ""
+	for _, st := range steps {
+		if len(st.Packets) == 0 || (b.Len() > 0 && st.Tag == prev) {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(strconv.Quote(st.Tag))
+		prev = st.Tag
+	}
+	return b.String()
+}
+
+// routeVia is the one-step transport path behind RouteVia (batched false:
+// the set must be one admissible batch) and RouteBatchedVia (batched
+// true), with the output laid out in buf (fresh when buf is nil). It keeps
+// packets out of the pooled scratch, so a caller's packet slice does not
+// escape to the heap.
+func routeVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer, batched bool) ([][]Packet, RouteResult, error) {
+	s := stepsPool.Get().(*stepsScratch)
+	defer s.release()
+	res, err := s.charge(n, 0, packets, ledger, tag, batched)
+	if err != nil {
+		return nil, res, err
+	}
+	steps := [1]Step{{Packets: packets, Buf: buf}}
+	if err := s.deliver(t, n, steps[:]); err != nil {
+		return nil, res, fmt.Errorf("cc: transport route %q: %w", tag, err)
+	}
+	return s.outs[0], res, nil
+}
+
+// charge checks and charges one step — split into admissible batches when
+// batched, as one set that must be admissible otherwise — and appends its
+// batches to s.units for delivery. It only charges: over a transport the
+// delivery is the output.
+func (s *stepsScratch) charge(n, step int, packets []Packet, ledger *rounds.Ledger, tag string, batched bool) (RouteResult, error) {
+	if !batched {
+		_, res, err := routeCore(n, packets, ledger, tag, nil, false)
+		if err == nil && len(packets) > 0 {
+			s.units = append(s.units, unit{step: step, hi: len(packets)})
+		}
+		return res, err
+	}
+	first := len(s.units)
+	err := s.split(n, step, packets)
+	var agg RouteResult
+	for _, u := range s.units[first:] {
+		_, res, rerr := routeCore(n, s.batch(u, packets), ledger, tag, nil, false)
+		if rerr != nil {
+			return agg, rerr
+		}
+		agg.add(res)
+	}
+	return agg, err
+}
+
+// deliver ships s.units through t and lays step i's delivery out in
+// s.outs[i] as its own call would return it: out[d] holds the step's
+// batches in order, each batch's packets in canonical order, and every
+// payload is copied into the step's word arena, so no output aliases the
+// transport's buffers once the call returns. Consecutive units share a
+// Deliver call while it carries at most n² messages and
+// sharedDeliveryBytes; a unit that would take the delivery past either
+// starts the next one. deliver only reads the steps' Packets and Buf.
+func (s *stepsScratch) deliver(t Transport, n int, steps []Step) error {
+	s.layout(n, steps)
+	for lo := 0; lo < len(s.units); {
+		hi := lo + 1
+		m, size := s.units[lo].msgs(), s.units[lo].wireBytes()
+		for ; hi < len(s.units); hi++ {
+			u := s.units[hi]
+			if m+u.msgs() > n*n || size+u.wireBytes() > sharedDeliveryBytes {
+				break
+			}
+			m, size = m+u.msgs(), size+u.wireBytes()
+		}
+		if err := s.deliverUnits(t, n, steps, lo, hi, m); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	u := 0
+	for i := range steps {
+		out, first := s.outs[i], u
+		for u < len(s.units) && s.units[u].step == i {
+			u++
+		}
+		for d := range out {
+			lo := 0
+			for v := first; v < u; v++ {
+				hi := s.cur[v*n+d]
+				slices.SortFunc(out[d][lo:hi], comparePackets)
+				lo = hi
+			}
+		}
+	}
+	return nil
+}
+
+// layout sizes every step's output and payload arena from its units, and
+// points each unit's cursor at its first slot of every destination: a
+// step's out[d] holds its first batch's packets to d, then its second's.
+// It also totals every unit's payload words.
+func (s *stepsScratch) layout(n int, steps []Step) {
+	cur := grow(s.cur, len(s.units)*n)
+	s.cur = cur
+	clear(cur)
+	for u := range s.units {
+		un := &s.units[u]
+		row := cur[u*n : u*n+n]
+		un.words = 0
+		for _, p := range s.batch(*un, steps[un.step].Packets) {
+			row[p.Dst]++
+			un.words += len(p.Data)
+		}
+	}
+	total := grow(s.total, n)
+	s.total = total
+	s.outs = grow(s.outs, len(steps))
+	s.stepWords, s.wordOff = grow(s.stepWords, len(steps)), grow(s.wordOff, len(steps))
+	u := 0
+	for i := range steps {
+		clear(total)
+		words := 0
+		for ; u < len(s.units) && s.units[u].step == i; u++ {
+			row := cur[u*n : u*n+n]
+			for d, c := range row {
+				row[d] = total[d]
+				total[d] += c
+			}
+			words += s.units[u].words
+		}
+		buf := steps[i].Buf
+		out := buf.output(n, total)
+		for d, c := range total {
+			out[d] = out[d][:c] // filled slot by slot as messages arrive
+		}
+		s.outs[i] = out
+		s.stepWords[i], s.wordOff[i] = buf.wordArena(words), 0
+	}
+}
+
+// deliverUnits ships units lo..hi-1, m packets in all, as one delivery
+// barrier and files every delivered message into its step's output. A
+// delivery of one unit — most calls — is filed straight from the inboxes,
+// destination by destination; a shared one is first matched message by
+// message against the outbox to find each message's unit.
+func (s *stepsScratch) deliverUnits(t Transport, n int, steps []Step, lo, hi, m int) error {
+	shared := hi-lo > 1
+	// Stable counting sort by source: the transport contract wants
+	// ascending source order across the outbox. dst counts what every
+	// destination must receive.
+	src, dst := grow(s.srcStart, n+1), grow(s.dstStart, n+1)
+	s.srcStart, s.dstStart = src, dst
+	clear(src)
+	clear(dst)
+	words := 0
+	for _, un := range s.units[lo:hi] {
+		for _, p := range s.batch(un, steps[un.step].Packets) {
+			src[p.Src+1]++
+			dst[p.Dst+1]++
+		}
+		words += un.words
+	}
+	for v := 0; v < n; v++ {
+		src[v+1] += src[v]
+		dst[v+1] += dst[v]
+	}
+	msgs := grow(s.msgs, m)
+	arena := grow(s.words, words)[:0]
+	var unitOf []int32
+	if shared {
+		unitOf = grow(s.unitOf, m)
+		s.unitOf = unitOf
+	}
+	for u := lo; u < hi; u++ {
+		un := s.units[u]
+		for _, p := range s.batch(un, steps[un.step].Packets) {
+			pos := src[p.Src]
+			src[p.Src]++
+			msgs[pos] = OutMsg{From: int32(p.Src), To: int32(p.Dst), Off: int32(len(arena)), Width: int32(len(p.Data))}
+			if shared {
+				unitOf[pos] = int32(u)
+			}
+			arena = append(arena, p.Data...)
+		}
+	}
+	s.msgs, s.words = msgs, arena
+	var byDst []int32
+	if shared {
+		// Group the outbox positions by destination, stably. The transport
+		// hands destination d its messages in ascending source order and,
+		// per source, in send order — exactly the order of d's positions
+		// here — so the k-th message d receives is the one at d's k-th
+		// position. src, spent by the sort above, is the grouping cursor.
+		byDst = grow(s.byDst, m)
+		s.byDst = byDst
+		copy(src, dst)
+		for pos, om := range msgs {
+			byDst[src[om.To]] = int32(pos)
+			src[om.To]++
+		}
+	}
+
+	s.outbox[0] = Outbox{Msgs: msgs, Arena: arena}
+	inb, _, err := t.Deliver(0, n, s.outbox[:])
+	s.outbox[0] = Outbox{}
+	if err != nil {
+		return err
+	}
+	if len(inb) != n {
+		return fmt.Errorf("%d inboxes for %d nodes", len(inb), n)
+	}
+	for d := 0; d < n; d++ {
+		if len(inb[d]) != dst[d+1]-dst[d] {
+			return fmt.Errorf("node %d received %d messages, %d were sent", d, len(inb[d]), dst[d+1]-dst[d])
+		}
+	}
+	if !shared {
+		// All of d's messages are the unit's, in the order its output
+		// window wants them.
+		i := s.units[lo].step
+		out, cur := s.outs[i], s.cur[lo*n:lo*n+n]
+		words, off := s.stepWords[i], s.wordOff[i]
+		for d, inbox := range inb {
+			slots := out[d][cur[d] : cur[d]+len(inbox)]
+			for k, msg := range inbox {
+				var data []int64
+				if w := len(msg.Data); w > 0 {
+					if off+w > len(words) {
+						return fmt.Errorf("node %d received more payload words than were sent", d)
+					}
+					data = words[off : off+w : off+w]
+					copy(data, msg.Data)
+					off += w
+				}
+				slots[k] = Packet{Src: msg.From, Dst: d, Data: data}
+			}
+			cur[d] += len(inbox)
+		}
+		s.wordOff[i] = off
+		return nil
+	}
+	for d, inbox := range inb {
+		for k, msg := range inbox {
+			pos := byDst[dst[d]+k]
+			if om := msgs[pos]; msg.From != int(om.From) || len(msg.Data) != int(om.Width) {
+				return fmt.Errorf("node %d received message %d from %d with %d words, sent from %d with %d",
+					d, k, msg.From, len(msg.Data), om.From, om.Width)
+			}
+			u := int(unitOf[pos])
+			i := s.units[u].step
+			var data []int64
+			if w := len(msg.Data); w > 0 {
+				off := s.wordOff[i]
+				data = s.stepWords[i][off : off+w : off+w]
+				copy(data, msg.Data)
+				s.wordOff[i] = off + w
+			}
+			slot := &s.cur[u*n+d]
+			s.outs[i][d][*slot] = Packet{Src: msg.From, Dst: d, Data: data}
+			*slot++
+		}
+	}
+	return nil
 }
 
 // RouteVia is Route with the payload bytes physically carried by t: the
@@ -102,33 +398,28 @@ func transportDeliver(t Transport, n int, packets []Packet, buf *RouteBuffer) ([
 // output in canonical order. A nil transport is plain Route. Outputs are
 // bit-identical either way.
 func RouteVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
-	return routeVia(t, n, packets, ledger, tag, nil)
-}
-
-// routeVia is RouteVia with the output laid out in buf (fresh when nil).
-// Over a transport the routing core only charges: the transport's delivery
-// is the output, so building Route's as well would be thrown away.
-func routeVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer) ([][]Packet, RouteResult, error) {
 	if t == nil {
-		return routeCore(n, packets, ledger, tag, buf, true)
+		return Route(n, packets, ledger, tag)
 	}
-	_, res, err := routeCore(n, packets, ledger, tag, nil, false)
-	if err != nil {
-		return nil, res, err
-	}
-	phys, _, err := transportDeliver(t, n, packets, buf)
-	if err != nil {
-		return nil, res, fmt.Errorf("cc: transport route %q: %w", tag, err)
-	}
-	canonicalOrder(phys)
-	return phys, res, nil
+	return routeVia(t, n, packets, ledger, tag, nil, false)
 }
 
-// RouteBatchedVia is RouteBatched over a transport: each admissible batch is
-// carried by t, preserving the per-destination batch concatenation order of
-// the in-process version. A nil transport is plain RouteBatched.
+// RouteBatchedVia is RouteBatched over a transport: every admissible batch
+// is charged as RouteBatched charges it, and all of them ship on one
+// delivery barrier (more only past n² packets or about a megabyte),
+// preserving the per-destination batch concatenation order of the
+// in-process version. A nil transport is plain RouteBatched.
 func RouteBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string) ([][]Packet, RouteResult, error) {
 	return routeBatchedVia(t, n, packets, ledger, tag, nil)
+}
+
+// routeBatchedVia is RouteBatchedVia with the output laid out in buf
+// (fresh when buf is nil): the one-step case of RouteStepsVia.
+func routeBatchedVia(t Transport, n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer) ([][]Packet, RouteResult, error) {
+	if t == nil {
+		return routeBatched(n, packets, ledger, tag, buf)
+	}
+	return routeVia(t, n, packets, ledger, tag, buf, true)
 }
 
 // BroadcastAllVia is BroadcastAll with the announcements physically carried
@@ -151,14 +442,19 @@ func BroadcastAllVia(t Transport, n int, values []int64, ledger *rounds.Ledger, 
 			}
 		}
 	}
-	inb, _, err := transportDeliver(t, n, pkts, nil)
-	if err != nil {
+	steps := [1]Step{{Packets: pkts}}
+	s := stepsPool.Get().(*stepsScratch)
+	defer s.release()
+	if len(pkts) > 0 {
+		s.units = append(s.units, unit{hi: len(pkts)})
+	}
+	if err := s.deliver(t, n, steps[:]); err != nil {
 		return nil, fmt.Errorf("cc: transport broadcast %q: %w", tag, err)
 	}
 	got := make([]int64, n)
 	copy(got, vals)
-	for d := 0; d < n; d++ {
-		for _, p := range inb[d] {
+	for _, inbox := range s.outs[0] {
+		for _, p := range inbox {
 			got[p.Src] = p.Data[0]
 		}
 	}

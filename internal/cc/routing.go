@@ -17,9 +17,13 @@
 //
 // Their Via forms (routevia.go) carry the same packets through a Transport,
 // the in-process wire codec or a TCP mesh, with the same charges and
-// bit-identical output. Their Reliable forms (reliable.go) run them under a
-// deterministic FaultPlan and restore delivery with acknowledgements and
-// bounded retransmission.
+// bit-identical output. Every admissible batch is charged on its own, but a
+// delivery barrier carries as many batches as fit in n² messages and about
+// a megabyte on the wire: a batched route's batches share one, and
+// RouteStepsVia lets the independent steps of an algorithm (a ring's
+// successor and predecessor exchanges) share one too. Their Reliable forms
+// (reliable.go) run them under a deterministic FaultPlan and restore
+// delivery with acknowledgements and bounded retransmission.
 package cc
 
 import (
@@ -66,6 +70,20 @@ var ErrBadRecipient = errors.New("cc: recipient out of range")
 // condition of Lenzen routing: some node is the source or destination of
 // more than n messages.
 var ErrRoutingOverload = errors.New("cc: node exceeds n messages in routing instance")
+
+// badRecipient is the error for packet p, whose source or destination lies
+// outside the n-clique.
+func badRecipient(n int, p Packet) error {
+	return fmt.Errorf("%w: packet %d -> %d with n=%d", ErrBadRecipient, p.Src, p.Dst, n)
+}
+
+// add folds another routing invocation's result into r.
+func (r *RouteResult) add(o RouteResult) {
+	r.Executed += o.Executed
+	r.Charged += o.Charged
+	r.LinkMessages += o.LinkMessages
+	r.Overflowed = r.Overflowed || o.Overflowed
+}
 
 // routeScratch holds the reusable working state of one Route invocation:
 // count/offset tables, the counting-sort arenas that replace the old
@@ -161,7 +179,7 @@ func routeCore(n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *
 	srcCount, dstCount := s.srcCount, s.dstCount
 	for _, p := range packets {
 		if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
-			return nil, RouteResult{}, fmt.Errorf("%w: packet %d -> %d with n=%d", ErrBadRecipient, p.Src, p.Dst, n)
+			return nil, RouteResult{}, badRecipient(n, p)
 		}
 		srcCount[p.Src]++
 		dstCount[p.Dst]++
@@ -303,13 +321,15 @@ func routeCore(n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *
 // delivers — the same packets, RouteResult, ledger charges and barriers —
 // but lays the output out in the buffer's own memory, which it grows to the
 // largest delivery seen and then reuses, so a warm call allocates nothing
-// of its own. The returned per-destination slices alias the buffer and are
+// of its own. Over a transport the delivered payloads are copied into the
+// buffer too. The returned per-destination slices alias the buffer and are
 // valid until its next call; a destination that receives nothing reads nil.
 // The zero value is ready to use. A RouteBuffer must not be used by two
 // goroutines at once.
 type RouteBuffer struct {
 	arena []Packet
 	out   [][]Packet
+	words []int64
 }
 
 // RouteBatchedVia is RouteBatchedVia with the output laid out in b.
@@ -347,6 +367,20 @@ func (b *RouteBuffer) output(n int, count []int) [][]Packet {
 		}
 	}
 	return out
+}
+
+// wordArena returns room for the payload words of a delivery: b's own
+// memory, or a fresh arena when b is nil, so the payloads outlive the
+// transport's buffers either way.
+func (b *RouteBuffer) wordArena(words int) []int64 {
+	if b == nil {
+		if words == 0 {
+			return nil
+		}
+		return make([]int64, words)
+	}
+	b.words = grow(b.words, words)
+	return b.words
 }
 
 // grow returns buf resized to length n, reallocating only when its capacity

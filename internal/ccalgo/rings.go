@@ -4,7 +4,10 @@
 // "virtual": their slots live on clique nodes and consecutive slots may be
 // owned by arbitrary node pairs, so every neighbor exchange is delivered
 // with the (batched) Lenzen routing primitive of internal/cc, which enforces
-// the congested-clique bandwidth constraints and accounts rounds.
+// the congested-clique bandwidth constraints and accounts rounds. Two
+// exchanges that do not read each other's results travel in one routing
+// call (cc.RouteStepsVia): each is charged as its own call, and over a
+// transport both share one delivery barrier.
 package ccalgo
 
 import (
@@ -38,16 +41,30 @@ type Rings struct {
 
 	// Working memory, sized on first use and reused by every exchange of
 	// this and later calls, so a Rings kept across calls (as the Euler
-	// orientation keeps one per orientation) routes without garbage.
-	pkts                 []cc.Packet
-	words                []int64
-	routed               cc.RouteBuffer
-	res                  [2]slotValues // the shift-down reads two exchanges at once
-	colors, next         []int64       // Cole-Vishkin double buffer
-	ones                 []int64       // proposal and acceptance payloads
+	// orientation keeps one per orientation) routes without garbage. A
+	// routing call carries up to two exchanges, each with its own packets,
+	// payload words, routing output and per-slot result.
+	pkts                 [2][]cc.Packet
+	words                [2][]int64
+	routed               [2]cc.RouteBuffer
+	steps                [2]cc.Step
+	res                  [2]slotValues
+	colors, next         []int64 // Cole-Vishkin double buffer
+	ones                 []int64 // proposal and acceptance payloads
 	slots                []int
 	matched              []bool
 	proposers, accepters []int
+}
+
+// send is one neighbor exchange: every slot in slots sends vals[slot] to
+// its ring successor (toSucc) or predecessor, and into records what each
+// slot received.
+type send struct {
+	into   *slotValues
+	slots  []int
+	vals   []int64
+	toSucc bool
+	tag    string
 }
 
 // slotValues is one exchange's per-slot result: slot i received val[i] when
@@ -126,41 +143,61 @@ func (r *Rings) ringSlots() []int {
 	return out
 }
 
-// exchange sends, for every slot in slots, the value vals[slot] to its ring
-// successor (toSucc) or predecessor, and records into what each slot
-// received. One invocation is one batched routing step. The packets and
-// their payload words are r's scratch: on the in-process path a delivered
-// payload aliases them, so every delivery is read into `into` before the
-// next exchange rewrites them.
-func (r *Rings) exchange(into *slotValues, slots []int, vals []int64, toSucc bool, led *rounds.Ledger, tag string) error {
-	pkts := grow(r.pkts, len(slots))
-	words := grow(r.words, 2*len(slots)) // every packet's [target, value]
-	r.pkts, r.words = pkts, words
-	for i, s := range slots {
-		t := r.Pred[s]
-		if toSucc {
-			t = r.Succ[s]
+// exchange performs up to two neighbor exchanges in one routing call.
+// They must be independent — neither's values may come from the other's
+// delivery — because over a transport they share delivery barriers
+// (cc.RouteStepsVia). Each is charged as its own batched routing step, and
+// under a fault plan each is its own reliable call. An exchange with no
+// slots is neither charged nor shipped, so it is not routed at all. The
+// packets and their payload words are r's scratch: on the in-process path
+// a delivered payload aliases them, so every delivery is read into its
+// `into` before the next exchange rewrites them.
+func (r *Rings) exchange(led *rounds.Ledger, sends ...send) error {
+	var into [2]*slotValues // into[j] receives steps[j]'s delivery
+	steps := r.steps[:0]
+	for k, sd := range sends {
+		sd.into.reset(len(r.Owner))
+		if len(sd.slots) == 0 {
+			continue
 		}
-		data := words[2*i : 2*i+2 : 2*i+2]
-		data[0], data[1] = int64(t), vals[s]
-		pkts[i] = cc.Packet{Src: r.Owner[s], Dst: r.Owner[t], Data: data}
+		pkts := grow(r.pkts[k], len(sd.slots))
+		words := grow(r.words[k], 2*len(sd.slots)) // every packet's [target, value]
+		r.pkts[k], r.words[k] = pkts, words
+		for i, s := range sd.slots {
+			t := r.Pred[s]
+			if sd.toSucc {
+				t = r.Succ[s]
+			}
+			data := words[2*i : 2*i+2 : 2*i+2]
+			data[0], data[1] = int64(t), sd.vals[s]
+			pkts[i] = cc.Packet{Src: r.Owner[s], Dst: r.Owner[t], Data: data}
+		}
+		into[len(steps)] = sd.into
+		steps = append(steps, cc.Step{Packets: pkts, Tag: sd.tag, Buf: &r.routed[k]})
 	}
-	var delivered [][]cc.Packet
-	var err error
+	if len(steps) == 0 {
+		return nil
+	}
 	if r.Faults != nil {
-		delivered, _, err = cc.ReliableRouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag, r.Faults)
-	} else {
-		delivered, _, err = r.routed.RouteBatchedVia(r.Transport, r.CliqueN, pkts, led, tag)
-	}
-	if err != nil {
-		return fmt.Errorf("ccalgo: %s exchange: %w", tag, err)
-	}
-	into.reset(len(r.Owner))
-	for _, inbox := range delivered {
-		for _, p := range inbox {
-			i := p.Data[0]
-			into.val[i], into.stamp[i] = p.Data[1], into.epoch
+		for j := range steps {
+			out, _, err := cc.ReliableRouteBatchedVia(r.Transport, r.CliqueN, steps[j].Packets, led, steps[j].Tag, r.Faults)
+			if err != nil {
+				return fmt.Errorf("ccalgo: %s exchange: %w", steps[j].Tag, err)
+			}
+			steps[j].Out = out
 		}
+	} else if err := cc.RouteStepsVia(r.Transport, r.CliqueN, steps, led); err != nil {
+		return fmt.Errorf("ccalgo: ring exchange: %w", err) // names the failing step
+	}
+	for j := range steps {
+		v := into[j]
+		for _, inbox := range steps[j].Out {
+			for _, p := range inbox {
+				i := p.Data[0]
+				v.val[i], v.stamp[i] = p.Data[1], v.epoch
+			}
+		}
+		steps[j].Out = nil
 	}
 	return nil
 }
@@ -209,7 +246,7 @@ func (r *Rings) threeColor(led *rounds.Ledger) ([]int64, error) {
 		if iter >= maxIter {
 			return nil, fmt.Errorf("ccalgo: Cole-Vishkin did not reduce below 6 colors in %d iterations", maxIter)
 		}
-		if err := r.exchange(succColor, slots, colors, false, led, "cv-color"); err != nil {
+		if err := r.exchange(led, send{succColor, slots, colors, false, "cv-color"}); err != nil {
 			return nil, err
 		}
 		// Slot i now knows its successor's color (its successor sent to
@@ -235,14 +272,14 @@ func (r *Rings) threeColor(led *rounds.Ledger) ([]int64, error) {
 	}
 
 	// Shift-down phase: eliminate colors 3, 4, 5 one at a time. Each round,
-	// slots of the doomed color learn both neighbors' colors and take the
-	// smallest free color in {0,1,2}; same-color slots are never adjacent,
-	// so simultaneous recoloring stays proper.
+	// slots of the doomed color learn both neighbors' colors — the two
+	// exchanges of one routing call — and take the smallest free color in
+	// {0,1,2}; same-color slots are never adjacent, so simultaneous
+	// recoloring stays proper.
 	for doomed := int64(3); doomed <= 5; doomed++ {
-		if err := r.exchange(succColor, slots, colors, false, led, "cv-shiftdown"); err != nil {
-			return nil, err
-		}
-		if err := r.exchange(predColor, slots, colors, true, led, "cv-shiftdown"); err != nil {
+		if err := r.exchange(led,
+			send{succColor, slots, colors, false, "cv-shiftdown"},
+			send{predColor, slots, colors, true, "cv-shiftdown"}); err != nil {
 			return nil, err
 		}
 		for _, i := range slots {
@@ -303,47 +340,51 @@ func (r *Rings) MaximalMatching(led *rounds.Ledger) ([]bool, error) {
 	slots := r.slots // threeColor's ring slots
 	received, acks := &r.res[0], &r.res[1]
 
-	for phase := int64(0); phase < 3; phase++ {
+	// Phase p's proposals travel with phase p-1's acceptances: the acks
+	// reach only the color-(p-1) slots that proposed in phase p-1, and
+	// phase p's proposers have color p, so the proposal set is known before
+	// those acks land. The acks are applied before phase p's accepters are
+	// picked. Phase 3 only carries phase 2's acceptances.
+	accepters := r.accepters[:0]
+	for phase := int64(0); phase <= 3; phase++ {
 		// Proposal: unmatched slots of this phase's color offer to their
 		// successor. Neighbors have different colors, so no slot both
 		// proposes and is proposed to by a same-phase proposer chain; each
 		// slot receives at most one proposal (unique pred).
 		proposers := r.proposers[:0]
-		for _, i := range slots {
-			if colors[i] == phase && !matched[i] {
-				proposers = append(proposers, i)
+		if phase < 3 {
+			for _, i := range slots {
+				if colors[i] == phase && !matched[i] {
+					proposers = append(proposers, i)
+				}
 			}
 		}
 		r.proposers = proposers
-		if len(proposers) == 0 {
-			continue
-		}
-		if err := r.exchange(received, proposers, ones, true, led, "match-propose"); err != nil {
+		if err := r.exchange(led,
+			send{acks, accepters, ones, false, "match-accept"},
+			send{received, proposers, ones, true, "match-propose"}); err != nil {
 			return nil, err
+		}
+		// Each accepter acknowledged its predecessor, the proposer.
+		for _, a := range accepters {
+			if v, ok := acks.get(r.Pred[a]); ok && v == 1 {
+				matched[r.Pred[a]] = true
+				matchSucc[r.Pred[a]] = true
+			}
 		}
 		// Acceptance: an unmatched slot accepts the (unique) proposal.
 		// Iterate in slot order so packet batching — and hence the round
 		// count — is deterministic run to run.
-		accepters := r.accepters[:0]
-		for _, i := range slots {
-			if v, ok := received.get(i); ok && v == 1 && !matched[i] {
-				accepters = append(accepters, i)
-				matched[i] = true
+		accepters = accepters[:0]
+		if len(proposers) > 0 {
+			for _, i := range slots {
+				if v, ok := received.get(i); ok && v == 1 && !matched[i] {
+					accepters = append(accepters, i)
+					matched[i] = true
+				}
 			}
 		}
 		r.accepters = accepters
-		if len(accepters) == 0 {
-			continue
-		}
-		if err := r.exchange(acks, accepters, ones, false, led, "match-accept"); err != nil {
-			return nil, err
-		}
-		for i := 0; i < s; i++ {
-			if v, ok := acks.get(i); ok && v == 1 {
-				matched[i] = true
-				matchSucc[i] = true
-			}
-		}
 	}
 	return matchSucc, nil
 }

@@ -137,6 +137,7 @@ func RoundWith(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts
 		reg.Counter("lapcc_flowround_levels_total", "Scaling levels executed.").Add(int64(levels))
 	}
 	opts.Budget.BindIfUnbound(led)
+	var edges []graph.Edge // the parity graph's edges, reused by every level
 	for level := 0; level < levels; level++ {
 		if err := opts.Budget.Check(fmt.Sprintf("flowround-level-%d", level)); err != nil {
 			return nil, fmt.Errorf("flowround: %w", err)
@@ -150,17 +151,19 @@ func RoundWith(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts
 			}
 		}
 		if len(odd) > 0 {
-			g := graph.New(dg.N())
-			dirCost := make([]int64, 0, len(odd))
+			edges = edges[:0]
 			for _, i := range odd {
+				from, to, _ := arcEnds(i)
+				edges = append(edges, graph.Edge{U: from, V: to, W: 1})
+			}
+			g, err := graph.FromEdges(dg.N(), edges)
+			if err != nil {
+				lsp.End()
+				return nil, fmt.Errorf("flowround: building parity graph: %w", err)
+			}
+			dirCost := make([]int64, 0, len(odd))
+			for id, i := range odd {
 				from, to, cost := arcEnds(i)
-				id, err := g.AddEdge(from, to, 1)
-				if err != nil {
-					return nil, fmt.Errorf("flowround: building parity graph: %w", err)
-				}
-				if id != len(dirCost) {
-					return nil, fmt.Errorf("flowround: edge id %d out of order", id)
-				}
 				// Orienting the undirected edge U->V means the cycle
 				// traverses the arc forward exactly when the arc runs U->V.
 				c := int64(0)

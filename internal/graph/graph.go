@@ -83,14 +83,8 @@ func (g *Graph) WeightedDegree(v int) float64 {
 
 // AddEdge adds an undirected edge {u,v} with weight w and returns its index.
 func (g *Graph) AddEdge(u, v int, w float64) (int, error) {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return 0, fmt.Errorf("%w: {%d,%d} with n=%d", ErrVertexRange, u, v, g.n)
-	}
-	if u == v {
-		return 0, fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)
-	}
-	if !(w > 0) || w != w || w > 1e300 {
-		return 0, fmt.Errorf("%w: %v", ErrBadWeight, w)
+	if err := checkEdge(g.n, u, v, w); err != nil {
+		return 0, err
 	}
 	if u > v {
 		u, v = v, u
@@ -101,6 +95,63 @@ func (g *Graph) AddEdge(u, v int, w float64) (int, error) {
 	g.adj[v] = append(g.adj[v], Half{To: u, Edge: id})
 	g.gen++
 	return id, nil
+}
+
+// checkEdge validates edge {u,v} of weight w for an n-vertex graph, as
+// AddEdge requires.
+func checkEdge(n, u, v int, w float64) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("%w: {%d,%d} with n=%d", ErrVertexRange, u, v, n)
+	}
+	if u == v {
+		return fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)
+	}
+	if !(w > 0) || w != w || w > 1e300 {
+		return fmt.Errorf("%w: %v", ErrBadWeight, w)
+	}
+	return nil
+}
+
+// FromEdges returns the graph on n vertices with the given edges, in order:
+// the graph that New(n) and one AddEdge per edge build — the same edge
+// list, each pair normalized to U < V, the same adjacency order and Gen —
+// or the error AddEdge gives the first edge it would reject. Every
+// adjacency list is a capacity-capped window of one array, so the build
+// allocates a fixed handful of times however many edges there are, and a
+// later AddEdge reallocates the list it grows instead of overwriting a
+// neighbor's.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	deg := make([]int, n)
+	for _, e := range edges {
+		if err := checkEdge(n, e.U, e.V, e.W); err != nil {
+			return nil, err
+		}
+		deg[e.U]++
+		deg[e.V]++
+	}
+	g := &Graph{n: n, adj: make([][]Half, n), gen: uint64(len(edges))}
+	if len(edges) == 0 {
+		return g, nil
+	}
+	g.edges = make([]Edge, len(edges))
+	halves := make([]Half, 2*len(edges))
+	off := 0
+	for v, d := range deg {
+		if d > 0 {
+			g.adj[v] = halves[off : off : off+d]
+			off += d
+		}
+	}
+	for id, e := range edges {
+		u, v := e.U, e.V
+		if u > v {
+			u, v = v, u
+		}
+		g.edges[id] = Edge{U: u, V: v, W: e.W}
+		g.adj[u] = append(g.adj[u], Half{To: v, Edge: id})
+		g.adj[v] = append(g.adj[v], Half{To: u, Edge: id})
+	}
+	return g, nil
 }
 
 // Gen returns the graph's topology generation: a counter bumped by every

@@ -212,10 +212,14 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 	res.Levels++
 
 	// Build the class subgraph of this level (unweighted view).
-	lv := graph.New(g.N())
-	for _, id := range cur {
+	edges := make([]graph.Edge, len(cur))
+	for k, id := range cur {
 		e := g.Edge(id)
-		lv.MustAddEdge(e.U, e.V, 1)
+		edges[k] = graph.Edge{U: e.U, V: e.V, W: 1}
+	}
+	lv, err := graph.FromEdges(g.N(), edges)
+	if err != nil {
+		return levelOutcome{err: err}
 	}
 	phi := expander.PhiForEps(opts.Eps, lv.M())
 	dec, err := expander.Decompose(lv, phi)

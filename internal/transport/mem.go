@@ -16,9 +16,10 @@ const ChunkMsgs = 1024
 // messages into FrameData chunks, decodes them back, and assembles the
 // inboxes from the decoded copies. No sockets are involved, so the codec —
 // the part of the TCP backend that handles real data — runs under the race
-// detector and the fuzzers at full speed. Each decoded frame's payloads
-// land in one fresh arena that is never recycled; the encode buffer, the
-// chunk table and the inbox layout are reused from one Deliver to the next.
+// detector and the fuzzers at full speed. The encode buffer, the chunk
+// table, the inbox layout and the decoded payload words are all reused from
+// one Deliver to the next, so a delivery is valid until the next one, as
+// the cc.Transport contract allows.
 //
 // Mem is safe for concurrent Deliver calls (they serialize on an internal
 // lock, matching the TCP coordinator's barrier semantics).
@@ -34,7 +35,7 @@ type Mem struct {
 }
 
 // NewMem returns a Mem backend ready for delivery.
-func NewMem() *Mem { return &Mem{} }
+func NewMem() *Mem { return &Mem{dec: Decoder{Recycle: true}} }
 
 // Deliver implements cc.Transport by round-tripping every message through
 // the frame codec.
@@ -92,7 +93,9 @@ func (m *Mem) Deliver(round, n int, out []cc.Outbox) ([][]cc.Message, cc.Deliver
 
 	// Decode the byte stream back and assemble the inboxes. Chunks decode
 	// in encode order, so per destination the messages arrive in ascending
-	// source order, as the transport contract prescribes.
+	// source order, as the transport contract prescribes. The previous
+	// delivery's payload words are overwritten here.
+	m.dec.Release()
 	inboxes := m.inbox.Layout(dc)
 	decoded := 0
 	var f Frame

@@ -396,6 +396,7 @@ func (t *Transport) bootstrap() error {
 			return fmt.Errorf("tcp: worker %d sent frame type %d instead of ready", i, f.Type)
 		}
 		t.rds[i] = transport.NewReader(brs[i])
+		t.rds[i].Recycle = true
 	}
 	return nil
 }
@@ -632,10 +633,9 @@ func (t *Transport) readWorker(p int, rc uint64, f *transport.Frame) error {
 // absolute deadline for the attempt, so a hung worker surfaces as an error
 // here instead of stalling the coordinator.
 //
-// The inbox layout is reused by the next Deliver, but each Inbox frame's
-// payload words are decoded into a fresh arena: callers keep payloads
-// across later barriers (a batched route appends every flush into one
-// output, and the reliable layer returns early waves after later ones).
+// The inbox layout and every reader's payload arena are reused by the next
+// attempt or Deliver, as the cc.Transport contract allows: a delivery is
+// valid until the next one.
 func (t *Transport) deliverOnce(rc uint64, n, total int, traced bool) ([][]cc.Message, cc.DeliveryStats, []uint64, [][]trace.Rec, error) {
 	if t.opts.BarrierTimeout > 0 {
 		deadline := time.Now().Add(t.opts.BarrierTimeout)
@@ -681,6 +681,9 @@ func (t *Transport) deliverOnce(rc uint64, n, total int, traced bool) ([][]cc.Me
 	var recs [][]trace.Rec
 	if traced {
 		recs = make([][]trace.Rec, t.procs)
+	}
+	for _, rd := range t.rds {
+		rd.Release()
 	}
 	inboxes := t.inbox.Layout(t.dc)
 	stats := cc.DeliveryStats{Messages: int64(total)}

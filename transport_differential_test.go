@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -145,31 +146,81 @@ func TestTransportDifferentialMaxflow(t *testing.T) {
 }
 
 // TestTransportDifferentialEulerClean covers the fault-free path over the
-// wire backends too: orientation and rounds identical with no reliable
-// layer in between.
+// wire backends — the path flow-tcp serves, where the ring layer's paired
+// exchanges and a batched route's batches share delivery barriers — for
+// each of flow-tcp's three ops: the Euler orientation of RandomRegular(64,6),
+// max flow on LayeredDAG(4,4,2,4), and min-cost flow on the unit-capacity
+// LayeredDAG(4,4,2,1) with a 1/-1 demand. The orientation of the irregular
+// RandomEulerian(32,8,3,13) rides along: its mixed degrees and parallel
+// edges give short rings, where a ring's paired successor and predecessor
+// exchanges reach the same slots. With no reliable layer in between, every
+// answer, iteration count and round report must equal the in-process run's.
 func TestTransportDifferentialEulerClean(t *testing.T) {
-	g, err := graph.RandomEulerian(32, 8, 3, 13)
+	rr, err := graph.RandomRegular(64, 6, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.EulerianOrientWith(g, core.RunOptions{})
+	eu, err := graph.RandomEulerian(32, 8, 3, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, open := range backends(t) {
-		tr := open()
-		got, err := core.EulerianOrientWith(g, core.RunOptions{Transport: tr})
-		if cerr := tr.Close(); cerr != nil {
-			t.Fatalf("%s: close: %v", name, cerr)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range base.Orient {
-			if base.Orient[i] != got.Orient[i] {
-				t.Fatalf("%s: orientations diverge at edge %d", name, i)
+	dag := graph.LayeredDAG(4, 4, 2, 4, 17)
+	unit := graph.LayeredDAG(4, 4, 2, 1, 19)
+	sigma := make([]int64, unit.N())
+	sigma[0], sigma[unit.N()-1] = 1, -1
+	ops := []struct {
+		name string
+		run  func(tr cc.Transport) (result any, rounds core.RoundReport, err error)
+	}{
+		{"orient", func(tr cc.Transport) (any, core.RoundReport, error) {
+			r, err := core.EulerianOrientWith(rr, core.RunOptions{Transport: tr})
+			if err != nil {
+				return nil, core.RoundReport{}, err
 			}
-		}
-		sameRounds(t, name, base.Rounds, got.Rounds)
+			return r, r.Rounds, nil
+		}},
+		{"orient-eulerian", func(tr cc.Transport) (any, core.RoundReport, error) {
+			r, err := core.EulerianOrientWith(eu, core.RunOptions{Transport: tr})
+			if err != nil {
+				return nil, core.RoundReport{}, err
+			}
+			return r, r.Rounds, nil
+		}},
+		{"maxflow", func(tr cc.Transport) (any, core.RoundReport, error) {
+			r, err := core.MaxFlowWith(dag, 0, dag.N()-1, core.RunOptions{Transport: tr})
+			if err != nil {
+				return nil, core.RoundReport{}, err
+			}
+			return r, r.Rounds, nil
+		}},
+		{"mincostflow", func(tr cc.Transport) (any, core.RoundReport, error) {
+			r, err := core.MinCostFlowWith(unit, sigma, core.RunOptions{Transport: tr})
+			if err != nil {
+				return nil, core.RoundReport{}, err
+			}
+			return r, r.Rounds, nil
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			base, baseRounds, err := op.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, open := range backends(t) {
+				tr := open()
+				got, gotRounds, err := op.run(tr)
+				if cerr := tr.Close(); cerr != nil {
+					t.Fatalf("%s: close: %v", name, cerr)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sameRounds(t, name, baseRounds, gotRounds)
+				if !reflect.DeepEqual(got, base) {
+					t.Fatalf("%s: answer diverges from the in-process run:\n%+v\n%+v", name, got, base)
+				}
+			}
+		})
 	}
 }
