@@ -18,15 +18,13 @@ BENCH_ENGINE_BENCH := BenchmarkRoute
 BENCH_ENGINE_PKGS  := ./internal/cc/
 BENCH_SOLVER_BENCH := BenchmarkIPM|BenchmarkSolverSession|BenchmarkCholeskySolveTo|BenchmarkLaplacianCholesky
 BENCH_SOLVER_PKGS  := ./internal/maxflow/ ./internal/lapsolver/ ./internal/linalg/
-BENCH_SCALING_BENCH := BenchmarkScaling
-BENCH_SCALING_PKGS  := ./internal/linalg/
 
 # Common recipe: run one recorded benchmark suite with timing fidelity.
 define run-bench
 $(GO) test -run xxx -bench '$(1)' -benchmem -benchtime $(BENCHTIME) $(2)
 endef
 
-.PHONY: all build fmt-check vet test race bench-smoke bench-build bench-test bench-all bench-engine bench-baseline bench-solver bench-scaling bench-gate check experiments trace-smoke stress bench-faults serve-smoke net-smoke bench-net chaos-smoke bench-chaos
+.PHONY: all build fmt-check vet test race bench-smoke bench-build bench-test bench-all bench-engine bench-baseline bench-solver bench-gate check experiments trace-smoke stress bench-faults serve-smoke net-smoke bench-net chaos-smoke bench-chaos
 
 all: build
 
@@ -61,13 +59,6 @@ bench-engine:
 bench-solver:
 	$(call run-bench,$(BENCH_SOLVER_BENCH),$(BENCH_SOLVER_PKGS))
 
-# The worker-scaling curve behind BENCH_scaling.json: blocked Laplacian
-# matvec, blocked dot, and full CG at 1/2/4/8 workers. Figures depend on
-# GOMAXPROCS; benchgate tags recorded names with @procs=N and only compares
-# runs at matching procs.
-bench-scaling:
-	$(call run-bench,$(BENCH_SCALING_BENCH),$(BENCH_SCALING_PKGS))
-
 # Refresh every recorded baseline: re-measures each suite at full fidelity
 # and writes BENCH_<suite>.new.json next to the checked-in files (copy over
 # the baseline to accept, restoring headline commentary where it changed).
@@ -86,11 +77,12 @@ experiments:
 
 # Fault-injection stress gate: the differential suite (bit-identical outputs
 # under lossy FaultPlans, multiple plan seeds) plus the fault/reliable-layer
-# unit tests, all under the race detector. See DESIGN.md §9.
+# unit tests and the shared-operator concurrency test, all under the race
+# detector. See DESIGN.md §9.
 stress:
-	$(GO) test -race -count=1 -run 'FaultDifferential|ParallelDifferential' .
+	$(GO) test -race -count=1 -run 'FaultDifferential' .
 	$(GO) test -race -count=1 -run 'Fault|Reliable' ./internal/cc/
-	$(GO) test -race -count=1 -run 'Concurrent|Parallel|Pool|Batch' ./internal/linalg/ ./internal/sparsify/ ./internal/electrical/
+	$(GO) test -race -count=1 -run 'Concurrent' ./internal/linalg/
 
 # Re-measure the reliable-delivery round overhead behind BENCH_faults.json.
 bench-faults:

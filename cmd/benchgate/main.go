@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		suites    = flag.String("suites", "engine,solver,faults,scaling,serve,net,chaos", "comma-separated suites to gate")
+		suites    = flag.String("suites", "engine,solver,faults,serve,net,chaos", "comma-separated suites to gate")
 		benchtime = flag.String("benchtime", "1s", "-benchtime for the timing suites (the baselines were recorded at 2s)")
 		dir       = flag.String("dir", ".", "repo root holding the BENCH_*.json baselines")
 		writeNew  = flag.Bool("write", true, "write fresh results to BENCH_<suite>.new.json")

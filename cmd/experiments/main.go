@@ -1,7 +1,7 @@
 // Command experiments regenerates every experiment table in EXPERIMENTS.md
-// (E1-E16; E10 is retired), reproducing the quantitative claims of the
-// paper's theorems as scaling measurements. See DESIGN.md section 5 for the
-// experiment index.
+// (E1-E16; E10 and E15 are retired), reproducing the quantitative claims of
+// the paper's theorems as scaling measurements. See DESIGN.md section 5 for
+// the experiment index.
 //
 //	go run ./cmd/experiments            # all experiments
 //	go run ./cmd/experiments -run E3,E5 # a subset (any case; unknown IDs fail)
@@ -34,21 +34,20 @@ func main() {
 	budget := flag.String("budget", "", "per-solver-run budget: 'rounds=N,wall=DUR' or bare round count 'N'")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (e.g. localhost:6060) for the duration of the run")
 	debugHold := flag.Duration("debug-hold", 0, "keep the -debug-addr server up this long after the run (for scraping short runs)")
-	workers := flag.Int("workers", 0, "worker count for the numerical core (0 = GOMAXPROCS, 1 = sequential); results are bit-identical at any setting")
 	flag.Parse()
 
-	if err := run(*runFlag, *quick, *trOut, *trEv, *faults, *budget, *debugAddr, *debugHold, *workers); err != nil {
+	if err := run(*runFlag, *quick, *trOut, *trEv, *faults, *budget, *debugAddr, *debugHold); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(runFlag string, quick bool, trOut, trEv, faults, budget, debugAddr string, debugHold time.Duration, workers int) error {
+func run(runFlag string, quick bool, trOut, trEv, faults, budget, debugAddr string, debugHold time.Duration) error {
 	selected, err := selectExperiments(runFlag)
 	if err != nil {
 		return err
 	}
-	cfg := experiments.Config{BudgetSpec: budget, Workers: workers}
+	cfg := experiments.Config{BudgetSpec: budget}
 	if faults != "" {
 		plan, err := cc.ParseFaultPlan(faults)
 		if err != nil {

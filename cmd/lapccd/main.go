@@ -46,7 +46,6 @@ func run() error {
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 		poolSize = flag.Int("pool", 8, "pooled sessions per op kind (LRU-evicted beyond this)")
 		inflight = flag.Int("max-inflight", 0, "admitted concurrent requests; excess sheds with 429 (0 = 2*GOMAXPROCS)")
-		workers  = flag.Int("workers", 0, "worker count for the numerical core (0 = GOMAXPROCS); results are bit-identical at any setting")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown window: on SIGTERM/SIGINT stop accepting and wait this long for in-flight requests")
 		flushTo  = flag.String("metrics-flush", "", "write a final metrics JSON snapshot to this path on shutdown (\"-\" = stderr; empty disables)")
 
@@ -69,7 +68,6 @@ func run() error {
 	opts := serve.Options{
 		PoolSize:    *poolSize,
 		MaxInflight: *inflight,
-		Workers:     *workers,
 		Metrics:     reg,
 		TraceRing:   *traceRing,
 	}

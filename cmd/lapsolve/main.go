@@ -54,7 +54,6 @@ func run() error {
 		budget        = flag.String("budget", "", "abort when exhausted: 'rounds=N,wall=DUR' or bare round count 'N'")
 		debugAddr     = flag.String("debug-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (e.g. localhost:6060) for the duration of the run")
 		debugHold     = flag.Duration("debug-hold", 0, "keep the -debug-addr server up this long after the run (for scraping short runs)")
-		workers       = flag.Int("workers", 0, "worker count for the numerical core (0 = GOMAXPROCS, 1 = sequential); results are bit-identical at any setting")
 		transportSpec = flag.String("transport", "local", "delivery backend: 'local', 'mem' (in-process wire codec), or 'tcp[,procs=N][,bin=PATH][,supervise=1]' (multi-process loopback clique); results are bit-identical across backends")
 		chaosSpec     = flag.String("chaos", "", "socket-level chaos plan for the tcp backend, e.g. 'seed=7,reset=0.002,partial=0.05,kill=3:1' (see transport.ParseChaosPlan); implies supervision, results stay bit-identical")
 		flightPath    = flag.String("flight", "", "attach a transport flight recorder (tcp backend): its wall-clock event ring is written here at exit and auto-dumped on unrecoverable failure; also served at /debug/flight with -debug-addr")
@@ -66,7 +65,6 @@ func run() error {
 		fl = trace.NewFlight(trace.DefaultFlightSize)
 	}
 	var ro core.RunOptions
-	ro.Workers = *workers
 	if *debugAddr != "" {
 		srv, reg, err := startDebug(*debugAddr, fl)
 		if err != nil {

@@ -137,23 +137,7 @@ var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 // GOMAXPROCS suffix (-8 etc.) so they match the host-independent names the
 // baselines record. Non-benchmark lines (PASS, ok, goos headers) are
 // ignored; an input with no benchmark lines is an error.
-//
-// Stripping is only sound for suites whose figures do not depend on
-// GOMAXPROCS. The scaling suite's do — use ParseBenchOutputProcs with
-// keepProcs=true there, which records the suffix instead of discarding it.
 func ParseBenchOutput(r io.Reader) (map[string]Metrics, error) {
-	return ParseBenchOutputProcs(r, false)
-}
-
-// ParseBenchOutputProcs is ParseBenchOutput with explicit control over the
-// GOMAXPROCS suffix. With keepProcs=true the trailing -N is rewritten into
-// an "@procs=N" tag (absent suffix means GOMAXPROCS=1, tagged "@procs=1"),
-// so results measured at different GOMAXPROCS get distinct names and are
-// never diffed against each other. The worker-scaling suite needs this: its
-// ns/op figures move with the processor count by design, and the blind
-// strip would compare a GOMAXPROCS=4 run against a GOMAXPROCS=1 baseline
-// and call the speedup (or the lack of one) a regression.
-func ParseBenchOutputProcs(r io.Reader, keepProcs bool) (map[string]Metrics, error) {
 	out := map[string]Metrics{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -161,17 +145,7 @@ func ParseBenchOutputProcs(r io.Reader, keepProcs bool) (map[string]Metrics, err
 		if m == nil {
 			continue
 		}
-		name := m[1]
-		if keepProcs {
-			procs := "1"
-			if sm := procsSuffix.FindStringSubmatch(name); sm != nil {
-				procs = sm[1]
-				name = name[:len(name)-len(sm[0])]
-			}
-			name += "@procs=" + procs
-		} else {
-			name = procsSuffix.ReplaceAllString(name, "")
-		}
+		name := procsSuffix.ReplaceAllString(m[1], "")
 		var met Metrics
 		met.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
 		if m[3] != "" {
@@ -189,35 +163,6 @@ func ParseBenchOutputProcs(r io.Reader, keepProcs bool) (map[string]Metrics, err
 		return nil, fmt.Errorf("benchgate: no benchmark result lines in input")
 	}
 	return out, nil
-}
-
-// procsTag returns the "@procs=N" suffix of a keep-procs benchmark name
-// ("" when the name carries none).
-func procsTag(name string) string {
-	if i := strings.LastIndex(name, "@procs="); i >= 0 {
-		return name[i:]
-	}
-	return ""
-}
-
-// FilterByProcs returns the subset of baseline entries whose @procs tag is
-// represented in the fresh results. A keep-procs baseline recorded on a
-// GOMAXPROCS=8 host carries entries no GOMAXPROCS=1 gate run can reproduce;
-// those are incomparable rather than missing, so the gate compares only the
-// procs levels both sides measured. Entries without a tag always pass
-// through.
-func FilterByProcs(baseline, fresh map[string]Metrics) map[string]Metrics {
-	have := map[string]bool{}
-	for name := range fresh {
-		have[procsTag(name)] = true
-	}
-	out := make(map[string]Metrics, len(baseline))
-	for name, m := range baseline {
-		if tag := procsTag(name); tag == "" || have[tag] {
-			out[name] = m
-		}
-	}
-	return out
 }
 
 // Tolerance holds the per-metric regression thresholds as fresh/baseline

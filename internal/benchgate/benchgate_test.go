@@ -48,90 +48,6 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
-// Output of a GOMAXPROCS=4 run of the scaling suite: every name carries the
-// -4 suffix, including sub-benchmarks whose own labels end in digits.
-const sampleScalingOutput = `goos: linux
-BenchmarkScaling/apply/workers=1-4 	    1000	    250000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkScaling/apply/workers=8-4 	    2000	    125000 ns/op	     152 B/op	       4 allocs/op
-PASS
-`
-
-func TestParseBenchOutputKeepProcs(t *testing.T) {
-	got, err := ParseBenchOutputProcs(strings.NewReader(sampleScalingOutput), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The -4 GOMAXPROCS suffix becomes an @procs=4 tag instead of vanishing:
-	// the worker label ("workers=8") must survive untouched, and the procs
-	// level must stay visible so runs at different GOMAXPROCS never diff
-	// against each other.
-	if _, ok := got["BenchmarkScaling/apply/workers=8@procs=4"]; !ok {
-		t.Fatalf("keep-procs normalisation wrong: %v", got)
-	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d benchmarks, want 2: %v", len(got), got)
-	}
-
-	// A GOMAXPROCS=1 run has no suffix; keep-procs mode tags it @procs=1.
-	got, err = ParseBenchOutputProcs(strings.NewReader(
-		"BenchmarkScaling/apply/workers=8 \t 100 \t 500000 ns/op\n"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := got["BenchmarkScaling/apply/workers=8@procs=1"]; !ok {
-		t.Fatalf("suffixless line not tagged @procs=1: %v", got)
-	}
-}
-
-// TestGateSkipsCrossProcsBaseline is the regression test for the gate's
-// GOMAXPROCS=1 assumption: a scaling baseline recorded on a GOMAXPROCS>1
-// host must neither be compared ratio-for-ratio against a GOMAXPROCS=1
-// fresh run (the old suffix-stripping bug) nor flagged as missing from it.
-func TestGateSkipsCrossProcsBaseline(t *testing.T) {
-	// Baseline recorded at GOMAXPROCS=4, where 8 workers ran 2x faster than 1.
-	baseline, err := ParseBenchOutputProcs(strings.NewReader(sampleScalingOutput), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fresh run on a 1-CPU host: workers=8 pays overhead instead of winning —
-	// 4x the baseline's GOMAXPROCS=4 figure, far past every tolerance.
-	fresh, err := ParseBenchOutputProcs(strings.NewReader(
-		"BenchmarkScaling/apply/workers=1 \t 100 \t 260000 ns/op\n"+
-			"BenchmarkScaling/apply/workers=8 \t 100 \t 500000 ns/op\n"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated := FilterByProcs(baseline, fresh)
-	if len(gated) != 0 {
-		t.Fatalf("procs=4 baseline entries gated against a procs=1 run: %v", gated)
-	}
-	if regs := Diff(gated, fresh, DefaultTolerance); len(regs) != 0 {
-		t.Fatalf("cross-procs comparison produced regressions: %v", regs)
-	}
-
-	// Same-procs entries still gate: a fresh procs=4 run 3x slower than the
-	// procs=4 baseline is a real regression and must be flagged.
-	slow := map[string]Metrics{
-		"BenchmarkScaling/apply/workers=1@procs=4": {NsPerOp: 750000},
-		"BenchmarkScaling/apply/workers=8@procs=4": {NsPerOp: 130000},
-	}
-	gated = FilterByProcs(baseline, slow)
-	if len(gated) != len(baseline) {
-		t.Fatalf("matching-procs baseline entries dropped: %v", gated)
-	}
-	regs := Diff(gated, slow, DefaultTolerance)
-	if len(regs) != 1 || regs[0].Name != "BenchmarkScaling/apply/workers=1@procs=4" {
-		t.Fatalf("same-procs regression not flagged: %v", regs)
-	}
-
-	// Untagged names (non-scaling suites routed through the filter) always
-	// pass through.
-	plain := map[string]Metrics{"BenchmarkEngineRun/reference": {NsPerOp: 1}}
-	if got := FilterByProcs(plain, fresh); len(got) != 1 {
-		t.Fatalf("untagged baseline entry dropped: %v", got)
-	}
-}
-
 func TestParseBenchOutputEmpty(t *testing.T) {
 	if _, err := ParseBenchOutput(strings.NewReader("PASS\nok\n")); err == nil {
 		t.Fatal("want error for input with no benchmark lines")

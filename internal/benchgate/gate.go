@@ -15,7 +15,7 @@ import (
 // to re-measure it. Timing suites re-run `go test -bench`; the faults suite
 // re-executes its workloads in-process (Measure is set instead of Bench).
 type Suite struct {
-	Name     string // "engine", "solver", "faults", "scaling"
+	Name     string // "engine", "solver", "faults", ...
 	Baseline string // baseline file name, relative to the repo root
 	// Bench/Packages re-run a `go test` benchmark suite (timing suites).
 	Bench    string   // -bench regexp
@@ -30,10 +30,6 @@ type Suite struct {
 	// The serve suite uses it: end-to-end latencies need a wider ns ratio
 	// than microbenchmarks.
 	Tol *Tolerance
-	// KeepProcs records the GOMAXPROCS suffix in normalised names instead of
-	// stripping it, and restricts the diff to procs levels the fresh run
-	// measured. Set for suites whose figures depend on the processor count.
-	KeepProcs bool
 	// Bootstrap makes a missing baseline file a first-run measurement (the
 	// fresh results gate nothing and are written out to seed the baseline)
 	// instead of an error.
@@ -60,14 +56,6 @@ var Suites = []Suite{
 		Name:     "faults",
 		Baseline: "BENCH_faults.json",
 		Measure:  MeasureFaultWorkloads,
-	},
-	{
-		Name:      "scaling",
-		Baseline:  "BENCH_scaling.json",
-		Bench:     "BenchmarkScaling",
-		Packages:  []string{"./internal/linalg/"},
-		KeepProcs: true,
-		Bootstrap: true,
 	},
 	{
 		Name:         "serve",
@@ -194,17 +182,13 @@ func GateSuite(s Suite, dir, benchtime, recorded string, tol Tolerance, echo io.
 	if err != nil {
 		return nil, fmt.Errorf("suite %s: %w", s.Name, err)
 	}
-	got, err := ParseBenchOutputProcs(bytes.NewReader(out), s.KeepProcs)
+	got, err := ParseBenchOutput(bytes.NewReader(out))
 	if err != nil {
 		return nil, fmt.Errorf("suite %s: %w", s.Name, err)
 	}
 	fresh.Benchmarks = got
 	fresh.Command = fmt.Sprintf("go test -run xxx -bench '%s' -benchmem -benchtime %s %s",
 		s.Bench, benchtime, strings.Join(s.Packages, " "))
-	gated := base.Benchmarks
-	if s.KeepProcs {
-		gated = FilterByProcs(gated, got)
-	}
-	res.Regressions = Diff(gated, got, tol)
+	res.Regressions = Diff(base.Benchmarks, got, tol)
 	return res, nil
 }

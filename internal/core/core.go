@@ -11,7 +11,7 @@
 //   - RoundFlowWith      — Lemma 4.2: Cohen rounding in O(log n log* n log(1/Δ))
 //
 // Each algorithm has exactly one canonical entry point, taking RunOptions
-// for the cross-cutting knobs (tracing, faults, budgets, metrics, workers);
+// for the cross-cutting knobs (tracing, faults, budgets, metrics);
 // the zero options value is a plain run. On top of them, Do(Request) is the
 // request-oriented form the serving daemon and the CLIs use: one Op tag, one
 // graph, one Args struct — the in-process mirror of the daemon's JSON
@@ -63,12 +63,10 @@ type RunOptions struct {
 	// registry the debug HTTP endpoint exposes (see internal/metrics). A
 	// nil registry records nothing and costs nothing.
 	Metrics *metrics.Registry
-	// Workers sets the worker count of the numerical core for the run —
-	// Laplacian matvecs, CG/Chebyshev vector kernels, per-part sparsifier
-	// builds (0 = GOMAXPROCS, 1 = sequential, restoring the exact
-	// single-threaded code path). Parallelism is internal computation and
-	// free in the congested-clique model; answers and round accounting are
-	// bit-identical at any worker count.
+	// Workers is ignored: the numerical core runs on the calling goroutine.
+	//
+	// Deprecated: it has no effect and is kept only because the benchmark
+	// module (bench/replay.go) still reads it.
 	Workers int
 }
 
@@ -111,7 +109,6 @@ func SolveLaplacianWith(g *graph.Graph, b linalg.Vec, eps float64, ro RunOptions
 	led := rounds.New()
 	s, err := lapsolver.NewSolver(g, lapsolver.Options{
 		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -166,8 +163,8 @@ func NewLaplacianSession(g *graph.Graph, so SessionOptions) (*LaplacianSession, 
 	led := rounds.New()
 	s, err := lapsolver.NewSolver(g, lapsolver.Options{
 		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers, WarmStart: so.Warm,
-		Chain: sparsify.ChainOptions{ExactOnly: so.ExactReuse},
+		WarmStart: so.Warm,
+		Chain:     sparsify.ChainOptions{ExactOnly: so.ExactReuse},
 	})
 	if err != nil {
 		return nil, err
@@ -238,7 +235,6 @@ func SparsifyWith(g *graph.Graph, ro RunOptions) (*SparsifyResult, error) {
 	led := rounds.New()
 	res, err := sparsify.Sparsify(g, sparsify.Options{
 		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -334,7 +330,6 @@ func MaxFlowWith(dg *graph.DiGraph, s, t int, ro RunOptions) (*MaxFlowResult, er
 	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{
 		Ledger: led, FastSolve: true,
 		Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -367,7 +362,6 @@ func MinCostFlowWith(dg *graph.DiGraph, sigma []int64, ro RunOptions) (*MinCostF
 	led := rounds.New()
 	res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{
 		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		Workers: ro.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -45,7 +45,6 @@ type Session struct {
 	solver  *lapsolver.Solver // non-nil in Full mode
 	opts    SessionOptions
 
-	pool  *linalg.Pool // nil = sequential kernels (the historical path)
 	warmX map[string]linalg.Vec
 	warmB map[string]linalg.Vec
 	wbuf  []float64        // sanitized-weight scratch, reused across Reweights
@@ -91,13 +90,6 @@ type SessionOptions struct {
 	// solver when its own Metrics is unset. A nil registry records nothing
 	// and costs nothing.
 	Metrics *metrics.Registry
-	// Workers sets the worker count for the session's numerical kernels
-	// (Laplacian matvecs, CG vector ops) and for the concurrent per-slot
-	// solves of PotentialsBatch (0 = GOMAXPROCS, 1 = sequential — today's
-	// exact code path). Results are bit-identical at any worker count; the
-	// knob is propagated to the Full-mode solver when its own Workers is
-	// unset.
-	Workers int
 }
 
 // SessionStats counts session activity.
@@ -124,8 +116,6 @@ func NewSession(g *graph.Graph, opts SessionOptions) (*Session, error) {
 	}
 	s.precond = linalg.NewVec(g.N())
 	s.refreshPrecond()
-	s.pool = linalg.SharedPool(opts.Workers)
-	s.lap.SetPool(s.pool)
 	s.opts.Budget.BindIfUnbound(opts.Solver.Ledger)
 	if reg := opts.Metrics; reg != nil {
 		reg.MirrorLedger(opts.Solver.Ledger)
@@ -145,9 +135,6 @@ func NewSession(g *graph.Graph, opts SessionOptions) (*Session, error) {
 		}
 		if opts.NoFallback {
 			s.opts.Solver.NoEscalation = true
-		}
-		if s.opts.Solver.Workers == 0 {
-			s.opts.Solver.Workers = opts.Workers
 		}
 		solver, err := lapsolver.NewSolver(g, s.opts.Solver)
 		if err != nil {
@@ -235,7 +222,7 @@ func (s *Session) Potentials(b linalg.Vec, eps float64, slot string) (linalg.Vec
 		}
 		return x, nil
 	}
-	x, dense, err := s.solveInternal(b, eps, s.warmSeed(b, slot), &s.cg, true)
+	x, dense, err := s.solveInternal(b, eps, s.warmSeed(b, slot))
 	if dense {
 		s.stats.DenseFallbacks++
 		s.mDenseFallbacks.Inc()
@@ -275,12 +262,9 @@ func (s *Session) warmSeed(b linalg.Vec, slot string) linalg.Vec {
 }
 
 // solveInternal runs the internal-path solve ladder — warm CG, cold retry,
-// dense fallback — against the current Laplacian. It mutates only the given
-// scratch, so concurrent calls with private scratch are safe; withTrace
-// gates the fallback trace span (disabled on the concurrent batch path,
-// where span interleaving would be nondeterministic). dense reports whether
-// the exact fallback produced the result.
-func (s *Session) solveInternal(b linalg.Vec, eps float64, x0 linalg.Vec, scratch *linalg.CGScratch, withTrace bool) (x linalg.Vec, dense bool, err error) {
+// dense fallback — against the current Laplacian. dense reports whether the
+// exact fallback produced the result.
+func (s *Session) solveInternal(b linalg.Vec, eps float64, x0 linalg.Vec) (x linalg.Vec, dense bool, err error) {
 	// The stagnation window turns a hopeless plateau into a prompt typed
 	// error (and thus a dense fallback) instead of a full MaxIter burn; a
 	// healthy CG run exits on tolerance long before any window matters.
@@ -289,9 +273,8 @@ func (s *Session) solveInternal(b linalg.Vec, eps float64, x0 linalg.Vec, scratc
 		Precond:          s.precond,
 		ProjectMean:      true,
 		X0:               x0,
-		Scratch:          scratch,
+		Scratch:          &s.cg,
 		StagnationWindow: cgStagnationWindow,
-		Pool:             s.pool,
 	})
 	if err != nil && x0 != nil {
 		// Warm starting is an optimization, never a correctness dependency:
@@ -300,19 +283,15 @@ func (s *Session) solveInternal(b linalg.Vec, eps float64, x0 linalg.Vec, scratc
 			Tol:              eps,
 			Precond:          s.precond,
 			ProjectMean:      true,
-			Scratch:          scratch,
+			Scratch:          &s.cg,
 			StagnationWindow: cgStagnationWindow,
-			Pool:             s.pool,
 		})
 	}
 	if err != nil && !s.opts.NoFallback {
 		// Guarded recovery: the support is globally known on this path, so
 		// an exact dense solve costs zero extra rounds — it is pure internal
 		// computation, just much more memory- and time-hungry.
-		var sp *trace.Span
-		if withTrace {
-			sp = s.opts.Trace.Start("session-dense-fallback")
-		}
+		sp := s.opts.Trace.Start("session-dense-fallback")
 		x, err = linalg.LaplacianPseudoSolve(s.lap.Dense(), b)
 		sp.End()
 		if err == nil {
@@ -320,77 +299,4 @@ func (s *Session) solveInternal(b linalg.Vec, eps float64, x0 linalg.Vec, scratc
 		}
 	}
 	return x, dense, err
-}
-
-// PotentialsBatch solves L phi = b_i for every right-hand side concurrently,
-// one independent warm-start lane per entry (slots must be pairwise
-// distinct). It is the batch form of Potentials for callers with several
-// independent solve families per iteration — the embarrassingly parallel
-// multi-RHS schedules of the flow IPMs’ construction. Per-slot results are
-// bit-identical to issuing the same Potentials calls sequentially: each
-// solve reads the warm state from before the batch, runs on private
-// scratch, and all session-state updates (stats, warm lanes, metrics) are
-// applied after every solve finished, in slot order. Full mode serializes
-// through the stateful chain solver.
-func (s *Session) PotentialsBatch(bs []linalg.Vec, eps float64, slots []string) ([]linalg.Vec, error) {
-	if len(bs) != len(slots) {
-		return nil, fmt.Errorf("electrical: session potentials batch: %d right-hand sides for %d slots", len(bs), len(slots))
-	}
-	seen := make(map[string]struct{}, len(slots))
-	for _, sl := range slots {
-		if _, dup := seen[sl]; dup {
-			return nil, fmt.Errorf("electrical: session potentials batch: duplicate slot %q", sl)
-		}
-		seen[sl] = struct{}{}
-	}
-	if s.solver != nil {
-		// Full mode: the sparsifier-chain solver is stateful (ledger, chain
-		// reuse policy), so the batch degrades to the sequential loop.
-		out := make([]linalg.Vec, len(bs))
-		for i := range bs {
-			x, err := s.Potentials(bs[i], eps, slots[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = x
-		}
-		return out, nil
-	}
-	if err := s.opts.Budget.Check("potentials-batch"); err != nil {
-		return nil, fmt.Errorf("electrical: session potentials batch: %w", err)
-	}
-	// Read every warm seed before any solve runs: lanes are written only
-	// post-barrier, so the seeds match a sequential replay of the batch.
-	seeds := make([]linalg.Vec, len(bs))
-	for i := range bs {
-		seeds[i] = s.warmSeed(bs[i], slots[i])
-	}
-	type slotResult struct {
-		x     linalg.Vec
-		dense bool
-		err   error
-	}
-	results := make([]slotResult, len(bs))
-	s.pool.ForBlocks(len(bs), func(i int) {
-		r := &results[i]
-		r.x, r.dense, r.err = s.solveInternal(bs[i], eps, seeds[i], &linalg.CGScratch{}, false)
-	})
-	out := make([]linalg.Vec, len(bs))
-	for i := range results {
-		s.stats.Solves++
-		s.mSolves.Inc()
-		if results[i].dense {
-			s.stats.DenseFallbacks++
-			s.mDenseFallbacks.Inc()
-		}
-		if results[i].err != nil {
-			return nil, fmt.Errorf("electrical: session potentials (slot %q): %w", slots[i], results[i].err)
-		}
-		out[i] = results[i].x
-		if s.opts.WarmStart {
-			s.warmX[slots[i]] = results[i].x.Clone()
-			s.warmB[slots[i]] = bs[i].Clone()
-		}
-	}
-	return out, nil
 }

@@ -194,126 +194,3 @@ func TestSessionReweightLengthMismatch(t *testing.T) {
 		t.Fatal("length mismatch accepted")
 	}
 }
-
-// TestPotentialsBatchMatchesSequential pins the batch API's contract: a
-// PotentialsBatch over distinct slots returns, per slot, bit-for-bit what
-// the same Potentials calls issued sequentially return — warm seeds are
-// read pre-batch and lanes written post-barrier, so interleaving cannot
-// leak into the numerics. Checked at several worker counts, including the
-// sequential pool.
-func TestPotentialsBatchMatchesSequential(t *testing.T) {
-	g := sessionTestGraph(t, 48, 21)
-	mkRHS := func() []linalg.Vec {
-		bs := make([]linalg.Vec, 3)
-		for i := range bs {
-			b := linalg.NewVec(g.N())
-			b[i] = 1
-			b[g.N()-1-i] = -1
-			bs[i] = b
-		}
-		return bs
-	}
-	slots := []string{"aug", "fix", "probe"}
-	const eps = 1e-10
-
-	for _, workers := range []int{1, 2, 8} {
-		// Sequential reference: one warm session driven slot by slot, twice
-		// (the second round exercises the warm lanes).
-		ref, err := NewSession(g.Clone(), SessionOptions{WarmStart: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want [][]linalg.Vec
-		for round := 0; round < 2; round++ {
-			bs := mkRHS()
-			xs := make([]linalg.Vec, len(bs))
-			for i := range bs {
-				if xs[i], err = ref.Potentials(bs[i], eps, slots[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want = append(want, xs)
-		}
-
-		sess, err := NewSession(g.Clone(), SessionOptions{WarmStart: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 2; round++ {
-			got, err := sess.PotentialsBatch(mkRHS(), eps, slots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for s := range got {
-				for i := range got[s] {
-					if got[s][i] != want[round][s][i] {
-						t.Fatalf("workers=%d round=%d slot %q: phi[%d] = %v, sequential gives %v",
-							workers, round, slots[s], i, got[s][i], want[round][s][i])
-					}
-				}
-			}
-		}
-		if st := sess.Stats(); st.Solves != 6 {
-			t.Fatalf("workers=%d: stats.Solves = %d, want 6", workers, st.Solves)
-		}
-	}
-}
-
-// TestPotentialsBatchValidation pins the batch API's error contract:
-// mismatched lengths and duplicate slots are rejected before any solve runs.
-func TestPotentialsBatchValidation(t *testing.T) {
-	g := sessionTestGraph(t, 24, 22)
-	sess, err := NewSession(g, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := linalg.NewVec(g.N())
-	b[0], b[1] = 1, -1
-	if _, err := sess.PotentialsBatch([]linalg.Vec{b, b}, 1e-8, []string{"only"}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := sess.PotentialsBatch([]linalg.Vec{b, b}, 1e-8, []string{"dup", "dup"}); err == nil {
-		t.Fatal("duplicate slots accepted: two lanes would race on one warm seed")
-	}
-	if st := sess.Stats(); st.Solves != 0 {
-		t.Fatalf("rejected batches must not count solves: %+v", st.Solves)
-	}
-}
-
-// TestPotentialsBatchFullMode checks the Full-mode degradation: the batch
-// serializes through the stateful chain solver and still returns one result
-// per slot, matching sequential Potentials on a fresh identical session.
-func TestPotentialsBatchFullMode(t *testing.T) {
-	g := sessionTestGraph(t, 32, 23)
-	mk := func() *Session {
-		sess, err := NewSession(g.Clone(), SessionOptions{Full: true, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-	bs := make([]linalg.Vec, 2)
-	for i := range bs {
-		b := linalg.NewVec(g.N())
-		b[i] = 1
-		b[g.N()-1-i] = -1
-		bs[i] = b
-	}
-	const eps = 1e-6
-	got, err := mk().PotentialsBatch(bs, eps, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := mk()
-	for i := range bs {
-		want, err := ref.Potentials(bs[i], eps, string(rune('a'+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("full-mode batch slot %d: phi[%d] = %v, sequential %v", i, j, got[i][j], want[j])
-			}
-		}
-	}
-}

@@ -1,5 +1,6 @@
 // Package experiments contains the generators for every EXPERIMENTS.md
-// table (E1-E9, E11-E16; E10 was retired with the step engine it profiled):
+// table (E1-E9, E11-E14, E16; E10 was retired with the step engine it
+// profiled, E15 with the worker pool it measured):
 // each experiment reproduces one quantitative claim of the paper as a
 // scaling measurement. The cmd/experiments CLI is a thin wrapper
 // around this package; tests run the quick variants against a buffer.
@@ -41,10 +42,6 @@ type Config struct {
 	BudgetSpec string
 	// Metrics, if non-nil, receives live counters from every solver run.
 	Metrics *metrics.Registry
-	// Workers sets the numerical core's worker count for every solver run
-	// (0 = GOMAXPROCS, 1 = sequential). Results are bit-identical at any
-	// setting, so the tables are reproducible regardless of the knob.
-	Workers int
 }
 
 var config Config
@@ -79,12 +76,9 @@ func expBudget() *rounds.Budget {
 // expMetrics returns the configured metrics registry (nil records nothing).
 func expMetrics() *metrics.Registry { return config.Metrics }
 
-// expWorkers returns the configured numerical-core worker count.
-func expWorkers() int { return config.Workers }
-
 // Experiment is one reproducible table generator.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E16; E10 is retired).
+	// ID is the experiment identifier (E1..E16; E10 and E15 are retired).
 	ID string
 	// Title is the header line describing the claim.
 	Title string
@@ -108,7 +102,6 @@ func All() []Experiment {
 		{"E12", "E12 — session layer: preprocess once, solve many (throughput vs #RHS)", e12Session},
 		{"E13", "E13 — fault injection: reliable-delivery round overhead vs drop rate", e13FaultSweep},
 		{"E14", "E14 — live metrics: /metrics scrape of retransmission counters vs drop rate", e14LiveMetrics},
-		{"E15", "E15 — parallel numerics: worker scaling with bit-identical results and rounds", e15ParallelNumerics},
 		{"E16", "E16 — distributed trace plane: merged worker timeline + flight recorder under chaos", e16DistributedTrace},
 	}
 }
@@ -161,7 +154,7 @@ func e1Sparsifier(w io.Writer, quick bool) error {
 
 func e1Row(w io.Writer, name string, g *graph.Graph) error {
 	led := rounds.New()
-	res, err := sparsify.Sparsify(g, sparsify.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+	res, err := sparsify.Sparsify(g, sparsify.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 	if err != nil {
 		return err
 	}
@@ -193,7 +186,7 @@ func e2Laplacian(w io.Writer, quick bool) error {
 			return err
 		}
 		led := rounds.New()
-		s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+		s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 		if err != nil {
 			return err
 		}
@@ -215,7 +208,7 @@ func e2Laplacian(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "%10s %12s %12s %16s\n", "eps", "rounds", "iters", "rounds/ln(1/eps)")
 	for _, eps := range []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10} {
 		led := rounds.New()
-		s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+		s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 		if err != nil {
 			return err
 		}
@@ -237,7 +230,7 @@ func e2Laplacian(w io.Writer, quick bool) error {
 		}
 		b := twoPole(n)
 		detLed := rounds.New()
-		det, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: detLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+		det, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: detLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 		if err != nil {
 			return err
 		}
@@ -247,7 +240,7 @@ func e2Laplacian(w io.Writer, quick bool) error {
 			return err
 		}
 		rndLed := rounds.New()
-		rnd, err := lapsolver.NewSolver(g, lapsolver.Options{Randomized: true, RandomSeed: int64(n), Ledger: rndLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+		rnd, err := lapsolver.NewSolver(g, lapsolver.Options{Randomized: true, RandomSeed: int64(n), Ledger: rndLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 		if err != nil {
 			return err
 		}
@@ -411,7 +404,7 @@ func e5MaxFlow(w io.Writer, quick bool) error {
 func e5Row(w io.Writer, dg *graph.DiGraph) error {
 	s, t := 0, dg.N()-1
 	led := rounds.New()
-	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, FastSolve: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, FastSolve: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 	if err != nil {
 		return err
 	}
@@ -453,7 +446,7 @@ func e6MinCostFlow(w io.Writer, quick bool) error {
 
 func e6Row(w io.Writer, dg *graph.DiGraph, sigma []int64) error {
 	led := rounds.New()
-	res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+	res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 	if err != nil {
 		return err
 	}
@@ -509,7 +502,7 @@ func e7Baselines(w io.Writer, quick bool) error {
 		dg := graph.LayeredDAG(3, 4, 2, u, 23)
 		s, t := 0, dg.N()-1
 		led := rounds.New()
-		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, FastSolve: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, FastSolve: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 		if err != nil {
 			return err
 		}
@@ -624,7 +617,7 @@ func e9RelatedWork(w io.Writer, quick bool) error {
 				return err
 			}
 			led := rounds.New()
-			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 			if err != nil {
 				return err
 			}
@@ -709,7 +702,7 @@ func e11Workloads(quick bool) []struct {
 				return err
 			}
 			led := rounds.New()
-			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 			if err != nil {
 				return err
 			}
@@ -722,7 +715,7 @@ func e11Workloads(quick bool) []struct {
 				return err
 			}
 			led := rounds.New()
-			_, err = sparsify.Sparsify(g, sparsify.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+			_, err = sparsify.Sparsify(g, sparsify.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 			return err
 		}},
 		{"euler", func(tr *trace.Tracer) error {
@@ -743,13 +736,13 @@ func e11Workloads(quick bool) []struct {
 		{"maxflow", func(tr *trace.Tracer) error {
 			dg := graph.LayeredDAG(3, 4, 2, 8, 17)
 			led := rounds.New()
-			_, err := maxflow.MaxFlow(dg, 0, dg.N()-1, maxflow.Options{Ledger: led, FastSolve: true, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+			_, err := maxflow.MaxFlow(dg, 0, dg.N()-1, maxflow.Options{Ledger: led, FastSolve: true, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 			return err
 		}},
 		{"mcmf", func(tr *trace.Tracer) error {
 			dg, sigma := assignment(4, 4, 3, 16, 5)
 			led := rounds.New()
-			_, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+			_, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 			return err
 		}},
 	}
@@ -803,7 +796,7 @@ func e12Session(w io.Writer, quick bool) error {
 		"#rhs", "session s/sec", "rebuild s/sec", "speedup", "sess charged", "fresh charged")
 	for _, k := range ks {
 		sessLed := rounds.New()
-		sess, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: sessLed, WarmStart: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+		sess, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: sessLed, WarmStart: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 		if err != nil {
 			return err
 		}
@@ -818,7 +811,7 @@ func e12Session(w io.Writer, quick bool) error {
 		freshLed := rounds.New()
 		start = time.Now()
 		for i := 0; i < k; i++ {
-			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: freshLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics(), Workers: expWorkers()})
+			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: freshLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 			if err != nil {
 				return err
 			}

@@ -17,8 +17,8 @@ func TestAllExperimentsHaveUniqueIDs(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	if len(seen) != 15 {
-		t.Fatalf("%d experiments, want 15", len(seen))
+	if len(seen) != 14 {
+		t.Fatalf("%d experiments, want 14", len(seen))
 	}
 }
 

@@ -107,12 +107,6 @@ type Options struct {
 	// when that field is unset. A nil registry records nothing and costs
 	// nothing.
 	Metrics *metrics.Registry
-	// Workers sets the worker count for the solver's numerical kernels
-	// (Laplacian matvecs, Chebyshev vector ops, internal CG) and is
-	// propagated to Sparsify.Workers when that field is unset
-	// (0 = GOMAXPROCS, 1 = sequential — today's exact code path). Results
-	// are bit-identical at any worker count; see linalg's parallel runtime.
-	Workers int
 	// NoEscalation disables the guarded-recovery machinery — both the
 	// Chebyshev stagnation window (so every attempt runs its full
 	// prescribed iteration count) and the recovery ladder (stagnation →
@@ -149,9 +143,6 @@ func (o *Options) defaults() {
 	if o.Metrics != nil && o.Sparsify.Metrics == nil {
 		o.Sparsify.Metrics = o.Metrics
 	}
-	if o.Sparsify.Workers == 0 {
-		o.Sparsify.Workers = o.Workers
-	}
 }
 
 // Solver solves systems L_G x = b to relative precision eps in the L_G
@@ -172,7 +163,6 @@ type Solver struct {
 	hf    *linalg.CholeskyFactor
 	lh    *linalg.Laplacian
 	opts  Options
-	pool  *linalg.Pool    // nil = sequential kernels
 	chain *sparsify.Chain // nil on the randomized path
 
 	// Solve scratch, reused by every Solve: the Chebyshev work vectors
@@ -268,8 +258,6 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 		g: gw, lg: linalg.NewLaplacian(gw), opts: opts, mi: newLapMetrics(opts.Metrics),
 		res: linalg.NewVec(gw.N()), pn: linalg.NewVec(gw.N()),
 	}
-	s.pool = linalg.SharedPool(opts.Workers)
-	s.lg.SetPool(s.pool)
 	if opts.Randomized {
 		res, err := sparsify.RandomizedSparsify(gw, sparsify.RandomOptions{
 			Seed:    opts.RandomSeed,
@@ -295,11 +283,10 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 }
 
 // setSparsifier (re)wires the preconditioner side of the solver to h. At
-// or below linalg.FactorMaxN it factors L_H + J/n once, sequentially, so every
-// later preconditioner solve — each Chebyshev iteration, the certificate,
-// every kappa attempt, RHS and structure-keeping Reweight — is exact and
-// bit-identical at any worker count. Above the cap, or if factoring fails,
-// it keeps L_H for the CG path.
+// or below linalg.FactorMaxN it factors L_H + J/n once, so every later
+// preconditioner solve — each Chebyshev iteration, the certificate, every
+// kappa attempt, RHS and structure-keeping Reweight — is exact. Above the
+// cap, or if factoring fails, it keeps L_H for the CG path.
 func (s *Solver) setSparsifier(h *graph.Graph) {
 	s.h = h
 	s.hf, s.lh = nil, nil
@@ -310,7 +297,6 @@ func (s *Solver) setSparsifier(h *graph.Graph) {
 		}
 	}
 	s.lh = linalg.NewLaplacian(h)
-	s.lh.SetPool(s.pool)
 }
 
 // hSolver returns the preconditioner solve dst = L_H^+ r: the exact
@@ -432,9 +418,9 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 		return nil, Stats{}, fmt.Errorf("lapsolver: eps %v outside (0, 1/2]", eps)
 	}
 	rhs := b.Clone()
-	s.pool.RemoveMean(rhs)
+	linalg.RemoveMean(rhs)
 	var stats Stats
-	if s.pool.Norm2(rhs) == 0 {
+	if rhs.Norm2() == 0 {
 		return linalg.NewVec(s.g.N()), stats, nil
 	}
 
@@ -514,7 +500,6 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 			// floor, not stagnation: finish the prescribed iterations so
 			// round accounting matches the window-free solver exactly.
 			StagnationTol: chebyEps,
-			Pool:          s.pool,
 			Scratch:       &s.cheby,
 			OnIteration: func() {
 				if s.opts.Ledger != nil {
@@ -549,9 +534,9 @@ func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
 		// subtraction runs as -Ax + b, which rounds identically.
 		r := s.res
 		s.lg.Apply(r, x)
-		s.pool.Scale(r, -1)
-		s.pool.AXPY(r, 1, rhs)
-		s.pool.RemoveMean(r)
+		linalg.Scale(r, -1)
+		linalg.AXPY(r, 1, rhs)
+		linalg.RemoveMean(r)
 		if s.opts.Ledger != nil {
 			s.opts.Ledger.Add("lapsolve-residual", rounds.Measured, 2, "residual matvec + aggregation")
 		}
@@ -652,7 +637,7 @@ func (s *Solver) precondNorm(hSolve func(dst, r linalg.Vec) error, v linalg.Vec)
 	if err := hSolve(s.pn, v); err != nil {
 		return 0, fmt.Errorf("lapsolver: preconditioner norm: %w", err)
 	}
-	q := s.pool.Dot(v, s.pn)
+	q := v.Dot(s.pn)
 	if q < 0 {
 		q = 0
 	}

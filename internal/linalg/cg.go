@@ -55,12 +55,6 @@ type CGOptions struct {
 	// guarded-recovery ladder in lapsolver uses this to escalate early.
 	// Zero disables the check.
 	StagnationWindow int
-	// Pool, if non-nil, runs the solve's vector kernels (dots, AXPYs, mean
-	// projections, the preconditioner sweep) on the given worker pool. The
-	// iteration is bit-identical with and without a pool — reductions use the
-	// fixed-block schedule of parallel.go either way — so Pool only changes
-	// wall clock, never results. Nil runs sequentially.
-	Pool *Pool
 }
 
 // CGScratch holds SolveCG's internal work vectors across calls. The zero
@@ -107,14 +101,13 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 	if scratch == nil {
 		scratch = &CGScratch{}
 	}
-	pool := opts.Pool
 
 	rhs := takeVec(&scratch.rhs, n)
 	copy(rhs, b)
 	if opts.ProjectMean {
-		pool.RemoveMean(rhs)
+		RemoveMean(rhs)
 	}
-	bnorm := pool.Norm2(rhs)
+	bnorm := rhs.Norm2()
 	x := NewVec(n)
 	if bnorm == 0 {
 		return x, CGResult{}, nil
@@ -125,30 +118,19 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 		}
 		copy(x, opts.X0)
 		if opts.ProjectMean {
-			pool.RemoveMean(x)
+			RemoveMean(x)
 		}
 	}
 
-	// The Jacobi sweep and the p update run inline when n fits in one
-	// block, rather than through a Range closure allocated per iteration.
 	applyPrecond := func(dst, r Vec) {
 		if opts.Precond == nil {
 			copy(dst, r)
 			return
 		}
-		if n <= reduceBlock {
-			d, rs, pc := dst[:n], r[:n], opts.Precond[:n]
-			for i := range d {
-				d[i] = rs[i] / pc[i]
-			}
-			return
+		d, rs, pc := dst[:n], r[:n], opts.Precond[:n]
+		for i := range d {
+			d[i] = rs[i] / pc[i]
 		}
-		pool.Range(len(dst), func(lo, hi int) {
-			d, rs, pc := dst[lo:hi], r[lo:hi], opts.Precond[lo:hi]
-			for i := range d {
-				d[i] = rs[i] / pc[i]
-			}
-		})
 	}
 
 	r := takeVec(&scratch.r, n)
@@ -158,34 +140,34 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 	if opts.X0 != nil {
 		// r = b - A x0; from here the iteration is the standard one.
 		a.Apply(z, x)
-		pool.AXPY(r, -1, z)
+		AXPY(r, -1, z)
 		if opts.ProjectMean {
-			pool.RemoveMean(r)
+			RemoveMean(r)
 		}
-		if res := pool.Norm2(r) / bnorm; res <= tol {
+		if res := r.Norm2() / bnorm; res <= tol {
 			return x, CGResult{Iterations: 0, Residual: res}, nil
 		}
 		z.Zero()
 	}
 	applyPrecond(z, r)
 	if opts.ProjectMean {
-		pool.RemoveMean(z)
+		RemoveMean(z)
 	}
 	p := takeVec(&scratch.p, n)
 	copy(p, z)
 	ap := takeVec(&scratch.ap, n)
-	rz := pool.Dot(r, z)
+	rz := r.Dot(z)
 
 	var res CGResult
 	bestRes := math.Inf(1)
 	bestIter := 0
 	for k := 0; k < maxIter; k++ {
 		a.Apply(ap, p)
-		pap := pool.Dot(p, ap)
+		pap := p.Dot(ap)
 		if pap <= 0 {
 			// Numerically singular direction; bail with what we have.
 			res.Iterations = k
-			res.Residual = pool.Norm2(r) / bnorm
+			res.Residual = r.Norm2() / bnorm
 			if res.Residual <= tol {
 				return x, res, nil
 			}
@@ -193,16 +175,16 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 				ErrNoConvergence, pap, k, res.Residual)
 		}
 		alpha := rz / pap
-		pool.AXPY(x, alpha, p)
-		pool.AXPY(r, -alpha, ap)
+		AXPY(x, alpha, p)
+		AXPY(r, -alpha, ap)
 		if opts.ProjectMean {
-			pool.RemoveMean(r)
+			RemoveMean(r)
 		}
 		res.Iterations = k + 1
-		res.Residual = pool.Norm2(r) / bnorm
+		res.Residual = r.Norm2() / bnorm
 		if res.Residual <= tol {
 			if opts.ProjectMean {
-				pool.RemoveMean(x)
+				RemoveMean(x)
 			}
 			return x, res, nil
 		}
@@ -212,7 +194,7 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 				bestIter = k
 			} else if k-bestIter >= opts.StagnationWindow {
 				if opts.ProjectMean {
-					pool.RemoveMean(x)
+					RemoveMean(x)
 				}
 				return x, res, fmt.Errorf("%w: residual stuck at %v for %d iterations (best %v at iteration %d)",
 					ErrStagnated, res.Residual, k-bestIter, bestRes, bestIter+1)
@@ -220,27 +202,18 @@ func SolveCG(a Operator, b Vec, opts CGOptions) (Vec, CGResult, error) {
 		}
 		applyPrecond(z, r)
 		if opts.ProjectMean {
-			pool.RemoveMean(z)
+			RemoveMean(z)
 		}
-		rzNew := pool.Dot(r, z)
+		rzNew := r.Dot(z)
 		beta := rzNew / rz
 		rz = rzNew
-		if n <= reduceBlock {
-			ps, zs := p[:n], z[:n]
-			for i := range ps {
-				ps[i] = zs[i] + beta*ps[i]
-			}
-		} else {
-			pool.Range(n, func(lo, hi int) {
-				ps, zs := p[lo:hi], z[lo:hi]
-				for i := range ps {
-					ps[i] = zs[i] + beta*ps[i]
-				}
-			})
+		ps, zs := p[:n], z[:n]
+		for i := range ps {
+			ps[i] = zs[i] + beta*ps[i]
 		}
 	}
 	if opts.ProjectMean {
-		pool.RemoveMean(x)
+		RemoveMean(x)
 	}
 	return x, res, fmt.Errorf("%w: residual %v after %d iterations (tol %v)",
 		ErrNoConvergence, res.Residual, res.Iterations, tol)
@@ -259,7 +232,7 @@ func LaplacianCGSolver(l *Laplacian, tol float64) func(Vec) (Vec, error) {
 		}
 	}
 	return func(b Vec) (Vec, error) {
-		x, _, err := SolveCG(l, b, CGOptions{Tol: tol, Precond: precond, ProjectMean: true, Pool: l.Pool()})
+		x, _, err := SolveCG(l, b, CGOptions{Tol: tol, Precond: precond, ProjectMean: true})
 		if err != nil {
 			return nil, fmt.Errorf("linalg: internal sparsifier solve: %w", err)
 		}

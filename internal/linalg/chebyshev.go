@@ -56,16 +56,11 @@ type ChebyOptions struct {
 	// prescribed iteration count — keeping round accounting identical to a
 	// run without the window. Zero treats every flat stretch as stagnation.
 	StagnationTol float64
-	// Pool, if non-nil, runs the iteration's vector updates and residual
-	// norms on the given worker pool. Like CGOptions.Pool, results are
-	// bit-identical with and without it. Nil runs sequentially.
-	Pool *Pool
 	// Scratch, if non-nil, provides the iteration's work vectors — among
 	// them z, the buffer bSolve writes into — so that, given an
-	// allocation-free bSolve and vectors of at most one reduction block
-	// (larger ones dispatch pooled closures), an iteration allocates
-	// nothing. The returned iterate is still allocated fresh. Results are
-	// bit-identical with or without it.
+	// allocation-free bSolve, an iteration allocates nothing. The returned
+	// iterate is still allocated fresh. Results are bit-identical with or
+	// without it.
 	Scratch *ChebyScratch
 }
 
@@ -109,7 +104,6 @@ func PreconCheby(a Operator, bSolve func(dst, r Vec) error, b Vec, opts ChebyOpt
 	theta := (lamMax + lamMin) / 2
 	delta := (lamMax - lamMin) / 2
 
-	pool := opts.Pool
 	scratch := opts.Scratch
 	if scratch == nil {
 		scratch = &ChebyScratch{}
@@ -128,13 +122,13 @@ func PreconCheby(a Operator, bSolve func(dst, r Vec) error, b Vec, opts ChebyOpt
 		// seeding them here is the entire warm start.
 		copy(x, opts.X0)
 		a.Apply(av, x)
-		pool.AXPY(r, -1, av)
+		AXPY(r, -1, av)
 	}
 
 	// Plateau detection state; bnorm stays zero when the check is disabled.
 	var bnorm float64
 	if opts.StagnationWindow > 0 {
-		bnorm = pool.Norm2(b)
+		bnorm = b.Norm2()
 	}
 	prevRes := -1.0
 	flat := 0
@@ -142,7 +136,7 @@ func PreconCheby(a Operator, bSolve func(dst, r Vec) error, b Vec, opts ChebyOpt
 		if bnorm == 0 {
 			return false, nil
 		}
-		res := pool.Norm2(r) / bnorm
+		res := r.Norm2() / bnorm
 		if prevRes >= 0 && math.Abs(res-prevRes) <= stagnationImprovement*prevRes {
 			flat++
 		} else {
@@ -165,11 +159,11 @@ func PreconCheby(a Operator, bSolve func(dst, r Vec) error, b Vec, opts ChebyOpt
 			if err := bSolve(z, r); err != nil {
 				return nil, ChebyResult{}, err
 			}
-			pool.Scale(z, 1/theta)
-			pool.AXPY(x, 1, z)
+			Scale(z, 1/theta)
+			AXPY(x, 1, z)
 			a.Apply(av, x)
 			copy(r, b)
-			pool.AXPY(r, -1, av)
+			AXPY(r, -1, av)
 			if stuck, err := stagnated(k); stuck {
 				return x, ChebyResult{Iterations: k + 1}, err
 			}
@@ -188,16 +182,16 @@ func PreconCheby(a Operator, bSolve func(dst, r Vec) error, b Vec, opts ChebyOpt
 	}
 	d := takeVec(&scratch.d, n)
 	copy(d, z)
-	pool.Scale(d, 1/theta)
+	Scale(d, 1/theta)
 
 	count := 1
 	for k := 1; k < iters; k++ {
 		if opts.OnIteration != nil {
 			opts.OnIteration()
 		}
-		pool.AXPY(x, 1, d)
+		AXPY(x, 1, d)
 		a.Apply(av, d)
-		pool.AXPY(r, -1, av)
+		AXPY(r, -1, av)
 		if stuck, serr := stagnated(k); stuck {
 			return x, ChebyResult{Iterations: count}, serr
 		}
@@ -206,23 +200,13 @@ func PreconCheby(a Operator, bSolve func(dst, r Vec) error, b Vec, opts ChebyOpt
 		}
 		rhoNext := 1 / (2*sigma - rho)
 		cd, cz := rhoNext*rho, 2*rhoNext/delta
-		if n <= reduceBlock {
-			// One block: run inline rather than through a Range closure.
-			for i := range d {
-				d[i] = cd*d[i] + cz*z[i]
-			}
-		} else {
-			pool.Range(n, func(lo, hi int) {
-				ds, zs := d[lo:hi], z[lo:hi]
-				for i := range ds {
-					ds[i] = cd*ds[i] + cz*zs[i]
-				}
-			})
+		for i := range d {
+			d[i] = cd*d[i] + cz*z[i]
 		}
 		rho = rhoNext
 		count++
 	}
-	pool.AXPY(x, 1, d)
+	AXPY(x, 1, d)
 	return x, ChebyResult{Iterations: count}, nil
 }
 

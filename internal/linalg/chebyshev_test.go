@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -159,4 +160,41 @@ func TestChebyIterationBoundMonotone(t *testing.T) {
 		t.Fatalf("sqrt(kappa) scaling off: ratio %v for kappa 100 vs 1", ratio)
 	}
 	_ = math.Sqrt // keep math import if constants change
+}
+
+// TestPreconChebyIterationAllocatesNothing: with Scratch and an
+// allocation-free bSolve (a Jacobi sweep), PreconCheby makes as many
+// allocations in 40 iterations as in 10, below and above one reduction
+// block.
+func TestPreconChebyIterationAllocatesNothing(t *testing.T) {
+	for _, n := range []int{128, 6000} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			g, err := graph.RandomRegular(n, 6, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := NewLaplacian(g)
+			deg := l.Degrees()
+			jacobi := func(dst, r Vec) error {
+				for i := range dst {
+					dst[i] = r[i] / deg[i]
+				}
+				dst.RemoveMean()
+				return nil
+			}
+			b := meanFreeRandomVec(n, 5)
+			opts := ChebyOptions{Kappa: 16, Eps: 1e-8, Scratch: &ChebyScratch{}}
+			measure := func(iters int) float64 {
+				opts.MaxIter = iters
+				return testing.AllocsPerRun(20, func() {
+					if _, res, err := PreconCheby(l, jacobi, b, opts); err != nil || res.Iterations != iters {
+						t.Fatalf("PreconCheby: %d iterations, error %v; want %d", res.Iterations, err, iters)
+					}
+				})
+			}
+			if short, long := measure(10), measure(40); short != long {
+				t.Fatalf("PreconCheby allocates %v times in 10 iterations and %v in 40: an iteration allocates", short, long)
+			}
+		})
+	}
 }

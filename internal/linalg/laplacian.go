@@ -38,17 +38,6 @@ type Laplacian struct {
 	cw     Vec     // ... and the summed weight per pair
 	egroup []int32 // edge index -> pair index
 	gen    uint64  // graph topology generation the pair cache was built at
-
-	pool *Pool // nil = sequential Apply (the historical path)
-
-	// CSR over pair incidences, built only when a pool is attached to an
-	// operator with more than one row block: row u lists the pairs touching
-	// u in ascending pair order, which makes the row-parallel Apply
-	// accumulate each dst[u] in exactly the sequential pair loop's
-	// floating-point order (owner-computes, no merge).
-	rowPtr   []int32 // n+1 offsets into rowPair/rowOther
-	rowPair  []int32 // pair index per incidence
-	rowOther []int32 // opposite endpoint per incidence
 }
 
 var _ Operator = (*Laplacian)(nil)
@@ -111,62 +100,7 @@ func (l *Laplacian) buildPairs() {
 	}
 	l.cw = NewVec(len(l.cu))
 	l.gen = l.g.Gen()
-	l.rowPtr = nil // pair indices changed; rebuild incidence rows if pooled
-	if l.blocked() {
-		l.buildRows()
-	}
 }
-
-// blocked reports whether Apply takes the row-parallel path: a pool is
-// attached and the output spans more than one row block. A single block
-// has nothing to split, so it runs the sequential pair loop — the same bits
-// without the CSR indirection or a dispatched closure.
-func (l *Laplacian) blocked() bool {
-	return l.pool != nil && l.g.N() > applyRowBlock
-}
-
-// buildRows constructs the CSR incidence rows over the coalesced pairs.
-// Filling in ascending pair order keeps each row's pair list sorted, the
-// property the parallel Apply's bit-identity rests on.
-func (l *Laplacian) buildRows() {
-	n := l.g.N()
-	ptr := make([]int32, n+1)
-	for i := range l.cu {
-		ptr[l.cu[i]+1]++
-		ptr[l.cv[i]+1]++
-	}
-	for v := 0; v < n; v++ {
-		ptr[v+1] += ptr[v]
-	}
-	nnz := ptr[n]
-	l.rowPtr = ptr
-	l.rowPair = make([]int32, nnz)
-	l.rowOther = make([]int32, nnz)
-	fill := make([]int32, n)
-	copy(fill, ptr[:n])
-	for i := range l.cu {
-		u, v := l.cu[i], l.cv[i]
-		l.rowPair[fill[u]], l.rowOther[fill[u]] = int32(i), v
-		fill[u]++
-		l.rowPair[fill[v]], l.rowOther[fill[v]] = int32(i), u
-		fill[v]++
-	}
-}
-
-// SetPool attaches a worker pool for Apply and Quad (nil reverts to the
-// sequential path). Attaching a pool to an operator with more than one row
-// block builds the CSR incidence rows once, so concurrent Applies afterwards
-// are read-only on the operator. Results are bit-identical with and without
-// a pool; see parallel.go for the contract.
-func (l *Laplacian) SetPool(p *Pool) {
-	l.pool = p
-	if l.blocked() && l.rowPtr == nil {
-		l.buildRows()
-	}
-}
-
-// Pool returns the attached worker pool (nil when sequential).
-func (l *Laplacian) Pool() *Pool { return l.pool }
 
 // Graph returns the underlying graph.
 func (l *Laplacian) Graph() *graph.Graph { return l.g }
@@ -202,79 +136,34 @@ func (l *Laplacian) Dim() int { return l.g.N() }
 // must not modify it.
 func (l *Laplacian) Degrees() Vec { return l.deg }
 
-// applyRowBlock is the vertex-block grain of the row-parallel Apply. Blocks
-// are claimed dynamically, so ragged incidence rows balance out; the value
-// only shifts scheduling, never results.
-const applyRowBlock = 512
-
-// Apply computes dst = L*src. Without a pool, or when dst fits in one row
-// block, it runs the sequential coalesced-pair loop; otherwise it sweeps the
-// CSR incidence rows with the output partitioned across workers. The two
-// paths accumulate every dst[u] in the same floating-point order — diagonal
-// first, then the incident pairs by ascending pair index — so Apply is
-// bit-identical at any worker count.
+// Apply computes dst = L*src over the coalesced pairs: the diagonal first,
+// then each pair's two off-diagonal terms in pair order.
 func (l *Laplacian) Apply(dst, src Vec) {
 	kernelCalls(kernelApply)
-	if !l.blocked() {
-		for i := range dst {
-			dst[i] = l.deg[i] * src[i]
-		}
-		cu, cv := l.cu, l.cv
-		for i, w := range l.cw {
-			u, v := cu[i], cv[i]
-			dst[u] -= w * src[v]
-			dst[v] -= w * src[u]
-		}
-		return
+	for i := range dst {
+		dst[i] = l.deg[i] * src[i]
 	}
-	n := len(dst)
-	nb := (n + applyRowBlock - 1) / applyRowBlock
-	l.pool.ForBlocks(nb, func(b int) {
-		lo, hi := b*applyRowBlock, (b+1)*applyRowBlock
-		if hi > n {
-			hi = n
-		}
-		for u := lo; u < hi; u++ {
-			s := l.deg[u] * src[u]
-			for k := l.rowPtr[u]; k < l.rowPtr[u+1]; k++ {
-				s -= l.cw[l.rowPair[k]] * src[l.rowOther[k]]
-			}
-			dst[u] = s
-		}
-	})
+	cu, cv := l.cu, l.cv
+	for i, w := range l.cw {
+		u, v := cu[i], cv[i]
+		dst[u] -= w * src[v]
+		dst[v] -= w * src[u]
+	}
 }
 
 // Quad returns the quadratic form x^T L x = sum_e w_e (x_u - x_v)^2,
-// computed in the numerically stable edge-difference form under the fixed
-// block partition of parallel.go (edge lists up to one block reduce in plain
-// order; the partition depends only on m, so the result is bit-identical at
-// any worker count).
+// computed in the numerically stable edge-difference form under Dot's
+// block reduction over the edge list.
 func (l *Laplacian) Quad(x Vec) float64 {
 	edges := l.g.Edges()
-	m := len(edges)
-	if m <= reduceBlock {
-		var q float64
-		for _, e := range edges {
-			d := x[e.U] - x[e.V]
-			q += e.W * d * d
-		}
-		return q
-	}
-	nb := reduceBlocks(m)
-	sp := getParts(nb)
-	parts := *sp
-	l.pool.ForBlocks(nb, func(b int) {
-		lo, hi := blockSpan(m, b)
+	return blockReduce(len(edges), func(lo, hi int) float64 {
 		var q float64
 		for _, e := range edges[lo:hi] {
 			d := x[e.U] - x[e.V]
 			q += e.W * d * d
 		}
-		parts[b] = q
+		return q
 	})
-	r := treeReduce(parts)
-	partsPool.Put(sp)
-	return r
 }
 
 // Norm returns the L-norm ||x||_L = sqrt(x^T L x).
@@ -314,9 +203,8 @@ func (s *ScaledOperator) Apply(dst, src Vec) {
 
 // SumOperator is the sum of operators of equal dimension. Apply draws its
 // scratch vector from a per-operator pool instead of a shared field, so
-// concurrent Applies of one composed operator — the per-slot session solves
-// run in parallel — each work on private scratch and are safe whenever the
-// terms' Applies are.
+// concurrent Applies of one composed operator each work on private scratch
+// and are safe whenever the terms' Applies are.
 type SumOperator struct {
 	Terms   []Operator
 	scratch sync.Pool // of Vec sized to Dim()

@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -143,5 +144,87 @@ func TestSumOperator(t *testing.T) {
 	}
 	if _, err := NewSumOperator(a, NewLaplacian(graph.Path(5))); err == nil {
 		t.Fatal("dimension mismatch should error")
+	}
+}
+
+// TestRefreshAfterRewire is the regression test for the stale-pair-cache
+// bug: RewireEdge keeps M constant, so the old `len(egroup) != M` guard
+// skipped the pair rebuild and Refresh silently kept the old topology's
+// coalesced groups. The generation-keyed guard must rebuild, making a
+// refreshed Laplacian bit-identical to one built fresh on the rewired graph.
+func TestRefreshAfterRewire(t *testing.T) {
+	g := graph.New(6)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(1, 2, 2)
+	g.MustAddEdge(2, 3, 3)
+	g.MustAddEdge(3, 4, 4)
+	g.MustAddEdge(4, 5, 5)
+	l := NewLaplacian(g)
+
+	if err := g.RewireEdge(1, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != 5 {
+		t.Fatalf("RewireEdge changed M to %d", g.M())
+	}
+	l.Refresh()
+
+	fresh := NewLaplacian(g)
+	src := Vec{1, -2, 3, -4, 5, -6}
+	got, want := NewVec(6), NewVec(6)
+	l.Apply(got, src)
+	fresh.Apply(want, src)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("refreshed Apply[%d] = %v, fresh build %v — stale pair cache", i, got[i], want[i])
+		}
+	}
+	for i := range want {
+		if ld, fd := l.Degrees()[i], fresh.Degrees()[i]; ld != fd {
+			t.Fatalf("refreshed degree[%d] = %v, fresh %v", i, ld, fd)
+		}
+	}
+}
+
+// TestSumOperatorConcurrentApply drives one composed operator from many
+// goroutines at once. With the old shared s.tmp scratch this races (and
+// corrupts results); with per-call pool scratch every result must be
+// exact. Run under -race in `make stress` and the GOMAXPROCS>1 CI job.
+func TestSumOperatorConcurrentApply(t *testing.T) {
+	g, err := graph.ConnectedGNM(300, 900, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLaplacian(g)
+	sum, err := NewSumOperator(l, &ScaledOperator{A: l, C: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := randomVec(g.N(), 6)
+	want := NewVec(g.N())
+	sum.Apply(want, src)
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := NewVec(g.N())
+			for iter := 0; iter < 50; iter++ {
+				sum.Apply(dst, src)
+				for i := range dst {
+					if dst[i] != want[i] {
+						errs <- "concurrent Apply diverged from sequential result"
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
 	}
 }

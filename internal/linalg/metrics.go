@@ -9,9 +9,9 @@ import (
 // The linalg metrics binding mirrors the cc package's: one process-wide
 // registry installed with SetMetrics, instruments resolved once per registry
 // and cached behind an atomic pointer, and a disabled registry costing a
-// single atomic load plus nil check per kernel call. Per-kernel counters are
-// the live counterpart of the scaling benchmarks: they say which kernels the
-// solver stack is actually leaning on while a run is in flight.
+// single atomic load plus nil check per kernel call. Per-kernel counters say
+// which kernels the solver stack is actually leaning on while a run is in
+// flight.
 
 // globalMetrics is the process-wide registry for linalg kernel accounting.
 var globalMetrics atomic.Pointer[metrics.Registry]
@@ -44,11 +44,11 @@ var kernelNames = [numKernels]string{
 type linalgInstruments struct {
 	reg     *metrics.Registry
 	kernels [numKernels]*metrics.Counter
-	forCall *metrics.Counter
 }
 
 // SetMetrics installs reg as the process-wide metrics registry for the
-// linalg kernels (Laplacian.Apply and the pooled Vec kernels). A nil reg
+// linalg kernels (Laplacian.Apply, Vec.Dot, Vec.Sum and the counted AXPY,
+// Scale and RemoveMean). A nil reg
 // disables recording. Safe for concurrent use; kernels pick up the change
 // on their next call.
 func SetMetrics(reg *metrics.Registry) {
@@ -66,8 +66,6 @@ func resolveLinalgInstruments(reg *metrics.Registry) *linalgInstruments {
 		in.kernels[k] = reg.Counter("lapcc_linalg_kernel_calls_total",
 			"Numerical kernel invocations, by kernel.", "kernel", kernelNames[k])
 	}
-	in.forCall = reg.Counter("lapcc_linalg_parallel_dispatch_total",
-		"Blocked loops dispatched onto a worker pool (sequential runs excluded).")
 	return in
 }
 
@@ -91,12 +89,5 @@ func instruments() *linalgInstruments {
 func kernelCalls(kernel int) {
 	if in := instruments(); in != nil {
 		in.kernels[kernel].Inc()
-	}
-}
-
-// dispatchCount counts one pooled (non-sequential) blocked-loop dispatch.
-func dispatchCount() {
-	if in := instruments(); in != nil {
-		in.forCall.Inc()
 	}
 }

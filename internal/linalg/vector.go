@@ -37,16 +37,21 @@ func (v Vec) Zero() {
 // Dot returns the inner product of v and w. It panics on length mismatch,
 // which always indicates a programming error rather than bad input.
 //
-// The reduction is the package's single numeric definition of a dot product
-// — the fixed-block, fixed-order tree reduction of parallel.go run on the
-// sequential (nil) pool — so Dot agrees bit-for-bit with the pooled kernel
-// at any worker count. Vectors up to one block (reduceBlock entries) reduce
-// in the plain left-to-right order.
+// Vectors up to one block (reduceBlock entries) reduce in plain
+// left-to-right order; longer ones reduce per block and fold the block
+// partials with treeReduce (see blockReduce).
 func (v Vec) Dot(w Vec) float64 {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("linalg: dot of vectors with lengths %d and %d", len(v), len(w)))
 	}
-	return (*Pool)(nil).Dot(v, w)
+	kernelCalls(kernelDot)
+	return blockReduce(len(v), func(lo, hi int) float64 {
+		var s float64
+		for i := lo; i < hi; i++ {
+			s += v[i] * w[i]
+		}
+		return s
+	})
 }
 
 // Norm2 returns the Euclidean norm of v.
@@ -94,9 +99,18 @@ func (v Vec) Add(w Vec) Vec {
 	return r
 }
 
-// Sum returns the sum of the entries of v, under the same fixed-block
-// reduction as Dot (see parallel.go).
-func (v Vec) Sum() float64 { return (*Pool)(nil).Sum(v) }
+// Sum returns the sum of the entries of v, under the same block reduction
+// as Dot.
+func (v Vec) Sum() float64 {
+	kernelCalls(kernelSum)
+	return blockReduce(len(v), func(lo, hi int) float64 {
+		var s float64
+		for _, x := range v[lo:hi] {
+			s += x
+		}
+		return s
+	})
+}
 
 // Mean returns the average entry of v (0 for the empty vector).
 func (v Vec) Mean() float64 {
@@ -114,6 +128,30 @@ func (v Vec) RemoveMean() {
 	for i := range v {
 		v[i] -= m
 	}
+}
+
+// AXPY, Scale and RemoveMean are the counted forms of the Vec methods of
+// the same names: the same arithmetic, plus one increment of
+// lapcc_linalg_kernel_calls_total for the kernel. The iterative solvers'
+// vector updates use them; setup and estimation code uses the methods.
+
+// AXPY sets v = v + a*w in place, counted as one axpy call.
+func AXPY(v Vec, a float64, w Vec) {
+	kernelCalls(kernelAXPY)
+	v.AXPY(a, w)
+}
+
+// Scale sets v = a*v in place, counted as one scale call.
+func Scale(v Vec, a float64) {
+	kernelCalls(kernelScale)
+	v.Scale(a)
+}
+
+// RemoveMean subtracts the mean from every entry of v, counted as one
+// remove_mean call (and, through Sum, one sum call on a non-empty v).
+func RemoveMean(v Vec) {
+	kernelCalls(kernelRemoveMean)
+	v.RemoveMean()
 }
 
 // RemoveMeanOn subtracts, for each index group, the group's mean — the
@@ -150,4 +188,54 @@ func (v Vec) IsFinite() bool {
 		}
 	}
 	return true
+}
+
+// reduceBlock is the fixed reduction block size, in elements. It is part of
+// the numeric contract: changing it changes the bits of every reduction
+// over more than one block.
+const reduceBlock = 4096
+
+// stackBlocks is how many block partials blockReduce keeps on the stack:
+// reductions over up to stackBlocks*reduceBlock entries allocate nothing.
+const stackBlocks = 64
+
+// blockReduce returns the sum of partial(lo, hi) over the fixed partition
+// of [0, n) into reduceBlock spans, the last one ragged. One span is
+// returned as is; more are folded by treeReduce in block order. The
+// partition and the fold depend only on n, so they fix the bits of Dot,
+// Sum and Laplacian.Quad above one block.
+func blockReduce(n int, partial func(lo, hi int) float64) float64 {
+	if n <= reduceBlock {
+		return partial(0, n)
+	}
+	var buf [stackBlocks]float64
+	parts := buf[:0]
+	if nb := (n + reduceBlock - 1) / reduceBlock; nb > len(buf) {
+		parts = make([]float64, 0, nb)
+	}
+	for lo := 0; lo < n; lo += reduceBlock {
+		parts = append(parts, partial(lo, min(lo+reduceBlock, n)))
+	}
+	return treeReduce(parts)
+}
+
+// treeReduce folds block partials pairwise in block order:
+// (p0+p1), (p2+p3), ... then recursively over the halved slice, an odd
+// last entry carried up a level. The schedule is a pure function of
+// len(parts). It consumes parts as scratch.
+func treeReduce(parts []float64) float64 {
+	if len(parts) == 0 {
+		return 0
+	}
+	for n := len(parts); n > 1; {
+		half := (n + 1) / 2
+		for i := 0; i < n/2; i++ {
+			parts[i] = parts[2*i] + parts[2*i+1]
+		}
+		if n%2 == 1 {
+			parts[n/2] = parts[n-1]
+		}
+		n = half
+	}
+	return parts[0]
 }

@@ -2,8 +2,11 @@ package linalg
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"lapcc/internal/graph"
 )
 
 func TestVecBasicOps(t *testing.T) {
@@ -121,5 +124,116 @@ func TestRemoveMeanProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func randomVec(n int, seed int64) Vec {
+	rng := rand.New(rand.NewSource(seed))
+	v := NewVec(n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// TestTreeReduce pins the fixed combine schedule: pairwise in block order,
+// odd leftover carried to the next level. The schedule is part of the
+// numeric contract — changing it changes the bits of every blocked
+// reduction.
+func TestTreeReduce(t *testing.T) {
+	parts := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	want := ((0.1 + 0.2) + (0.3 + 0.4)) + 0.5
+	if got := treeReduce(append([]float64(nil), parts...)); got != want {
+		t.Fatalf("treeReduce = %v, want %v (fixed pairwise order)", got, want)
+	}
+	if got := treeReduce(nil); got != 0 {
+		t.Fatalf("treeReduce(nil) = %v", got)
+	}
+	if got := treeReduce([]float64{42}); got != 42 {
+		t.Fatalf("treeReduce([42]) = %v", got)
+	}
+}
+
+// TestBlockReductionTree pins the bits of the reductions over more than
+// one block: at 1, 2 and 4 blocks, Dot, Sum and Laplacian.Quad equal the
+// explicit pairwise tree over their block partials, each partial a plain
+// left-to-right sum over its block. The 4-block data is checked to round
+// differently under a plain loop over all entries, so replacing the tree
+// with one fails here.
+func TestBlockReductionTree(t *testing.T) {
+	tree := func(p []float64) float64 {
+		switch len(p) {
+		case 1:
+			return p[0]
+		case 2:
+			return p[0] + p[1]
+		case 4:
+			return (p[0] + p[1]) + (p[2] + p[3])
+		}
+		t.Fatalf("no explicit tree for %d blocks", len(p))
+		return 0
+	}
+	// blocks returns the per-block plain sums of term(i) over [0, n), and
+	// the plain sum over all of [0, n).
+	blocks := func(n int, term func(i int) float64) (parts []float64, plain float64) {
+		for lo := 0; lo < n; lo += reduceBlock {
+			var s float64
+			for i := lo; i < min(lo+reduceBlock, n); i++ {
+				s += term(i)
+				plain += term(i)
+			}
+			parts = append(parts, s)
+		}
+		return parts, plain
+	}
+	for _, n := range []int{reduceBlock, reduceBlock + 1, 3*reduceBlock + 17} {
+		v, w := randomVec(n, 1), randomVec(n, 2)
+		rng := rand.New(rand.NewSource(3))
+		g := graph.New(64)
+		for g.M() < n {
+			if a, b := rng.Intn(64), rng.Intn(64); a != b {
+				g.MustAddEdge(a, b, 0.5+rng.Float64())
+			}
+		}
+		x := randomVec(g.N(), 4)
+		edges := g.Edges()
+
+		dots, plainDot := blocks(n, func(i int) float64 { return v[i] * w[i] })
+		sums, plainSum := blocks(n, func(i int) float64 { return v[i] })
+		quads, plainQuad := blocks(n, func(i int) float64 {
+			d := x[edges[i].U] - x[edges[i].V]
+			return edges[i].W * d * d
+		})
+		if got, want := v.Dot(w), tree(dots); got != want {
+			t.Fatalf("n=%d: Dot = %v, block tree %v", n, got, want)
+		}
+		if got, want := v.Sum(), tree(sums); got != want {
+			t.Fatalf("n=%d: Sum = %v, block tree %v", n, got, want)
+		}
+		if got, want := NewLaplacian(g).Quad(x), tree(quads); got != want {
+			t.Fatalf("n=%d: Quad = %v, block tree %v", n, got, want)
+		}
+		if len(dots) == 4 && (plainDot == tree(dots) || plainSum == tree(sums) || plainQuad == tree(quads)) {
+			t.Fatalf("n=%d: a plain loop rounds like the block tree (dot %v, sum %v, quad %v): the data cannot tell them apart",
+				n, plainDot == tree(dots), plainSum == tree(sums), plainQuad == tree(quads))
+		}
+	}
+}
+
+// TestRemoveMeanOnEmptyGroup pins the empty-group guard: a component id
+// range with an unpopulated id must not form the 0/0 mean (NaN would
+// poison nothing today only by accident of iteration order).
+func TestRemoveMeanOnEmptyGroup(t *testing.T) {
+	v := Vec{1, 3, 10, 14}
+	comp := []int{0, 0, 2, 2} // group 1 is empty
+	v.RemoveMeanOn(comp, 3)
+	want := Vec{-1, 1, -2, 2}
+	for i := range want {
+		if v[i] != want[i] {
+			t.Fatalf("RemoveMeanOn = %v, want %v", v, want)
+		}
+	}
+	if !v.IsFinite() {
+		t.Fatalf("empty group injected a non-finite value: %v", v)
 	}
 }

@@ -65,13 +65,6 @@ type Options struct {
 	// ledger's cost stream, and is propagated to every stage of the
 	// pipeline. A nil registry records nothing and costs nothing.
 	Metrics *metrics.Registry
-	// Workers sets the worker count for the run's numerical kernels —
-	// the per-iteration electrical solves and (on the Full path) the
-	// sparsifier builds (0 = GOMAXPROCS, 1 = sequential). The IPM's
-	// augmentation and fixing solves are data-dependent and stay
-	// sequential; Workers parallelizes inside each solve. The flow is
-	// bit-identical at any worker count.
-	Workers int
 }
 
 func (o *Options) defaults() {
@@ -284,7 +277,7 @@ func newIPMState(dg *graph.DiGraph, s, t int, fstar int64, opts Options) (*ipmSt
 	// the support (internal measurement; see DESIGN.md).
 	if opts.FastSolve {
 		support := st.supportGraph(nil)
-		sres, err := sparsify.Sparsify(support, sparsify.Options{Metrics: opts.Metrics, Workers: opts.Workers})
+		sres, err := sparsify.Sparsify(support, sparsify.Options{Metrics: opts.Metrics})
 		if err != nil {
 			return nil, fmt.Errorf("maxflow: calibrating solver charge: %w", err)
 		}
@@ -369,10 +362,10 @@ func (st *ipmState) sessionSolve(w []float64, b linalg.Vec, slot string) (linalg
 		// drift shifts the trajectory and with it the charged-round total.
 		// The session's win here is structural reuse; cold solves keep the
 		// path bit-identical to a fresh build every iteration.
-		opts := electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics, Workers: st.opts.Workers}
+		opts := electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics}
 		if !st.opts.FastSolve {
 			opts.Full = true
-			opts.Solver = lapsolver.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Workers: st.opts.Workers}
+			opts.Solver = lapsolver.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport}
 		}
 		sess, err := electrical.NewSession(st.supportGraph(w), opts)
 		if err != nil {
@@ -391,11 +384,9 @@ func (st *ipmState) sessionSolve(w []float64, b linalg.Vec, slot string) (linalg
 func (st *ipmState) solveFreshBaseline(w []float64, b linalg.Vec) (linalg.Vec, error) {
 	support := st.supportGraph(w)
 	if st.opts.FastSolve {
-		lg := linalg.NewLaplacian(support)
-		lg.SetPool(linalg.SharedPool(st.opts.Workers))
-		return linalg.LaplacianCGSolver(lg, st.opts.SolveEps)(b)
+		return linalg.LaplacianCGSolver(linalg.NewLaplacian(support), st.opts.SolveEps)(b)
 	}
-	solver, err := lapsolver.NewSolver(support, lapsolver.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Metrics: st.opts.Metrics, Workers: st.opts.Workers})
+	solver, err := lapsolver.NewSolver(support, lapsolver.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Metrics: st.opts.Metrics})
 	if err != nil {
 		return nil, err
 	}

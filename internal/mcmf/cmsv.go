@@ -61,13 +61,6 @@ type Options struct {
 	// the ledger's cost stream, and is propagated to every stage of the
 	// pipeline. A nil registry records nothing and costs nothing.
 	Metrics *metrics.Registry
-	// Workers sets the worker count for the run's numerical kernels — the
-	// predictor/corrector electrical solves and the charge-calibration
-	// sparsifier build (0 = GOMAXPROCS, 1 = sequential). The IPM's path
-	// iterations are data-dependent and stay sequential; Workers
-	// parallelizes inside each solve. The flow is bit-identical at any
-	// worker count.
-	Workers int
 }
 
 func (o *Options) defaults() {
@@ -280,7 +273,7 @@ func (st *cmsvState) preconA() []float64 {
 func (st *cmsvState) solve(w []float64, b linalg.Vec, slot string) (linalg.Vec, error) {
 	if !st.chargeOK && st.opts.Ledger != nil {
 		unit := st.supportGraph(nil, false)
-		sres, err := sparsify.Sparsify(unit, sparsify.Options{Metrics: st.opts.Metrics, Workers: st.opts.Workers})
+		sres, err := sparsify.Sparsify(unit, sparsify.Options{Metrics: st.opts.Metrics})
 		if err != nil {
 			return nil, fmt.Errorf("mcmf: calibrating solver charge: %w", err)
 		}
@@ -296,7 +289,6 @@ func (st *cmsvState) solve(w []float64, b linalg.Vec, slot string) (linalg.Vec, 
 	if st.opts.FreshBuild {
 		support := st.supportGraph(w, true)
 		lg := linalg.NewLaplacian(support)
-		lg.SetPool(linalg.SharedPool(st.opts.Workers))
 		rhs := linalg.NewVec(support.N())
 		copy(rhs, b)
 		x, err = linalg.LaplacianCGSolver(lg, st.opts.SolveEps)(rhs)
@@ -323,7 +315,7 @@ func (st *cmsvState) sessionSolve(w []float64, b linalg.Vec, slot string) (linal
 		support := st.supportGraph(w, true)
 		// WarmStart stays off for charged-round parity with the fresh-build
 		// path; see the maxflow sessionSolve comment.
-		sess, err := electrical.NewSession(support, electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics, Workers: st.opts.Workers})
+		sess, err := electrical.NewSession(support, electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics})
 		if err != nil {
 			return nil, err
 		}

@@ -34,9 +34,6 @@ type Options struct {
 	// shed with a typed 429 ("overloaded") instead of queueing. Default
 	// 2*GOMAXPROCS.
 	MaxInflight int
-	// Workers is the numerical core's worker count per request
-	// (core.RunOptions.Workers).
-	Workers int
 	// Metrics, if non-nil, receives the serving-layer instruments
 	// (request/shed/pool counters, per-op latency histograms) plus the
 	// solver-stack instruments of every run, and is exposed on the
@@ -333,7 +330,7 @@ func (s *Server) logAccess(rc *reqCtx, d time.Duration) {
 func (s *Server) run(budget *rounds.Budget, tr *trace.Tracer) core.RunOptions {
 	return core.RunOptions{
 		Trace: tr, Transport: s.opts.Transport,
-		Budget: budget, Workers: s.opts.Workers, Metrics: s.reg,
+		Budget: budget, Metrics: s.reg,
 	}
 }
 
@@ -478,8 +475,7 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqC
 		chain, err := sparsify.NewChain(g.Clone(), sparsify.ChainOptions{
 			ExactOnly: true,
 			Sparsify: sparsify.Options{
-				Ledger: led, Budget: budget,
-				Workers: s.opts.Workers, Metrics: s.reg, Trace: rc.tr,
+				Ledger: led, Budget: budget, Metrics: s.reg, Trace: rc.tr,
 			},
 		})
 		if err != nil {
@@ -527,8 +523,7 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqC
 		chain, err := sparsify.NewChain(g.Clone(), sparsify.ChainOptions{
 			ExactOnly: true,
 			Sparsify: sparsify.Options{
-				Ledger: led, Budget: budget,
-				Workers: s.opts.Workers, Metrics: s.reg,
+				Ledger: led, Budget: budget, Metrics: s.reg,
 			},
 		})
 		if err != nil {

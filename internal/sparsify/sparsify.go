@@ -84,13 +84,11 @@ type Options struct {
 	// parts, chain reuse decisions) and a mirror of the ledger's cost
 	// stream; a nil registry records nothing and costs nothing.
 	Metrics *metrics.Registry
-	// Workers sets the worker count for the per-part product-demand builds
-	// within each decomposition level (0 = GOMAXPROCS, 1 = sequential).
-	// Levels stay sequential — each level's input is the previous level's
-	// crossing edges — but the certified parts of one level are independent,
-	// and their pieces are merged into H in part order, so the sparsifier is
-	// bit-identical at any worker count. Round accounting is untouched:
-	// parallelism is internal computation, which is free in the model.
+	// Workers is ignored: the certified parts of a level are built one
+	// after another.
+	//
+	// Deprecated: it has no effect and is kept only because the benchmark
+	// module (bench/replay.go) still sets it.
 	Workers int
 }
 
@@ -245,17 +243,7 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 		return levelOutcome{err: fmt.Errorf("crossing fraction %.3f exceeds eps %.3f at level %d", frac, opts.Eps, level)}
 	}
 
-	// Collect the certified parts first (serial: part counting and subgraph
-	// validation keep their historical order), then build the per-part
-	// product-demand pieces concurrently — parts are independent — and merge
-	// them into H strictly in part order. Edge order, weights, and counters
-	// are therefore identical at any worker count.
-	type partJob struct {
-		sub   *graph.Graph
-		orig  []int
-		piece *graph.Graph
-	}
-	var jobs []partJob
+	// Each certified part adds its product-demand piece to H, in part order.
 	for _, part := range dec.Parts {
 		if len(part) < 2 {
 			continue
@@ -268,34 +256,20 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 			continue
 		}
 		res.Parts++
-		jobs = append(jobs, partJob{sub: sub, orig: orig})
-	}
-	pool := linalg.SharedPool(opts.Workers)
-	pool.ForBlocks(len(jobs), func(i int) {
-		jobs[i].piece = productDemandSparsifier(jobs[i].sub, opts.SmallPartCutoff)
-	})
-	for _, j := range jobs {
-		for _, e := range j.piece.Edges() {
-			res.H.MustAddEdge(j.orig[e.U], j.orig[e.V], e.W*scale*phiBoost(phi))
-		}
+		productDemandSparsifier(res.H, sub, orig, scale, opts.SmallPartCutoff)
 	}
 
 	*curp = dec.Crossing
 	return levelOutcome{}
 }
 
-// phiBoost is the weight normalization applied to product demand pieces.
-// The CGLN analysis sandwiches a phi-expander between (phi^2/4) D and 4 D
-// for the degree-matched product demand graph D; emitting D unscaled keeps
-// the sandwich centered within the measured-alpha framework.
-func phiBoost(float64) float64 { return 1 }
-
-// productDemandSparsifier returns a sparse deterministic approximation of
-// the product demand graph H(d) of sub, where d is sub's (unweighted)
-// degree vector and edge {u,v} has weight d_u*d_v/vol. Parts up to cutoff
-// vertices get the exact product demand graph; larger parts get the
-// bucketed weighted-expander construction.
-func productDemandSparsifier(sub *graph.Graph, cutoff int) *graph.Graph {
+// productDemandSparsifier adds to h a sparse deterministic approximation
+// of the product demand graph H(d) of sub, where d is sub's (unweighted)
+// degree vector and edge {u,v} has weight d_u*d_v/vol, scaled by scale.
+// Vertex u of sub is vertex orig[u] of h. Parts up to cutoff vertices get
+// the exact product demand graph; larger parts get the bucketed
+// weighted-expander construction.
+func productDemandSparsifier(h, sub *graph.Graph, orig []int, scale float64, cutoff int) {
 	k := sub.N()
 	vol := float64(2 * sub.M())
 	deg := make([]float64, k)
@@ -306,18 +280,18 @@ func productDemandSparsifier(sub *graph.Graph, cutoff int) *graph.Graph {
 			support = append(support, v)
 		}
 	}
-	out := graph.New(k)
+	add := func(u, v int, w float64) { h.MustAddEdge(orig[u], orig[v], w*scale) }
 	if len(support) < 2 {
-		return out
+		return
 	}
 	if len(support) <= cutoff {
 		for i := 0; i < len(support); i++ {
 			for j := i + 1; j < len(support); j++ {
 				u, v := support[i], support[j]
-				out.MustAddEdge(u, v, deg[u]*deg[v]/vol)
+				add(u, v, deg[u]*deg[v]/vol)
 			}
 		}
-		return out
+		return
 	}
 
 	// Bucket the support by degree (powers of two).
@@ -361,7 +335,7 @@ func productDemandSparsifier(sub *graph.Graph, cutoff int) *graph.Graph {
 				if u == v {
 					continue
 				}
-				out.MustAddEdge(u, v, deg[u]*deg[v]/vol*boost)
+				add(u, v, deg[u]*deg[v]/vol*boost)
 			}
 		}
 	}
@@ -405,12 +379,11 @@ func productDemandSparsifier(sub *graph.Graph, cutoff int) *graph.Graph {
 			for _, c := range conns {
 				w := deg[c.u] * deg[c.v] / rawTotal * totalWeight
 				if w > 0 {
-					out.MustAddEdge(c.u, c.v, w)
+					add(c.u, c.v, w)
 				}
 			}
 		}
 	}
-	return out
 }
 
 // MeasureAlpha estimates the effective approximation factor alpha of h for

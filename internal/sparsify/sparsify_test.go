@@ -2,6 +2,7 @@ package sparsify
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,45 @@ import (
 func TestSparsifyRejectsEmpty(t *testing.T) {
 	if _, err := Sparsify(graph.New(4), Options{}); !errors.Is(err, ErrEmptyGraph) {
 		t.Fatalf("error = %v, want ErrEmptyGraph", err)
+	}
+}
+
+// TestSparsifyMultiPartEdgeDigest pins H edge for edge, in order and to
+// the bit, on a weighted two-cluster graph whose decomposition certifies
+// more parts than it runs levels, so at least one level merges two or more
+// product-demand pieces into H, and parts above SmallPartCutoff take the
+// bucketed construction. The digest is a golden value: any change to the
+// pieces' edges, their order or their weights' bits fails here.
+func TestSparsifyMultiPartEdgeDigest(t *testing.T) {
+	g, err := graph.TwoClusters(40, 6, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Sparsify(graph.WithRandomWeights(g, 8, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Parts <= res.Levels {
+		t.Fatalf("%d parts over %d levels: no level has two parts", res.Parts, res.Levels)
+	}
+	// FNV-1a over each edge's endpoints and weight bits, little-endian.
+	d := uint64(14695981039346656037)
+	mix := func(x uint64) {
+		for i := 0; i < 8; i++ {
+			d ^= x & 0xff
+			d *= 1099511628211
+			x >>= 8
+		}
+	}
+	for _, e := range res.H.Edges() {
+		mix(uint64(e.U))
+		mix(uint64(e.V))
+		mix(math.Float64bits(e.W))
+	}
+	const want = 0xd85c63d276631a5d
+	if res.H.M() != 771 || res.Parts != 40 || res.Levels != 5 || d != want {
+		t.Fatalf("H has %d edges from %d parts over %d levels, digest %#x; want 771, 40, 5, %#x",
+			res.H.M(), res.Parts, res.Levels, d, uint64(want))
 	}
 }
 
