@@ -239,3 +239,16 @@ func LaplacianCGSolver(l *Laplacian, tol float64) func(Vec) (Vec, error) {
 		return x, nil
 	}
 }
+
+// laplacianCGSolveTo is LaplacianCGSolver in the func(dst, b) shape.
+func laplacianCGSolveTo(l *Laplacian, tol float64) func(dst, b Vec) error {
+	cg := LaplacianCGSolver(l, tol)
+	return func(dst, b Vec) error {
+		x, err := cg(b)
+		if err != nil {
+			return err
+		}
+		copy(dst, x)
+		return nil
+	}
+}

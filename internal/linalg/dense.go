@@ -62,9 +62,13 @@ func (d *Dense) Clone() *Dense {
 // Cholesky computes the lower-triangular factor of a symmetric positive
 // definite matrix, returning a solver for systems with it. Only the lower
 // triangle is read.
-func (d *Dense) Cholesky() (*CholeskyFactor, error) {
+func (d *Dense) Cholesky() (*CholeskyFactor, error) { return d.cholesky(haveAVX) }
+
+// cholesky is Cholesky with the sweep kernels chosen by avx (see
+// CholeskyFactor).
+func (d *Dense) cholesky(avx bool) (*CholeskyFactor, error) {
 	c := packLower(d)
-	if err := c.factor(); err != nil {
+	if err := c.factor(avx); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -72,19 +76,22 @@ func (d *Dense) Cholesky() (*CholeskyFactor, error) {
 
 // CholeskyFactor is a lower-triangular Cholesky factor L with A = L L^T,
 // stored as a packed row-major lower triangle: row i holds L[i][0..i] at
-// offset i(i+1)/2, n(n+1)/2 entries in all. The factorization and both
-// triangular sweeps walk whole rows front to back, so they stream memory.
+// offset i(i+1)/2, n(n+1)/2 entries in all; it is the factor's only copy.
 //
-// They work on four rows per pass. The forward sweep accumulates the dots
-// of rows i..i+3 in one pass over the solved prefix (subDots4), the back
-// sweep subtracts the contributions of four finished rows in one pass
-// (subAxpy4), and the factorization computes L[i][j..j+3] together with
-// the forward helper. Four independent accumulations hide the latency a
-// single row's serial chain exposes. Every entry still receives the same
-// operations in the same order as in a row-at-a-time loop — each dot
-// ascending in k, each back-sweep update in descending row order — so the
-// factor and the solutions are bit-identical to it for every n, including
-// when dst aliases b.
+// The factorization and both triangular sweeps work on four rows per
+// pass, with one of two kernel sets. The Go kernels accumulate the dots of
+// rows i..i+3 in one pass over the solved prefix (subDots4) and subtract
+// the contributions of four finished rows in one pass (subAxpy4). Where
+// the CPU has AVX (haveAVX), the back sweep runs subAxpy4AVX, and the
+// forward sweep turns right-looking: once y[i..i+3] are final, subCols4AVX
+// subtracts their four columns from every later row, four rows per vector,
+// reading 4x4 tiles of the packed rows and transposing them in registers.
+// The factorization computes L[i][j..j+3] with the same forward sweep.
+// Every entry still receives the same operations in the same order as in a
+// row-at-a-time loop — each dot ascending in k, each back-sweep update in
+// descending row order, a multiply then a subtract per term, never fused —
+// so the factor and the solutions are bit-identical to it on both kernel
+// sets, for every n, including when dst aliases b.
 type CholeskyFactor struct {
 	n int
 	l []float64
@@ -113,11 +120,12 @@ func (c *CholeskyFactor) row(i int) []float64 {
 // row by row: L[i][j] = (A[i][j] - sum_{k<j} L[i][k] L[j][k]) / L[j][j],
 // each sum taken in ascending k. That is a forward sweep of the rows
 // already factored over row i's own prefix, in place. It fails with
-// ErrNotPD on the first pivot that is not positive and finite.
-func (c *CholeskyFactor) factor() error {
+// ErrNotPD on the first pivot that is not positive and finite. avx selects
+// the sweep kernels.
+func (c *CholeskyFactor) factor(avx bool) error {
 	for i := 0; i < c.n; i++ {
 		ri := c.row(i)
-		c.forward(ri[:i], ri[:i])
+		c.forward(ri[:i], ri[:i], avx)
 		piv := ri[i]
 		for _, v := range ri[:i] {
 			piv -= v * v
@@ -132,26 +140,48 @@ func (c *CholeskyFactor) factor() error {
 
 // forward sets dst to the y with L' y = b, where L' is the leading
 // len(dst) x len(dst) block of L: y[i] = (b[i] - sum_{k<i} L[i][k] y[k]) /
-// L[i][i], each sum in ascending k. Four rows share one pass over y[:i];
-// the rows left over when len(dst) is not a multiple of four run one at a
+// L[i][i], each sum in ascending k. Rows i..i+3 are finished together. On
+// the Go kernels they share one pass over y[:i] (subDots4). With avx the
+// sweep is right-looking: dst starts as b, and each finished block's four
+// columns are subtracted from every later row at once (subCols4AVX), so
+// row i already holds b[i] minus its sum over y[:i] when its block starts.
+// The rows left over when len(dst) is not a multiple of four run one at a
 // time. dst may alias b.
-func (c *CholeskyFactor) forward(dst, b []float64) {
+func (c *CholeskyFactor) forward(dst, b []float64, avx bool) {
 	n := len(dst)
+	if avx {
+		copy(dst, b)
+	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		r0, r1, r2, r3 := c.row(i), c.row(i+1), c.row(i+2), c.row(i+3)
-		s0, s1, s2, s3 := subDots4(dst[:i], r0, r1, r2, r3, b[i], b[i+1], b[i+2], b[i+3])
+		var s0, s1, s2, s3 float64
+		if avx {
+			s0, s1, s2, s3 = dst[i], dst[i+1], dst[i+2], dst[i+3]
+		} else {
+			s0, s1, s2, s3 = subDots4(dst[:i], r0, r1, r2, r3, b[i], b[i+1], b[i+2], b[i+3])
+		}
 		y0 := s0 / r0[i]
 		y1 := (s1 - r1[i]*y0) / r1[i+1]
 		y2 := (s2 - r2[i]*y0 - r2[i+1]*y1) / r2[i+2]
 		y3 := (s3 - r3[i]*y0 - r3[i+1]*y1 - r3[i+2]*y2) / r3[i+3]
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = y0, y1, y2, y3
+		if avx {
+			subCols4AVX(dst[i+4:], c.l, i+4, i, y0, y1, y2, y3)
+		}
+	}
+	k0 := 0 // the columns still to subtract from the rows left over
+	if avx {
+		k0 = i
 	}
 	for ; i < n; i++ {
 		ri := c.row(i)
 		s := b[i]
-		for k, v := range ri[:i] {
-			s -= v * dst[k]
+		if avx {
+			s = dst[i]
+		}
+		for k := k0; k < i; k++ {
+			s -= ri[k] * dst[k]
 		}
 		dst[i] = s / ri[i]
 	}
@@ -187,9 +217,12 @@ func subAxpy4(x, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
 
 // SolveTo sets dst to the x with A x = b by forward then back substitution.
 // It allocates nothing, and dst may alias b.
-func (c *CholeskyFactor) SolveTo(dst, b Vec) {
+func (c *CholeskyFactor) SolveTo(dst, b Vec) { c.solveTo(dst, b, haveAVX) }
+
+// solveTo is SolveTo with the sweep kernels chosen by avx.
+func (c *CholeskyFactor) solveTo(dst, b Vec, avx bool) {
 	// Forward: L y = b.
-	c.forward(dst[:c.n], b[:c.n])
+	c.forward(dst[:c.n], b[:c.n], avx)
 	// Back: L^T x = y. Column i of L^T is row i of L, so once x[i] is final
 	// the sweep subtracts its contribution from the entries above it: four
 	// rows i..i-3 are finished against each other, then all four are
@@ -202,7 +235,11 @@ func (c *CholeskyFactor) SolveTo(dst, b Vec) {
 		x2 := (dst[i-2] - r0[i-2]*x0 - r1[i-2]*x1) / r2[i-2]
 		x3 := (dst[i-3] - r0[i-3]*x0 - r1[i-3]*x1 - r2[i-3]*x2) / r3[i-3]
 		dst[i], dst[i-1], dst[i-2], dst[i-3] = x0, x1, x2, x3
-		subAxpy4(dst[:i-3], r0, r1, r2, r3, x0, x1, x2, x3)
+		if avx {
+			subAxpy4AVX(dst[:i-3], r0, r1, r2, r3, x0, x1, x2, x3)
+		} else {
+			subAxpy4(dst[:i-3], r0, r1, r2, r3, x0, x1, x2, x3)
+		}
 	}
 	for ; i >= 0; i-- {
 		ri := c.row(i)
@@ -228,7 +265,11 @@ func (c *CholeskyFactor) Solve(b Vec) Vec {
 // on weights that overflow the factorization — it fails with ErrNotPD. The
 // factorization is sequential and the assembly runs in edge order, so the
 // factor is a pure function of g's edge list.
-func LaplacianCholesky(g *graph.Graph) (*CholeskyFactor, error) {
+func LaplacianCholesky(g *graph.Graph) (*CholeskyFactor, error) { return laplacianCholesky(g, haveAVX) }
+
+// laplacianCholesky is LaplacianCholesky with the sweep kernels chosen by
+// avx.
+func laplacianCholesky(g *graph.Graph, avx bool) (*CholeskyFactor, error) {
 	c := newCholeskyFactor(g.N())
 	for _, e := range g.Edges() {
 		c.row(e.U)[e.U] += e.W
@@ -236,7 +277,7 @@ func LaplacianCholesky(g *graph.Graph) (*CholeskyFactor, error) {
 		c.row(e.V)[e.U] -= e.W // U < V: the pair's lower-triangle entry
 	}
 	c.shiftJ()
-	if err := c.factor(); err != nil {
+	if err := c.factor(avx); err != nil {
 		return nil, fmt.Errorf("linalg: shifted Laplacian factorization (graph disconnected?): %w", err)
 	}
 	return c, nil
@@ -249,22 +290,22 @@ func LaplacianCholesky(g *graph.Graph) (*CholeskyFactor, error) {
 const FactorMaxN = 1024
 
 // LaplacianSolver returns the internal solver for a graph Laplacian: a
-// closure mapping b to L^+ b in a freshly allocated vector. At or below
-// FactorMaxN vertices it factors L + J/n once (LaplacianCholesky) and every
-// call is an exact PseudoSolveTo; above the cap, or when factoring fails
-// (a disconnected graph), it is LaplacianCGSolver(l, tol). Either way it
-// models a node solving a globally-known graph internally, at zero rounds.
-func LaplacianSolver(l *Laplacian, tol float64) func(Vec) (Vec, error) {
+// closure setting dst = L^+ b. At or below FactorMaxN vertices it factors
+// L + J/n once (LaplacianCholesky) and every call is an exact
+// PseudoSolveTo, which allocates nothing; above the cap, or when factoring
+// fails (a disconnected graph), it is LaplacianCGSolver(l, tol), its answer
+// copied into dst. Either way it models a node solving a globally-known
+// graph internally, at zero rounds.
+func LaplacianSolver(l *Laplacian, tol float64) func(dst, b Vec) error {
 	if l.Dim() <= FactorMaxN {
 		if f, err := LaplacianCholesky(l.Graph()); err == nil {
-			return func(b Vec) (Vec, error) {
-				x := NewVec(len(b))
-				f.PseudoSolveTo(x, b)
-				return x, nil
+			return func(dst, b Vec) error {
+				f.PseudoSolveTo(dst, b)
+				return nil
 			}
 		}
 	}
-	return LaplacianCGSolver(l, tol)
+	return laplacianCGSolveTo(l, tol)
 }
 
 // shiftJ adds the rank-one shift J/n to every packed entry.
@@ -300,7 +341,7 @@ func LaplacianPseudoSolve(l *Dense, b Vec) (Vec, error) {
 	}
 	c := packLower(l)
 	c.shiftJ()
-	if err := c.factor(); err != nil {
+	if err := c.factor(haveAVX); err != nil {
 		return nil, fmt.Errorf("linalg: pseudo-solve shift factorization (graph disconnected?): %w", err)
 	}
 	x := NewVec(n)

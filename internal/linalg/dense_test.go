@@ -123,7 +123,8 @@ func TestCholeskyRejectsNonFinitePivot(t *testing.T) {
 }
 
 // TestCholeskySolveToInPlace: SolveTo with dst aliasing b gives the same
-// bits as into a separate vector, and neither form allocates.
+// bits as into a separate vector, and neither form allocates, on either
+// kernel path.
 func TestCholeskySolveToInPlace(t *testing.T) {
 	g, err := graph.ConnectedGNM(30, 90, 8)
 	if err != nil {
@@ -134,18 +135,37 @@ func TestCholeskySolveToInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := meanFreeRandomVec(30, 9)
-	want := NewVec(30)
-	f.SolveTo(want, b)
-	got := b.Clone()
-	f.SolveTo(got, got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("in-place SolveTo[%d] = %v, want %v", i, got[i], want[i])
+	sweepPaths(t, func(t *testing.T, avx bool) {
+		want := NewVec(30)
+		f.solveTo(want, b, avx)
+		got := b.Clone()
+		f.solveTo(got, got, avx)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("in-place SolveTo[%d] = %v, want %v", i, got[i], want[i])
+			}
 		}
+		if a := testing.AllocsPerRun(10, func() { f.solveTo(want, b, avx); f.solveTo(got, got, avx) }); a != 0 {
+			t.Fatalf("solveTo allocates %v times", a)
+		}
+	})
+	x := NewVec(30)
+	if a := testing.AllocsPerRun(10, func() { f.PseudoSolveTo(x, b) }); a != 0 {
+		t.Fatalf("PseudoSolveTo allocates %v times", a)
 	}
-	if a := testing.AllocsPerRun(10, func() { f.SolveTo(want, b); f.PseudoSolveTo(got, b) }); a != 0 {
-		t.Fatalf("SolveTo + PseudoSolveTo allocate %v times", a)
-	}
+}
+
+// sweepPaths runs f on each kernel path of the factor sweeps: the Go
+// kernels, and the AVX kernels where the CPU has them.
+func sweepPaths(t *testing.T, f func(t *testing.T, avx bool)) {
+	t.Helper()
+	t.Run("go", func(t *testing.T) { f(t, false) })
+	t.Run("avx", func(t *testing.T) {
+		if !haveAVX {
+			t.Skip("no AVX kernels: the CPU lacks AVX, the OS does not save YMM state, or the platform is not amd64")
+		}
+		f(t, true)
+	})
 }
 
 // eigenPseudoSolve is the independent reference for the factored solves:
@@ -320,7 +340,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s[%d] = %v, want %v (row-at-a-time)", what, i, got[i], want[i])
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }
@@ -356,12 +376,12 @@ func randomMultigraph(n int, heavy bool, seed int64) *graph.Graph {
 }
 
 // TestCholeskyBlockedBitIdentical: the four-row factorization and sweeps
-// give the row-at-a-time kernels' bits, at every residue of n mod 4, on
-// factors from LaplacianCholesky (a multigraph, a path, a 1e8 weight ratio)
-// and from Dense.Cholesky (a diagonally dominant random matrix), solving
-// into a separate vector and in place. At n = 1024, the solver's factor
-// cap, only the multigraph runs: the row-at-a-time reference costs seconds
-// per factor there under the race detector.
+// give the row-at-a-time kernels' bits on both kernel paths, at every
+// residue of n mod 4, on factors from LaplacianCholesky (a multigraph, a
+// path, a 1e8 weight ratio) and from Dense.Cholesky (a diagonally dominant
+// random matrix), solving into a separate vector and in place. At n = 1024,
+// the solver's factor cap, only the multigraph runs: the row-at-a-time
+// reference costs seconds per factor there under the race detector.
 func TestCholeskyBlockedBitIdentical(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 127, 128, 129, 130, 131, 132, 1024}
 	for _, n := range sizes {
@@ -396,11 +416,7 @@ func TestCholeskyBlockedBitIdentical(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
 				a := spd
-				var got *CholeskyFactor
-				var err error
-				if tc.g == nil {
-					got, err = a.Cholesky()
-				} else {
+				if tc.g != nil {
 					// The dense assembly of L + J/n matches the edge-list
 					// one bit for bit (TestLaplacianCholeskyAssembly).
 					a = NewLaplacian(tc.g).Dense()
@@ -409,29 +425,37 @@ func TestCholeskyBlockedBitIdentical(t *testing.T) {
 							a.Add(i, j, 1/float64(n))
 						}
 					}
-					got, err = LaplacianCholesky(tc.g)
-				}
-				if err != nil {
-					t.Fatal(err)
 				}
 				want := packLower(a)
 				if err := rowFactor(want); err != nil {
 					t.Fatal(err)
 				}
-				sameBits(t, "factor", got.l, want.l)
-
 				b := NewVec(n)
 				for i := range b {
 					b[i] = rng.NormFloat64()
 				}
-				wantX, gotX := NewVec(n), NewVec(n)
+				wantX, wantIn := NewVec(n), b.Clone()
 				rowSolveTo(want, wantX, b)
-				got.SolveTo(gotX, b)
-				sameBits(t, "SolveTo", gotX, wantX)
-				wantIn, gotIn := b.Clone(), b.Clone()
 				rowSolveTo(want, wantIn, wantIn)
-				got.SolveTo(gotIn, gotIn)
-				sameBits(t, "in-place SolveTo", gotIn, wantIn)
+
+				sweepPaths(t, func(t *testing.T, avx bool) {
+					var got *CholeskyFactor
+					var err error
+					if tc.g == nil {
+						got, err = a.cholesky(avx)
+					} else {
+						got, err = laplacianCholesky(tc.g, avx)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, "factor", got.l, want.l)
+					gotX, gotIn := NewVec(n), b.Clone()
+					got.solveTo(gotX, b, avx)
+					sameBits(t, "SolveTo", gotX, wantX)
+					got.solveTo(gotIn, gotIn, avx)
+					sameBits(t, "in-place SolveTo", gotIn, wantIn)
+				})
 			})
 		}
 	}

@@ -58,7 +58,7 @@ func PowerIteration(op Operator, iters int) (float64, error) {
 // pencilOp applies x -> B^+ (A x) via the supplied B-solver.
 type pencilOp struct {
 	a      Operator
-	bSolve func(Vec) (Vec, error)
+	bSolve func(dst, b Vec) error
 	err    error
 	tmp    Vec
 }
@@ -67,19 +67,16 @@ func (p *pencilOp) Dim() int { return p.a.Dim() }
 
 func (p *pencilOp) Apply(dst, src Vec) {
 	p.a.Apply(p.tmp, src)
-	y, err := p.bSolve(p.tmp)
-	if err != nil {
+	if err := p.bSolve(dst, p.tmp); err != nil {
 		p.err = err
 		dst.Zero()
-		return
 	}
-	copy(dst, y)
 }
 
 // PencilMaxEig estimates lambda_max of the pencil (A, B): the largest lambda
 // with A x = lambda B x on the complement of the nullspace. bSolve must
-// apply B^+.
-func PencilMaxEig(a Operator, bSolve func(Vec) (Vec, error), iters int) (float64, error) {
+// set dst = B^+ b.
+func PencilMaxEig(a Operator, bSolve func(dst, b Vec) error, iters int) (float64, error) {
 	p := &pencilOp{a: a, bSolve: bSolve, tmp: NewVec(a.Dim())}
 	lam, err := PowerIteration(p, iters)
 	if err != nil {
@@ -93,8 +90,10 @@ func PencilMaxEig(a Operator, bSolve func(Vec) (Vec, error), iters int) (float64
 
 // PencilBounds estimates (lambdaMin, lambdaMax) of the pencil (A, B) via
 // power iteration on B^+A and on A^+B (whose top eigenvalue is
-// 1/lambdaMin). aSolve and bSolve must apply the respective pseudoinverses.
-func PencilBounds(a, b Operator, aSolve, bSolve func(Vec) (Vec, error), iters int) (lamMin, lamMax float64, err error) {
+// 1/lambdaMin). aSolve and bSolve must apply the respective pseudoinverses
+// into their dst (LaplacianSolver); with allocation-free solves, the
+// estimate allocates the same at any iteration count.
+func PencilBounds(a, b Operator, aSolve, bSolve func(dst, b Vec) error, iters int) (lamMin, lamMax float64, err error) {
 	lamMax, err = PencilMaxEig(a, bSolve, iters)
 	if err != nil {
 		return 0, 0, fmt.Errorf("linalg: pencil lambda_max: %w", err)

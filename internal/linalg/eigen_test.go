@@ -47,8 +47,8 @@ func TestPencilBoundsScaledGraph(t *testing.T) {
 		h.MustAddEdge(e.U, e.V, c*e.W)
 	}
 	lh := NewLaplacian(h)
-	aSolve := LaplacianCGSolver(lg, 1e-13)
-	bSolve := LaplacianCGSolver(lh, 1e-13)
+	aSolve := laplacianCGSolveTo(lg, 1e-13)
+	bSolve := laplacianCGSolveTo(lh, 1e-13)
 	lamMin, lamMax, err := PencilBounds(lg, lh, aSolve, bSolve, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestPencilBoundsPerturbedSandwich(t *testing.T) {
 	}
 	lh := NewLaplacian(h)
 	lamMin, lamMax, err := PencilBounds(lg, lh,
-		LaplacianCGSolver(lg, 1e-13), LaplacianCGSolver(lh, 1e-13), 300)
+		laplacianCGSolveTo(lg, 1e-13), laplacianCGSolveTo(lh, 1e-13), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,5 +105,28 @@ func TestPowerIterationEmpty(t *testing.T) {
 	d := NewDense(0)
 	if _, err := PowerIteration(d, 10); err == nil {
 		t.Fatal("empty operator should error")
+	}
+}
+
+// TestPencilBoundsFactoredAllocations: with LaplacianSolver's factored
+// solves, every pencil solve writes into the estimator's own vector, so a
+// PencilBounds estimate allocates the same at 20 and at 200 iterations.
+func TestPencilBoundsFactoredAllocations(t *testing.T) {
+	g, err := graph.RandomRegular(128, 6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := graph.WithRandomWeights(g, 4, 2)
+	lg, lh := NewLaplacian(g), NewLaplacian(h)
+	aSolve, bSolve := LaplacianSolver(lg, 1e-11), LaplacianSolver(lh, 1e-11)
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := PencilBounds(lg, lh, aSolve, bSolve, iters); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a20, a200 := allocs(20), allocs(200); a20 != a200 {
+		t.Fatalf("PencilBounds allocates %v times at 20 iterations and %v at 200", a20, a200)
 	}
 }

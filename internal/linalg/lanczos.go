@@ -159,7 +159,7 @@ func (td *Tridiagonal) bisect(lo, hi float64, idx int) float64 {
 // pencil (A, B) with k steps of B-inner-product Lanczos on B^+A. Top Ritz
 // values converge fast and resist the floating-point contamination that
 // plagues the small end of a semi-inner-product Krylov space.
-func pencilTopLanczos(a, b Operator, bSolve func(Vec) (Vec, error), k int) (float64, error) {
+func pencilTopLanczos(a, b Operator, bSolve func(dst, b Vec) error, k int) (float64, error) {
 	n := a.Dim()
 	tmpApply := NewVec(n)
 	tmpInner := NewVec(n)
@@ -167,13 +167,11 @@ func pencilTopLanczos(a, b Operator, bSolve func(Vec) (Vec, error), k int) (floa
 	apply := func(dst, src Vec) {
 		a.Apply(tmpApply, src)
 		tmpApply.RemoveMean()
-		y, e := bSolve(tmpApply)
-		if e != nil {
+		if e := bSolve(dst, tmpApply); e != nil {
 			solveErr = e
 			dst.Zero()
 			return
 		}
-		copy(dst, y)
 		dst.RemoveMean()
 	}
 	binner := func(u, v Vec) float64 {
@@ -197,7 +195,7 @@ func pencilTopLanczos(a, b Operator, bSolve func(Vec) (Vec, error), k int) (floa
 // via two top-value Lanczos runs: on B^+A for lambdaMax and on A^+B for
 // 1/lambdaMin. Converges in far fewer operator applications than
 // PencilBounds' power iterations. Typical k: 30-80.
-func PencilBoundsLanczos(a, b Operator, aSolve, bSolve func(Vec) (Vec, error), k int) (lamMin, lamMax float64, err error) {
+func PencilBoundsLanczos(a, b Operator, aSolve, bSolve func(dst, b Vec) error, k int) (lamMin, lamMax float64, err error) {
 	lamMax, err = pencilTopLanczos(a, b, bSolve, k)
 	if err != nil {
 		return 0, 0, fmt.Errorf("linalg: pencil lambda_max: %w", err)

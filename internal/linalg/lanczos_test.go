@@ -71,7 +71,7 @@ func TestPencilBoundsLanczosScaled(t *testing.T) {
 		h.MustAddEdge(e.U, e.V, c*e.W)
 	}
 	lh := NewLaplacian(h)
-	lo, hi, err := PencilBoundsLanczos(lg, lh, LaplacianCGSolver(lg, 1e-12), LaplacianCGSolver(lh, 1e-12), 30)
+	lo, hi, err := PencilBoundsLanczos(lg, lh, laplacianCGSolveTo(lg, 1e-12), laplacianCGSolveTo(lh, 1e-12), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +98,8 @@ func TestPencilBoundsLanczosMatchesPowerIteration(t *testing.T) {
 		h.MustAddEdge(e.U, e.V, w)
 	}
 	lh := NewLaplacian(h)
-	aSolve := LaplacianCGSolver(lg, 1e-12)
-	bSolve := LaplacianCGSolver(lh, 1e-12)
+	aSolve := laplacianCGSolveTo(lg, 1e-12)
+	bSolve := laplacianCGSolveTo(lh, 1e-12)
 
 	pLo, pHi, err := PencilBounds(lg, lh, aSolve, bSolve, 400)
 	if err != nil {

@@ -1,16 +1,14 @@
 package linalg
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"lapcc/internal/graph"
 )
 
 // Operator is a symmetric linear operator on R^n, the abstraction consumed
-// by the iterative solvers. Laplacians, dense matrices, and composed
-// preconditioned operators all implement it.
+// by the iterative solvers. Laplacians, dense matrices and the pencil
+// estimators' B^+ A operator implement it.
 type Operator interface {
 	// Dim returns n.
 	Dim() int
@@ -181,65 +179,4 @@ func (l *Laplacian) Dense() *Dense {
 		d.Set(e.V, e.U, d.At(e.V, e.U)-e.W)
 	}
 	return d
-}
-
-// ScaledOperator wraps A with a scalar multiple: (c*A) x = c * (A x). It is
-// stateless, so concurrent Applies are safe whenever A's are.
-type ScaledOperator struct {
-	A Operator
-	C float64
-}
-
-var _ Operator = (*ScaledOperator)(nil)
-
-// Dim returns the dimension of the wrapped operator.
-func (s *ScaledOperator) Dim() int { return s.A.Dim() }
-
-// Apply computes dst = C * (A * src).
-func (s *ScaledOperator) Apply(dst, src Vec) {
-	s.A.Apply(dst, src)
-	dst.Scale(s.C)
-}
-
-// SumOperator is the sum of operators of equal dimension. Apply draws its
-// scratch vector from a per-operator pool instead of a shared field, so
-// concurrent Applies of one composed operator each work on private scratch
-// and are safe whenever the terms' Applies are.
-type SumOperator struct {
-	Terms   []Operator
-	scratch sync.Pool // of Vec sized to Dim()
-}
-
-var _ Operator = (*SumOperator)(nil)
-
-// NewSumOperator returns the operator summing the given terms. All terms
-// must have the same dimension.
-func NewSumOperator(terms ...Operator) (*SumOperator, error) {
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("linalg: sum of zero operators")
-	}
-	n := terms[0].Dim()
-	for _, t := range terms[1:] {
-		if t.Dim() != n {
-			return nil, fmt.Errorf("linalg: operator dimensions %d and %d differ", n, t.Dim())
-		}
-	}
-	return &SumOperator{Terms: terms}, nil
-}
-
-// Dim returns the common dimension.
-func (s *SumOperator) Dim() int { return s.Terms[0].Dim() }
-
-// Apply computes dst = sum_i (term_i * src).
-func (s *SumOperator) Apply(dst, src Vec) {
-	tmp, _ := s.scratch.Get().(Vec)
-	if len(tmp) != len(dst) {
-		tmp = NewVec(len(dst))
-	}
-	dst.Zero()
-	for _, t := range s.Terms {
-		t.Apply(tmp, src)
-		dst.AXPY(1, tmp)
-	}
-	s.scratch.Put(tmp)
 }

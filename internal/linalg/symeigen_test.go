@@ -157,8 +157,8 @@ func TestPencilEstimatorsAgainstDenseOracle(t *testing.T) {
 	}
 	exLo, exHi := exact[0], exact[len(exact)-1]
 
-	aSolve := LaplacianCGSolver(lg, 1e-12)
-	bSolve := LaplacianCGSolver(lh, 1e-12)
+	aSolve := laplacianCGSolveTo(lg, 1e-12)
+	bSolve := laplacianCGSolveTo(lh, 1e-12)
 	pLo, pHi, err := PencilBounds(lg, lh, aSolve, bSolve, 500)
 	if err != nil {
 		t.Fatal(err)

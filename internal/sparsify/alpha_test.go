@@ -15,12 +15,22 @@ import (
 func measureAlphaCG(g, h *graph.Graph, iters int) (float64, error) {
 	lg := linalg.NewLaplacian(g)
 	lh := linalg.NewLaplacian(h)
-	lamMin, lamMax, err := linalg.PencilBounds(lg, lh,
-		linalg.LaplacianCGSolver(lg, 1e-11), linalg.LaplacianCGSolver(lh, 1e-11), iters)
+	lamMin, lamMax, err := linalg.PencilBounds(lg, lh, cgSolveTo(lg, 1e-11), cgSolveTo(lh, 1e-11), iters)
 	if err != nil {
 		return 0, err
 	}
 	return linalg.EffectiveAlpha(lamMin, lamMax), nil
+}
+
+// cgSolveTo is linalg.LaplacianCGSolver in the pencil estimators'
+// func(dst, b) shape.
+func cgSolveTo(l *linalg.Laplacian, tol float64) func(dst, b linalg.Vec) error {
+	cg := linalg.LaplacianCGSolver(l, tol)
+	return func(dst, b linalg.Vec) error {
+		x, err := cg(b)
+		copy(dst, x)
+		return err
+	}
 }
 
 // alphaCases are the pencils the exact alpha measurement is checked on:
@@ -114,13 +124,14 @@ func TestLaplacianSolverFallsBackToCG(t *testing.T) {
 					b[v] -= sum / float64(len(comp))
 				}
 			}
-			got, gotErr := linalg.LaplacianSolver(l, 1e-10)(b)
+			got := linalg.NewVec(g.N())
+			gotErr := linalg.LaplacianSolver(l, 1e-10)(got, b)
 			want, wantErr := linalg.LaplacianCGSolver(l, 1e-10)(b)
 			if gotErr != nil || wantErr != nil {
 				t.Fatalf("solves failed: %v, CG %v", gotErr, wantErr)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("lengths %d vs CG %d", len(got), len(want))
+			if len(want) != len(got) {
+				t.Fatalf("CG answer has %d entries, want %d", len(want), len(got))
 			}
 			for i := range got {
 				if got[i] != want[i] {
