@@ -16,7 +16,7 @@ GATE_BENCHTIME ?= 1s
 # hardcodes the same pairs in internal/benchgate.Suites).
 BENCH_ENGINE_BENCH := BenchmarkRoute
 BENCH_ENGINE_PKGS  := ./internal/cc/
-BENCH_SOLVER_BENCH := BenchmarkIPM|BenchmarkSolverSession|BenchmarkCholeskySolveTo|BenchmarkLaplacianCholesky
+BENCH_SOLVER_BENCH := BenchmarkIPM|BenchmarkSolverSession|BenchmarkCholeskySolveTo|BenchmarkCholeskySolveLanes|BenchmarkLaplacianCholesky
 BENCH_SOLVER_PKGS  := ./internal/maxflow/ ./internal/lapsolver/ ./internal/linalg/
 
 # Common recipe: run one recorded benchmark suite with timing fidelity.
@@ -56,9 +56,12 @@ bench-engine:
 	$(call run-bench,$(BENCH_ENGINE_BENCH),$(BENCH_ENGINE_PKGS))
 
 # The session-layer benchmarks behind BENCH_solver.json: build-once/solve-many
-# vs rebuild-per-solve through the max-flow IPM and the many-RHS solver, plus
-# the factored sparsifier's kernels (one triangular solve, one factorization
-# of L + J/n) at n = 128, 512 and 1024.
+# vs rebuild-per-solve through the max-flow IPM and the many-RHS solver, four
+# right-hand sides as lanes of one solve vs one at a time
+# (BenchmarkSolverSessionLanes, which the BenchmarkSolverSession prefix
+# matches), plus the factored sparsifier's kernels (one triangular solve, k
+# right-hand sides as lanes, one factorization of L + J/n) at n = 128, 512
+# and 1024.
 bench-solver:
 	$(call run-bench,$(BENCH_SOLVER_BENCH),$(BENCH_SOLVER_PKGS))
 

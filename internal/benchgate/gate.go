@@ -49,7 +49,7 @@ var Suites = []Suite{
 	{
 		Name:     "solver",
 		Baseline: "BENCH_solver.json",
-		Bench:    "BenchmarkIPM|BenchmarkSolverSession|BenchmarkCholeskySolveTo|BenchmarkLaplacianCholesky",
+		Bench:    "BenchmarkIPM|BenchmarkSolverSession|BenchmarkCholeskySolveTo|BenchmarkCholeskySolveLanes|BenchmarkLaplacianCholesky",
 		Packages: []string{"./internal/maxflow/", "./internal/lapsolver/", "./internal/linalg/"},
 	},
 	{

@@ -195,6 +195,30 @@ func (s *LaplacianSession) Solve(b linalg.Vec, eps float64) (*LaplacianResult, e
 	}, nil
 }
 
+// SolveLanes solves L_G x = b for every b in bs, in order, with the
+// answers, rounds and errors of a loop of Solve calls: it stops at the
+// first error, returning the results before it. Up to four right-hand
+// sides at a time run as lanes of one Chebyshev iteration, sharing each
+// pass over the sparsifier's factor (lapsolver.Solver.SolveLanes).
+func (s *LaplacianSession) SolveLanes(bs []linalg.Vec, eps float64) ([]*LaplacianResult, error) {
+	xs, stats, err := s.solver.SolveLanes(bs, eps)
+	res := make([]*LaplacianResult, len(xs))
+	for j, x := range xs {
+		st := stats[j]
+		res[j] = &LaplacianResult{
+			X:               x,
+			Iterations:      st.Iterations,
+			SparsifierEdges: s.solver.Sparsifier().M(),
+			Rounds: RoundReport{
+				Total:    st.TotalRounds(),
+				Measured: st.MeasuredRounds,
+				Charged:  st.ChargedRounds,
+			},
+		}
+	}
+	return res, err
+}
+
 // Reweight swaps the per-edge weights (indexed by edge id) on the fixed
 // topology. The sparsifier chain is reused outright while the weights stay
 // within its reuse policy (α-drift budget by default, exact tier-1 only

@@ -5,6 +5,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
+	"lapcc/internal/sparsify"
 )
 
 // Many-RHS serving: k right-hand sides through one warm-started session vs
@@ -60,4 +61,41 @@ func BenchmarkSolverSessionRebuildPerRHS(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSolverSessionLanes solves four right-hand sides on a cold
+// (WarmStart off) exact-reuse session over RandomRegular(128, 6), the
+// daemon's pooled solve shape: as lanes of one SolveLanes call, against a
+// loop of four Solve calls. The session is built once, outside the timer.
+func BenchmarkSolverSessionLanes(b *testing.B) {
+	g, err := graph.RandomRegular(128, 6, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSolver(g, Options{Chain: sparsify.ChainOptions{ExactOnly: true}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs := make([]linalg.Vec, 4)
+	for k := range bs {
+		bs[k] = benchRHSVec(g.N(), 17*k)
+	}
+	b.Run("lanes", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := s.SolveLanes(bs, 1e-8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, rhs := range bs {
+				if _, _, err := s.Solve(rhs, 1e-8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

@@ -397,215 +397,14 @@ func (s *Solver) Laplacian() *linalg.Laplacian { return s.lg }
 
 // Solve returns x with ||x - L_G^+ b||_{L_G} <= eps * ||L_G^+ b||_{L_G}.
 // b is projected onto the solvable subspace (mean removed); eps must lie in
-// (0, 1/2].
+// (0, 1/2]. It is SolveLanes on one right-hand side.
 func (s *Solver) Solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
-	snap := rounds.Snap(s.opts.Ledger)
-	spansBefore := s.opts.Trace.SpanCount()
-	x, stats, err := s.solve(b, eps)
-	stats.Stats = snap.Stats()
-	stats.Spans = s.opts.Trace.SpanCount() - spansBefore
-	s.mi.record(stats)
-	return x, stats, err
-}
-
-func (s *Solver) solve(b linalg.Vec, eps float64) (linalg.Vec, Stats, error) {
-	sp := s.opts.Trace.Start("lapsolve")
-	defer sp.End()
-	if len(b) != s.g.N() {
-		return nil, Stats{}, fmt.Errorf("%w: %d for n=%d", ErrBadRHS, len(b), s.g.N())
-	}
-	if eps <= 0 || eps > 0.5 {
-		return nil, Stats{}, fmt.Errorf("lapsolver: eps %v outside (0, 1/2]", eps)
-	}
-	rhs := b.Clone()
-	linalg.RemoveMean(rhs)
-	var stats Stats
-	if rhs.Norm2() == 0 {
-		return linalg.NewVec(s.g.N()), stats, nil
-	}
-
-	// The preconditioner solve with L_H. On the CG path the tighten rung
-	// below swaps in a tighter one for the rest of this call only.
-	tol := s.opts.InternalTol
-	hSolve := s.hSolver(tol)
-
-	// Residual acceptance in the preconditioner norm: with
-	// (1/a) L_H <= L_G <= a L_H and a^2 <= kappa,
-	//   ||x - x*||_A / ||x*||_A <= a * ||r||_{B+} / ||b||_{B+},
-	// so accepting at ratio <= eps/sqrt(kappa) certifies the target.
-	bNorm, err := s.precondNorm(hSolve, rhs)
+	bs := [1]linalg.Vec{b}
+	xs, stats, err := s.SolveLanes(bs[:], eps)
 	if err != nil {
-		return nil, stats, err
+		return nil, stats[0], err
 	}
-
-	kappa := s.opts.KappaHint
-	var x0 linalg.Vec
-	if s.opts.WarmStart {
-		if s.warmKappa > 0 {
-			// Start at the previously accepted kappa: skips the doubling
-			// attempts the last solve already paid for.
-			kappa = s.warmKappa
-		}
-		if s.warmX != nil && s.warmB != nil {
-			// Seed Chebyshev with the previous potentials, scaled by the
-			// projection of the new rhs onto the old one (IPM right-hand
-			// sides keep their direction and shrink in magnitude).
-			den := s.warmB.Dot(s.warmB)
-			if den > 0 {
-				c := rhs.Dot(s.warmB) / den
-				if !math.IsNaN(c) && !math.IsInf(c, 0) {
-					x0 = s.warmX.Clone()
-					x0.Scale(c)
-				}
-			}
-		}
-	}
-	tightened := false
-	for {
-		if s.opts.Budget != nil { // skip formatting the phase name when unbounded
-			if err := s.opts.Budget.Check(fmt.Sprintf("lapsolve-attempt-%d", stats.Attempts+1)); err != nil {
-				return nil, stats, fmt.Errorf("lapsolver: %w", err)
-			}
-		}
-		stats.Attempts++
-		asp := s.opts.Trace.Startf("attempt-%d", stats.Attempts)
-		scale := math.Sqrt(kappa)
-		bSolve := func(dst, r linalg.Vec) error {
-			if err := hSolve(dst, r); err != nil {
-				return err
-			}
-			dst.Scale(1 / scale) // (sqrt(kappa) L_H)^+
-			return nil
-		}
-		// Run at the tighter internal target eps/sqrt(kappa) so the
-		// certificate below can fire.
-		target := eps / scale
-		if target < 1e-14 {
-			target = 1e-14
-		}
-		chebyEps := target
-		if chebyEps > 0.5 {
-			chebyEps = 0.5
-		}
-		window := linalg.StagnationWindowFor(kappa)
-		if s.opts.NoEscalation {
-			window = 0
-		}
-		chebyOpts := linalg.ChebyOptions{
-			Kappa:            kappa,
-			Eps:              chebyEps,
-			X0:               x0,
-			StagnationWindow: window,
-			// A plateau below the internal target is convergence at the FP
-			// floor, not stagnation: finish the prescribed iterations so
-			// round accounting matches the window-free solver exactly.
-			StagnationTol: chebyEps,
-			Scratch:       &s.cheby,
-			OnIteration: func() {
-				if s.opts.Ledger != nil {
-					// One matvec with L_G per iteration: one round.
-					s.opts.Ledger.Add("lapsolve-cheby-iter", rounds.Measured, 1, "matvec with L_G, Cor 2.3")
-				}
-			},
-		}
-		x, res, err := linalg.PreconCheby(s.lg, bSolve, rhs, chebyOpts)
-		if err != nil && x0 != nil {
-			// A near-exact seed can push the shifted right-hand side b - A x0
-			// to the floating-point floor, where the iteration stagnates (or,
-			// on the CG path, the inner CG fails). Warm starting is an
-			// optimization, never a correctness dependency: retry this
-			// attempt cold.
-			x0 = nil
-			chebyOpts.X0 = nil
-			x, res, err = linalg.PreconCheby(s.lg, bSolve, rhs, chebyOpts)
-		}
-		// A stagnated attempt still hands back its plateau iterate — often a
-		// solution that already certifies (the plateau is the floating-point
-		// floor, below the target). Run the certificate before deciding.
-		stagnated := errors.Is(err, linalg.ErrStagnated)
-		if err != nil && !stagnated {
-			asp.End()
-			return nil, stats, fmt.Errorf("lapsolver: %w", err)
-		}
-		stats.Iterations += res.Iterations
-
-		// Certificate: compute r = b - A x (one matvec round) and its
-		// preconditioner norm (internal) plus one aggregation round. The
-		// subtraction runs as -Ax + b, which rounds identically.
-		r := s.res
-		s.lg.Apply(r, x)
-		linalg.Scale(r, -1)
-		linalg.AXPY(r, 1, rhs)
-		linalg.RemoveMean(r)
-		if s.opts.Ledger != nil {
-			s.opts.Ledger.Add("lapsolve-residual", rounds.Measured, 2, "residual matvec + aggregation")
-		}
-		rNorm, err := s.precondNorm(hSolve, r)
-		if err != nil {
-			return nil, stats, err
-		}
-		asp.End()
-		if rNorm <= target*bNorm {
-			stats.KappaUsed = kappa
-			if s.opts.WarmStart {
-				s.warmKappa = kappa
-				s.warmX = x.Clone()
-				s.warmB = rhs.Clone()
-			}
-			return x, stats, nil
-		}
-		// Rejected. Doubling kappa cannot cure a plateau (the inner solve,
-		// not the condition bound, is the floor), and at the cap there is no
-		// kappa left to double to; both climb the recovery ladder instead —
-		// unless the caller pinned the historical failure modes.
-		if stagnated || kappa >= s.opts.MaxKappa {
-			if s.opts.NoEscalation {
-				if stagnated {
-					return nil, stats, fmt.Errorf("lapsolver: %w", err)
-				}
-				return nil, stats, fmt.Errorf("lapsolver: kappa cap %v reached with residual ratio %v (target %v)",
-					s.opts.MaxKappa, rNorm/bNorm, target)
-			}
-			if s.hf == nil && !tightened {
-				// Rung 1, CG path only: retry the same kappa with a 100x
-				// tighter internal sparsifier solve, for the rest of this
-				// call. The certificate norm is defined by that solve, so
-				// recompute the right-hand side's norm under it. An exact
-				// factored solve has nothing to tighten: re-running it
-				// cannot change the certificate.
-				tightened = true
-				stats.Escalations++
-				esp := s.opts.Trace.Start("escalate-tighten")
-				tol /= 100
-				hSolve = s.hSolver(tol)
-				bNorm, err = s.precondNorm(hSolve, rhs)
-				esp.End()
-				if err != nil {
-					return nil, stats, err
-				}
-				x0 = nil
-				continue
-			}
-			// Rung 2: exact dense solve, charged at the trivial-gather cost.
-			stats.Escalations++
-			stats.DenseFallback = true
-			stats.KappaUsed = kappa
-			xd, derr := s.denseFallback(rhs)
-			if derr != nil {
-				return nil, stats, derr
-			}
-			if s.opts.WarmStart {
-				s.warmKappa = kappa
-				s.warmX = xd.Clone()
-				s.warmB = rhs.Clone()
-			}
-			return xd, stats, nil
-		}
-		kappa *= 4
-		// A rejected warm start may itself be the problem (stale
-		// potentials); continue the escalation cold.
-		x0 = nil
-	}
+	return xs[0], stats[0], nil
 }
 
 // denseFallback is the last rung of the guarded-recovery ladder: make the
@@ -637,11 +436,7 @@ func (s *Solver) precondNorm(hSolve func(dst, r linalg.Vec) error, v linalg.Vec)
 	if err := hSolve(s.pn, v); err != nil {
 		return 0, fmt.Errorf("lapsolver: preconditioner norm: %w", err)
 	}
-	q := v.Dot(s.pn)
-	if q < 0 {
-		q = 0
-	}
-	return math.Sqrt(q), nil
+	return sqrtNonNeg(v.Dot(s.pn)), nil
 }
 
 // PredictedRounds returns the Theorem 1.1 round bound shape

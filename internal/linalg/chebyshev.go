@@ -64,11 +64,13 @@ type ChebyOptions struct {
 	Scratch *ChebyScratch
 }
 
-// ChebyScratch holds PreconCheby's work vectors across calls. The zero value
-// is ready to use; vectors are (re)allocated on first use or on a dimension
-// change. A ChebyScratch must not be shared by concurrent iterations.
+// ChebyScratch holds PreconCheby's and PreconChebyLanes' work vectors
+// across calls. The zero value is ready to use; vectors are (re)allocated on
+// first use or on a dimension change. A ChebyScratch must not be shared by
+// concurrent iterations.
 type ChebyScratch struct {
 	r, av, d, z Vec
+	x, xf       Vec // PreconChebyLanes' iterate and its frozen lanes
 }
 
 // ChebyResult reports a PreconCheby run.

@@ -466,7 +466,7 @@ func TestCholeskyBlockedBitIdentical(t *testing.T) {
 // cap.
 var choleskyBenchSizes = []int{128, 512, 1024}
 
-func choleskyBenchGraph(b *testing.B, n int) *graph.Graph {
+func choleskyBenchGraph(b testing.TB, n int) *graph.Graph {
 	b.Helper()
 	g, err := graph.RandomRegular(n, 6, 1)
 	if err != nil {

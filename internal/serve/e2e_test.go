@@ -3,16 +3,22 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"testing"
 
 	"lapcc/internal/core"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
+	"lapcc/internal/rounds"
 	"lapcc/internal/serve"
+	"lapcc/internal/trace"
 )
 
 func startDaemon(t *testing.T, opts serve.Options) (*serve.Server, *httptest.Server) {
@@ -247,34 +253,164 @@ func TestBudgetExceeded(t *testing.T) {
 
 // TestBatchedRHS pins the batched-lane contract: a k-RHS request returns k
 // potential vectors, each bit-identical to its single-RHS counterpart, and
-// one round total for the lane.
+// one round total for the lane equal to the single solves' sum. Up to four
+// right-hand sides run as lanes of one Chebyshev iteration, so k covers a
+// lone lane, a padded group, a full group, and full groups plus leftovers,
+// on a pool miss and on a pool hit (a reweight of the same topology).
 func TestBatchedRHS(t *testing.T) {
-	_, ts := startDaemon(t, serve.Options{})
+	for _, k := range []int{1, 3, 4, 5, 9} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			_, ts := startDaemon(t, serve.Options{})
+			lanes := make([][]float64, k)
+			for j := range lanes {
+				lanes[j] = rhs(40, 7*j%40)
+			}
+			// The reference: one session, one Solve per right-hand side.
+			var ref *core.LaplacianSession
+			for pass := 0; pass < 2; pass++ {
+				g := testGraph(t, pass)
+				wg := serve.ToWireGraph(g)
+				var got serve.SolveResponse
+				if code, werr := postJSON(t, ts.URL+"/v1/solve", serve.SolveRequest{Graph: &wg, RHS: lanes}, &got); code != http.StatusOK {
+					t.Fatalf("pass %d: status %d: %+v", pass, code, werr)
+				}
+				if got.Cached != (pass == 1) {
+					t.Fatalf("pass %d: cached=%v", pass, got.Cached)
+				}
+				if len(got.X) != k || len(got.Iterations) != k {
+					t.Fatalf("pass %d: %d solutions for %d right-hand sides", pass, len(got.X), k)
+				}
+				// A miss's rounds include the session build, a hit's the
+				// reweight.
+				var prep int64
+				if pass == 0 {
+					var err error
+					if ref, err = core.NewLaplacianSession(g, core.SessionOptions{ExactReuse: true}); err != nil {
+						t.Fatal(err)
+					}
+					prep = ref.Rounds().Total
+				} else {
+					before := ref.Rounds().Total
+					if err := ref.Reweight(g.Weights()); err != nil {
+						t.Fatal(err)
+					}
+					prep = ref.Rounds().Total - before
+				}
+				var sum int64
+				for j, b := range lanes {
+					want, err := ref.Solve(linalg.Vec(b), 1e-8)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum += want.Rounds.Total
+					if got.Iterations[j] != want.Iterations {
+						t.Fatalf("pass %d lane %d: %d iterations, want %d", pass, j, got.Iterations[j], want.Iterations)
+					}
+					for i := range want.X {
+						if math.Float64bits(got.X[j][i]) != math.Float64bits(want.X[i]) {
+							t.Fatalf("pass %d lane %d: x[%d] differs", pass, j, i)
+						}
+					}
+				}
+				if got.Rounds.Total != prep+sum {
+					t.Fatalf("pass %d: %d rounds, want %d + the solves' %d", pass, got.Rounds.Total, prep, sum)
+				}
+			}
+		})
+	}
+
 	g := testGraph(t, 0)
 	wg := serve.ToWireGraph(g)
-	lanes := [][]float64{rhs(g.N(), 0), rhs(g.N(), 11), rhs(g.N(), 23)}
-	var got serve.SolveResponse
-	if code, werr := postJSON(t, ts.URL+"/v1/solve", serve.SolveRequest{Graph: &wg, RHS: lanes}, &got); code != http.StatusOK {
-		t.Fatalf("status %d: %+v", code, werr)
-	}
-	if len(got.X) != len(lanes) {
-		t.Fatalf("got %d solutions for %d right-hand sides", len(got.X), len(lanes))
-	}
-	sess, err := core.NewLaplacianSession(g, core.SessionOptions{ExactReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, b := range lanes {
-		want, err := sess.Solve(linalg.Vec(b), 1e-8)
+	four := [][]float64{rhs(40, 0), rhs(40, 11), rhs(40, 23), rhs(40, 31)}
+
+	t.Run("traced", func(t *testing.T) {
+		// The retained stream of a traced 4-RHS request is the stream of
+		// a traced session solving the four right-hand sides one by one.
+		_, ts := startDaemon(t, serve.Options{})
+		var got serve.SolveResponse
+		if code, werr := postJSON(t, ts.URL+"/v1/solve?trace=1", serve.SolveRequest{Graph: &wg, RHS: four}, &got); code != http.StatusOK {
+			t.Fatalf("status %d: %+v", code, werr)
+		}
+		if got.Trace == nil {
+			t.Fatal("traced response carries no trace block")
+		}
+		hr, err := http.Get(ts.URL + "/v1/trace/" + got.Trace.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want.X {
-			if got.X[k][i] != want.X[i] {
-				t.Fatalf("lane %d: x[%d] differs", k, i)
+		defer hr.Body.Close()
+		stream, err := io.ReadAll(hr.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.New()
+		sess, err := core.NewLaplacianSession(g, core.SessionOptions{Run: core.RunOptions{Trace: tr}, ExactReuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range four {
+			if _, err := sess.Solve(linalg.Vec(b), 1e-8); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
+		var want bytes.Buffer
+		if err := tr.WriteJSONL(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stream, want.Bytes()) {
+			t.Fatalf("retained trace (%d bytes) differs from the one-by-one session's (%d bytes)", len(stream), want.Len())
+		}
+	})
+
+	t.Run("budget", func(t *testing.T) {
+		// A round budget that runs out inside the third right-hand side:
+		// the same 429 and partial rounds as solving one by one.
+		free, err := core.NewLaplacianSession(g, core.SessionOptions{ExactReuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var used []int64
+		for _, b := range four[:3] {
+			if _, err := free.Solve(linalg.Vec(b), 1e-8); err != nil {
+				t.Fatal(err)
+			}
+			used = append(used, free.Rounds().Total)
+		}
+		limit := used[1] + 1
+		loop, err := core.NewLaplacianSession(g, core.SessionOptions{
+			Run: core.RunOptions{Budget: rounds.NewBudget(limit, 0)}, ExactReuse: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loopErr error
+		for _, b := range four {
+			if _, loopErr = loop.Solve(linalg.Vec(b), 1e-8); loopErr != nil {
+				break
+			}
+		}
+		var be *rounds.BudgetError
+		if !errors.As(loopErr, &be) {
+			t.Fatalf("one-by-one solves: want a budget error, got %v", loopErr)
+		}
+		partial := be.Partial.MeasuredRounds + be.Partial.ChargedRounds
+		if partial <= used[1] || partial >= used[2] {
+			t.Fatalf("budget ran out after %d rounds, want inside the third right-hand side (%d, %d)", partial, used[1], used[2])
+		}
+
+		_, ts := startDaemon(t, serve.Options{})
+		var resp serve.SolveResponse
+		code, werr := postJSON(t, ts.URL+"/v1/solve", serve.SolveRequest{
+			Graph: &wg, RHS: four, Budget: &serve.WireBudget{Rounds: limit},
+		}, &resp)
+		if code != http.StatusTooManyRequests || werr.Code != "budget_exceeded" || werr.Rounds != partial {
+			t.Fatalf("status %d %+v, want 429 budget_exceeded after %d rounds", code, werr, partial)
+		}
+		elapsed := regexp.MustCompile(`\([0-9.]+s elapsed\)`)
+		if got, want := elapsed.ReplaceAllString(werr.Message, ""), elapsed.ReplaceAllString(loopErr.Error(), ""); got != want {
+			t.Fatalf("message %q, want %q", got, want)
+		}
+	})
 }
 
 // TestConcurrentMixedWorkload drives concurrent mixed requests with

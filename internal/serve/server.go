@@ -381,15 +381,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 		}
 		s.poolHit(false)
 		resp := SolveResponse{Cached: false}
-		for _, b := range req.RHS {
-			res, err := sess.Solve(linalg.Vec(b), eps)
-			if err != nil {
-				s.fail(w, rc, err)
-				return
-			}
-			resp.X = append(resp.X, res.X)
-			resp.Iterations = append(resp.Iterations, res.Iterations)
-			resp.SparsifierEdges = res.SparsifierEdges
+		if !s.solveLanes(w, rc, sess, req.RHS, eps, &resp) {
+			return
 		}
 		after := sess.Rounds()
 		resp.Rounds = WireRounds{Total: after.Total, Measured: after.Measured, Charged: after.Charged}
@@ -431,15 +424,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 	defer e.sess.SetBudget(nil)
 
 	resp := SolveResponse{Cached: cached}
-	for _, b := range req.RHS {
-		res, err := e.sess.Solve(linalg.Vec(b), eps)
-		if err != nil {
-			s.fail(w, rc, err)
-			return
-		}
-		resp.X = append(resp.X, res.X)
-		resp.Iterations = append(resp.Iterations, res.Iterations)
-		resp.SparsifierEdges = res.SparsifierEdges
+	if !s.solveLanes(w, rc, e.sess, req.RHS, eps, &resp) {
+		return
 	}
 	after := e.sess.Rounds()
 	resp.Rounds = WireRounds{
@@ -448,6 +434,26 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 		Charged:  after.Charged - before.Charged,
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// solveLanes solves a request's right-hand sides with one SolveLanes call
+// into resp, or writes the error response and reports false.
+func (s *Server) solveLanes(w http.ResponseWriter, rc *reqCtx, sess *core.LaplacianSession, rhs [][]float64, eps float64, resp *SolveResponse) bool {
+	bs := make([]linalg.Vec, len(rhs))
+	for i, b := range rhs {
+		bs[i] = b
+	}
+	res, err := sess.SolveLanes(bs, eps)
+	if err != nil {
+		s.fail(w, rc, err)
+		return false
+	}
+	for _, r := range res {
+		resp.X = append(resp.X, r.X)
+		resp.Iterations = append(resp.Iterations, r.Iterations)
+		resp.SparsifierEdges = r.SparsifierEdges
+	}
+	return true
 }
 
 func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqCtx) {

@@ -23,6 +23,13 @@
 //   - Batched lanes. A solve request carries any number of right-hand
 //     sides; they share one admission slot, one reweight, and one pooled
 //     preprocessing, and the response reports the lane's round total.
+//     Both solve paths, pooled and traced, hand them to one
+//     core.LaplacianSession.SolveLanes call, which runs up to four at a
+//     time as lanes of one Chebyshev iteration, each preconditioner solve
+//     one pass over the factor for all of them, with the answers, rounds,
+//     trace and budget errors of solving them one after another. A pooled
+//     session's lane scratch is reused by every request that hits it,
+//     serialized by the pool entry's mutex.
 package serve
 
 import (
