@@ -11,8 +11,8 @@ import (
 	"lapcc/internal/transport/tcp"
 )
 
-// NetTolerance gates the net suite. The gated figure is ns per RouteVia
-// call through each delivery backend. The local figure is plain Route; the
+// NetTolerance gates the net suite. The gated figure is ns per cc.Net.Route
+// call through each delivery backend. The local figure routes in process; the
 // mem figure adds an encode/decode of every packet; the tcp figure stacks
 // loopback sockets, the chunked barrier, and kernel scheduling on top, so
 // its wall time swings far more between runs than any microbenchmark —
@@ -55,7 +55,7 @@ func runNet(t cc.Transport) (uint64, error) {
 				pkts[i] = cc.Packet{Src: v, Dst: (v + 1 + (k*7+r)%(netN-1)) % netN, Data: w}
 			}
 		}
-		out, _, err := cc.RouteVia(t, netN, pkts, nil, "net")
+		out, _, err := cc.Net{Transport: t}.Route(netN, pkts, "net", nil)
 		if err != nil {
 			return 0, err
 		}
@@ -70,8 +70,8 @@ func runNet(t cc.Transport) (uint64, error) {
 	return h, nil
 }
 
-// measureNet runs the workload through one transport (nil = in-process
-// Route): one warm-up run, then netRuns timed runs. It returns the medians
+// measureNet runs the workload through one transport (nil routes in
+// process): one warm-up run, then netRuns timed runs. It returns the medians
 // of ns, bytes and allocations per call, the latter two read from
 // runtime.MemStats, plus the transcript checksum, which must agree across
 // all runs.
@@ -109,7 +109,7 @@ func median(xs []float64) float64 {
 }
 
 // MeasureNetWorkload re-measures BENCH_net.json in-process: the same
-// routing schedule through in-process Route, the Mem wire-codec transport,
+// routing schedule in process, through the Mem wire-codec transport,
 // and a netProcs-worker TCP loopback clique (in-process worker mode — real
 // sockets and frames, no subprocess spawn cost polluting the figure). The
 // three transcripts must be bit-identical or the measurement itself fails.

@@ -17,7 +17,7 @@ func TestRouteBatchedSmallSetMatchesRoute(t *testing.T) {
 		{Src: 1, Dst: 3, Data: []int64{2}},
 		{Src: 2, Dst: 5, Data: []int64{3}},
 	}
-	out, res, err := RouteBatched(n, pkts, nil, "")
+	out, res, err := routeOn(Net{}, n, pkts, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRouteBatchedOverloadedNodeSplits(t *testing.T) {
 		pkts = append(pkts, Packet{Src: 0, Dst: 1 + k%(n-1), Data: []int64{int64(k)}})
 	}
 	led := rounds.New()
-	out, res, err := RouteBatched(n, pkts, led, "batched")
+	out, res, err := routeOn(Net{Ledger: led}, n, pkts, "batched")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,27 +49,20 @@ func TestRouteBatchedOverloadedNodeSplits(t *testing.T) {
 	if total != 3*n {
 		t.Fatalf("delivered %d of %d", total, 3*n)
 	}
-	// A single admissible batch would be <= LenzenRoundBound; three batches
-	// may exceed it.
-	single, _, err := Route(n, pkts[:n], nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = single
 	if res.Charged < 3 {
 		t.Fatalf("3 batches charged only %d rounds", res.Charged)
 	}
 }
 
 func TestRouteBatchedRejectsBadEndpoint(t *testing.T) {
-	_, _, err := RouteBatched(4, []Packet{{Src: 0, Dst: 9}}, nil, "")
+	_, _, err := routeOn(Net{}, 4, []Packet{{Src: 0, Dst: 9}}, "")
 	if !errors.Is(err, ErrBadRecipient) {
 		t.Fatalf("error = %v, want ErrBadRecipient", err)
 	}
 }
 
 func TestRouteBatchedEmpty(t *testing.T) {
-	out, res, err := RouteBatched(4, nil, nil, "")
+	out, res, err := routeOn(Net{}, 4, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +89,7 @@ func TestRouteBatchedDeliveryProperty(t *testing.T) {
 			d := rng.Intn(n)
 			pkts = append(pkts, Packet{Src: s, Dst: d, Data: []int64{int64(k)}})
 		}
-		out, _, err := RouteBatched(n, pkts, nil, "")
+		out, _, err := routeOn(Net{}, n, pkts, "")
 		if err != nil {
 			return false
 		}
@@ -116,7 +109,7 @@ func TestRouteBatchedDeliveryProperty(t *testing.T) {
 	}
 }
 
-// TestRouteBatchedOutOfRangeEndpoints covers the RouteBatched bad-endpoint
+// TestRouteBatchedOutOfRangeEndpoints covers the batching bad-endpoint
 // path directly for every flavor of out-of-range Src/Dst, including the
 // negative indices that would panic the counting arrays if the delegated
 // error check ever fell through.
@@ -140,10 +133,10 @@ func TestRouteBatchedOutOfRangeEndpoints(t *testing.T) {
 			}
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("RouteBatched panicked: %v", r)
+					t.Fatalf("Route panicked: %v", r)
 				}
 			}()
-			_, _, err := RouteBatched(n, pkts, nil, "")
+			_, _, err := routeOn(Net{}, n, pkts, "")
 			if !errors.Is(err, ErrBadRecipient) {
 				t.Fatalf("error = %v, want ErrBadRecipient", err)
 			}

@@ -20,7 +20,7 @@ func BenchmarkRoute(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := Route(n, pkts, nil, ""); err != nil {
+				if _, _, err := (Net{}).Route(n, pkts, "", nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -28,8 +28,8 @@ func BenchmarkRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteBatched measures the batching wrapper on an inadmissible
-// instance (one hot source) that splits into several Route batches.
+// BenchmarkRouteBatched measures batching on an inadmissible instance (one
+// hot source) that splits into several admissible batches.
 func BenchmarkRouteBatched(b *testing.B) {
 	const n = 128
 	payload := []int64{3}
@@ -40,7 +40,7 @@ func BenchmarkRouteBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RouteBatched(n, pkts, nil, ""); err != nil {
+		if _, _, err := (Net{}).Route(n, pkts, "", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

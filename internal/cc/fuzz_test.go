@@ -64,12 +64,12 @@ func FuzzReliableFrameCodec(f *testing.F) {
 	})
 }
 
-// FuzzRouteRoundTrip fuzzes the routing primitives end to end: an arbitrary
-// byte string decodes to a packet set (in-range and out-of-range endpoints,
-// zero-length payloads, self-sends), and Route, RouteBatched, and
-// ReliableRoute must either reject the set (bad endpoints) or deliver
-// exactly the input multiset — with the reliable layer bit-identical to the
-// clean one.
+// FuzzRouteRoundTrip fuzzes the router end to end: an arbitrary byte string
+// decodes to a packet set (in-range and out-of-range endpoints, zero-length
+// payloads, self-sends, overloaded nodes), and Net.Route — in process, over
+// a transport and under a lossy fault plan — must either reject the set
+// (bad endpoints) or deliver exactly the input multiset, the reliable layer
+// bit-identical to the clean one.
 func FuzzRouteRoundTrip(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{0, 1, 1, 2, 2, 3})
 	f.Add(uint8(3), uint8(3), []byte{0, 0, 0})  // self-send, zero payload
@@ -82,8 +82,6 @@ func FuzzRouteRoundTrip(f *testing.F) {
 		}
 		var pkts []Packet
 		valid := true
-		srcLoad := make([]int, n)
-		dstLoad := make([]int, n)
 		for i := 0; i+1 < len(raw); i += 3 {
 			src, dst := int(raw[i]), int(raw[i+1])
 			// Map most packets into range, but let some stay wild so the
@@ -96,23 +94,12 @@ func FuzzRouteRoundTrip(f *testing.F) {
 			}
 			if src < 0 || src >= n || dst < 0 || dst >= n {
 				valid = false
-			} else {
-				srcLoad[src]++
-				dstLoad[dst]++
 			}
 			var data []int64
 			if i+2 < len(raw) && raw[i+2]%3 != 0 { // every third packet: zero-length
 				data = []int64{int64(raw[i+2]), int64(i)}
 			}
 			pkts = append(pkts, Packet{Src: src, Dst: dst, Data: data})
-		}
-		// Route (unlike RouteBatched) requires Lenzen admissibility: every
-		// node sources and receives at most n packets.
-		admissible := true
-		for v := 0; v < n; v++ {
-			if srcLoad[v] > n || dstLoad[v] > n {
-				admissible = false
-			}
 		}
 		canon := func(out [][]Packet) []string {
 			var s []string
@@ -130,16 +117,10 @@ func FuzzRouteRoundTrip(f *testing.F) {
 		}
 		sort.Strings(want)
 
-		check := func(name string, needsAdmissible bool, out [][]Packet, err error) {
+		check := func(name string, out [][]Packet, err error) {
 			if !valid {
-				if err == nil {
-					t.Fatalf("%s accepted out-of-range endpoints", name)
-				}
-				return
-			}
-			if needsAdmissible && !admissible {
-				if !errors.Is(err, ErrRoutingOverload) {
-					t.Fatalf("%s on overloaded set: want ErrRoutingOverload, got %v", name, err)
+				if !errors.Is(err, ErrBadRecipient) {
+					t.Fatalf("%s on out-of-range endpoints: want ErrBadRecipient, got %v", name, err)
 				}
 				return
 			}
@@ -156,12 +137,14 @@ func FuzzRouteRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		out, _, err := Route(n, pkts, nil, "fuzz")
-		check("Route", true, out, err)
-		out, _, err = RouteBatched(n, pkts, nil, "fuzz")
-		check("RouteBatched", false, out, err)
 		plan := &FaultPlan{Seed: uint64(seed), Drop: 0.1, Corrupt: 0.05, Duplicate: 0.05, Delay: 0.05}
-		rout, _, err := ReliableRouteBatched(n, pkts, nil, "fuzz", plan)
-		check("ReliableRouteBatched", false, rout, err)
+		for name, net := range map[string]Net{
+			"in process": {},
+			"transport":  {Transport: &countingTransport{}},
+			"fault plan": {Faults: plan},
+		} {
+			out, _, err := net.Route(n, pkts, "fuzz", nil)
+			check(name, out, err)
+		}
 	})
 }

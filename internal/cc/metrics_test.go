@@ -23,7 +23,7 @@ func TestReliableRouteRecordsProtocolCounters(t *testing.T) {
 		packets = append(packets, Packet{Src: s, Dst: (s + 1) % n, Data: []int64{int64(s)}})
 	}
 	plan := &FaultPlan{Seed: 5, Drop: 0.3}
-	_, res, err := ReliableRoute(n, packets, rounds.New(), "t", plan)
+	_, res, err := Net{Faults: plan, Ledger: rounds.New()}.Route(n, packets, "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +41,10 @@ func TestReliableRouteRecordsProtocolCounters(t *testing.T) {
 	}
 	// A clean plan must record nothing (the fast path delegates).
 	before := counterValue(reg, "lapcc_reliable_waves_total")
-	if _, _, err := ReliableRoute(n, packets, rounds.New(), "t2", nil); err != nil {
+	if _, _, err := (Net{Ledger: rounds.New()}).Route(n, packets, "t2", nil); err != nil {
 		t.Fatal(err)
 	}
 	if counterValue(reg, "lapcc_reliable_waves_total") != before {
-		t.Fatal("clean-path ReliableRoute recorded protocol counters")
+		t.Fatal("a clean route recorded protocol counters")
 	}
 }

@@ -36,7 +36,7 @@ func randomPackets(rng *rand.Rand, n, m int) []Packet {
 
 // TestReliableRouteBitIdenticalToClean is the routing-layer differential:
 // across seeds and fault rates, the reliable layer's delivered set is
-// bit-identical to a clean Route of the same packets, at a strictly larger
+// bit-identical to a clean route of the same packets, at a strictly larger
 // round cost.
 func TestReliableRouteBitIdenticalToClean(t *testing.T) {
 	const n = 12
@@ -44,7 +44,7 @@ func TestReliableRouteBitIdenticalToClean(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		pkts := randomPackets(rng, n, 1+rng.Intn(3*n))
 		cleanLed := rounds.New()
-		clean, cleanRes, err := Route(n, pkts, cleanLed, "x")
+		clean, _, err := routeOn(Net{Ledger: cleanLed}, n, pkts, "x")
 		if err != nil {
 			t.Fatalf("trial %d clean: %v", trial, err)
 		}
@@ -56,7 +56,7 @@ func TestReliableRouteBitIdenticalToClean(t *testing.T) {
 			Delay:     0.03,
 		}
 		faultLed := rounds.New()
-		got, res, err := ReliableRoute(n, pkts, faultLed, "x", plan)
+		got, res, err := Net{Faults: plan, Ledger: faultLed}.Route(n, pkts, "x", nil)
 		if err != nil {
 			t.Fatalf("trial %d reliable: %v", trial, err)
 		}
@@ -78,24 +78,23 @@ func TestReliableRouteBitIdenticalToClean(t *testing.T) {
 		if res.Faults.Dropped+res.Faults.Corrupted+res.Faults.Delayed > 0 && res.Attempts < 2 {
 			t.Fatalf("trial %d: data faults injected but only %d attempt", trial, res.Attempts)
 		}
-		_ = cleanRes
 	}
 }
 
-// TestReliableRouteBatchedBitIdentical mirrors the differential for the
-// batched variant, with overloaded sources forcing multiple batches.
+// TestReliableRouteBatchedBitIdentical mirrors the differential with
+// overloaded sources forcing multiple batches.
 func TestReliableRouteBatchedBitIdentical(t *testing.T) {
 	const n = 6
 	var pkts []Packet
 	for i := 0; i < 3*n*n; i++ { // node 0 sources 3n^2 packets: needs batching
 		pkts = append(pkts, Packet{Src: 0, Dst: i % n, Data: []int64{int64(i)}})
 	}
-	clean, _, err := RouteBatched(n, pkts, nil, "y")
+	clean, _, err := routeOn(Net{}, n, pkts, "y")
 	if err != nil {
 		t.Fatalf("clean: %v", err)
 	}
 	plan := &FaultPlan{Seed: 5, Drop: 0.05, Duplicate: 0.05}
-	got, res, err := ReliableRouteBatched(n, pkts, nil, "y", plan)
+	got, res, err := Net{Faults: plan}.Route(n, pkts, "y", nil)
 	if err != nil {
 		t.Fatalf("reliable: %v", err)
 	}
@@ -118,13 +117,13 @@ func TestReliableRouteNilPlanDelegates(t *testing.T) {
 	const n = 8
 	pkts := []Packet{{Src: 1, Dst: 2, Data: []int64{7}}, {Src: 3, Dst: 3}}
 	cleanLed := rounds.New()
-	clean, cleanRes, err := Route(n, pkts, cleanLed, "z")
+	clean, cleanRes, err := routeOn(Net{Ledger: cleanLed}, n, pkts, "z")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, plan := range []*FaultPlan{nil, {Seed: 1}} {
 		led := rounds.New()
-		got, res, err := ReliableRoute(n, pkts, led, "z", plan)
+		got, res, err := Net{Faults: plan, Ledger: led}.Route(n, pkts, "z", nil)
 		if err != nil {
 			t.Fatalf("plan %v: %v", plan, err)
 		}
@@ -147,7 +146,7 @@ func TestReliableRouteExhaustsRetries(t *testing.T) {
 	const n = 4
 	pkts := []Packet{{Src: 0, Dst: 1, Data: []int64{1}}}
 	plan := &FaultPlan{Drop: 1, MaxRetries: 3}
-	_, res, err := ReliableRoute(n, pkts, nil, "dead", plan)
+	_, res, err := Net{Faults: plan}.Route(n, pkts, "dead", nil)
 	if !errors.Is(err, ErrDeliveryFailed) {
 		t.Fatalf("want ErrDeliveryFailed, got %v", err)
 	}
@@ -167,7 +166,7 @@ func TestReliableRouteChargesRetryTags(t *testing.T) {
 	pkts := randomPackets(rng, n, 40)
 	plan := &FaultPlan{Seed: 11, Drop: 0.3}
 	led := rounds.New()
-	_, res, err := ReliableRoute(n, pkts, led, "work", plan)
+	_, res, err := Net{Faults: plan, Ledger: led}.Route(n, pkts, "work", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +192,13 @@ func TestReliableBroadcastAll(t *testing.T) {
 	for i := range values {
 		values[i] = int64(100 + i)
 	}
-	clean, err := BroadcastAll(n, values, nil, "bc")
+	clean, _, err := Net{}.Broadcast(n, values, "bc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := &FaultPlan{Seed: 21, Drop: 0.1, Corrupt: 0.05}
 	led := rounds.New()
-	got, res, err := ReliableBroadcastAll(n, values, led, "bc", plan)
+	got, res, err := Net{Faults: plan, Ledger: led}.Broadcast(n, values, "bc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +215,13 @@ func TestReliableBroadcastAll(t *testing.T) {
 	}
 }
 
-// TestReliableSelfSendDelivers: Src == Dst packets stay local in Route;
-// the reliable layer must handle them identically.
+// TestReliableSelfSendDelivers: Src == Dst packets stay local in a clean
+// route; the reliable layer must handle them identically.
 func TestReliableSelfSendDelivers(t *testing.T) {
 	const n = 4
 	pkts := []Packet{{Src: 2, Dst: 2, Data: []int64{9}}, {Src: 2, Dst: 2}}
 	plan := &FaultPlan{Seed: 8, Drop: 0.5}
-	got, _, err := ReliableRoute(n, pkts, nil, "self", plan)
+	got, _, err := Net{Faults: plan}.Route(n, pkts, "self", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,13 @@ func (c *countingTransport) Close() error { return nil }
 // routeCall is one router invocation on a fixed packet set.
 type routeCall func() ([][]Packet, RouteResult, error)
 
+// routeOn routes packets on net into a fresh output and returns the
+// routing's result.
+func routeOn(net Net, n int, packets []Packet, tag string) ([][]Packet, RouteResult, error) {
+	out, res, err := net.Route(n, packets, tag, nil)
+	return out, res.RouteResult, err
+}
+
 // hotSourcePackets is an inadmissible set: node 0 sends k packets, so
 // batching splits it into ceil(k/n) batches. Payloads fall from packet to
 // packet, so a destination's canonical order across batches is the reverse
@@ -53,11 +60,11 @@ func hotSourcePackets(n, k int) []Packet {
 	return pkts
 }
 
-// TestRouteBatchedViaBarriers pins how many transport barriers a batched
-// route makes: none for an empty set, and otherwise one per n² packets,
-// however many admissible batches the set splits into — a delivery carries
-// batches until the next would take it past n² messages. Output,
-// RouteResult and ledger match the in-process RouteBatched in every case.
+// TestRouteBatchedViaBarriers pins how many transport barriers a route
+// makes: none for an empty set, and otherwise one per n² packets, however
+// many admissible batches the set splits into — a delivery carries batches
+// until the next would take it past n² messages. Output, RouteResult and
+// ledger match the in-process route in every case.
 func TestRouteBatchedViaBarriers(t *testing.T) {
 	const n = 16
 	cases := []struct {
@@ -77,14 +84,14 @@ func TestRouteBatchedViaBarriers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := &countingTransport{}
 			viaLed, plainLed := rounds.New(), rounds.New()
-			via, viaRes, err := RouteBatchedVia(tr, n, tc.packets, viaLed, "b")
+			via, viaRes, err := routeOn(Net{Transport: tr, Ledger: viaLed}, n, tc.packets, "b")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := tr.calls.Load(); got != tc.calls {
 				t.Fatalf("%d Deliver calls, want %d", got, tc.calls)
 			}
-			plain, plainRes, err := RouteBatched(n, tc.packets, plainLed, "b")
+			plain, plainRes, err := routeOn(Net{Ledger: plainLed}, n, tc.packets, "b")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,20 +113,29 @@ func TestRouteBatchedViaBarriers(t *testing.T) {
 
 // TestRouteOutputsCapacityCapped: every non-empty out[d] is its own
 // capacity-capped window, so a caller appending to one destination's
-// packets reallocates instead of overwriting the next destination's.
+// packets reallocates instead of overwriting the next destination's. The
+// Route cases lay their output out fresh, the Batched cases in a
+// RouteBuffer; Via routes over a transport, and many needs several
+// batches.
 func TestRouteOutputsCapacityCapped(t *testing.T) {
 	const n = 12
 	rng := rand.New(rand.NewSource(5))
 	admissible := randomPackets(rng, n, n)
 	overloaded := append(hotSourcePackets(n, 3*n), randomPackets(rng, n, 2*n)...)
+	inBuffer := func(net Net, packets []Packet) routeCall {
+		var buf RouteBuffer
+		return func() ([][]Packet, RouteResult, error) {
+			out, res, err := net.Route(n, packets, "", &buf)
+			return out, res.RouteResult, err
+		}
+	}
+	via := Net{Transport: &countingTransport{}}
 	routers := map[string]routeCall{
-		"Route":             func() ([][]Packet, RouteResult, error) { return Route(n, admissible, nil, "") },
-		"RouteVia":          func() ([][]Packet, RouteResult, error) { return RouteVia(&countingTransport{}, n, admissible, nil, "") },
-		"RouteBatched/one":  func() ([][]Packet, RouteResult, error) { return RouteBatched(n, admissible, nil, "") },
-		"RouteBatched/many": func() ([][]Packet, RouteResult, error) { return RouteBatched(n, overloaded, nil, "") },
-		"RouteBatchedVia/many": func() ([][]Packet, RouteResult, error) {
-			return RouteBatchedVia(&countingTransport{}, n, overloaded, nil, "")
-		},
+		"Route":                func() ([][]Packet, RouteResult, error) { return routeOn(Net{}, n, admissible, "") },
+		"RouteVia":             func() ([][]Packet, RouteResult, error) { return routeOn(via, n, admissible, "") },
+		"RouteBatched/one":     inBuffer(Net{}, admissible),
+		"RouteBatched/many":    inBuffer(Net{}, overloaded),
+		"RouteBatchedVia/many": inBuffer(via, overloaded),
 	}
 	for name, route := range routers {
 		t.Run(name, func(t *testing.T) {
@@ -146,11 +162,11 @@ func TestRouteOutputsCapacityCapped(t *testing.T) {
 	}
 }
 
-// TestRouteAllocations pins the routers' steady-state allocations: a warm
-// Route or RouteBatched allocates its output only (the arena and the
+// TestRouteAllocations pins the router's steady-state allocations: a warm
+// Route into a fresh output allocates that output only (the arena and the
 // per-destination slice headers), however many flushes the set needs, and
-// a warm RouteBuffer allocates nothing. Recording into a metrics registry
-// installed with SetMetrics adds no allocation to either.
+// a warm Route into a RouteBuffer allocates nothing. Recording into a
+// metrics registry installed with SetMetrics adds no allocation to either.
 func TestRouteAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of Puts under the race detector")
@@ -166,7 +182,7 @@ func TestRouteAllocations(t *testing.T) {
 					pkts = append(pkts, Packet{Src: s, Dst: (s + 1 + k) % n, Data: []int64{1, 2}})
 				}
 			}
-			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return Route(n, pkts, nil, "") }); a != 2 {
+			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return routeOn(Net{}, n, pkts, "") }); a != 2 {
 				t.Fatalf("%s n=%d: Route allocates %v times, want 2", label, n, a)
 			}
 		}
@@ -175,10 +191,13 @@ func TestRouteAllocations(t *testing.T) {
 		for _, k := range []int{n, 4 * n} {
 			pkts := hotSourcePackets(n, k)
 			flushes := (k + n - 1) / n
-			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return RouteBatched(n, pkts, nil, "") }); a != 2 {
-				t.Fatalf("%s: %d packets in %d flushes: RouteBatched allocates %v times, want 2", label, k, flushes, a)
+			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return routeOn(Net{}, n, pkts, "") }); a != 2 {
+				t.Fatalf("%s: %d packets in %d flushes: Route allocates %v times, want 2", label, k, flushes, a)
 			}
-			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) { return buf.RouteBatchedVia(nil, n, pkts, nil, "") }); a != 0 {
+			if a := routeAllocs(t, func() ([][]Packet, RouteResult, error) {
+				out, res, err := Net{}.Route(n, pkts, "", &buf)
+				return out, res.RouteResult, err
+			}); a != 0 {
 				t.Fatalf("%s: %d packets in %d flushes: a warm RouteBuffer allocates %v times, want 0", label, k, flushes, a)
 			}
 		}
@@ -205,7 +224,7 @@ type routeOutcome struct {
 	res RouteResult
 }
 
-// TestRouteConcurrent runs the routers from several goroutines at once, as
+// TestRouteConcurrent runs the router from several goroutines at once, as
 // the daemon does when concurrent requests share the scratch pools: every
 // result must deep-equal the same call made sequentially.
 func TestRouteConcurrent(t *testing.T) {
@@ -227,9 +246,9 @@ func TestRouteConcurrent(t *testing.T) {
 	runAll := func(j job) ([]routeOutcome, error) {
 		var outs []routeOutcome
 		for _, call := range []routeCall{
-			func() ([][]Packet, RouteResult, error) { return Route(n, j.admissible, nil, "") },
-			func() ([][]Packet, RouteResult, error) { return RouteBatched(n, j.overloaded, nil, "") },
-			func() ([][]Packet, RouteResult, error) { return RouteVia(tr, n, j.admissible, nil, "") },
+			func() ([][]Packet, RouteResult, error) { return routeOn(Net{}, n, j.admissible, "") },
+			func() ([][]Packet, RouteResult, error) { return routeOn(Net{}, n, j.overloaded, "") },
+			func() ([][]Packet, RouteResult, error) { return routeOn(Net{Transport: tr}, n, j.admissible, "") },
 		} {
 			out, res, err := call()
 			if err != nil {
@@ -302,10 +321,10 @@ func recordRoute(t *testing.T, route func(*rounds.Ledger) ([][]Packet, RouteResu
 }
 
 // TestRouteViaChargesLikeRoute: over a transport the routing core only
-// charges, and the charge is Route's own — RouteResult, ledger, route
-// metrics and error — on a one-flush set, a 3n+1 hot source that needs
-// four flushes, an empty set and a set with a bad endpoint. The delivered
-// packets are the in-process ones.
+// charges, and the charge is the in-process route's own — RouteResult,
+// ledger, route metrics and error — on a one-flush set, a 3n+1 hot source
+// that needs four flushes, an empty set and a set with a bad endpoint. The
+// delivered packets are the in-process ones.
 func TestRouteViaChargesLikeRoute(t *testing.T) {
 	const n = 16
 	bad := randomPackets(rand.New(rand.NewSource(3)), n, n)
@@ -313,31 +332,21 @@ func TestRouteViaChargesLikeRoute(t *testing.T) {
 	cases := []struct {
 		name    string
 		packets []Packet
-		batched bool
 		wantErr bool
 	}{
-		{"one flush", randomPackets(rand.New(rand.NewSource(1)), n, n), false, false},
-		{"one flush batched", randomPackets(rand.New(rand.NewSource(1)), n, n), true, false},
-		{"hot source 3n+1", hotSourcePackets(n, 3*n+1), true, false},
-		{"empty", nil, false, false},
-		{"empty batched", nil, true, false},
-		{"bad endpoint", bad, false, true},
-		{"bad endpoint batched", bad, true, true},
+		{"one flush batched", randomPackets(rand.New(rand.NewSource(1)), n, n), false},
+		{"hot source 3n+1", hotSourcePackets(n, 3*n+1), false},
+		{"empty batched", nil, false},
+		{"bad endpoint batched", bad, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := &countingTransport{}
 			via, viaRec := recordRoute(t, func(led *rounds.Ledger) ([][]Packet, RouteResult, error) {
-				if tc.batched {
-					return RouteBatchedVia(tr, n, tc.packets, led, "c")
-				}
-				return RouteVia(tr, n, tc.packets, led, "c")
+				return routeOn(Net{Transport: tr, Ledger: led}, n, tc.packets, "c")
 			})
 			plain, plainRec := recordRoute(t, func(led *rounds.Ledger) ([][]Packet, RouteResult, error) {
-				if tc.batched {
-					return RouteBatched(n, tc.packets, led, "c")
-				}
-				return Route(n, tc.packets, led, "c")
+				return routeOn(Net{Ledger: led}, n, tc.packets, "c")
 			})
 			if viaRec != plainRec {
 				t.Fatalf("over the transport %+v, in process %+v", viaRec, plainRec)
@@ -354,9 +363,9 @@ func TestRouteViaChargesLikeRoute(t *testing.T) {
 
 // TestRouteBufferReuse drives one RouteBuffer through calls whose clique
 // size and packet count grow and shrink, with and without a transport.
-// Every call returns exactly what the package-level RouteBatchedVia
-// returns — packets, RouteResult and ledger — and a destination that
-// receives nothing reads nil rather than a stale window of an earlier call.
+// Every call returns exactly what a route into a fresh output returns —
+// packets, RouteResult and ledger — and a destination that receives
+// nothing reads nil rather than a stale window of an earlier call.
 func TestRouteBufferReuse(t *testing.T) {
 	type step struct{ n, k int }
 	steps := []step{{8, 8}, {32, 200}, {4, 1}, {64, 64}, {16, 0}, {64, 700}, {8, 30}, {24, 24}, {2, 5}}
@@ -369,11 +378,11 @@ func TestRouteBufferReuse(t *testing.T) {
 				pkts = append(pkts, hotSourcePackets(st.n, st.k)...)
 			}
 			bufLed, freshLed := rounds.New(), rounds.New()
-			got, gotRes, err := buf.RouteBatchedVia(tr, st.n, pkts, bufLed, "r")
+			got, gotRes, err := Net{Transport: tr, Ledger: bufLed}.Route(st.n, pkts, "r", &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantRes, err := RouteBatchedVia(tr, st.n, pkts, freshLed, "r")
+			want, wantRes, err := Net{Transport: tr, Ledger: freshLed}.Route(st.n, pkts, "r", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

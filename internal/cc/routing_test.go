@@ -18,7 +18,7 @@ func TestRouteDeliversAllPackets(t *testing.T) {
 		}
 	}
 	led := rounds.New()
-	out, res, err := Route(n, pkts, led, "test-route")
+	out, res, err := routeOn(Net{Ledger: led}, n, pkts, "test-route")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestRouteHotDestinationWithinLenzenBound(t *testing.T) {
 		}
 		pkts = append(pkts, Packet{Src: s, Dst: 0, Data: []int64{int64(s)}})
 	}
-	out, res, err := Route(n, pkts, nil, "")
+	out, res, err := routeOn(Net{}, n, pkts, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRouteManyParallelPairMessages(t *testing.T) {
 	for i := 0; i < k; i++ {
 		pkts = append(pkts, Packet{Src: 3, Dst: 9, Data: []int64{int64(i)}})
 	}
-	out, res, err := Route(n, pkts, nil, "")
+	out, res, err := routeOn(Net{}, n, pkts, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,30 +87,18 @@ func TestRouteManyParallelPairMessages(t *testing.T) {
 	}
 }
 
-func TestRouteRejectsOverload(t *testing.T) {
-	n := 4
-	var pkts []Packet
-	for i := 0; i < n+1; i++ {
-		pkts = append(pkts, Packet{Src: 0, Dst: 1 + i%(n-1), Data: nil})
-	}
-	// Source 0 sends n+1 > n packets.
-	if _, _, err := Route(n, pkts, nil, ""); !errors.Is(err, ErrRoutingOverload) {
-		t.Fatalf("error = %v, want ErrRoutingOverload", err)
-	}
-}
-
 func TestRouteRejectsBadEndpoints(t *testing.T) {
-	if _, _, err := Route(4, []Packet{{Src: 0, Dst: 4}}, nil, ""); !errors.Is(err, ErrBadRecipient) {
+	if _, _, err := routeOn(Net{}, 4, []Packet{{Src: 0, Dst: 4}}, ""); !errors.Is(err, ErrBadRecipient) {
 		t.Fatalf("error = %v, want ErrBadRecipient", err)
 	}
-	if _, _, err := Route(4, []Packet{{Src: -1, Dst: 0}}, nil, ""); !errors.Is(err, ErrBadRecipient) {
+	if _, _, err := routeOn(Net{}, 4, []Packet{{Src: -1, Dst: 0}}, ""); !errors.Is(err, ErrBadRecipient) {
 		t.Fatalf("error = %v, want ErrBadRecipient", err)
 	}
 }
 
 func TestRouteEmptyCostsNothing(t *testing.T) {
 	led := rounds.New()
-	_, res, err := Route(5, nil, led, "noop")
+	_, res, err := routeOn(Net{Ledger: led}, 5, nil, "noop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +126,7 @@ func TestRouteDeliveryProperty(t *testing.T) {
 				pkts = append(pkts, Packet{Src: s, Dst: d, Data: []int64{int64(s), int64(k)}})
 			}
 		}
-		out, res, err := Route(n, pkts, nil, "")
+		out, res, err := routeOn(Net{}, n, pkts, "")
 		if err != nil {
 			return false
 		}
@@ -161,7 +149,7 @@ func TestRouteDeliveryProperty(t *testing.T) {
 func TestBroadcastAll(t *testing.T) {
 	led := rounds.New()
 	vals := []int64{5, 6, 7}
-	got, err := BroadcastAll(3, vals, led, "bcast")
+	got, _, err := Net{Ledger: led}.Broadcast(3, vals, "bcast")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +161,7 @@ func TestBroadcastAll(t *testing.T) {
 	if led.Total() != 1 {
 		t.Fatalf("broadcast charged %d rounds, want 1", led.Total())
 	}
-	if _, err := BroadcastAll(3, []int64{1}, nil, ""); err == nil {
+	if _, _, err := (Net{}).Broadcast(3, []int64{1}, ""); err == nil {
 		t.Fatal("length mismatch should error")
 	}
 }
@@ -184,7 +172,7 @@ func TestRouteCountsLinkMessages(t *testing.T) {
 		{Src: 0, Dst: 3, Data: []int64{1}},
 		{Src: 1, Dst: 4, Data: []int64{2}},
 	}
-	_, res, err := Route(n, pkts, nil, "")
+	_, res, err := routeOn(Net{}, n, pkts, "")
 	if err != nil {
 		t.Fatal(err)
 	}

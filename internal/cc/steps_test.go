@@ -45,7 +45,8 @@ func (l *costLog) LinkTraffic(tag string, messages, words int64) {
 
 // stepsRecord is everything a sequence of routing steps reports: each
 // step's output and result, the first error, every ledger entry in order,
-// the ledger report, and the four route metrics.
+// the ledger report, the four route metrics and the reliable layer's wave
+// and retransmission counters.
 type stepsRecord struct {
 	outs                 [][][]cc.Packet
 	results              []cc.RouteResult
@@ -54,6 +55,7 @@ type stepsRecord struct {
 	report               string
 	rounds, msgs, words  int64
 	callCount, callTotal int64
+	waves, resent        int64
 }
 
 // recordSteps runs route against a fresh ledger, charge log and metrics
@@ -74,6 +76,8 @@ func recordSteps(t *testing.T, route func(*rounds.Ledger) ([][][]cc.Packet, []cc
 		rounds:  reg.Counter("lapcc_route_rounds_total", "").Value(),
 		msgs:    reg.Counter("lapcc_route_messages_total", "").Value(),
 		words:   reg.Counter("lapcc_route_words_total", "").Value(),
+		waves:   reg.Counter("lapcc_reliable_waves_total", "").Value(),
+		resent:  reg.Counter("lapcc_reliable_retransmitted_packets_total", "").Value(),
 	}
 	if err != nil {
 		rec.err = err.Error()
@@ -123,7 +127,7 @@ func hotSource(n, k int) []cc.Packet {
 }
 
 // TestRouteStepsViaMatchesOneCallAtATime: a multi-step call reports exactly
-// what the same steps routed one RouteBatchedVia call at a time report —
+// what the same steps routed one Route call at a time report —
 // every step's output and RouteResult, the error, each ledger charge in
 // order, the ledger report and the four route metrics — in process, over
 // the wire codec and over the counting transport, while the steps share
@@ -173,7 +177,7 @@ func TestRouteStepsViaMatchesOneCallAtATime(t *testing.T) {
 					for i, pkts := range tc.steps {
 						steps[i] = cc.Step{Packets: pkts, Tag: fmt.Sprintf("s%d", i%2), Buf: &bufs[i]}
 					}
-					err := cc.RouteStepsVia(tr, n, steps, led)
+					err := cc.Net{Transport: tr, Ledger: led}.RouteSteps(n, steps)
 					outs := make([][][]cc.Packet, len(steps))
 					results := make([]cc.RouteResult, len(steps))
 					for i, st := range steps {
@@ -190,10 +194,10 @@ func TestRouteStepsViaMatchesOneCallAtATime(t *testing.T) {
 					results := make([]cc.RouteResult, len(tc.steps))
 					for i, pkts := range tc.steps {
 						tag := fmt.Sprintf("s%d", i%2)
-						out, res, err := cc.RouteBatchedVia(seqTr, n, pkts, led, tag)
-						results[i] = res
+						out, res, err := cc.Net{Transport: seqTr, Ledger: led}.Route(n, pkts, tag, nil)
+						results[i] = res.RouteResult
 						if err != nil {
-							// RouteStepsVia names the failing step.
+							// RouteSteps names the failing step.
 							return make([][][]cc.Packet, len(tc.steps)), results, fmt.Errorf("cc: route step %d %q: %w", i, tag, err)
 						}
 						outs[i] = out
@@ -205,7 +209,7 @@ func TestRouteStepsViaMatchesOneCallAtATime(t *testing.T) {
 				}
 				if merged.err == "" {
 					for i, pkts := range tc.steps {
-						want, _, err := cc.RouteBatched(n, pkts, nil, "")
+						want, _, err := cc.Net{}.Route(n, pkts, "", nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -216,6 +220,97 @@ func TestRouteStepsViaMatchesOneCallAtATime(t *testing.T) {
 				}
 				if !reflect.DeepEqual(merged, single) {
 					t.Fatalf("the multi-step call reports\n%+v\none call at a time\n%+v", merged, single)
+				}
+			})
+		}
+	}
+}
+
+// TestReliableRouteStepsOneCallPerStep: under a fault plan — a lossy one,
+// and one whose message rates are all zero — RouteSteps routes each step
+// as its own Route call, in order, in process and over the counting
+// transport. That is the barrier schedule the ring layer has under a plan:
+// the steps do not share barriers, so Deliver counts, and the chaos kill
+// schedules indexed by them, are those of a loop of Route calls. The call
+// reports exactly what such a loop reports under the same plan — outputs,
+// results, every ledger charge in order, the route metrics and the
+// reliable layer's counters — and each step's Out is its clean routing.
+func TestReliableRouteStepsOneCallPerStep(t *testing.T) {
+	const n = 16
+	packets := [][]cc.Packet{stepPackets(21, n, n), nil, stepPackets(22, n, n), stepPackets(23, n, n/2)}
+	plans := []struct {
+		name string
+		plan *cc.FaultPlan
+	}{
+		{"lossy", &cc.FaultPlan{Seed: 7, Drop: 0.1, Corrupt: 0.05, Duplicate: 0.05, Delay: 0.05}},
+		{"zero-rate", &cc.FaultPlan{Seed: 7}},
+	}
+	for _, pc := range plans {
+		for _, counted := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/transport=%t", pc.name, counted), func(t *testing.T) {
+				open := func() (cc.Transport, func() int64) {
+					if !counted {
+						return nil, func() int64 { return 0 }
+					}
+					c := &cc.CountingTransport{}
+					return c, c.Calls
+				}
+				tr, calls := open()
+				var bufs [4]cc.RouteBuffer
+				merged := recordSteps(t, func(led *rounds.Ledger) ([][][]cc.Packet, []cc.RouteResult, error) {
+					steps := make([]cc.Step, len(packets))
+					for i, pkts := range packets {
+						steps[i] = cc.Step{Packets: pkts, Tag: fmt.Sprintf("s%d", i%2), Buf: &bufs[i]}
+					}
+					err := cc.Net{Transport: tr, Faults: pc.plan, Ledger: led}.RouteSteps(n, steps)
+					outs := make([][][]cc.Packet, len(steps))
+					results := make([]cc.RouteResult, len(steps))
+					for i, st := range steps {
+						outs[i], results[i] = st.Out, st.Result
+					}
+					return outs, results, err
+				})
+				seqTr, seqCalls := open()
+				single := recordSteps(t, func(led *rounds.Ledger) ([][][]cc.Packet, []cc.RouteResult, error) {
+					outs := make([][][]cc.Packet, len(packets))
+					results := make([]cc.RouteResult, len(packets))
+					for i, pkts := range packets {
+						out, res, err := cc.Net{Transport: seqTr, Faults: pc.plan, Ledger: led}.Route(n, pkts, fmt.Sprintf("s%d", i%2), nil)
+						if err != nil {
+							return nil, nil, err
+						}
+						outs[i], results[i] = out, res.RouteResult
+					}
+					return outs, results, nil
+				})
+				if merged.err != "" {
+					t.Fatal(merged.err)
+				}
+				if !reflect.DeepEqual(merged, single) {
+					t.Fatalf("the multi-step call reports\n%+v\none call at a time\n%+v", merged, single)
+				}
+				for i, pkts := range packets {
+					want, _, err := cc.Net{}.Route(n, pkts, "", nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := merged.outs[i]; fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("step %d delivers\n%v\nclean\n%v", i, got, want)
+					}
+				}
+				if pc.plan.Drop > 0 && merged.resent == 0 {
+					t.Fatal("the lossy plan forced no retransmission")
+				}
+				if !counted {
+					return
+				}
+				if calls() != seqCalls() {
+					t.Fatalf("the multi-step call made %d Deliver calls, one call at a time %d", calls(), seqCalls())
+				}
+				// Without faults, each non-empty step is one barrier; a
+				// clean multi-step call would share one for all of them.
+				if pc.plan.Drop == 0 && calls() != 3 {
+					t.Fatalf("under a zero-rate plan the steps made %d Deliver calls, want 3", calls())
 				}
 			})
 		}

@@ -2,11 +2,11 @@
 // of Theorem 1.4: Cole-Vishkin 3-coloring of rings in O(log* n) rounds
 // [CV86, GPS87] and the maximal matching derived from it. The rings are
 // "virtual": their slots live on clique nodes and consecutive slots may be
-// owned by arbitrary node pairs, so every neighbor exchange is delivered
-// with the (batched) Lenzen routing primitive of internal/cc, which enforces
-// the congested-clique bandwidth constraints and accounts rounds. Two
-// exchanges that do not read each other's results travel in one routing
-// call (cc.RouteStepsVia): each is charged as its own call, and over a
+// owned by arbitrary node pairs, so every neighbor exchange is delivered by
+// Lenzen routing over the Rings' cc.Net, which enforces the
+// congested-clique bandwidth constraints and accounts rounds. Two exchanges
+// that do not read each other's results travel in one routing call
+// (cc.Net.RouteSteps): each is charged as its own call, and over a
 // transport both share one delivery barrier.
 package ccalgo
 
@@ -29,15 +29,10 @@ type Rings struct {
 	Succ    []int
 	Pred    []int
 	Alive   []bool
-	// Faults, if non-nil, routes every neighbor exchange through the
-	// reliable retransmission layer under the given fault plan. Delivered
-	// values — and therefore colors and matchings — are bit-identical to a
-	// fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every exchange through the
-	// given delivery backend (see cc.Transport); nil keeps the in-process
-	// path. Results are bit-identical either way.
-	Transport cc.Transport
+	// Net carries every neighbor exchange and is charged its rounds. Colors
+	// and matchings are bit-identical whatever its transport and fault
+	// plan; only the round cost grows under faults.
+	Net cc.Net
 
 	// Working memory, sized on first use and reused by every exchange of
 	// this and later calls, so a Rings kept across calls (as the Euler
@@ -146,13 +141,12 @@ func (r *Rings) ringSlots() []int {
 // exchange performs up to two neighbor exchanges in one routing call.
 // They must be independent — neither's values may come from the other's
 // delivery — because over a transport they share delivery barriers
-// (cc.RouteStepsVia). Each is charged as its own batched routing step, and
-// under a fault plan each is its own reliable call. An exchange with no
-// slots is neither charged nor shipped, so it is not routed at all. The
-// packets and their payload words are r's scratch: on the in-process path
-// a delivered payload aliases them, so every delivery is read into its
-// `into` before the next exchange rewrites them.
-func (r *Rings) exchange(led *rounds.Ledger, sends ...send) error {
+// (cc.Net.RouteSteps). Each is charged as its own routing step. An
+// exchange with no slots is neither charged nor shipped, so it is not
+// routed at all. The packets and their payload words are r's scratch: on
+// the in-process path a delivered payload aliases them, so every delivery
+// is read into its `into` before the next exchange rewrites them.
+func (r *Rings) exchange(sends ...send) error {
 	var into [2]*slotValues // into[j] receives steps[j]'s delivery
 	steps := r.steps[:0]
 	for k, sd := range sends {
@@ -178,15 +172,7 @@ func (r *Rings) exchange(led *rounds.Ledger, sends ...send) error {
 	if len(steps) == 0 {
 		return nil
 	}
-	if r.Faults != nil {
-		for j := range steps {
-			out, _, err := cc.ReliableRouteBatchedVia(r.Transport, r.CliqueN, steps[j].Packets, led, steps[j].Tag, r.Faults)
-			if err != nil {
-				return fmt.Errorf("ccalgo: %s exchange: %w", steps[j].Tag, err)
-			}
-			steps[j].Out = out
-		}
-	} else if err := cc.RouteStepsVia(r.Transport, r.CliqueN, steps, led); err != nil {
+	if err := r.Net.RouteSteps(r.CliqueN, steps); err != nil {
 		return fmt.Errorf("ccalgo: ring exchange: %w", err) // names the failing step
 	}
 	for j := range steps {
@@ -205,8 +191,8 @@ func (r *Rings) exchange(led *rounds.Ledger, sends ...send) error {
 // ThreeColor computes a proper 3-coloring (colors 0..2) of every ring using
 // the deterministic Cole-Vishkin bit-reduction, in O(log* S) neighbor
 // exchanges where S is the number of slots. Self-rings receive color 0.
-func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
-	colors, err := r.threeColor(led)
+func (r *Rings) ThreeColor() ([]int, error) {
+	colors, err := r.threeColor()
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +201,7 @@ func (r *Rings) ThreeColor(led *rounds.Ledger) ([]int, error) {
 
 // threeColor is ThreeColor with the colors in r's scratch, valid until r's
 // next call.
-func (r *Rings) threeColor(led *rounds.Ledger) ([]int64, error) {
+func (r *Rings) threeColor() ([]int64, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -246,7 +232,7 @@ func (r *Rings) threeColor(led *rounds.Ledger) ([]int64, error) {
 		if iter >= maxIter {
 			return nil, fmt.Errorf("ccalgo: Cole-Vishkin did not reduce below 6 colors in %d iterations", maxIter)
 		}
-		if err := r.exchange(led, send{succColor, slots, colors, false, "cv-color"}); err != nil {
+		if err := r.exchange(send{succColor, slots, colors, false, "cv-color"}); err != nil {
 			return nil, err
 		}
 		// Slot i now knows its successor's color (its successor sent to
@@ -277,7 +263,7 @@ func (r *Rings) threeColor(led *rounds.Ledger) ([]int64, error) {
 	// {0,1,2}; same-color slots are never adjacent, so simultaneous
 	// recoloring stays proper.
 	for doomed := int64(3); doomed <= 5; doomed++ {
-		if err := r.exchange(led,
+		if err := r.exchange(
 			send{succColor, slots, colors, false, "cv-shiftdown"},
 			send{predColor, slots, colors, true, "cv-shiftdown"}); err != nil {
 			return nil, err
@@ -322,8 +308,8 @@ func toIntColors(colors []int64) []int {
 // result maps each slot to true when it is matched *with its successor*.
 // Every slot is in at most one matched pair, and maximality holds: no two
 // adjacent slots are both unmatched.
-func (r *Rings) MaximalMatching(led *rounds.Ledger) ([]bool, error) {
-	colors, err := r.threeColor(led)
+func (r *Rings) MaximalMatching() ([]bool, error) {
+	colors, err := r.threeColor()
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +346,7 @@ func (r *Rings) MaximalMatching(led *rounds.Ledger) ([]bool, error) {
 			}
 		}
 		r.proposers = proposers
-		if err := r.exchange(led,
+		if err := r.exchange(
 			send{acks, accepters, ones, false, "match-accept"},
 			send{received, proposers, ones, true, "match-propose"}); err != nil {
 			return nil, err

@@ -64,7 +64,8 @@ func TestThreeColorSingleCycle(t *testing.T) {
 	for _, length := range []int{2, 3, 4, 5, 7, 16, 101} {
 		r := buildRings(8, [][]int{seqCycle(0, length)})
 		led := rounds.New()
-		colors, err := r.ThreeColor(led)
+		r.Net.Ledger = led
+		colors, err := r.ThreeColor()
 		if err != nil {
 			t.Fatalf("length %d: %v", length, err)
 		}
@@ -78,7 +79,7 @@ func TestThreeColorSingleCycle(t *testing.T) {
 func TestThreeColorManyCyclesSimultaneously(t *testing.T) {
 	cycles := [][]int{seqCycle(0, 5), seqCycle(5, 2), seqCycle(7, 9), seqCycle(16, 3)}
 	r := buildRings(6, cycles)
-	colors, err := r.ThreeColor(rounds.New())
+	colors, err := r.ThreeColor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestThreeColorManyCyclesSimultaneously(t *testing.T) {
 
 func TestThreeColorSkipsSelfRings(t *testing.T) {
 	r := buildRings(4, [][]int{{0}, seqCycle(1, 4)})
-	colors, err := r.ThreeColor(rounds.New())
+	colors, err := r.ThreeColor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,8 @@ func TestThreeColorRoundsScaleLikeLogStar(t *testing.T) {
 	roundsAt := func(length int) int64 {
 		r := buildRings(80, [][]int{seqCycle(0, length)})
 		led := rounds.New()
-		if _, err := r.ThreeColor(led); err != nil {
+		r.Net.Ledger = led
+		if _, err := r.ThreeColor(); err != nil {
 			t.Fatal(err)
 		}
 		return led.Total()
@@ -121,7 +123,7 @@ func TestThreeColorRoundsScaleLikeLogStar(t *testing.T) {
 func TestMaximalMatchingProperties(t *testing.T) {
 	for _, length := range []int{2, 3, 4, 5, 8, 33, 100} {
 		r := buildRings(8, [][]int{seqCycle(0, length)})
-		matchSucc, err := r.MaximalMatching(rounds.New())
+		matchSucc, err := r.MaximalMatching()
 		if err != nil {
 			t.Fatalf("length %d: %v", length, err)
 		}
@@ -163,7 +165,7 @@ func TestMaximalMatchingMarkedRunsShort(t *testing.T) {
 	// 3 consecutive unmarked slots (the paper's step 2a invariant).
 	length := 200
 	r := buildRings(10, [][]int{seqCycle(0, length)})
-	matchSucc, err := r.MaximalMatching(rounds.New())
+	matchSucc, err := r.MaximalMatching()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestRingsRandomProperty(t *testing.T) {
 			next += l
 		}
 		r := buildRings(3+rng.Intn(10), cycles)
-		colors, err := r.ThreeColor(rounds.New())
+		colors, err := r.ThreeColor()
 		if err != nil {
 			return false
 		}
@@ -232,7 +234,7 @@ func TestRingsRandomProperty(t *testing.T) {
 				return false
 			}
 		}
-		matchSucc, err := r.MaximalMatching(rounds.New())
+		matchSucc, err := r.MaximalMatching()
 		if err != nil {
 			return false
 		}
@@ -279,19 +281,20 @@ func TestRingsReuse(t *testing.T) {
 			reused.CliqueN, reused.Owner, reused.Succ, reused.Pred, reused.Alive = r.CliqueN, r.Owner, r.Succ, r.Pred, r.Alive
 			fresh := &Rings{CliqueN: r.CliqueN, Owner: r.Owner, Succ: r.Succ, Pred: r.Pred, Alive: r.Alive}
 			reusedLed, freshLed := rounds.New(), rounds.New()
-			gotColors, err := reused.ThreeColor(reusedLed)
+			reused.Net.Ledger, fresh.Net.Ledger = reusedLed, freshLed
+			gotColors, err := reused.ThreeColor()
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotMatch, err := reused.MaximalMatching(reusedLed)
+			gotMatch, err := reused.MaximalMatching()
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantColors, err := fresh.ThreeColor(freshLed)
+			wantColors, err := fresh.ThreeColor()
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMatch, err := fresh.MaximalMatching(freshLed)
+			wantMatch, err := fresh.MaximalMatching()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -82,17 +82,18 @@ func TestRingsDeliverCalls(t *testing.T) {
 		r := eulerRings(g)
 		var calls func() int
 		if tr != nil {
-			r.Transport, calls = tr, func() int { return tr.calls }
+			r.Net.Transport, calls = tr, func() int { return tr.calls }
 		} else {
 			calls = func() int { return 0 }
 		}
 		led := rounds.New()
-		colors, err := r.ThreeColor(led)
+		r.Net.Ledger = led
+		colors, err := r.ThreeColor()
 		if err != nil {
 			t.Fatal(err)
 		}
 		colorCalls := calls()
-		match, err := r.MaximalMatching(led)
+		match, err := r.MaximalMatching()
 		if err != nil {
 			t.Fatal(err)
 		}

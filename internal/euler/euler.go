@@ -185,7 +185,7 @@ func orientImpl(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, e
 			return nil, Stats{}, fmt.Errorf("euler: contraction did not finish in %d iterations", maxIter)
 		}
 		isp := tr.Startf("contract-%d", iter)
-		err := s.contractOnce(n, led, iter)
+		err := s.contractOnce(n, iter)
 		isp.End()
 		if err != nil {
 			return nil, Stats{}, err
@@ -196,14 +196,14 @@ func orientImpl(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, e
 	// Leaders decide; decisions flow back down the contraction tree.
 	s.decideAtLeaders()
 	esp := tr.Start("expand")
-	err := s.expand(n, led)
+	err := s.expand(n)
 	esp.End()
 	if err != nil {
 		return nil, Stats{}, err
 	}
 
 	msp := tr.Start("mirror")
-	orient, err := s.resolveOrientations(n, led)
+	orient, err := s.resolveOrientations(n)
 	msp.End()
 	if err != nil {
 		return nil, Stats{}, err
@@ -218,7 +218,7 @@ func orientImpl(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, e
 // orientation and reused by all of its routing steps. Instances are
 // recycled through statePool, so the orientations of one request (one per
 // flow-rounding level) reuse one set of scratch; a recycled instance holds
-// no graph, transport or fault plan.
+// no graph, transport, fault plan or ledger.
 type stateSet struct {
 	g     *graph.Graph
 	owner []int
@@ -235,8 +235,9 @@ type stateSet struct {
 	mode       Mode
 	rng        *rand.Rand // Randomized mode only
 	deadProbes int
-	faults     *cc.FaultPlan
-	transport  cc.Transport
+	// net carries every routing step of the orientation, the rings'
+	// included, and is charged their rounds.
+	net cc.Net
 
 	// rings views the state arrays as the rings the matching runs on. One
 	// per orientation, so its exchange scratch is reused by every
@@ -266,16 +267,10 @@ type stateSet struct {
 
 var statePool = sync.Pool{New: func() any { return new(stateSet) }}
 
-// route delivers one batched routing step, through the reliable
-// retransmission layer when a fault plan is installed and over the
-// configured delivery backend when one is. Without a fault plan the
-// output is s's routing buffer, valid until the next step.
-func (s *stateSet) route(n int, pkts []cc.Packet, led *rounds.Ledger, tag string) ([][]cc.Packet, error) {
-	if s.faults != nil {
-		out, _, err := cc.ReliableRouteBatchedVia(s.transport, n, pkts, led, tag, s.faults)
-		return out, err
-	}
-	out, _, err := s.routed.RouteBatchedVia(s.transport, n, pkts, led, tag)
+// route delivers one routing step over s.net. The output is s's routing
+// buffer (or, under a lossy fault plan, fresh), valid until the next step.
+func (s *stateSet) route(n int, pkts []cc.Packet, tag string) ([][]cc.Packet, error) {
+	out, _, err := s.net.Route(n, pkts, tag, &s.routed)
 	return out, err
 }
 
@@ -316,7 +311,8 @@ type arrival struct {
 func newStateSet(g *graph.Graph, dirCost []int64, opts Options) *stateSet {
 	m := g.M()
 	s := statePool.Get().(*stateSet)
-	s.g, s.mode, s.faults, s.transport = g, opts.Mode, opts.Faults, opts.Transport
+	s.g, s.mode = g, opts.Mode
+	s.net = cc.Net{Transport: opts.Transport, Faults: opts.Faults, Ledger: opts.Ledger}
 	s.deadProbes = 0
 	if opts.Mode == Randomized {
 		s.rng = rand.New(rand.NewSource(opts.Seed))
@@ -330,7 +326,7 @@ func newStateSet(g *graph.Graph, dirCost []int64, opts Options) *stateSet {
 	clear(s.known)
 	s.records, s.levels, s.members = s.records[:0], s.levels[:0], s.members[:0]
 	s.rings.CliqueN, s.rings.Owner, s.rings.Succ, s.rings.Pred, s.rings.Alive = g.N(), s.owner, s.succ, s.pred, s.alive
-	s.rings.Faults, s.rings.Transport = opts.Faults, opts.Transport
+	s.rings.Net = s.net
 
 	stateOf := func(edge, enteredVertex int) int {
 		if g.Edge(edge).V == enteredVertex {
@@ -384,10 +380,9 @@ func newStateSet(g *graph.Graph, dirCost []int64, opts Options) *stateSet {
 }
 
 // release returns s to statePool, dropping its references to the caller's
-// graph, transport and fault plan.
+// graph, transport, fault plan and ledger.
 func (s *stateSet) release() {
-	s.g, s.rng, s.faults, s.transport = nil, nil, nil, nil
-	s.rings.Faults, s.rings.Transport = nil, nil
+	s.g, s.rng, s.net, s.rings.Net = nil, nil, cc.Net{}, cc.Net{}
 	statePool.Put(s)
 }
 
@@ -410,7 +405,7 @@ func (s *stateSet) anyProperRing() bool {
 }
 
 // contractOnce performs one marking + contraction iteration.
-func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
+func (s *stateSet) contractOnce(n int, level int) error {
 	marked := grow(s.marked, len(s.alive))
 	clear(marked)
 	s.marked = marked
@@ -424,7 +419,7 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 			}
 		}
 	default:
-		matchSucc, err := s.rings.MaximalMatching(led)
+		matchSucc, err := s.rings.MaximalMatching()
 		if err != nil {
 			return fmt.Errorf("euler: iteration %d: %w", level, err)
 		}
@@ -493,7 +488,7 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 			pkts[i] = cc.Packet{Src: s.owner[p.at], Dst: s.owner[next], Data: words[off:len(words):len(words)]}
 		}
 		s.pkts, s.words[hop%2] = pkts, words
-		delivered, err := s.route(n, pkts, led, "euler-probe")
+		delivered, err := s.route(n, pkts, "euler-probe")
 		if err != nil {
 			return fmt.Errorf("euler: probe relay: %w", err)
 		}
@@ -545,7 +540,7 @@ func (s *stateSet) contractOnce(n int, led *rounds.Ledger, level int) error {
 		pkts[i] = cc.Packet{Src: s.owner[a.target], Dst: s.owner[a.origin], Data: words[off:len(words):len(words)]}
 	}
 	s.pkts, s.words[0] = pkts, words
-	if _, err := s.route(n, pkts, led, "euler-reply"); err != nil {
+	if _, err := s.route(n, pkts, "euler-reply"); err != nil {
 		return fmt.Errorf("euler: probe reply: %w", err)
 	}
 
@@ -579,7 +574,7 @@ func (s *stateSet) decideAtLeaders() {
 
 // expand pushes (leaderID, want) back down the contraction tree, one routed
 // batch per contraction level, in reverse order.
-func (s *stateSet) expand(n int, led *rounds.Ledger) error {
+func (s *stateSet) expand(n int) error {
 	for level := len(s.levels) - 1; level >= 0; level-- {
 		first := 0
 		if level > 0 {
@@ -607,7 +602,7 @@ func (s *stateSet) expand(n int, led *rounds.Ledger) error {
 			}
 		}
 		s.pkts, s.words[0] = pkts, words
-		delivered, err := s.route(n, pkts, led, "euler-expand")
+		delivered, err := s.route(n, pkts, "euler-expand")
 		if err != nil {
 			return fmt.Errorf("euler: expansion level %d: %w", level, err)
 		}
@@ -626,7 +621,7 @@ func (s *stateSet) expand(n int, led *rounds.Ledger) error {
 // resolveOrientations performs the final mirror exchange: for each edge the
 // two directed states swap (leaderID, want) and both endpoints apply the
 // same deterministic rule, yielding a consistent orientation per cycle.
-func (s *stateSet) resolveOrientations(n int, led *rounds.Ledger) ([]bool, error) {
+func (s *stateSet) resolveOrientations(n int) ([]bool, error) {
 	m := s.g.M()
 	pkts := grow(s.pkts, 2*m)
 	words := grow(s.words[0], 3*2*m)
@@ -644,7 +639,7 @@ func (s *stateSet) resolveOrientations(n int, led *rounds.Ledger) ([]bool, error
 		data[0], data[1], data[2] = int64(mirror), s.leaderID[st], w
 		pkts[st] = cc.Packet{Src: s.owner[st], Dst: s.owner[mirror], Data: data}
 	}
-	if _, err := s.route(n, pkts, led, "euler-mirror"); err != nil {
+	if _, err := s.route(n, pkts, "euler-mirror"); err != nil {
 		return nil, fmt.Errorf("euler: mirror exchange: %w", err)
 	}
 	// Both endpoints now hold both tuples; the driver computes the shared

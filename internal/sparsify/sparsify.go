@@ -68,9 +68,9 @@ type Options struct {
 	// costs nothing.
 	Trace *trace.Tracer
 	// Faults, if non-nil, injects the given fault plan into every network
-	// primitive this package executes (broadcasts run through the reliable
-	// retransmission layer, cc.ReliableBroadcastAll). Results are
-	// bit-identical to a fault-free run; only the round cost grows.
+	// primitive this package executes (its broadcasts, cc.Net.Broadcast).
+	// Results are bit-identical to a fault-free run; only the round cost
+	// grows.
 	Faults *cc.FaultPlan
 	// Transport, if non-nil, physically carries the per-level broadcast
 	// through the given delivery backend (see cc.Transport); nil keeps the
@@ -231,11 +231,8 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 		// degree, making the product demand graphs globally known. Under a
 		// fault plan the reliable layer retransmits until the values are
 		// identical to the clean broadcast.
-		if opts.Faults != nil {
-			if _, _, err := cc.ReliableBroadcastAllVia(opts.Transport, g.N(), make([]int64, g.N()), opts.Ledger, "sparsify-bcast", opts.Faults); err != nil {
-				return levelOutcome{err: err}
-			}
-		} else if _, err := cc.BroadcastAllVia(opts.Transport, g.N(), make([]int64, g.N()), opts.Ledger, "sparsify-bcast"); err != nil {
+		net := cc.Net{Transport: opts.Transport, Faults: opts.Faults, Ledger: opts.Ledger}
+		if _, _, err := net.Broadcast(g.N(), make([]int64, g.N()), "sparsify-bcast"); err != nil {
 			return levelOutcome{err: err}
 		}
 	}

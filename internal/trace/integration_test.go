@@ -118,8 +118,9 @@ func TestConcurrentRecordingRace(t *testing.T) {
 			}
 		}
 	}
+	net := cc.Net{Ledger: led}
 	for r := 0; r < 20; r++ {
-		if _, _, err := cc.Route(n, pkts, led, "gossip"); err != nil {
+		if _, _, err := net.Route(n, pkts, "gossip", nil); err != nil {
 			close(stop)
 			wg.Wait()
 			t.Fatal(err)

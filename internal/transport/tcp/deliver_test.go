@@ -127,8 +127,8 @@ func TestDeliverLargeBidirectional(t *testing.T) {
 }
 
 // TestDeliverAllocations pins the allocations of one warm barrier at zero:
-// a RouteBuffer.RouteBatchedVia of one 2-word packet per node, n = 64, over
-// an in-process 2-worker mesh. AllocsPerRun counts process-wide, so the
+// a cc.Net.Route into a RouteBuffer of one 2-word packet per node, n = 64,
+// over an in-process 2-worker mesh. AllocsPerRun counts process-wide, so the
 // figure includes the worker goroutines' reads, decodes and writes, and the
 // coordinator's, whose payload arenas are recycled at the next barrier
 // because the RouteBuffer keeps its own copy of every payload.
@@ -147,8 +147,9 @@ func TestDeliverAllocations(t *testing.T) {
 		packets[v] = cc.Packet{Src: v, Dst: (v*7 + 1) % n, Data: []int64{int64(v), 1}}
 	}
 	var buf cc.RouteBuffer
+	net := cc.Net{Transport: tr}
 	route := func() {
-		if _, _, err := buf.RouteBatchedVia(tr, n, packets, nil, "alloc"); err != nil {
+		if _, _, err := net.Route(n, packets, "alloc", &buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +179,7 @@ func (c *countedTransport) Deliver(round, n int, out []cc.Outbox) ([][]cc.Messag
 // node 0's, so a delivery sharing every batch — which n² = 64 messages
 // would still allow — puts them all in worker 0's one Round frame, and
 // that frame cannot be sent. Batches past a megabyte ship alone, one
-// barrier each, and the output equals the in-process RouteBatched's.
+// barrier each, and the output equals the in-process route's.
 func TestRouteBatchedViaFrameLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moves about 34 MB through loopback sockets")
@@ -195,7 +196,7 @@ func TestRouteBatchedViaFrameLimit(t *testing.T) {
 	if frame := k * (12 + 8*width); frame <= transport.MaxFrameBytes {
 		t.Fatalf("the merged Round frame would hold %d bytes, within the %d limit", frame, transport.MaxFrameBytes)
 	}
-	want, wantRes, err := cc.RouteBatched(n, packets, nil, "")
+	want, wantRes, err := cc.Net{}.Route(n, packets, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestRouteBatchedViaFrameLimit(t *testing.T) {
 	}
 	defer mesh.Close()
 	tr := &countedTransport{Transport: mesh}
-	got, res, err := cc.RouteBatchedVia(tr, n, packets, nil, "wide")
+	got, res, err := cc.Net{Transport: tr}.Route(n, packets, "wide", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
