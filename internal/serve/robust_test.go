@@ -154,3 +154,43 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 }
+
+// TestWireNodeBound: a graph or digraph body declaring more than
+// maxWireNodes nodes is rejected before anything is allocated for them,
+// with a 400 bad_request envelope that carries the request ID; a small n
+// is still accepted.
+func TestWireNodeBound(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sparsify", `{"graph":{"n":2000000000,"edges":[]}}`},
+		{"/v1/maxflow", `{"graph":{"n":2000000000,"arcs":[]},"source":0,"sink":1}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env errorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
+			t.Fatalf("%s: status %d, envelope %+v; want 400 bad_request", tc.path, resp.StatusCode, env.Error)
+		}
+		if env.Error.RequestID == "" || env.Error.RequestID != resp.Header.Get(RequestIDHeader) {
+			t.Fatalf("%s: envelope request ID %q, header %q", tc.path, env.Error.RequestID, resp.Header.Get(RequestIDHeader))
+		}
+	}
+	if _, err := (&WireGraph{N: maxWireNodes + 1}).Graph(); err == nil {
+		t.Fatal("a graph of maxWireNodes+1 nodes was accepted")
+	}
+	if _, err := (&WireDiGraph{N: maxWireNodes + 1}).DiGraph(); err == nil {
+		t.Fatal("a digraph of maxWireNodes+1 nodes was accepted")
+	}
+	if _, err := (&WireGraph{N: 2}).Graph(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -204,13 +204,27 @@ func ToWireGraph(g *graph.Graph) WireGraph {
 	return wg
 }
 
+// maxWireNodes bounds the n a request's graph may declare. Building a
+// graph allocates its n adjacency lists before any edge is read, so an
+// unbounded n would let a body of a few bytes ask for gigabytes; the bound
+// is far above any instance the solvers are run on.
+const maxWireNodes = 1 << 20
+
+// checkWireNodes rejects an n outside 1..maxWireNodes.
+func checkWireNodes(n int) error {
+	if n <= 0 || n > maxWireNodes {
+		return fmt.Errorf("graph: n must be in 1..%d, got %d", maxWireNodes, n)
+	}
+	return nil
+}
+
 // Graph materializes the wire form, assigning edge ids in list order.
 func (wg *WireGraph) Graph() (*graph.Graph, error) {
 	if wg == nil {
 		return nil, fmt.Errorf("missing graph")
 	}
-	if wg.N <= 0 {
-		return nil, fmt.Errorf("graph: n must be positive, got %d", wg.N)
+	if err := checkWireNodes(wg.N); err != nil {
+		return nil, err
 	}
 	g := graph.New(wg.N)
 	for i, e := range wg.Edges {
@@ -239,8 +253,8 @@ func (wd *WireDiGraph) DiGraph() (*graph.DiGraph, error) {
 	if wd == nil {
 		return nil, fmt.Errorf("missing graph")
 	}
-	if wd.N <= 0 {
-		return nil, fmt.Errorf("graph: n must be positive, got %d", wd.N)
+	if err := checkWireNodes(wd.N); err != nil {
+		return nil, err
 	}
 	dg := graph.NewDi(wd.N)
 	for i, a := range wd.Arcs {
