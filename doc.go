@@ -20,15 +20,15 @@
 // # Simulator execution model
 //
 // The congested-clique simulator (internal/cc) moves every algorithm's
-// messages with three routing primitives: Lenzen routing (cc.Route),
-// batched routing for sets that exceed Lenzen's per-node bound
-// (cc.RouteBatched), and the one-round all-to-all broadcast
-// (cc.BroadcastAll). Each checks the model's per-pair bandwidth limit and
-// charges its rounds to the ledger. Their Via forms carry the same packets
-// through a pluggable transport (in-process wire codec or a TCP mesh of
-// worker processes) with bit-identical output, and their Reliable forms
-// replay a deterministic fault plan with acknowledgement and
-// retransmission. Differential tests pin answers, ledgers and fault counts
+// messages through one cc.Net value — a transport, a fault plan and a
+// ledger — and its three routing primitives: Lenzen routing of any packet
+// set, split into admissible batches (Net.Route), several independent
+// sets in one call (Net.RouteSteps), and the one-round all-to-all
+// broadcast (Net.Broadcast). Each checks the model's per-pair bandwidth
+// limit and charges its rounds to the ledger. A transport (in-process wire
+// codec or a TCP mesh of worker processes) carries the same packets with
+// bit-identical output, and a fault plan is replayed deterministically
+// with acknowledgement and retransmission. Differential tests pin answers, ledgers and fault counts
 // across backends, and `make check` runs the simulator's test suite under
 // the race detector.
 //

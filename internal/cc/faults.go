@@ -8,7 +8,7 @@ import (
 )
 
 // FaultPlan describes a deterministic fault schedule for the reliable
-// routing layer (ReliableRoute and friends): a seed-driven program deciding,
+// routing layer (a Net's Faults): a seed-driven program deciding,
 // per packet and per transmission wave, whether the packet is dropped,
 // corrupted, duplicated, or delayed. Every decision is a pure function of
 // (Seed, packet, wave), so a plan replays identically across runs, worker
@@ -32,7 +32,7 @@ type FaultPlan struct {
 	// deterministic value in 1..MaxDelay.
 	MaxDelay int
 	// MaxRetries bounds the retransmission waves of the reliable routing
-	// layer after the initial attempt (default 8). ReliableRoute returns
+	// layer after the initial attempt (default 8). Net.Route returns
 	// ErrDeliveryFailed when packets remain undelivered after this many
 	// retries.
 	MaxRetries int

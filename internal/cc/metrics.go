@@ -49,7 +49,7 @@ type ccInstruments struct {
 	relBackoffRounds *metrics.Counter
 	relFailures      *metrics.Counter
 
-	// Routing-primitive accounting (Route/RouteBatched/BroadcastAll — the
+	// Routing-primitive accounting (Net.Route/RouteSteps/Broadcast — the
 	// model-level primitives the solver stack executes its measured rounds
 	// through).
 	routeRounds   *metrics.Counter
