@@ -115,21 +115,25 @@ serve-smoke:
 	trap 'kill $$pid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
 	$$tmp/loadgen -base http://$(SERVE_ADDR) -gate
 
-# Multi-process transport smoke + gate: build the worker binary and flowcc,
-# solve the same max-flow instance in process and through a 4-process TCP
-# clique on loopback, once with an injected fault plan and once without,
-# and require byte-identical reports — flow value, IPM iteration counts, and
-# the full charged-round breakdown. The fault-free run takes the path the
-# flow-tcp workload serves, where a batched route's batches and the ring
-# layer's paired exchanges share delivery barriers; the faulty run takes
-# the reliable layer's. Exercises the subprocess spawn, mesh bootstrap,
-# barrier, and shutdown paths end to end; the worker processes are owned
-# and reaped by flowcc's coordinator, so teardown is just the temp dir.
+# Multi-process transport smoke + gate: build the worker binary, flowcc and
+# lapsolve, solve the same max-flow instance in process and through a
+# 4-process TCP clique on loopback, once with an injected fault plan and
+# once without, and require byte-identical reports — flow value, IPM
+# iteration counts, and the full charged-round breakdown; then the same for
+# a Laplacian solve under the fault plan (answer, sparsifier size,
+# Chebyshev iterations, round breakdown). The fault-free run takes the path
+# the flow-tcp workload serves, where a batched route's batches and the
+# ring layer's paired exchanges share delivery barriers; the faulty runs
+# take the reliable layer's. Exercises the subprocess spawn, mesh
+# bootstrap, barrier, and shutdown paths end to end; the worker processes
+# are owned and reaped by the command's coordinator, so teardown is just
+# the temp dir.
 net-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/lapccnode ./cmd/lapccnode; \
 	$(GO) build -o $$tmp/flowcc ./cmd/flowcc; \
+	$(GO) build -o $$tmp/lapsolve ./cmd/lapsolve; \
 	$$tmp/flowcc -algo maxflow -width 6 -faults seed=3,drop=0.02 >$$tmp/local.out; \
 	$$tmp/flowcc -algo maxflow -width 6 -faults seed=3,drop=0.02 \
 		-transport tcp,procs=4,bin=$$tmp/lapccnode | grep -v '^transport:' >$$tmp/tcp.out; \
@@ -138,6 +142,10 @@ net-smoke:
 	$$tmp/flowcc -algo maxflow -width 6 \
 		-transport tcp,procs=4,bin=$$tmp/lapccnode | grep -v '^transport:' >$$tmp/clean-tcp.out; \
 	diff -u $$tmp/clean-local.out $$tmp/clean-tcp.out; \
+	$$tmp/lapsolve -n 64 -faults seed=3,drop=0.02 >$$tmp/solve-local.out; \
+	$$tmp/lapsolve -n 64 -faults seed=3,drop=0.02 \
+		-transport tcp,procs=4,bin=$$tmp/lapccnode | grep -v '^transport:' >$$tmp/solve-tcp.out; \
+	diff -u $$tmp/solve-local.out $$tmp/solve-tcp.out; \
 	echo "net-smoke: OK (tcp output byte-identical to local, with and without faults)"
 
 # Re-measure the per-backend delivery figures behind BENCH_net.json.

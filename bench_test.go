@@ -132,7 +132,7 @@ func BenchmarkE5MaxFlow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		led := rounds.New()
-		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, FastSolve: true})
+		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led})
 		if err != nil {
 			b.Fatal(err)
 		}

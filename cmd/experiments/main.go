@@ -19,9 +19,8 @@ import (
 	"time"
 
 	"lapcc/internal/cc"
+	"lapcc/internal/cli"
 	"lapcc/internal/experiments"
-	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/trace"
 )
 
@@ -57,24 +56,12 @@ func run(runFlag string, quick bool, trOut, trEv, faults, budget, debugAddr stri
 		fmt.Printf("faults: %s\n", plan)
 	}
 	if debugAddr != "" {
-		reg := metrics.NewRegistry()
-		cc.SetMetrics(reg)
-		linalg.SetMetrics(reg)
-		srv, err := metrics.StartDebugServer(debugAddr, reg)
+		d, err := cli.StartDebug(os.Stdout, debugAddr, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("debug: serving /metrics and /debug/pprof on http://%s\n", srv.Addr())
-		defer func() {
-			if debugHold > 0 {
-				fmt.Printf("debug: holding %s for scrapes of http://%s\n", debugHold, srv.Addr())
-				time.Sleep(debugHold)
-			}
-			srv.Close()
-			cc.SetMetrics(nil)
-			linalg.SetMetrics(nil)
-		}()
-		cfg.Metrics = reg
+		defer d.Stop(debugHold)
+		cfg.Metrics = d.Registry
 	}
 	if err := experiments.Configure(cfg); err != nil {
 		return err

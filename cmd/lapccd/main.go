@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"lapcc/internal/cc"
+	"lapcc/internal/cli"
 	"lapcc/internal/linalg"
 	"lapcc/internal/metrics"
 	"lapcc/internal/serve"
@@ -79,46 +80,35 @@ func run() error {
 		fl = trace.NewFlight(trace.DefaultFlightSize)
 		opts.Flight = fl
 	}
-	if *transportSpec != "" && *transportSpec != "local" {
-		var chaos *transport.ChaosPlan
-		if *chaosSpec != "" {
-			var err error
-			if chaos, err = transport.ParseChaosPlan(*chaosSpec); err != nil {
-				return err
-			}
-		}
-		bt, err := tcp.OpenWith(*transportSpec, chaos)
-		if err != nil {
-			return err
-		}
-		if bt != nil {
-			defer bt.Close()
-			opts.Transport = bt
-			fmt.Printf("lapccd: transport %s\n", *transportSpec)
-			if tt, ok := bt.(*tcp.Transport); ok {
-				tt.SetFlight(fl, *flightPath)
-				// /v1/stats and the lapcc_transport_* gauges snapshot the
-				// coordinator's recovery counters plus this process's
-				// chaos-injection counters.
-				opts.TransportStats = func() serve.TransportStats {
-					rec := tt.Recovery()
-					resets, partials, stalls := transport.ChaosCounters()
-					return serve.TransportStats{
-						Epoch:             tt.Epoch(),
-						Kills:             rec.Kills,
-						Restarts:          rec.Restarts,
-						Respawns:          rec.Respawns,
-						ReplayedBarriers:  rec.ReplayedBarriers,
-						HeartbeatFailures: rec.HeartbeatFailures,
-						ChaosResets:       resets,
-						ChaosPartials:     partials,
-						ChaosStalls:       stalls,
-					}
+	bt, _, err := cli.OpenTransport(*transportSpec, *chaosSpec)
+	if err != nil {
+		return err
+	}
+	if bt != nil {
+		defer bt.Close()
+		opts.Transport = bt
+		fmt.Printf("lapccd: transport %s\n", *transportSpec)
+		if tt, ok := bt.(*tcp.Transport); ok {
+			tt.SetFlight(fl, *flightPath)
+			// /v1/stats and the lapcc_transport_* gauges snapshot the
+			// coordinator's recovery counters plus this process's
+			// chaos-injection counters.
+			opts.TransportStats = func() serve.TransportStats {
+				rec := tt.Recovery()
+				resets, partials, stalls := transport.ChaosCounters()
+				return serve.TransportStats{
+					Epoch:             tt.Epoch(),
+					Kills:             rec.Kills,
+					Restarts:          rec.Restarts,
+					Respawns:          rec.Respawns,
+					ReplayedBarriers:  rec.ReplayedBarriers,
+					HeartbeatFailures: rec.HeartbeatFailures,
+					ChaosResets:       resets,
+					ChaosPartials:     partials,
+					ChaosStalls:       stalls,
 				}
 			}
 		}
-	} else if *chaosSpec != "" {
-		return fmt.Errorf("-chaos requires a tcp -transport")
 	}
 
 	srv := serve.New(opts)

@@ -53,7 +53,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	if err := serve.WaitReady(nil, *base, *wait); err != nil {
+	if err := serve.WaitReady(*base, *wait); err != nil {
 		return err
 	}
 	opts := serve.LoadOptions{

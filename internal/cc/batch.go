@@ -143,7 +143,7 @@ func routeBatched(n int, packets []Packet, ledger *rounds.Ledger, tag string, bu
 	defer s.release()
 	err := s.split(n, 0, packets)
 	if err == nil && len(s.units) == 1 && !s.units[0].split {
-		out, res := s.relay.routeCore(n, packets, ledger, tag, buf, true)
+		out, res := s.relay.routeCore(n, packets, s.srcCount, s.dstCount, ledger, tag, buf, true)
 		return out, res, nil
 	}
 	// Size the output once from the per-destination totals, replacing
@@ -159,7 +159,7 @@ func routeBatched(n int, packets []Packet, ledger *rounds.Ledger, tag string, bu
 	out := buf.output(n, total)
 	var agg RouteResult
 	for _, u := range s.units {
-		delivered, res := s.relay.routeCore(n, s.batch(u, packets), ledger, tag, &s.flushed, true)
+		delivered, res := s.relay.routeCore(n, s.batch(u, packets), nil, nil, ledger, tag, &s.flushed, true)
 		agg.add(res)
 		for d := 0; d < n; d++ {
 			out[d] = append(out[d], delivered[d]...)

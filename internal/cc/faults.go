@@ -32,11 +32,16 @@ type FaultPlan struct {
 	// deterministic value in 1..MaxDelay.
 	MaxDelay int
 	// MaxRetries bounds the retransmission waves of the reliable routing
-	// layer after the initial attempt (default 8). Net.Route returns
-	// ErrDeliveryFailed when packets remain undelivered after this many
-	// retries.
+	// layer after the initial attempt (default 8, at most 32).
+	// Net.Route returns ErrDeliveryFailed when packets remain undelivered
+	// after this many retries.
 	MaxRetries int
 }
+
+// maxRetriesLimit is the largest MaxRetries a valid plan may set. Wave w
+// waits 2^(w-1) backoff rounds, so the limit keeps the backoff charge far
+// from overflowing int64 and the wave count small.
+const maxRetriesLimit = 32
 
 // FaultStats counts the faults a plan injected into one reliable-delivery
 // call (ReliableResult.Faults).
@@ -64,7 +69,7 @@ func (s FaultStats) Total() int64 {
 }
 
 // ErrBadFaultPlan reports an invalid fault plan (rates outside [0,1] or
-// summing past 1).
+// summing past 1, or a negative or too large bound).
 var ErrBadFaultPlan = errors.New("cc: invalid fault plan")
 
 // ErrDeliveryFailed reports that the reliable routing layer exhausted its
@@ -87,8 +92,8 @@ func (p *FaultPlan) Validate() error {
 	if p.MaxDelay < 0 {
 		return fmt.Errorf("%w: MaxDelay %d", ErrBadFaultPlan, p.MaxDelay)
 	}
-	if p.MaxRetries < 0 {
-		return fmt.Errorf("%w: MaxRetries %d", ErrBadFaultPlan, p.MaxRetries)
+	if p.MaxRetries < 0 || p.MaxRetries > maxRetriesLimit {
+		return fmt.Errorf("%w: MaxRetries %d outside [0,%d]", ErrBadFaultPlan, p.MaxRetries, maxRetriesLimit)
 	}
 	return nil
 }

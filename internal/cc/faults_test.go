@@ -51,6 +51,7 @@ func TestFaultPlanValidate(t *testing.T) {
 		{Drop: 0.6, Delay: 0.6},
 		{MaxDelay: -1},
 		{MaxRetries: -2},
+		{Drop: 1, MaxRetries: 70},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); !errors.Is(err, ErrBadFaultPlan) {

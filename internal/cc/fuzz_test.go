@@ -148,3 +148,22 @@ func FuzzRouteRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseFaultPlan fuzzes the -faults spec parser: no input panics, and
+// every accepted plan passes Validate, so no spec reaches the reliable
+// layer with rates outside [0,1] or a retry bound that overflows its
+// backoff.
+func FuzzParseFaultPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFaultPlan(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadFaultPlan) {
+				t.Fatalf("ParseFaultPlan(%q): untyped error %v", spec, err)
+			}
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParseFaultPlan(%q) accepted an invalid plan %+v: %v", spec, p, err)
+		}
+	})
+}

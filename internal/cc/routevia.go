@@ -126,7 +126,12 @@ func (s *stepsScratch) charge(n, step int, packets []Packet, ledger *rounds.Ledg
 	err := s.split(n, step, packets)
 	var agg RouteResult
 	for _, u := range s.units[first:] {
-		_, res := s.relay.routeCore(n, s.batch(u, packets), ledger, tag, nil, false)
+		// A step that is one batch has its counts in split's counters.
+		var src, dst []int
+		if !u.split {
+			src, dst = s.srcCount, s.dstCount
+		}
+		_, res := s.relay.routeCore(n, s.batch(u, packets), src, dst, ledger, tag, nil, false)
 		agg.add(res)
 	}
 	return agg, err

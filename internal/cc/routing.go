@@ -145,15 +145,19 @@ func (s *routeScratch) dropPackets() {
 // output (a fresh one when buf is nil) in canonical order. Without it the
 // call only charges — the transport path, whose delivery the transport
 // rebuilds, skips the output layout, the append loop and the sort, and
-// gets a nil output.
-func (s *routeScratch) routeCore(n int, packets []Packet, ledger *rounds.Ledger, tag string, buf *RouteBuffer, build bool) ([][]Packet, RouteResult) {
+// gets a nil output. srcCount and dstCount are the batch's per-node
+// packet counts when the caller has them (split's, for a set that is one
+// batch); nil has routeCore count them.
+func (s *routeScratch) routeCore(n int, packets []Packet, srcCount, dstCount []int, ledger *rounds.Ledger, tag string, buf *RouteBuffer, build bool) ([][]Packet, RouteResult) {
 	defer s.dropPackets()
 	s.resize(n, len(packets))
 
-	srcCount, dstCount := s.srcCount, s.dstCount
-	for _, p := range packets {
-		srcCount[p.Src]++
-		dstCount[p.Dst]++
+	if srcCount == nil {
+		srcCount, dstCount = s.srcCount, s.dstCount
+		for _, p := range packets {
+			srcCount[p.Src]++
+			dstCount[p.Dst]++
+		}
 	}
 
 	// Phase 1 (1 round): source s relays its j-th packet to intermediate

@@ -352,8 +352,7 @@ type MaxFlowResult struct {
 func MaxFlowWith(dg *graph.DiGraph, s, t int, ro RunOptions) (*MaxFlowResult, error) {
 	led := rounds.New()
 	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{
-		Ledger: led, FastSolve: true,
-		Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
+		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -26,12 +26,12 @@ const cgStagnationWindow = 100
 // (Theorems 1.2 and 1.3) hold their support topology fixed for the entire
 // run and only change weights per iteration, which is precisely this shape.
 //
-// Two modes, matching the two solve paths the IPMs already had:
+// Two modes:
 //
 //   - internal (default): the support is solved with Jacobi-preconditioned
 //     CG as internal computation — zero measured rounds — and the *caller*
 //     charges the Theorem 1.1 round formula per solve, exactly as the
-//     FastSolve paths of maxflow/mcmf do. A cold-started session solve is
+//     maxflow and mcmf IPMs do. A cold-started session solve is
 //     bit-identical to building the support graph and Laplacian from
 //     scratch: same edge order, same degree summation order, same
 //     deterministic CG.

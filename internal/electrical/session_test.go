@@ -20,7 +20,7 @@ func sessionTestGraph(t *testing.T, n int, seed int64) *graph.Graph {
 
 // freshInternalSolve is the pre-session internal path: build the Laplacian
 // and the Jacobi-preconditioned CG solver from scratch, exactly as the
-// FastSolve IPM paths used to per iteration.
+// IPMs used to per iteration.
 func freshInternalSolve(t *testing.T, g *graph.Graph, b linalg.Vec, eps float64) linalg.Vec {
 	t.Helper()
 	solver := linalg.LaplacianCGSolver(linalg.NewLaplacian(g), eps)

@@ -404,7 +404,7 @@ func e5MaxFlow(w io.Writer, quick bool) error {
 func e5Row(w io.Writer, dg *graph.DiGraph) error {
 	s, t := 0, dg.N()-1
 	led := rounds.New()
-	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, FastSolve: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 	if err != nil {
 		return err
 	}
@@ -502,7 +502,7 @@ func e7Baselines(w io.Writer, quick bool) error {
 		dg := graph.LayeredDAG(3, 4, 2, u, 23)
 		s, t := 0, dg.N()-1
 		led := rounds.New()
-		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, FastSolve: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 		if err != nil {
 			return err
 		}
@@ -736,7 +736,7 @@ func e11Workloads(quick bool) []struct {
 		{"maxflow", func(tr *trace.Tracer) error {
 			dg := graph.LayeredDAG(3, 4, 2, 8, 17)
 			led := rounds.New()
-			_, err := maxflow.MaxFlow(dg, 0, dg.N()-1, maxflow.Options{Ledger: led, FastSolve: true, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			_, err := maxflow.MaxFlow(dg, 0, dg.N()-1, maxflow.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
 			return err
 		}},
 		{"mcmf", func(tr *trace.Tracer) error {

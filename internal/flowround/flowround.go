@@ -30,11 +30,6 @@ type Options struct {
 	// this call (see internal/trace); a nil tracer records nothing and
 	// costs nothing.
 	Trace *trace.Tracer
-	// EulerMode, if non-zero, selects the orientation marking strategy of
-	// each scaling level (defaults to euler.Deterministic).
-	EulerMode euler.Mode
-	// EulerSeed drives euler.Randomized markings.
-	EulerSeed int64
 	// Faults, if non-nil, injects the given fault plan into every network
 	// primitive of each level's Eulerian orientation; results are
 	// bit-identical to a fault-free run at a larger round cost.
@@ -180,8 +175,7 @@ func RoundWith(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts
 				}
 			}
 			orient, _, err := euler.Orient(g, dirCost, euler.Options{
-				Mode: opts.EulerMode, Seed: opts.EulerSeed, Ledger: led, Trace: tr,
-				Faults: opts.Faults, Transport: opts.Transport, Budget: opts.Budget, Metrics: opts.Metrics,
+				Ledger: led, Trace: tr, Faults: opts.Faults, Transport: opts.Transport, Budget: opts.Budget, Metrics: opts.Metrics,
 			})
 			if err != nil {
 				lsp.End()

@@ -9,11 +9,11 @@ import (
 )
 
 // The session/fresh-build pair behind BENCH_solver.json: the same full IPM
-// run (FastSolve path), differing only in whether each iteration's
-// electrical solve reuses the build-once session or rebuilds the support
-// graph and Laplacian from scratch. Charged rounds are identical by
-// construction (see TestMaxFlowSessionMatchesFreshBuild); the benchmark
-// isolates the wall-clock and allocation win.
+// run, differing only in whether each iteration's electrical solve reuses
+// the build-once session or rebuilds the support graph and Laplacian from
+// scratch. Charged rounds are identical by construction (see
+// TestMaxFlowSessionMatchesFreshBuild); the benchmark isolates the
+// wall-clock and allocation win.
 
 func benchIPMInstance() (*graph.DiGraph, int, int) {
 	return graph.RandomDiGraph(96, 800, 23, 1, 9), 0, 95
@@ -24,7 +24,7 @@ func benchIPM(b *testing.B, fresh bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := MaxFlow(dg, s, t, Options{FastSolve: true, FreshBuild: fresh})
+		res, err := MaxFlow(dg, s, t, Options{FreshBuild: fresh})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func BenchmarkIPMFreshBuild(b *testing.B) { benchIPM(b, true) }
 
 // The solve-sequence pair isolates exactly what the session layer replaces:
 // the per-iteration support-graph + Laplacian construction and electrical
-// solve. A real FastSolve run's (w, b) schedule is captured once through the
+// solve. A real run's (w, b) schedule is captured once through the
 // solveHook seam, then replayed through each path. The whole-run pair above
 // includes the one-time final rounding stage, which dominates wall clock and
 // masks the per-iteration win.
@@ -52,7 +52,7 @@ type solveCall struct {
 
 func captureSolveSequence(b *testing.B) (*ipmState, []solveCall) {
 	dg, s, t := benchIPMInstance()
-	opts := Options{FastSolve: true}
+	opts := Options{}
 	opts.defaults()
 	fstar, _, err := Dinic(dg, s, t)
 	if err != nil {
@@ -136,7 +136,7 @@ func BenchmarkIPMSolveSequenceSessionWarm(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, err := sess.Potentials(c.b, proto.opts.SolveEps, c.slot); err != nil {
+			if _, err := sess.Potentials(c.b, solveEps, c.slot); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,7 +9,7 @@ import (
 
 func newTestState(t *testing.T, dg *graph.DiGraph, s, tt int, fstar int64) *ipmState {
 	t.Helper()
-	st, err := newIPMState(dg, s, tt, fstar, Options{IterBudgetFactor: 8, SolveEps: 1e-10})
+	st, err := newIPMState(dg, s, tt, fstar, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"lapcc/internal/electrical"
 	"lapcc/internal/flowround"
 	"lapcc/internal/graph"
-	"lapcc/internal/lapsolver"
 	"lapcc/internal/linalg"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
@@ -17,43 +16,43 @@ import (
 	"lapcc/internal/trace"
 )
 
-// Options configures the interior-point max-flow path (Theorem 1.2).
+// The interior-point method's fixed parameters.
+const (
+	// iterBudgetFactor scales the m^{3/7} U^{1/7} iteration budget.
+	iterBudgetFactor = 8
+	// solveEps is the per-iteration Laplacian solve precision,
+	// Omega(1/poly m) as the proof requires.
+	solveEps = 1e-10
+)
+
+// Options configures the interior-point max-flow path (Theorem 1.2). The
+// per-iteration Laplacian systems are solved internally with CG, and each
+// solve charges the Theorem 1.1 round formula calibrated by a measured
+// sparsifier alpha.
 type Options struct {
 	// Ledger, if non-nil, receives round costs.
 	Ledger *rounds.Ledger
-	// FastSolve selects how the per-iteration Laplacian systems are solved:
-	// true solves internally with CG and charges the Theorem 1.1 round
-	// formula calibrated by a measured sparsifier alpha; false runs the
-	// full sparsifier + Chebyshev stack (measured rounds, slower
-	// wall-clock).
-	FastSolve bool
 	// FreshBuild restores the pre-session behavior: rebuild the support
 	// graph and solver from scratch on every solve instead of reweighting
 	// the build-once session. Kept as the benchmark baseline and the
 	// differential-test oracle; charged rounds are identical either way.
 	FreshBuild bool
-	// IterBudgetFactor scales the m^{3/7} U^{1/7} iteration budget
-	// (default 8).
-	IterBudgetFactor float64
-	// DisableBoosting turns off the Boosting step (ablation E5b).
+	// DisableBoosting turns off the Boosting step (the ablation that
+	// TestMaxFlowBoostingAblation runs).
 	DisableBoosting bool
-	// SolveEps is the per-iteration Laplacian solve precision
-	// (default 1e-10, i.e. Omega(1/poly m) as the proof requires).
-	SolveEps float64
 	// Trace, if non-nil, receives hierarchical span and cost events for
 	// this call (see internal/trace); a nil tracer records nothing and
 	// costs nothing.
 	Trace *trace.Tracer
 	// Faults, if non-nil, subjects every network primitive of the run —
-	// the Full-mode solver stack and the flow-rounding cascade — to the
-	// given fault plan, with delivery restored by the reliable
-	// retransmission layer. The flow is bit-identical to a fault-free run;
-	// only the round cost grows.
+	// those of the flow-rounding cascade — to the given fault plan, with
+	// delivery restored by the reliable retransmission layer. The flow is
+	// bit-identical to a fault-free run; only the round cost grows.
 	Faults *cc.FaultPlan
 	// Transport, if non-nil, physically carries every network primitive of
-	// the pipeline — the Full-mode solver stack and the flow-rounding
-	// cascade — through the given delivery backend (see cc.Transport); nil
-	// keeps the in-process path. The flow is bit-identical either way.
+	// the pipeline — those of the flow-rounding cascade — through the given
+	// delivery backend (see cc.Transport); nil keeps the in-process path.
+	// The flow is bit-identical either way.
 	Transport cc.Transport
 	// Budget, if non-nil, bounds the run: it is checked at every IPM
 	// iteration and propagated to the electrical session and the rounding
@@ -68,12 +67,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.IterBudgetFactor == 0 {
-		o.IterBudgetFactor = 8
-	}
-	if o.SolveEps == 0 {
-		o.SolveEps = 1e-10
-	}
 	o.Budget.BindIfUnbound(o.Ledger)
 }
 
@@ -266,7 +259,7 @@ func newIPMState(dg *graph.DiGraph, s, t int, fstar int64, opts Options) (*ipmSt
 	if st.eta < 0 {
 		st.eta = 0
 	}
-	iters := opts.IterBudgetFactor * math.Pow(float64(m), 0.5-st.eta) * math.Log(float64(m)*u+2)
+	iters := iterBudgetFactor * math.Pow(float64(m), 0.5-st.eta) * math.Log(float64(m)*u+2)
 	st.budget = int(math.Ceil(iters))
 	// Demand: original optimum plus the gadget shipping plus fully
 	// saturated preconditioners (backward, i.e. s->t through (t,s)).
@@ -275,18 +268,16 @@ func newIPMState(dg *graph.DiGraph, s, t int, fstar int64, opts Options) (*ipmSt
 
 	// Calibrate the charged-solve formula once with a real sparsifier of
 	// the support (internal measurement; see DESIGN.md).
-	if opts.FastSolve {
-		support := st.supportGraph(nil)
-		sres, err := sparsify.Sparsify(support, sparsify.Options{Metrics: opts.Metrics})
-		if err != nil {
-			return nil, fmt.Errorf("maxflow: calibrating solver charge: %w", err)
-		}
-		alpha, err := sparsify.MeasureAlpha(support, sres.H, 120)
-		if err != nil {
-			return nil, fmt.Errorf("maxflow: calibrating solver charge: %w", err)
-		}
-		st.alphaRef = alpha
+	support := st.supportGraph(nil)
+	sres, err := sparsify.Sparsify(support, sparsify.Options{Metrics: opts.Metrics})
+	if err != nil {
+		return nil, fmt.Errorf("maxflow: calibrating solver charge: %w", err)
 	}
+	alpha, err := sparsify.MeasureAlpha(support, sres.H, 120)
+	if err != nil {
+		return nil, fmt.Errorf("maxflow: calibrating solver charge: %w", err)
+	}
+	st.alphaRef = alpha
 	return st, nil
 }
 
@@ -321,14 +312,12 @@ func (st *ipmState) value() float64 {
 	return v
 }
 
-// solve runs one Laplacian solve on the current support, with either
-// measured (full stack) or charged (CG + Theorem 1.1 formula) rounds. The
-// default path reweights the build-once session; FreshBuild rebuilds
-// everything per solve (baseline/oracle). slot names the warm-start lane
-// ("aug" or "fix"); the two right-hand-side families must not clobber each
-// other's seeds. Charged rounds are identical on both paths: the FastSolve
-// formula is topology-calibrated, and the full-stack session replays its
-// recorded build schedule on reuse (see sparsify.Chain).
+// solve runs one Laplacian solve on the current support and charges the
+// Theorem 1.1 formula for it. The default path reweights the build-once
+// session; FreshBuild rebuilds everything per solve (baseline/oracle). slot
+// names the warm-start lane ("aug" or "fix"); the two right-hand-side
+// families must not clobber each other's seeds. Charged rounds are
+// identical on both paths: the formula is topology-calibrated.
 func (st *ipmState) solve(w []float64, b linalg.Vec, slot string) (linalg.Vec, error) {
 	if st.solveHook != nil {
 		st.solveHook(w, b, slot)
@@ -343,8 +332,8 @@ func (st *ipmState) solve(w []float64, b linalg.Vec, slot string) (linalg.Vec, e
 	if err != nil {
 		return nil, fmt.Errorf("maxflow: electrical solve: %w", err)
 	}
-	if st.opts.FastSolve && st.opts.Ledger != nil {
-		charge := int64(linalg.ChebyIterationBound(st.alphaRef*st.alphaRef, st.opts.SolveEps)) + 2
+	if st.opts.Ledger != nil {
+		charge := int64(linalg.ChebyIterationBound(st.alphaRef*st.alphaRef, solveEps)) + 2
 		st.opts.Ledger.Add("maxflow-lapsolve", rounds.Charged, charge,
 			"Thm 1.1 solver, n^{o(1)} log(U/eps) rounds (alpha measured)")
 	}
@@ -362,12 +351,7 @@ func (st *ipmState) sessionSolve(w []float64, b linalg.Vec, slot string) (linalg
 		// drift shifts the trajectory and with it the charged-round total.
 		// The session's win here is structural reuse; cold solves keep the
 		// path bit-identical to a fresh build every iteration.
-		opts := electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics}
-		if !st.opts.FastSolve {
-			opts.Full = true
-			opts.Solver = lapsolver.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport}
-		}
-		sess, err := electrical.NewSession(st.supportGraph(w), opts)
+		sess, err := electrical.NewSession(st.supportGraph(w), electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics})
 		if err != nil {
 			return nil, err
 		}
@@ -375,23 +359,14 @@ func (st *ipmState) sessionSolve(w []float64, b linalg.Vec, slot string) (linalg
 	} else if err := st.sess.Reweight(w); err != nil {
 		return nil, err
 	}
-	return st.sess.Potentials(b, st.opts.SolveEps, slot)
+	return st.sess.Potentials(b, solveEps, slot)
 }
 
-// solveFreshBaseline is the pre-session behavior: a fresh support graph,
-// Laplacian, and (full-stack) solver per solve. Kept for the wall-clock
-// benchmark baseline and as the differential-test oracle.
+// solveFreshBaseline is the pre-session behavior: a fresh support graph and
+// Laplacian per solve. Kept for the wall-clock benchmark baseline and as the
+// differential-test oracle.
 func (st *ipmState) solveFreshBaseline(w []float64, b linalg.Vec) (linalg.Vec, error) {
-	support := st.supportGraph(w)
-	if st.opts.FastSolve {
-		return linalg.LaplacianCGSolver(linalg.NewLaplacian(support), st.opts.SolveEps)(b)
-	}
-	solver, err := lapsolver.NewSolver(support, lapsolver.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Metrics: st.opts.Metrics})
-	if err != nil {
-		return nil, err
-	}
-	x, _, err := solver.Solve(b, st.opts.SolveEps)
-	return x, err
+	return linalg.LaplacianCGSolver(linalg.NewLaplacian(st.supportGraph(w)), solveEps)(b)
 }
 
 // run executes the progress loop (Algorithm 2 lines 6-18): Augmentation and

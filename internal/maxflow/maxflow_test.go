@@ -104,7 +104,7 @@ func TestMaxFlowIPMLayeredDAG(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	res, err := MaxFlow(dg, s, tt, Options{FastSolve: true, Ledger: led})
+	res, err := MaxFlow(dg, s, tt, Options{Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestMaxFlowIPMRandomDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MaxFlow(dg, s, tt, Options{FastSolve: true})
+	res, err := MaxFlow(dg, s, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestMaxFlowIPMRandomDirected(t *testing.T) {
 func TestMaxFlowZeroFlow(t *testing.T) {
 	dg := graph.NewDi(4)
 	dg.MustAddArc(1, 0, 5, 0) // only arc points away from t-side
-	res, err := MaxFlow(dg, 0, 3, Options{FastSolve: true})
+	res, err := MaxFlow(dg, 0, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMaxFlowUnitCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MaxFlow(dg, s, tt, Options{FastSolve: true})
+	res, err := MaxFlow(dg, s, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestMaxFlowUnitCapacities(t *testing.T) {
 func TestMaxFlowBoostingAblation(t *testing.T) {
 	dg := graph.LayeredDAG(3, 3, 2, 6, 51)
 	s, tt := 0, dg.N()-1
-	with, err := MaxFlow(dg, s, tt, Options{FastSolve: true})
+	with, err := MaxFlow(dg, s, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := MaxFlow(dg, s, tt, Options{FastSolve: true, DisableBoosting: true})
+	without, err := MaxFlow(dg, s, tt, Options{DisableBoosting: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestMaxFlowMatchesOracleProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := MaxFlow(dg, s, tt, Options{FastSolve: true})
+		res, err := MaxFlow(dg, s, tt, Options{})
 		if err != nil {
 			return false
 		}
@@ -232,7 +232,7 @@ func TestMaxFlowGridNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MaxFlow(dg, s, tt, Options{FastSolve: true})
+	res, err := MaxFlow(dg, s, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

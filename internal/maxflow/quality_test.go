@@ -17,7 +17,7 @@ func TestIPMConvergenceQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MaxFlow(dg, s, tt, Options{FastSolve: true})
+	res, err := MaxFlow(dg, s, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestIPMGadgetEncoding(t *testing.T) {
 	// Single arc s -> t with capacity 3: F* = 3.
 	dg := graph.NewDi(2)
 	dg.MustAddArc(0, 1, 3, 0)
-	res, err := MaxFlow(dg, 0, 1, Options{FastSolve: true})
+	res, err := MaxFlow(dg, 0, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,8 @@ func TestMaxFlowBudgetExhaustion(t *testing.T) {
 	dg := graph.LayeredDAG(3, 4, 2, 8, 21)
 	led := rounds.New()
 	_, err := MaxFlow(dg, 0, dg.N()-1, Options{
-		FastSolve: true,
-		Ledger:    led,
-		Budget:    rounds.NewBudget(1, 0),
+		Ledger: led,
+		Budget: rounds.NewBudget(1, 0),
 	})
 	if !errors.Is(err, rounds.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
@@ -37,15 +36,14 @@ func TestMaxFlowBudgetExhaustion(t *testing.T) {
 func TestMaxFlowBudgetAllowsCompletion(t *testing.T) {
 	dg := graph.LayeredDAG(3, 4, 2, 8, 21)
 	s, tt := 0, dg.N()-1
-	want, err := MaxFlow(dg, s, tt, Options{FastSolve: true})
+	want, err := MaxFlow(dg, s, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	led := rounds.New()
 	got, err := MaxFlow(dg, s, tt, Options{
-		FastSolve: true,
-		Ledger:    led,
-		Budget:    rounds.NewBudget(100_000_000, 0),
+		Ledger: led,
+		Budget: rounds.NewBudget(100_000_000, 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,12 +24,12 @@ func TestMaxFlowSessionMatchesFreshBuild(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sessLed := rounds.New()
-			sess, err := MaxFlow(tc.dg, tc.s, tc.t, Options{Ledger: sessLed, FastSolve: true})
+			sess, err := MaxFlow(tc.dg, tc.s, tc.t, Options{Ledger: sessLed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			freshLed := rounds.New()
-			fresh, err := MaxFlow(tc.dg, tc.s, tc.t, Options{Ledger: freshLed, FastSolve: true, FreshBuild: true})
+			fresh, err := MaxFlow(tc.dg, tc.s, tc.t, Options{Ledger: freshLed, FreshBuild: true})
 			if err != nil {
 				t.Fatal(err)
 			}

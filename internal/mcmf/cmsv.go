@@ -17,17 +17,19 @@ import (
 	"lapcc/internal/trace"
 )
 
+// The interior-point method's fixed parameters.
+const (
+	// budgetFactor scales the m^{3/7} polylog W Progress budget; the
+	// paper's c_T = 1200*sqrt(3) log^{4/3} W constant is a proof artifact.
+	budgetFactor = 2
+	// solveEps is the per-iteration Laplacian solve precision.
+	solveEps = 1e-10
+)
+
 // Options configures the Theorem 1.3 pipeline.
 type Options struct {
 	// Ledger, if non-nil, receives round costs.
 	Ledger *rounds.Ledger
-	// BudgetFactor scales the m^{3/7} polylog W Progress budget
-	// (default 2; the paper's c_T = 1200*sqrt(3) log^{4/3} W constant is a
-	// proof artifact).
-	BudgetFactor float64
-	// SolveEps is the per-iteration Laplacian solve precision
-	// (default 1e-10).
-	SolveEps float64
 	// FreshBuild restores the pre-session behavior: rebuild the support
 	// graph and Laplacian from scratch on every solve instead of
 	// reweighting the build-once session. Kept as the benchmark baseline
@@ -64,12 +66,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.BudgetFactor == 0 {
-		o.BudgetFactor = 2
-	}
-	if o.SolveEps == 0 {
-		o.SolveEps = 1e-10
-	}
 	o.Budget.BindIfUnbound(o.Ledger)
 }
 
@@ -291,7 +287,7 @@ func (st *cmsvState) solve(w []float64, b linalg.Vec, slot string) (linalg.Vec, 
 		lg := linalg.NewLaplacian(support)
 		rhs := linalg.NewVec(support.N())
 		copy(rhs, b)
-		x, err = linalg.LaplacianCGSolver(lg, st.opts.SolveEps)(rhs)
+		x, err = linalg.LaplacianCGSolver(lg, solveEps)(rhs)
 	} else {
 		x, err = st.sessionSolve(w, b, slot)
 	}
@@ -300,7 +296,7 @@ func (st *cmsvState) solve(w []float64, b linalg.Vec, slot string) (linalg.Vec, 
 	}
 	x = x[:st.l.nP+st.l.nQ]
 	if st.opts.Ledger != nil {
-		charge := int64(linalg.ChebyIterationBound(st.alphaRef*st.alphaRef, st.opts.SolveEps)) + 2
+		charge := int64(linalg.ChebyIterationBound(st.alphaRef*st.alphaRef, solveEps)) + 2
 		st.opts.Ledger.Add("mcmf-lapsolve", rounds.Charged, charge,
 			"Thm 1.1 solver, n^{o(1)} log(W/eps) rounds (alpha measured)")
 	}
@@ -329,7 +325,7 @@ func (st *cmsvState) sessionSolve(w []float64, b linalg.Vec, slot string) (linal
 	}
 	rhs := linalg.NewVec(st.sess.Graph().N())
 	copy(rhs, b)
-	return st.sess.Potentials(rhs, st.opts.SolveEps, slot)
+	return st.sess.Potentials(rhs, solveEps, slot)
 }
 
 // fillSessionWeights writes the current conductances into wFull in the
@@ -376,7 +372,7 @@ func (st *cmsvState) demandVec() linalg.Vec {
 func (st *cmsvState) run(res *Result) error {
 	m := float64(st.l.nQ)
 	w := math.Log(float64(st.l.dg.MaxCost()) + 2)
-	budget := int(math.Ceil(st.opts.BudgetFactor * math.Pow(m, 3.0/7.0) * w))
+	budget := int(math.Ceil(budgetFactor * math.Pow(m, 3.0/7.0) * w))
 	if budget < 4 {
 		budget = 4
 	}

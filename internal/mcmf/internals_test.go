@@ -118,7 +118,7 @@ func TestProgressMaintainsInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newCMSVState(l, Options{BudgetFactor: 2, SolveEps: 1e-10})
+	st := newCMSVState(l, Options{})
 	res := &Result{}
 	for iter := 0; iter < 10; iter++ {
 		if err := st.progress(res); err != nil {

@@ -143,3 +143,17 @@ func TestParseBudget(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseBudget fuzzes the -budget spec parser: no input panics, and
+// every accepted budget has non-negative round and wall limits.
+func FuzzParseBudget(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		b, err := ParseBudget(spec)
+		if err != nil || b == nil {
+			return
+		}
+		if b.MaxRounds < 0 || b.MaxWall < 0 {
+			t.Fatalf("ParseBudget(%q) accepted %d rounds, %v wall", spec, b.MaxRounds, b.MaxWall)
+		}
+	})
+}

@@ -11,14 +11,17 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"lapcc/internal/cc"
 	"lapcc/internal/core"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
 	"lapcc/internal/serve"
 	"lapcc/internal/trace"
+	"lapcc/internal/transport"
 )
 
 func startDaemon(t *testing.T, opts serve.Options) (*serve.Server, *httptest.Server) {
@@ -152,6 +155,57 @@ func TestSparsifyBitIdentical(t *testing.T) {
 		}
 		if got.Rounds.Total != want.Rounds.Total {
 			t.Fatalf("variant %d: rounds: daemon %+v != direct %+v", variant, got.Rounds, want.Rounds)
+		}
+	}
+}
+
+// deliverCounter is a transport that counts its Deliver calls.
+type deliverCounter struct {
+	cc.Transport
+	calls atomic.Int64
+}
+
+func (d *deliverCounter) Deliver(round, n int, out []cc.Outbox) ([][]cc.Message, cc.DeliveryStats, error) {
+	d.calls.Add(1)
+	return d.Transport.Deliver(round, n, out)
+}
+
+// TestSparsifyUsesTransport: the daemon's transport carries a sparsify
+// request's broadcasts, on a pool miss and on a traced request, and the
+// response body equals a no-transport daemon's byte for byte.
+func TestSparsifyUsesTransport(t *testing.T) {
+	tr := &deliverCounter{Transport: transport.NewMem()}
+	_, viaTS := startDaemon(t, serve.Options{Transport: tr})
+	_, plainTS := startDaemon(t, serve.Options{})
+	wg := serve.ToWireGraph(testGraph(t, 0))
+	body, err := json.Marshal(serve.SparsifyRequest{Graph: &wg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(url string) []byte {
+		t.Helper()
+		hr, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		data, err := io.ReadAll(hr.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hr.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, hr.StatusCode, data)
+		}
+		return data
+	}
+	for _, path := range []string{"/v1/sparsify", "/v1/sparsify?trace=1"} {
+		before := tr.calls.Load()
+		via := post(viaTS.URL + path)
+		if tr.calls.Load() == before {
+			t.Fatalf("%s: the daemon's transport saw no Deliver call", path)
+		}
+		if plain := post(plainTS.URL + path); !bytes.Equal(via, plain) {
+			t.Fatalf("%s: body over the transport differs:\n%s\nwithout:\n%s", path, via, plain)
 		}
 	}
 }

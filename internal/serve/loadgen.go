@@ -21,8 +21,6 @@ import (
 type LoadOptions struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Client is the HTTP client (http.DefaultClient if nil).
-	Client *http.Client
 	// Requests is the total request count across all ops (default 64).
 	Requests int
 	// Concurrency is the number of client workers (default 4).
@@ -59,9 +57,6 @@ type LoadOptions struct {
 }
 
 func (o *LoadOptions) defaults() {
-	if o.Client == nil {
-		o.Client = http.DefaultClient
-	}
 	if o.Requests <= 0 {
 		o.Requests = 64
 	}
@@ -264,7 +259,7 @@ func RunLoad(opts LoadOptions) (*LoadResult, error) {
 					url += "?trace=1"
 				}
 				start := time.Now()
-				pr := post(opts.Client, url, it.body, opts.ConnRetries, i)
+				pr := post(url, it.body, opts.ConnRetries, i)
 				lat := time.Since(start)
 				mu.Lock()
 				if traced {
@@ -345,9 +340,9 @@ type postResult struct {
 // restarting) are likewise absorbed up to connRetries times with
 // exponential backoff. Budget-exceeded 429s (and everything else non-200)
 // are real errors.
-func post(client *http.Client, url string, body []byte, connRetries, req int) (pr postResult) {
+func post(url string, body []byte, connRetries, req int) (pr postResult) {
 	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			if pr.conn >= connRetries {
 				return pr
@@ -456,13 +451,10 @@ func (r *LoadResult) NsMetrics() map[string]float64 {
 // WaitReady polls baseURL/healthz until it answers 200 or the timeout
 // elapses. cmd/loadgen uses it so `make serve-smoke` can start the daemon
 // and the generator back to back.
-func WaitReady(client *http.Client, baseURL string, timeout time.Duration) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
+func WaitReady(baseURL string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := client.Get(baseURL + "/healthz")
+		resp, err := http.Get(baseURL + "/healthz")
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()

@@ -14,6 +14,7 @@ import (
 
 	"lapcc/internal/cc"
 	"lapcc/internal/core"
+	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
@@ -366,74 +367,66 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, rc *reqCtx)
 		return
 	}
 
-	if rc.traced {
-		// A traced request bypasses the pool: a fresh cold session is the
-		// exact code path a pooled miss takes (no warm start, exact-only
-		// reuse), so the answer stays bit-identical to the untraced run
-		// while the per-request tracer observes every phase.
-		sess, err := core.NewLaplacianSession(g, core.SessionOptions{
-			Run:        s.run(budget, rc.tr),
-			ExactReuse: true,
-		})
-		if err != nil {
-			s.fail(w, rc, err)
-			return
-		}
-		s.poolHit(false)
-		resp := SolveResponse{Cached: false}
-		if !s.solveLanes(w, rc, sess, req.RHS, eps, &resp) {
-			return
-		}
-		after := sess.Rounds()
-		resp.Rounds = WireRounds{Total: after.Total, Measured: after.Measured, Charged: after.Charged}
-		resp.Trace = s.finishTrace(rc)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	e, _ := s.solve.acquire(g.Fingerprint())
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cached := e.built(g)
+	// A traced request bypasses the pool: a fresh session is the exact code
+	// path a pooled miss takes, so the answer stays bit-identical to the
+	// untraced run while the per-request tracer observes every phase.
+	var sess *core.LaplacianSession
 	var before core.RoundReport
-	if cached {
-		s.poolHit(true)
-		before = e.sess.Rounds()
-		e.sess.SetBudget(budget)
-		if err := e.sess.Reweight(g.Weights()); err != nil {
-			e.sess.SetBudget(nil)
+	cached := false
+	if rc.traced {
+		if sess, err = newSession(g, s.run(budget, rc.tr)); err != nil {
 			s.fail(w, rc, err)
 			return
 		}
-	} else {
 		s.poolHit(false)
-		// Pooled sessions run cold (no warm start) with exact-only chain
-		// reuse, so every response is bit-identical to a direct one-shot
-		// facade call — see the package comment.
-		sess, err := core.NewLaplacianSession(g, core.SessionOptions{
-			Run:        s.run(budget, nil),
-			ExactReuse: true,
-		})
-		if err != nil {
-			s.fail(w, rc, err)
-			return
+	} else {
+		e, _ := s.solve.acquire(g.Fingerprint())
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		cached = e.built(g)
+		if cached {
+			s.poolHit(true)
+			before = e.sess.Rounds()
+			e.sess.SetBudget(budget)
+			if err := e.sess.Reweight(g.Weights()); err != nil {
+				e.sess.SetBudget(nil)
+				s.fail(w, rc, err)
+				return
+			}
+		} else {
+			s.poolHit(false)
+			fresh, err := newSession(g, s.run(budget, nil))
+			if err != nil {
+				s.fail(w, rc, err)
+				return
+			}
+			e.sess, e.chain, e.led, e.guard = fresh, nil, nil, g
+			e.builds++
 		}
-		e.sess, e.chain, e.led, e.guard = sess, nil, nil, g
-		e.builds++
+		defer e.sess.SetBudget(nil)
+		sess = e.sess
 	}
-	defer e.sess.SetBudget(nil)
 
 	resp := SolveResponse{Cached: cached}
-	if !s.solveLanes(w, rc, e.sess, req.RHS, eps, &resp) {
+	if !s.solveLanes(w, rc, sess, req.RHS, eps, &resp) {
 		return
 	}
-	after := e.sess.Rounds()
+	after := sess.Rounds()
 	resp.Rounds = WireRounds{
 		Total:    after.Total - before.Total,
 		Measured: after.Measured - before.Measured,
 		Charged:  after.Charged - before.Charged,
 	}
+	resp.Trace = s.finishTrace(rc)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// newSession builds the solve op's session for g on run (Server.run), the
+// one constructor of a pooled miss and a traced request. Sessions run cold
+// (no warm start) with exact-only chain reuse, so every response is
+// bit-identical to a direct one-shot facade call — see the package comment.
+func newSession(g *graph.Graph, run core.RunOptions) (*core.LaplacianSession, error) {
+	return core.NewLaplacianSession(g, core.SessionOptions{Run: run, ExactReuse: true})
 }
 
 // solveLanes solves a request's right-hand sides with one SolveLanes call
@@ -473,77 +466,52 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqC
 		return
 	}
 
+	// As with solve: a traced request builds a fresh chain, exactly the
+	// pooled miss path, so tracing never perturbs the response bytes.
+	var chain *sparsify.Chain
+	var snap rounds.Snapshot
+	cached := false
 	if rc.traced {
-		// As with solve: a fresh exact-only chain is exactly the pooled
-		// miss path, so tracing never perturbs the response bytes.
 		led := rounds.New()
-		snap := rounds.Snap(led)
-		chain, err := sparsify.NewChain(g.Clone(), sparsify.ChainOptions{
-			ExactOnly: true,
-			Sparsify: sparsify.Options{
-				Ledger: led, Budget: budget, Metrics: s.reg, Trace: rc.tr,
-			},
-		})
-		if err != nil {
+		snap = rounds.Snap(led)
+		if chain, err = newChain(g, led, s.run(budget, rc.tr)); err != nil {
 			s.fail(w, rc, err)
 			return
 		}
 		s.poolHit(false)
-		alpha := 0.0
-		if g.IsConnected() {
-			alpha, err = sparsify.MeasureAlpha(g, chain.H(), 150)
+	} else {
+		e, _ := s.sparse.acquire(g.Fingerprint())
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		cached = e.built(g)
+		if cached {
+			s.poolHit(true)
+			snap = rounds.Snap(e.led)
+			e.chain.SetBudget(budget)
+			if _, err := e.chain.Reweight(g.Weights()); err != nil {
+				e.chain.SetBudget(nil)
+				s.fail(w, rc, err)
+				return
+			}
+		} else {
+			s.poolHit(false)
+			led := rounds.New()
+			snap = rounds.Snap(led)
+			fresh, err := newChain(g, led, s.run(budget, nil))
 			if err != nil {
 				s.fail(w, rc, err)
 				return
 			}
+			e.chain, e.led, e.sess, e.guard = fresh, led, nil, g
+			e.builds++
 		}
-		d := snap.Stats()
-		writeJSON(w, http.StatusOK, SparsifyResponse{
-			H:      ToWireGraph(chain.H()),
-			Alpha:  alpha,
-			Cached: false,
-			Rounds: WireRounds{Total: d.TotalRounds(), Measured: d.MeasuredRounds, Charged: d.ChargedRounds},
-			Trace:  s.finishTrace(rc),
-		})
-		return
+		defer e.chain.SetBudget(nil)
+		chain = e.chain
 	}
-
-	e, _ := s.sparse.acquire(g.Fingerprint())
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cached := e.built(g)
-	var snap rounds.Snapshot
-	if cached {
-		s.poolHit(true)
-		snap = rounds.Snap(e.led)
-		e.chain.SetBudget(budget)
-		if _, err := e.chain.Reweight(g.Weights()); err != nil {
-			e.chain.SetBudget(nil)
-			s.fail(w, rc, err)
-			return
-		}
-	} else {
-		s.poolHit(false)
-		led := rounds.New()
-		snap = rounds.Snap(led)
-		chain, err := sparsify.NewChain(g.Clone(), sparsify.ChainOptions{
-			ExactOnly: true,
-			Sparsify: sparsify.Options{
-				Ledger: led, Budget: budget, Metrics: s.reg,
-			},
-		})
-		if err != nil {
-			s.fail(w, rc, err)
-			return
-		}
-		e.chain, e.led, e.sess, e.guard = chain, led, nil, g
-		e.builds++
-	}
-	defer e.chain.SetBudget(nil)
 
 	alpha := 0.0
 	if g.IsConnected() {
-		alpha, err = sparsify.MeasureAlpha(g, e.chain.H(), 150)
+		alpha, err = sparsify.MeasureAlpha(g, chain.H(), 150)
 		if err != nil {
 			s.fail(w, rc, err)
 			return
@@ -551,10 +519,25 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqC
 	}
 	d := snap.Stats()
 	writeJSON(w, http.StatusOK, SparsifyResponse{
-		H:      ToWireGraph(e.chain.H()),
+		H:      ToWireGraph(chain.H()),
 		Alpha:  alpha,
 		Cached: cached,
 		Rounds: WireRounds{Total: d.TotalRounds(), Measured: d.MeasuredRounds, Charged: d.ChargedRounds},
+		Trace:  s.finishTrace(rc),
+	})
+}
+
+// newChain builds the sparsify op's exact-only chain on a copy of g, its
+// rounds on led and the rest of its run from run (Server.run: the daemon's
+// transport included): the one constructor of a pooled miss and a traced
+// request.
+func newChain(g *graph.Graph, led *rounds.Ledger, run core.RunOptions) (*sparsify.Chain, error) {
+	return sparsify.NewChain(g.Clone(), sparsify.ChainOptions{
+		ExactOnly: true,
+		Sparsify: sparsify.Options{
+			Ledger: led, Trace: run.Trace, Faults: run.Faults, Transport: run.Transport,
+			Budget: run.Budget, Metrics: run.Metrics,
+		},
 	})
 }
 

@@ -23,13 +23,17 @@ import (
 // and reweighted by 1/(q p_e). The round cost charged follows the [FV22]
 // polylog regime.
 
+// spectralEps is the randomized sparsifier's target spectral error; the
+// sample count is O(n log n / spectralEps²).
+const spectralEps = 0.5
+
+// sketchDim is the number of JL projections for an n-vertex graph.
+func sketchDim(n int) int {
+	return 4*int(math.Ceil(math.Log2(float64(n)+2))) + 8
+}
+
 // RandomOptions configures RandomizedSparsify.
 type RandomOptions struct {
-	// Eps is the target spectral error (default 0.5); the sample count is
-	// O(n log n / Eps^2).
-	Eps float64
-	// SketchDim is the number of JL projections (default 4*ceil(log2 n)+8).
-	SketchDim int
 	// Seed drives sampling; runs are reproducible per seed.
 	Seed int64
 	// Ledger, if non-nil, receives the round costs.
@@ -72,13 +76,7 @@ func RandomizedSparsify(g *graph.Graph, opts RandomOptions) (*Result, error) {
 	opts.Metrics.Counter("lapcc_sparsify_random_builds_total", "Randomized sparsifier builds.").Inc()
 	sp := opts.Trace.Start("sparsify-randomized")
 	defer sp.End()
-	if opts.Eps == 0 {
-		opts.Eps = 0.5
-	}
 	n := g.N()
-	if opts.SketchDim == 0 {
-		opts.SketchDim = 4*int(math.Ceil(math.Log2(float64(n)+2))) + 8
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	lg := linalg.NewLaplacian(g)
 	solve := linalg.LaplacianCGSolver(lg, 1e-10)
@@ -86,7 +84,7 @@ func RandomizedSparsify(g *graph.Graph, opts RandomOptions) (*Result, error) {
 	// JL sketch of the effective-resistance embedding: for each random
 	// +-1 edge vector r, solve L z = B^T W^{1/2} r; then
 	// R_eff(u,v) ~ sum_k (z_k[u] - z_k[v])^2 (all internal computation).
-	k := opts.SketchDim
+	k := sketchDim(n)
 	zs := make([]linalg.Vec, k)
 	for i := 0; i < k; i++ {
 		b := linalg.NewVec(n)
@@ -123,7 +121,7 @@ func RandomizedSparsify(g *graph.Graph, opts RandomOptions) (*Result, error) {
 	}
 
 	// Sample q = O(n log n / eps^2) edges with replacement, reweighted.
-	q := int(math.Ceil(4 * float64(n) * math.Log2(float64(n)+2) / (opts.Eps * opts.Eps)))
+	q := int(math.Ceil(4 * float64(n) * math.Log2(float64(n)+2) / (spectralEps * spectralEps)))
 	cum := make([]float64, g.M())
 	var acc float64
 	for id, e := range g.Edges() {

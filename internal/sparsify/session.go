@@ -24,7 +24,7 @@ import (
 //     approximation factor by alphaRef·sqrt(envelope), so the structure is
 //     still a certified preconditioner and is reused without measurement;
 //   - past the envelope bound, α is re-measured with the Lanczos pencil
-//     estimate; only when the measured α exceeds MaxAlpha does the chain
+//     estimate; only when the measured α exceeds maxAlpha does the chain
 //     fall back to a full rebuild.
 //
 // Reuse never changes *charged* rounds, only wall clock: every reuse
@@ -51,17 +51,6 @@ type ChainOptions struct {
 	// Sparsify configures the underlying builds (its Ledger and Trace are
 	// the chain's ledger and tracer).
 	Sparsify Options
-	// MaxAlpha is the α bound past which Reweight abandons the current
-	// structure and rebuilds (default 64; kappa = α² stays well under the
-	// solver's doubling cap).
-	MaxAlpha float64
-	// DriftBound is the cheap reuse certificate: while the multiplicative
-	// weight envelope max_i(w_i/wRef_i) / min_i(w_i/wRef_i) stays at or
-	// below it, the drifted α is bounded by alphaRef·sqrt(DriftBound)
-	// without any measurement (default 16).
-	DriftBound float64
-	// LanczosK is the Krylov dimension of the α re-measurement (default 40).
-	LanczosK int
 	// ExactOnly restricts Reweight to tier-1 reuse: the structure is kept
 	// only when the class partition is unchanged — where a fresh rebuild
 	// would be bit-identical — and every other reweight rebuilds. This
@@ -72,17 +61,20 @@ type ChainOptions struct {
 	ExactOnly bool
 }
 
-func (o *ChainOptions) defaults() {
-	if o.MaxAlpha == 0 {
-		o.MaxAlpha = 64
-	}
-	if o.DriftBound == 0 {
-		o.DriftBound = 16
-	}
-	if o.LanczosK == 0 {
-		o.LanczosK = 40
-	}
-}
+// Reweight's reuse policy.
+const (
+	// maxAlpha is the α bound past which Reweight abandons the current
+	// structure and rebuilds; kappa = α² stays well under the solver's
+	// doubling cap.
+	maxAlpha = 64
+	// driftBound is the cheap reuse certificate: while the multiplicative
+	// weight envelope max_i(w_i/wRef_i) / min_i(w_i/wRef_i) stays at or
+	// below it, the drifted α is bounded by alphaRef·sqrt(driftBound)
+	// without any measurement.
+	driftBound = 16
+	// lanczosK is the Krylov dimension of the α re-measurement.
+	lanczosK = 40
+)
 
 // ChainStats counts what Reweight did over the chain's lifetime.
 type ChainStats struct {
@@ -103,7 +95,6 @@ type ChainStats struct {
 // needed for reuse. The chain takes ownership of g: the caller must not
 // mutate it afterwards and must route all weight changes through Reweight.
 func NewChain(g *graph.Graph, opts ChainOptions) (*Chain, error) {
-	opts.defaults()
 	c := &Chain{g: g, opts: opts, n: g.N()}
 	if err := c.build(); err != nil {
 		return nil, err
@@ -189,12 +180,9 @@ func (c *Chain) replayCharges() {
 	if led == nil {
 		return
 	}
-	// Mirror Options.defaults: Eps/Gamma as the build used them.
-	o := c.opts.Sparsify
-	o.defaults(c.g.M())
 	for lv := 0; lv < c.levels; lv++ {
 		led.Add("sparsify-decomp", rounds.Charged,
-			rounds.ExpanderDecompRounds(c.n, o.Eps, o.Gamma), rounds.CiteCS20)
+			rounds.ExpanderDecompRounds(c.n, levelEps, gamma), rounds.CiteCS20)
 		led.Add("sparsify-bcast", rounds.Measured, 1, "all-to-all broadcast, 1 round")
 	}
 }
@@ -273,7 +261,7 @@ func (c *Chain) Reweight(w []float64) (bool, error) {
 	if base == 0 {
 		base = 1
 	}
-	if env <= c.opts.DriftBound && base*math.Sqrt(env) <= c.opts.MaxAlpha {
+	if env <= driftBound && base*math.Sqrt(env) <= maxAlpha {
 		c.stats.DriftReuses++
 		c.replayCharges()
 		return true, nil
@@ -281,11 +269,11 @@ func (c *Chain) Reweight(w []float64) (bool, error) {
 
 	// Tier 3: the cheap certificate tripped — re-measure α against the
 	// current weights with the Lanczos pencil estimate, and keep the
-	// structure only if it is still a MaxAlpha-quality preconditioner.
+	// structure only if it is still a maxAlpha-quality preconditioner.
 	if c.g.IsConnected() && c.res.H.IsConnected() {
 		c.stats.Remeasures++
-		alpha, err := MeasureAlphaLanczos(c.g, c.res.H, c.opts.LanczosK)
-		if err == nil && alpha <= c.opts.MaxAlpha {
+		alpha, err := MeasureAlphaLanczos(c.g, c.res.H, lanczosK)
+		if err == nil && alpha <= maxAlpha {
 			c.alphaRef = alpha
 			c.wRef = c.g.Weights()
 			c.stats.DriftReuses++

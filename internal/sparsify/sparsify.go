@@ -45,22 +45,28 @@ import (
 	"lapcc/internal/trace"
 )
 
+// The construction's fixed parameters.
+const (
+	// levelEps is the per-level fraction of crossing edges, 1/2 as in the
+	// paper's proof of Theorem 3.3.
+	levelEps = 0.5
+	// gamma is the CS20 round-cost exponent n^O(gamma) charged per
+	// decomposition: 1/r² for r = 2 in Theorem 3.3.
+	gamma = 0.25
+	// smallPartCutoff: parts of at most this many vertices keep their exact
+	// product demand graph instead of the expander-sparsified version.
+	smallPartCutoff = 32
+)
+
+// maxLevels caps the decomposition levels of each weight class of an
+// m-edge graph; the edges left after it are copied verbatim, which is
+// always spectrally safe.
+func maxLevels(m int) int {
+	return 2*int(math.Ceil(math.Log2(float64(m+2)))) + 6
+}
+
 // Options configures Sparsify.
 type Options struct {
-	// Eps is the per-level fraction of crossing edges (default 1/2, as in
-	// the paper's proof of Theorem 3.3).
-	Eps float64
-	// Gamma is the CS20 round-cost exponent n^O(gamma) charged per
-	// decomposition (default 0.25, i.e. r = 2 in Theorem 3.3).
-	Gamma float64
-	// SmallPartCutoff: parts of at most this many vertices keep their exact
-	// product demand graph instead of the expander-sparsified version
-	// (default 32).
-	SmallPartCutoff int
-	// MaxLevels caps the number of decomposition levels (default
-	// 2*log2(m)+6); remaining edges are then copied verbatim, which is
-	// always spectrally safe.
-	MaxLevels int
 	// Ledger, if non-nil, receives the round costs.
 	Ledger *rounds.Ledger
 	// Trace, if non-nil, receives hierarchical span and cost events for
@@ -92,21 +98,6 @@ type Options struct {
 	Workers int
 }
 
-func (o *Options) defaults(m int) {
-	if o.Eps == 0 {
-		o.Eps = 0.5
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 0.25
-	}
-	if o.SmallPartCutoff == 0 {
-		o.SmallPartCutoff = 32
-	}
-	if o.MaxLevels == 0 {
-		o.MaxLevels = 2*int(math.Ceil(math.Log2(float64(m+2)))) + 6
-	}
-}
-
 // Result is the output of Sparsify.
 type Result struct {
 	// H is the sparsifier; it spans the same vertex set as the input.
@@ -117,8 +108,8 @@ type Result struct {
 	// Parts is the total number of certified expander parts across all
 	// levels and classes.
 	Parts int
-	// LeftoverEdges counts input edges copied verbatim when MaxLevels was
-	// reached (0 in healthy runs).
+	// LeftoverEdges counts input edges copied verbatim when the level cap
+	// was reached (0 in healthy runs).
 	LeftoverEdges int
 }
 
@@ -133,7 +124,6 @@ func Sparsify(g *graph.Graph, opts Options) (*Result, error) {
 	if g.M() == 0 {
 		return nil, ErrEmptyGraph
 	}
-	opts.defaults(g.M())
 	opts.Trace.Attach(opts.Ledger)
 	opts.Metrics.MirrorLedger(opts.Ledger)
 	sp := opts.Trace.Start("sparsify")
@@ -197,7 +187,7 @@ type levelOutcome struct {
 // each level is one trace span with a single entry and exit.
 func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts Options, res *Result) levelOutcome {
 	cur := *curp
-	if level >= opts.MaxLevels {
+	if level >= maxLevels(g.M()) {
 		// Safety valve: copy the few remaining edges verbatim. A
 		// subgraph copied at original weight only helps the sandwich.
 		for _, id := range cur {
@@ -219,14 +209,14 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 	if err != nil {
 		return levelOutcome{err: err}
 	}
-	phi := expander.PhiForEps(opts.Eps, lv.M())
+	phi := expander.PhiForEps(levelEps, lv.M())
 	dec, err := expander.Decompose(lv, phi)
 	if err != nil {
 		return levelOutcome{err: err}
 	}
 	if opts.Ledger != nil {
 		opts.Ledger.Add("sparsify-decomp", rounds.Charged,
-			rounds.ExpanderDecompRounds(g.N(), opts.Eps, opts.Gamma), rounds.CiteCS20)
+			rounds.ExpanderDecompRounds(g.N(), levelEps, gamma), rounds.CiteCS20)
 		// One broadcast round: every node announces its part id and
 		// degree, making the product demand graphs globally known. Under a
 		// fault plan the reliable layer retransmits until the values are
@@ -236,8 +226,8 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 			return levelOutcome{err: err}
 		}
 	}
-	if frac := dec.CrossingFraction(lv.M()); frac > opts.Eps {
-		return levelOutcome{err: fmt.Errorf("crossing fraction %.3f exceeds eps %.3f at level %d", frac, opts.Eps, level)}
+	if frac := dec.CrossingFraction(lv.M()); frac > levelEps {
+		return levelOutcome{err: fmt.Errorf("crossing fraction %.3f exceeds eps %.3f at level %d", frac, levelEps, level)}
 	}
 
 	// Each certified part adds its product-demand piece to H, in part order.
@@ -253,7 +243,7 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 			continue
 		}
 		res.Parts++
-		productDemandSparsifier(res.H, sub, orig, scale, opts.SmallPartCutoff)
+		productDemandSparsifier(res.H, sub, orig, scale)
 	}
 
 	*curp = dec.Crossing
@@ -263,10 +253,10 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 // productDemandSparsifier adds to h a sparse deterministic approximation
 // of the product demand graph H(d) of sub, where d is sub's (unweighted)
 // degree vector and edge {u,v} has weight d_u*d_v/vol, scaled by scale.
-// Vertex u of sub is vertex orig[u] of h. Parts up to cutoff vertices get
-// the exact product demand graph; larger parts get the bucketed
-// weighted-expander construction.
-func productDemandSparsifier(h, sub *graph.Graph, orig []int, scale float64, cutoff int) {
+// Vertex u of sub is vertex orig[u] of h. Parts up to smallPartCutoff
+// vertices get the exact product demand graph; larger parts get the
+// bucketed weighted-expander construction.
+func productDemandSparsifier(h, sub *graph.Graph, orig []int, scale float64) {
 	k := sub.N()
 	vol := float64(2 * sub.M())
 	deg := make([]float64, k)
@@ -281,7 +271,7 @@ func productDemandSparsifier(h, sub *graph.Graph, orig []int, scale float64, cut
 	if len(support) < 2 {
 		return
 	}
-	if len(support) <= cutoff {
+	if len(support) <= smallPartCutoff {
 		for i := 0; i < len(support); i++ {
 			for j := i + 1; j < len(support); j++ {
 				u, v := support[i], support[j]

@@ -20,7 +20,7 @@ func TestSparsifyRejectsEmpty(t *testing.T) {
 // TestSparsifyMultiPartEdgeDigest pins H edge for edge, in order and to
 // the bit, on a weighted two-cluster graph whose decomposition certifies
 // more parts than it runs levels, so at least one level merges two or more
-// product-demand pieces into H, and parts above SmallPartCutoff take the
+// product-demand pieces into H, and parts above smallPartCutoff take the
 // bucketed construction. The digest is a golden value: any change to the
 // pieces' edges, their order or their weights' bits fails here.
 func TestSparsifyMultiPartEdgeDigest(t *testing.T) {

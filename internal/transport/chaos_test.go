@@ -170,3 +170,29 @@ func TestChaosWrapConnPassthrough(t *testing.T) {
 		t.Fatalf("KillsAt(2) = %v", kills)
 	}
 }
+
+// FuzzParseChaosPlan fuzzes the -chaos spec parser: no input panics, every
+// accepted plan passes Validate, and it re-parses from its String() to an
+// equal plan, the form in which the coordinator hands it to spawned
+// workers.
+func FuzzParseChaosPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseChaosPlan(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadChaosPlan) {
+				t.Fatalf("ParseChaosPlan(%q): untyped error %v", spec, err)
+			}
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParseChaosPlan(%q) accepted an invalid plan %+v: %v", spec, p, err)
+		}
+		q, err := ParseChaosPlan(p.String())
+		if err != nil {
+			t.Fatalf("re-parsing %q (from %q): %v", p.String(), spec, err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("ParseChaosPlan(%q) = %+v, but its String %q re-parses to %+v", spec, p, p.String(), q)
+		}
+	})
+}

@@ -87,9 +87,6 @@ type Options struct {
 	// DialTimeout bounds every worker-side dial (coordinator and mesh
 	// peers) and the worker's mesh accept window (default 10s).
 	DialTimeout time.Duration
-	// AcceptTimeout bounds the coordinator's mesh bootstrap: all workers
-	// must connect and report ready within it (default 30s).
-	AcceptTimeout time.Duration
 
 	// Supervise enables crash recovery: worker death is detected
 	// (heartbeat between barriers, connection errors and BarrierTimeout
@@ -98,9 +95,6 @@ type Options struct {
 	// worker fails the run, as a transport error (the pre-supervision
 	// behavior).
 	Supervise bool
-	// MaxRestarts bounds mesh restarts per barrier when supervising
-	// (default 3).
-	MaxRestarts int
 	// BarrierTimeout is the per-attempt deadline on every coordinator
 	// connection during a barrier, so a hung worker or a stalled mesh
 	// connection fails the attempt instead of stalling the coordinator
@@ -128,12 +122,6 @@ func (o *Options) defaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second
 	}
-	if o.AcceptTimeout <= 0 {
-		o.AcceptTimeout = 30 * time.Second
-	}
-	if o.MaxRestarts <= 0 {
-		o.MaxRestarts = 3
-	}
 	if o.Supervise {
 		if o.BarrierTimeout <= 0 {
 			o.BarrierTimeout = 60 * time.Second
@@ -143,6 +131,14 @@ func (o *Options) defaults() {
 		}
 	}
 }
+
+const (
+	// acceptTimeout bounds the coordinator's mesh bootstrap: all workers
+	// must connect and report ready within it.
+	acceptTimeout = 30 * time.Second
+	// maxRestarts bounds mesh restarts per barrier when supervising.
+	maxRestarts = 3
+)
 
 // owner maps a logical clique node to its worker process.
 func owner(v int32, procs int) int32 { return v % int32(procs) }
@@ -358,7 +354,7 @@ func (t *Transport) bootstrap() error {
 	t.rds = make([]*transport.Reader, t.procs)
 	brs := make([]*bufio.Reader, t.procs)
 	addrs := make([]string, t.procs)
-	deadline := time.Now().Add(t.opts.AcceptTimeout)
+	deadline := time.Now().Add(acceptTimeout)
 	for i := 0; i < t.procs; i++ {
 		if l, ok := t.ln.(*net.TCPListener); ok {
 			l.SetDeadline(deadline)
@@ -533,7 +529,7 @@ func (t *Transport) splitSends(n int, out []cc.Outbox) (total int, err error) {
 // which advances only when the barrier commits — a supervised replay reuses
 // the same sequence number. Under Options.Supervise a failed attempt tears
 // the mesh down, respawns the workers, and replays the barrier, up to
-// MaxRestarts times.
+// maxRestarts times.
 func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.DeliveryStats, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -605,10 +601,10 @@ func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.D
 		if !t.opts.Supervise {
 			return nil, cc.DeliveryStats{}, lastErr
 		}
-		if attempt >= t.opts.MaxRestarts {
+		if attempt >= maxRestarts {
 			t.flight.Record(trace.FlightEvent{Kind: "unrecoverable", Barrier: rc, Epoch: t.epoch, Node: -1, Detail: lastErr.Error()})
 			t.dumpFlight()
-			return nil, cc.DeliveryStats{}, fmt.Errorf("tcp: barrier %d failed after %d mesh restarts: %w", rc, t.opts.MaxRestarts, lastErr)
+			return nil, cc.DeliveryStats{}, fmt.Errorf("tcp: barrier %d failed after %d mesh restarts: %w", rc, maxRestarts, lastErr)
 		}
 		fmt.Fprintf(t.opts.Stderr, "tcp: barrier %d attempt %d failed: %v\n", rc, attempt, lastErr)
 	}

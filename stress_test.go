@@ -76,7 +76,7 @@ func TestStressMaxFlowWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := maxflow.MaxFlow(dg, s, tt, maxflow.Options{FastSolve: true})
+	res, err := maxflow.MaxFlow(dg, s, tt, maxflow.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
