@@ -59,6 +59,24 @@ func goldenCases() []goldenCase {
 		return sigma
 	}
 	rr64, rr128 := regular(64, 1), regular(128, 2)
+	// Four weight classes: edge i weighs 2^(i mod 4), so the sparsifier
+	// runs one level loop per class.
+	classes4 := func(t *testing.T) *graph.Graph {
+		g := regular(128, 1)(t)
+		for i := 0; i < g.M(); i++ {
+			if err := g.SetWeight(i, math.Ldexp(1, i%4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	rhs := func(n int) linalg.Vec {
+		b := linalg.NewVec(n)
+		for i := range b {
+			b[i] = float64(i) - float64(n-1)/2
+		}
+		return b
+	}
 	cases := []goldenCase{
 		{"orient RandomRegular(64,6)", func(t *testing.T) core.Request {
 			return core.Request{Op: core.OpOrient, Graph: rr64(t)}
@@ -76,11 +94,24 @@ func goldenCases() []goldenCase {
 		}},
 		{"solve RandomRegular(128,6)", func(t *testing.T) core.Request {
 			g := rr128(t)
-			b := linalg.NewVec(g.N())
-			for i := range b {
-				b[i] = float64(i) - float64(g.N()-1)/2
-			}
-			return core.Request{Op: core.OpSolve, Graph: g, Args: core.Args{B: b, Eps: 1e-8}}
+			return core.Request{Op: core.OpSolve, Graph: g, Args: core.Args{B: rhs(g.N()), Eps: 1e-8}}
+		}},
+		{"roundflow two paths", func(t *testing.T) core.Request {
+			dg := graph.NewDi(4)
+			dg.MustAddArc(0, 1, 4, 1)
+			dg.MustAddArc(1, 3, 4, 1)
+			dg.MustAddArc(0, 2, 4, 5)
+			dg.MustAddArc(2, 3, 4, 5)
+			return core.Request{Op: core.OpRoundFlow, DiGraph: dg, Args: core.Args{
+				Source: 0, Sink: 3, Flow: []float64{0.625, 0.625, 0.375, 0.375}, Delta: 1.0 / 8, UseCosts: true,
+			}}
+		}},
+		{"sparsify RandomRegular(128,6) four weight classes", func(t *testing.T) core.Request {
+			return core.Request{Op: core.OpSparsify, Graph: classes4(t)}
+		}},
+		{"solve RandomRegular(128,6) four weight classes", func(t *testing.T) core.Request {
+			g := classes4(t)
+			return core.Request{Op: core.OpSolve, Graph: g, Args: core.Args{B: rhs(g.N()), Eps: 1e-8}}
 		}},
 	}
 	// The four fault workloads of BENCH_faults.json, clean and under their
@@ -168,6 +199,8 @@ func answerDigest(resp *core.Response) string {
 				h.Write([]byte{0})
 			}
 		}
+	case resp.RoundedFlow != nil:
+		ints(resp.RoundedFlow.Flow)
 	case resp.MaxFlow != nil:
 		word(uint64(resp.MaxFlow.Value))
 		ints(resp.MaxFlow.Flow)
