@@ -19,6 +19,7 @@ import (
 	"lapcc/internal/maxflow"
 	"lapcc/internal/mcmf"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
 )
 
@@ -53,7 +54,7 @@ func BenchmarkE2LaplacianSolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	led := rounds.New()
-	s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led})
+	s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: runenv.Env{Ledger: led}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func BenchmarkE3Eulerian(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		led := rounds.New()
-		if _, _, err := euler.Orient(g, nil, euler.Options{Ledger: led}); err != nil {
+		if _, _, err := euler.Orient(g, nil, euler.Options{Env: runenv.Env{Ledger: led}}); err != nil {
 			b.Fatal(err)
 		}
 		lastRounds = led.Total()
@@ -115,7 +116,7 @@ func BenchmarkE4FlowRounding(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		led := rounds.New()
-		if _, err := flowround.Round(dg, flows, 0, 23, delta, false, led); err != nil {
+		if _, err := flowround.Round(dg, flows, 0, 23, delta, false, runenv.Env{Ledger: led}); err != nil {
 			b.Fatal(err)
 		}
 		lastRounds = led.Total()
@@ -132,7 +133,7 @@ func BenchmarkE5MaxFlow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		led := rounds.New()
-		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led})
+		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Env: runenv.Env{Ledger: led}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func BenchmarkE6MinCostFlow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		led := rounds.New()
-		res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Ledger: led})
+		res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Env: runenv.Env{Ledger: led}})
 		if err != nil {
 			b.Fatal(err)
 		}

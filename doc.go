@@ -32,21 +32,17 @@
 // across backends, and `make check` runs the simulator's test suite under
 // the race detector.
 //
-// # Tracing convention
+// # The run value
 //
-// Every algorithm layer's Options struct carries the same optional field
-// with the same doc comment:
-//
-//	// Trace, if non-nil, receives hierarchical span and cost events for
-//	// this call (see internal/trace); a nil tracer records nothing and
-//	// costs nothing.
-//	Trace *trace.Tracer
-//
-// Entry points attach the tracer to their ledger (trace.Tracer.Attach) and
-// open named spans around their phases, so ledger costs recorded anywhere
-// below are attributed to the innermost open span. Layers that wrap other
-// layers forward the tracer through the nested Options. Because every
-// tracer method is safe on a nil receiver, call sites thread the field
+// A run's ledger, tracer, fault plan, transport, budget and metrics
+// registry travel as one value, runenv.Env, which every solver's Options
+// embeds (sparsify.Options is the value itself). Each public entry point
+// calls Env.Bind once — attaching the tracer and the metrics mirror to the
+// ledger and binding the budget unless the caller already did — and hands
+// the whole run to the layers it calls, so ledger costs recorded anywhere
+// below are attributed to the innermost open span. core.RunOptions.Env
+// builds the value for the facade. Because every tracer, registry and
+// budget method is safe on a nil receiver, call sites use the fields
 // unconditionally — a disabled trace is a nil pointer, costs nothing, and
 // allocates nothing. Results embed rounds.Stats (measured/charged rounds,
 // wall time, span count) for the same call window. See internal/trace for

@@ -13,6 +13,7 @@ import (
 	"lapcc/internal/electrical"
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func run() error {
 	center := (rows/2)*cols + cols/2
 
 	led := rounds.New()
-	nw, err := electrical.NewNetwork(g, electrical.Options{Ledger: led})
+	nw, err := electrical.NewNetwork(g, runenv.Env{Ledger: led})
 	if err != nil {
 		return err
 	}

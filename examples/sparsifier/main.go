@@ -13,6 +13,7 @@ import (
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
 )
 
@@ -40,7 +41,7 @@ func run() error {
 		det.H.M(), detAlpha, detLed.Total(), det.Levels, det.Parts)
 
 	rndLed := rounds.New()
-	rnd, err := sparsify.RandomizedSparsify(g, sparsify.RandomOptions{Seed: 1, Ledger: rndLed})
+	rnd, err := sparsify.RandomizedSparsify(g, sparsify.RandomOptions{Seed: 1, Env: runenv.Env{Ledger: rndLed}})
 	if err != nil {
 		return err
 	}

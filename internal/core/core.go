@@ -32,6 +32,7 @@ import (
 	"lapcc/internal/mcmf"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
 	"lapcc/internal/trace"
 )
@@ -68,6 +69,11 @@ type RunOptions struct {
 	// Deprecated: it has no effect and is kept only because the benchmark
 	// module (bench/replay.go) still reads it.
 	Workers int
+}
+
+// Env returns the run these options describe, recording into led.
+func (ro RunOptions) Env(led *rounds.Ledger) runenv.Env {
+	return runenv.Env{Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics}
 }
 
 // RoundReport summarizes where an algorithm's congested-clique rounds went.
@@ -107,9 +113,7 @@ type LaplacianResult struct {
 // positive edge weights.
 func SolveLaplacianWith(g *graph.Graph, b linalg.Vec, eps float64, ro RunOptions) (*LaplacianResult, error) {
 	led := rounds.New()
-	s, err := lapsolver.NewSolver(g, lapsolver.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-	})
+	s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: ro.Env(led)})
 	if err != nil {
 		return nil, err
 	}
@@ -159,13 +163,8 @@ type LaplacianSession struct {
 // given session options. g must be connected with positive edge weights; the
 // session takes a private copy.
 func NewLaplacianSession(g *graph.Graph, so SessionOptions) (*LaplacianSession, error) {
-	ro := so.Run
 	led := rounds.New()
-	s, err := lapsolver.NewSolver(g, lapsolver.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-		WarmStart: so.Warm,
-		Chain:     sparsify.ChainOptions{ExactOnly: so.ExactReuse},
-	})
+	s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: so.Run.Env(led), WarmStart: so.Warm, ExactReuse: so.ExactReuse})
 	if err != nil {
 		return nil, err
 	}
@@ -257,9 +256,7 @@ type SparsifyResult struct {
 // under the given run options and measures its approximation factor.
 func SparsifyWith(g *graph.Graph, ro RunOptions) (*SparsifyResult, error) {
 	led := rounds.New()
-	res, err := sparsify.Sparsify(g, sparsify.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-	})
+	res, err := sparsify.Sparsify(g, ro.Env(led))
 	if err != nil {
 		return nil, err
 	}
@@ -287,9 +284,7 @@ type EulerianResult struct {
 // options.
 func EulerianOrientWith(g *graph.Graph, ro RunOptions) (*EulerianResult, error) {
 	led := rounds.New()
-	orient, st, err := euler.Orient(g, nil, euler.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-	})
+	orient, st, err := euler.Orient(g, nil, euler.Options{Env: ro.Env(led)})
 	if err != nil {
 		return nil, err
 	}
@@ -326,9 +321,7 @@ type RoundFlowResult struct {
 // under the given run options.
 func RoundFlowWith(req RoundFlowRequest, ro RunOptions) (*RoundFlowResult, error) {
 	led := rounds.New()
-	out, err := flowround.RoundWith(req.Graph, req.Flow, req.Source, req.Sink, req.Delta, req.UseCosts, flowround.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-	})
+	out, err := flowround.Round(req.Graph, req.Flow, req.Source, req.Sink, req.Delta, req.UseCosts, ro.Env(led))
 	if err != nil {
 		return nil, err
 	}
@@ -351,9 +344,7 @@ type MaxFlowResult struct {
 // given run options.
 func MaxFlowWith(dg *graph.DiGraph, s, t int, ro RunOptions) (*MaxFlowResult, error) {
 	led := rounds.New()
-	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-	})
+	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Env: ro.Env(led)})
 	if err != nil {
 		return nil, err
 	}
@@ -383,9 +374,7 @@ type MinCostFlowResult struct {
 // at exactly minimum cost (Theorem 1.3) under the given run options.
 func MinCostFlowWith(dg *graph.DiGraph, sigma []int64, ro RunOptions) (*MinCostFlowResult, error) {
 	led := rounds.New()
-	res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{
-		Ledger: led, Trace: ro.Trace, Faults: ro.Faults, Transport: ro.Transport, Budget: ro.Budget, Metrics: ro.Metrics,
-	})
+	res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Env: ro.Env(led)})
 	if err != nil {
 		return nil, err
 	}

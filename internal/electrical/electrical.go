@@ -11,10 +11,9 @@ import (
 	"fmt"
 
 	"lapcc/internal/graph"
-	"lapcc/internal/lapsolver"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // Network is a resistive network: an undirected graph whose edge weights
@@ -30,36 +29,17 @@ type Network struct {
 // ErrSamePole reports injection and extraction at the same vertex.
 var ErrSamePole = errors.New("electrical: poles must differ")
 
-// Options configures NewNetwork.
-type Options struct {
-	// Solver configures the underlying Laplacian solver.
-	Solver lapsolver.Options
-	// Ledger, if non-nil, receives round costs (also wired into the
-	// solver when its own ledger is unset).
-	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-}
-
-// NewNetwork prepares a network for repeated electrical queries; the
-// sparsifier is built once and amortized across solves and, via Reweight,
-// across conductance changes on the fixed topology.
-func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
-	if opts.Ledger != nil && opts.Solver.Ledger == nil {
-		opts.Solver.Ledger = opts.Ledger
-	}
-	if opts.Trace != nil && opts.Solver.Trace == nil {
-		opts.Solver.Trace = opts.Trace
-	}
-	sess, err := NewSession(g.Clone(), SessionOptions{Full: true, Solver: opts.Solver})
+// NewNetwork prepares a network for repeated electrical queries on the run
+// env; the sparsifier is built once and amortized across solves and, via
+// Reweight, across conductance changes on the fixed topology.
+func NewNetwork(g *graph.Graph, env runenv.Env) (*Network, error) {
+	sess, err := NewSession(g.Clone(), SessionOptions{Env: env, Full: true})
 	if err != nil {
 		return nil, fmt.Errorf("electrical: %w", err)
 	}
 	// The session owns its working copy; Currents/Energy read it so they
 	// always see the conductances of the latest Reweight.
-	return &Network{g: sess.Graph(), sess: sess, ledger: opts.Ledger}, nil
+	return &Network{g: sess.Graph(), sess: sess, ledger: env.Ledger}, nil
 }
 
 // Graph returns the network's working graph, carrying the current

@@ -7,11 +7,12 @@ import (
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func TestSeriesResistors(t *testing.T) {
 	// Path of 3 unit resistors: R_eff(0,3) = 3.
-	nw, err := NewNetwork(graph.Path(4), Options{})
+	nw, err := NewNetwork(graph.Path(4), runenv.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestParallelResistors(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(0, 1, 1)
-	nw, err := NewNetwork(g, Options{})
+	nw, err := NewNetwork(g, runenv.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestWheatstoneBridgeBalance(t *testing.T) {
 	g.MustAddEdge(0, 2, 1)
 	g.MustAddEdge(2, 3, 1)
 	bridge := g.MustAddEdge(1, 2, 5)
-	nw, err := NewNetwork(g, Options{})
+	nw, err := NewNetwork(g, runenv.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestKirchhoffCurrentLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := NewNetwork(g, Options{})
+	nw, err := NewNetwork(g, runenv.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestEnergyEqualsThomson(t *testing.T) {
 	// Energy of the electrical flow equals R_eff under unit current
 	// (Thomson's principle at the optimum).
 	g := graph.Grid(5, 5)
-	nw, err := NewNetwork(g, Options{})
+	nw, err := NewNetwork(g, runenv.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestEnergyEqualsThomson(t *testing.T) {
 func TestRayleighMonotonicity(t *testing.T) {
 	// Adding an edge can only lower effective resistance.
 	base := graph.Grid(4, 4)
-	nwA, err := NewNetwork(base, Options{})
+	nwA, err := NewNetwork(base, runenv.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestRayleighMonotonicity(t *testing.T) {
 	}
 	richer := base.Clone()
 	richer.MustAddEdge(0, 15, 1)
-	nwB, err := NewNetwork(richer, Options{})
+	nwB, err := NewNetwork(richer, runenv.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestRayleighMonotonicity(t *testing.T) {
 
 func TestMaxCurrentEdgeAndErrors(t *testing.T) {
 	g := graph.Path(3)
-	nw, err := NewNetwork(g, Options{Ledger: rounds.New()})
+	nw, err := NewNetwork(g, runenv.Env{Ledger: rounds.New()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,7 @@ import (
 	"lapcc/internal/lapsolver"
 	"lapcc/internal/linalg"
 	"lapcc/internal/metrics"
-	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // cgStagnationWindow is the plateau-detection window for the session's
@@ -60,36 +59,25 @@ type Session struct {
 
 // SessionOptions configures NewSession.
 type SessionOptions struct {
+	// Env is the run: its budget is checked at every Potentials call, its
+	// tracer records the guarded-recovery spans, and in Full mode the
+	// whole run goes to the solver.
+	runenv.Env
 	// Full builds the complete Theorem 1.1 stack (sparsifier chain +
 	// preconditioned Chebyshev, measured/charged rounds). The default runs
 	// the zero-round internal CG path for callers that charge the
 	// Theorem 1.1 formula themselves.
 	Full bool
-	// Solver configures the Full-mode solver (ledger, trace, sparsifier
-	// chain policy). Ignored on the internal path.
-	Solver lapsolver.Options
 	// WarmStart seeds each solve slot with its previous potentials, scaled
 	// by the projection of the new right-hand side onto the old one.
 	// Convergence is still judged by the usual residual criteria, so warm
 	// starting changes wall clock only.
 	WarmStart bool
-	// Trace, if non-nil, receives spans for guarded-recovery events (and is
-	// propagated to the Full-mode solver when its own Trace is unset).
-	Trace *trace.Tracer
-	// Budget, if non-nil, is checked at every Potentials call and
-	// propagated to the Full-mode solver. Exhaustion aborts with an error
-	// unwrapping to rounds.ErrBudgetExceeded.
-	Budget *rounds.Budget
 	// NoFallback disables the internal path's exact dense fallback when CG
 	// stagnates or fails to converge even after the cold retry, restoring
 	// the historical fail-with-error behavior (and propagates to the
 	// Full-mode solver as NoEscalation).
 	NoFallback bool
-	// Metrics, if non-nil, receives live session counters (solves,
-	// reweights, dense fallbacks) and is propagated to the Full-mode
-	// solver when its own Metrics is unset. A nil registry records nothing
-	// and costs nothing.
-	Metrics *metrics.Registry
 }
 
 // SessionStats counts session activity.
@@ -116,27 +104,14 @@ func NewSession(g *graph.Graph, opts SessionOptions) (*Session, error) {
 	}
 	s.precond = linalg.NewVec(g.N())
 	s.refreshPrecond()
-	s.opts.Budget.BindIfUnbound(opts.Solver.Ledger)
+	opts.Bind()
 	if reg := opts.Metrics; reg != nil {
-		reg.MirrorLedger(opts.Solver.Ledger)
 		s.mSolves = reg.Counter("lapcc_electrical_solves_total", "Electrical session Potentials calls.")
 		s.mReweights = reg.Counter("lapcc_electrical_reweights_total", "Electrical session Reweight calls.")
 		s.mDenseFallbacks = reg.Counter("lapcc_electrical_dense_fallbacks_total", "Potentials calls rescued by the exact dense fallback.")
 	}
 	if opts.Full {
-		if opts.Trace != nil && s.opts.Solver.Trace == nil {
-			s.opts.Solver.Trace = opts.Trace
-		}
-		if opts.Budget != nil && s.opts.Solver.Budget == nil {
-			s.opts.Solver.Budget = opts.Budget
-		}
-		if opts.Metrics != nil && s.opts.Solver.Metrics == nil {
-			s.opts.Solver.Metrics = opts.Metrics
-		}
-		if opts.NoFallback {
-			s.opts.Solver.NoEscalation = true
-		}
-		solver, err := lapsolver.NewSolver(g, s.opts.Solver)
+		solver, err := lapsolver.NewSolver(g, lapsolver.Options{Env: opts.Env, NoEscalation: opts.NoFallback})
 		if err != nil {
 			return nil, fmt.Errorf("electrical: session: %w", err)
 		}

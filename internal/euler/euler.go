@@ -47,9 +47,8 @@ import (
 	"lapcc/internal/cc"
 	"lapcc/internal/ccalgo"
 	"lapcc/internal/graph"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // ErrNotEulerian reports a vertex of odd degree.
@@ -83,30 +82,11 @@ type Options struct {
 	Mode Mode
 	// Seed drives the Randomized mode's marking.
 	Seed int64
-	// Ledger, if non-nil, records the round costs of the run.
-	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, routes every network primitive of the run —
-	// probes, replies, expansion, mirror exchange, and the Cole-Vishkin
-	// exchanges inside the ring matching — through the reliable
-	// retransmission layer under the given fault plan. The orientation is
-	// bit-identical to a fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every routing step of the
-	// run through the given delivery backend (see cc.Transport); nil keeps
-	// the in-process path. The orientation is bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, is checked at every contraction iteration;
-	// exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters (orientations,
-	// contraction iterations, dead probes) and a mirror of the ledger's
-	// cost stream. A nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
+	// Env is the run: its budget is checked at every contraction
+	// iteration, and its transport and fault plan carry every routing step
+	// (probes, replies, expansion, mirror exchange and the Cole-Vishkin
+	// exchanges inside the ring matching).
+	runenv.Env
 }
 
 // Stats reports the execution of one orientation.
@@ -130,7 +110,7 @@ type Stats struct {
 // then has non-positive total cost. Rounds are recorded in opts.Ledger
 // (which may be nil).
 func Orient(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, error) {
-	opts.Metrics.MirrorLedger(opts.Ledger)
+	opts.Bind()
 	snap := rounds.Snap(opts.Ledger)
 	spansBefore := opts.Trace.SpanCount()
 	orient, stats, err := orientImpl(g, dirCost, opts)
@@ -159,8 +139,7 @@ func orientImpl(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, e
 	if opts.Mode == 0 {
 		opts.Mode = Deterministic
 	}
-	led, tr := opts.Ledger, opts.Trace
-	tr.Attach(led)
+	tr := opts.Trace
 	sp := tr.Start("euler-orient")
 	defer sp.End()
 	s := newStateSet(g, dirCost, opts)
@@ -173,7 +152,6 @@ func orientImpl(g *graph.Graph, dirCost []int64, opts Options) ([]bool, Stats, e
 	if opts.Mode == Randomized {
 		maxIter = 8*int(math.Ceil(math.Log2(float64(2*m+2)))) + 40
 	}
-	opts.Budget.BindIfUnbound(led)
 	iter := 0
 	for s.anyProperRing() {
 		if opts.Budget != nil {
@@ -312,7 +290,7 @@ func newStateSet(g *graph.Graph, dirCost []int64, opts Options) *stateSet {
 	m := g.M()
 	s := statePool.Get().(*stateSet)
 	s.g, s.mode = g, opts.Mode
-	s.net = cc.Net{Transport: opts.Transport, Faults: opts.Faults, Ledger: opts.Ledger}
+	s.net = opts.Net()
 	s.deadProbes = 0
 	if opts.Mode == Randomized {
 		s.rng = rand.New(rand.NewSource(opts.Seed))

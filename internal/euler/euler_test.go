@@ -8,6 +8,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func TestOrientRejectsOddDegree(t *testing.T) {
@@ -34,7 +35,7 @@ func TestOrientSingleCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orient, _, err := Orient(g, nil, Options{Ledger: rounds.New()})
+		orient, _, err := Orient(g, nil, Options{Env: runenv.Env{Ledger: rounds.New()}})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -66,7 +67,7 @@ func TestOrientUnionOfCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	orient, st, err := Orient(g, nil, Options{Ledger: led})
+	orient, st, err := Orient(g, nil, Options{Env: runenv.Env{Ledger: led}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestOrientUnionOfCycles(t *testing.T) {
 func TestOrientCompleteGraphOddN(t *testing.T) {
 	// K_n for odd n is Eulerian (all degrees n-1 even).
 	g := graph.Complete(9)
-	orient, _, err := Orient(g, nil, Options{Ledger: rounds.New()})
+	orient, _, err := Orient(g, nil, Options{Env: runenv.Env{Ledger: rounds.New()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestOrientCostGuarantee(t *testing.T) {
 	for i := range cost {
 		cost[i] = rng.Int63n(41) - 20
 	}
-	orient, _, err := Orient(g, cost, Options{Ledger: rounds.New()})
+	orient, _, err := Orient(g, cost, Options{Env: runenv.Env{Ledger: rounds.New()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestOrientRoundsScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		led := rounds.New()
-		if _, _, err := Orient(g, nil, Options{Ledger: led}); err != nil {
+		if _, _, err := Orient(g, nil, Options{Env: runenv.Env{Ledger: led}}); err != nil {
 			t.Fatal(err)
 		}
 		return led.Total()

@@ -9,6 +9,7 @@ import (
 	"lapcc/internal/cc"
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/transport/tcp"
 )
 
@@ -74,7 +75,7 @@ type orientOutcome struct {
 
 func runOrient(j orientJob, tr cc.Transport) (orientOutcome, error) {
 	led := rounds.New()
-	orient, st, err := Orient(j.g, j.dirCost, Options{Mode: j.mode, Seed: 9, Ledger: led, Transport: tr})
+	orient, st, err := Orient(j.g, j.dirCost, Options{Mode: j.mode, Seed: 9, Env: runenv.Env{Ledger: led, Transport: tr}})
 	st.WallTime = 0 // the one field that is not a function of the input
 	return orientOutcome{orient, st, led.Report()}, err
 }

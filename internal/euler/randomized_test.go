@@ -6,6 +6,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func TestOrientRandomizedValid(t *testing.T) {
@@ -14,7 +15,7 @@ func TestOrientRandomizedValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	orient, st, err := Orient(g, nil, Options{Mode: Randomized, Seed: 42, Ledger: led})
+	orient, st, err := Orient(g, nil, Options{Mode: Randomized, Seed: 42, Env: runenv.Env{Ledger: led}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestOrientRandomizedSkipsColoringRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	if _, _, err := Orient(g, nil, Options{Mode: Randomized, Seed: 1, Ledger: led}); err != nil {
+	if _, _, err := Orient(g, nil, Options{Mode: Randomized, Seed: 1, Env: runenv.Env{Ledger: led}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range led.Entries() {

@@ -13,6 +13,7 @@ import (
 	"lapcc/internal/mcmf"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // --- E14 ------------------------------------------------------------------
@@ -74,7 +75,7 @@ func e14LiveMetrics(w io.Writer, quick bool) error {
 		}
 		dg, sigma := instance()
 		led := rounds.New()
-		if _, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Ledger: led, Faults: plan, Metrics: reg}); err != nil {
+		if _, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Env: runenv.Env{Ledger: led, Faults: plan, Metrics: reg}}); err != nil {
 			return fmt.Errorf("e14: drop=%g: %w", d, err)
 		}
 		if d == 0 {

@@ -23,6 +23,7 @@ import (
 	"lapcc/internal/mcmf"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
 	"lapcc/internal/trace"
 )
@@ -58,23 +59,13 @@ func Configure(c Config) error {
 	return nil
 }
 
-// expFaults returns the configured fault plan (nil for clean runs).
-func expFaults() *cc.FaultPlan { return config.Faults }
-
-// expBudget returns a fresh budget per solver invocation, or nil.
-func expBudget() *rounds.Budget {
-	if config.BudgetSpec == "" {
-		return nil
-	}
-	b, err := rounds.ParseBudget(config.BudgetSpec)
-	if err != nil {
-		return nil // validated in Configure; unreachable
-	}
-	return b
+// expRun returns the run of one solver invocation recording into led and
+// tr: the configured fault plan and metrics registry, and a fresh budget
+// (nil when none is configured).
+func expRun(led *rounds.Ledger, tr *trace.Tracer) runenv.Env {
+	budget, _ := rounds.ParseBudget(config.BudgetSpec) // validated in Configure
+	return runenv.Env{Ledger: led, Trace: tr, Faults: config.Faults, Budget: budget, Metrics: config.Metrics}
 }
-
-// expMetrics returns the configured metrics registry (nil records nothing).
-func expMetrics() *metrics.Registry { return config.Metrics }
 
 // Experiment is one reproducible table generator.
 type Experiment struct {
@@ -154,7 +145,7 @@ func e1Sparsifier(w io.Writer, quick bool) error {
 
 func e1Row(w io.Writer, name string, g *graph.Graph) error {
 	led := rounds.New()
-	res, err := sparsify.Sparsify(g, sparsify.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+	res, err := sparsify.Sparsify(g, expRun(led, nil))
 	if err != nil {
 		return err
 	}
@@ -186,7 +177,7 @@ func e2Laplacian(w io.Writer, quick bool) error {
 			return err
 		}
 		led := rounds.New()
-		s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: expRun(led, nil)})
 		if err != nil {
 			return err
 		}
@@ -208,7 +199,7 @@ func e2Laplacian(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "%10s %12s %12s %16s\n", "eps", "rounds", "iters", "rounds/ln(1/eps)")
 	for _, eps := range []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10} {
 		led := rounds.New()
-		s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: expRun(led, nil)})
 		if err != nil {
 			return err
 		}
@@ -230,7 +221,7 @@ func e2Laplacian(w io.Writer, quick bool) error {
 		}
 		b := twoPole(n)
 		detLed := rounds.New()
-		det, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: detLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		det, err := lapsolver.NewSolver(g, lapsolver.Options{Env: expRun(detLed, nil)})
 		if err != nil {
 			return err
 		}
@@ -240,7 +231,7 @@ func e2Laplacian(w io.Writer, quick bool) error {
 			return err
 		}
 		rndLed := rounds.New()
-		rnd, err := lapsolver.NewSolver(g, lapsolver.Options{Randomized: true, RandomSeed: int64(n), Ledger: rndLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		rnd, err := lapsolver.NewSolver(g, lapsolver.Options{Randomized: true, RandomSeed: int64(n), Env: expRun(rndLed, nil)})
 		if err != nil {
 			return err
 		}
@@ -279,7 +270,7 @@ func e3Eulerian(w io.Writer, quick bool) error {
 			return err
 		}
 		led := rounds.New()
-		_, st, err := euler.Orient(g, nil, euler.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		_, st, err := euler.Orient(g, nil, euler.Options{Env: expRun(led, nil)})
 		if err != nil {
 			return err
 		}
@@ -299,12 +290,12 @@ func e3Eulerian(w io.Writer, quick bool) error {
 			return err
 		}
 		detLed := rounds.New()
-		_, detStats, err := euler.Orient(g, nil, euler.Options{Mode: euler.Deterministic, Ledger: detLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		_, detStats, err := euler.Orient(g, nil, euler.Options{Mode: euler.Deterministic, Env: expRun(detLed, nil)})
 		if err != nil {
 			return err
 		}
 		rndLed := rounds.New()
-		_, rndStats, err := euler.Orient(g, nil, euler.Options{Mode: euler.Randomized, Seed: int64(n), Ledger: rndLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		_, rndStats, err := euler.Orient(g, nil, euler.Options{Mode: euler.Randomized, Seed: int64(n), Env: expRun(rndLed, nil)})
 		if err != nil {
 			return err
 		}
@@ -327,7 +318,7 @@ func e4Rounding(w io.Writer, quick bool) error {
 	for _, delta := range deltas {
 		dg, f, s, t := pathFlows(24, 10, delta, 31)
 		led := rounds.New()
-		if _, err := flowround.Round(dg, f, s, t, delta, false, led); err != nil {
+		if _, err := flowround.Round(dg, f, s, t, delta, false, runenv.Env{Ledger: led}); err != nil {
 			return err
 		}
 		levels := math.Log2(1 / delta)
@@ -404,7 +395,7 @@ func e5MaxFlow(w io.Writer, quick bool) error {
 func e5Row(w io.Writer, dg *graph.DiGraph) error {
 	s, t := 0, dg.N()-1
 	led := rounds.New()
-	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+	res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Env: expRun(led, nil)})
 	if err != nil {
 		return err
 	}
@@ -446,7 +437,7 @@ func e6MinCostFlow(w io.Writer, quick bool) error {
 
 func e6Row(w io.Writer, dg *graph.DiGraph, sigma []int64) error {
 	led := rounds.New()
-	res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+	res, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Env: expRun(led, nil)})
 	if err != nil {
 		return err
 	}
@@ -502,7 +493,7 @@ func e7Baselines(w io.Writer, quick bool) error {
 		dg := graph.LayeredDAG(3, 4, 2, u, 23)
 		s, t := 0, dg.N()-1
 		led := rounds.New()
-		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		res, err := maxflow.MaxFlow(dg, s, t, maxflow.Options{Env: expRun(led, nil)})
 		if err != nil {
 			return err
 		}
@@ -617,7 +608,7 @@ func e9RelatedWork(w io.Writer, quick bool) error {
 				return err
 			}
 			led := rounds.New()
-			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: expRun(led, nil)})
 			if err != nil {
 				return err
 			}
@@ -702,7 +693,7 @@ func e11Workloads(quick bool) []struct {
 				return err
 			}
 			led := rounds.New()
-			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: expRun(led, tr)})
 			if err != nil {
 				return err
 			}
@@ -715,7 +706,7 @@ func e11Workloads(quick bool) []struct {
 				return err
 			}
 			led := rounds.New()
-			_, err = sparsify.Sparsify(g, sparsify.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			_, err = sparsify.Sparsify(g, expRun(led, tr))
 			return err
 		}},
 		{"euler", func(tr *trace.Tracer) error {
@@ -724,25 +715,25 @@ func e11Workloads(quick bool) []struct {
 				return err
 			}
 			led := rounds.New()
-			_, _, err = euler.Orient(g, nil, euler.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			_, _, err = euler.Orient(g, nil, euler.Options{Env: expRun(led, tr)})
 			return err
 		}},
 		{"flowround", func(tr *trace.Tracer) error {
 			dg, f, s, t := pathFlows(24, 10, 1.0/256, 31)
 			led := rounds.New()
-			_, err := flowround.RoundWith(dg, f, s, t, 1.0/256, false, flowround.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			_, err := flowround.Round(dg, f, s, t, 1.0/256, false, expRun(led, tr))
 			return err
 		}},
 		{"maxflow", func(tr *trace.Tracer) error {
 			dg := graph.LayeredDAG(3, 4, 2, 8, 17)
 			led := rounds.New()
-			_, err := maxflow.MaxFlow(dg, 0, dg.N()-1, maxflow.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			_, err := maxflow.MaxFlow(dg, 0, dg.N()-1, maxflow.Options{Env: expRun(led, tr)})
 			return err
 		}},
 		{"mcmf", func(tr *trace.Tracer) error {
 			dg, sigma := assignment(4, 4, 3, 16, 5)
 			led := rounds.New()
-			_, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Ledger: led, Trace: tr, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			_, err := mcmf.MinCostFlow(dg, sigma, mcmf.Options{Env: expRun(led, tr)})
 			return err
 		}},
 	}
@@ -796,7 +787,7 @@ func e12Session(w io.Writer, quick bool) error {
 		"#rhs", "session s/sec", "rebuild s/sec", "speedup", "sess charged", "fresh charged")
 	for _, k := range ks {
 		sessLed := rounds.New()
-		sess, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: sessLed, WarmStart: true, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+		sess, err := lapsolver.NewSolver(g, lapsolver.Options{Env: expRun(sessLed, nil), WarmStart: true})
 		if err != nil {
 			return err
 		}
@@ -811,7 +802,7 @@ func e12Session(w io.Writer, quick bool) error {
 		freshLed := rounds.New()
 		start = time.Now()
 		for i := 0; i < k; i++ {
-			s, err := lapsolver.NewSolver(g, lapsolver.Options{Ledger: freshLed, Faults: expFaults(), Budget: expBudget(), Metrics: expMetrics()})
+			s, err := lapsolver.NewSolver(g, lapsolver.Options{Env: expRun(freshLed, nil)})
 			if err != nil {
 				return err
 			}
@@ -885,7 +876,7 @@ func e13FaultSweep(w io.Writer, quick bool) error {
 	workloads := []workload{
 		{"lapsolver (Thm 1.1)", func(plan *cc.FaultPlan) (int64, error) {
 			led := rounds.New()
-			s, err := lapsolver.NewSolver(g.Clone(), lapsolver.Options{Ledger: led, Faults: plan})
+			s, err := lapsolver.NewSolver(g.Clone(), lapsolver.Options{Env: runenv.Env{Ledger: led, Faults: plan}})
 			if err != nil {
 				return 0, err
 			}
@@ -896,7 +887,7 @@ func e13FaultSweep(w io.Writer, quick bool) error {
 		}},
 		{"euler orient (Thm 1.4)", func(plan *cc.FaultPlan) (int64, error) {
 			led := rounds.New()
-			if _, _, err := euler.Orient(eg, nil, euler.Options{Ledger: led, Faults: plan}); err != nil {
+			if _, _, err := euler.Orient(eg, nil, euler.Options{Env: runenv.Env{Ledger: led, Faults: plan}}); err != nil {
 				return 0, err
 			}
 			return led.Total(), nil

@@ -14,40 +14,10 @@ import (
 	"fmt"
 	"math"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/euler"
 	"lapcc/internal/graph"
-	"lapcc/internal/metrics"
-	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
-
-// Options configures RoundWith.
-type Options struct {
-	// Ledger, if non-nil, records the round costs of the run.
-	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, injects the given fault plan into every network
-	// primitive of each level's Eulerian orientation; results are
-	// bit-identical to a fault-free run at a larger round cost.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every routing step of each
-	// level's Eulerian orientation through the given delivery backend (see
-	// cc.Transport); nil keeps the in-process path. The rounded flow is
-	// bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, is checked at every scaling level; exhaustion
-	// aborts with an error unwrapping to rounds.ErrBudgetExceeded.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters (rounding calls, scaling
-	// levels) and a mirror of the ledger's cost stream, and is propagated
-	// to each level's Eulerian orientation. A nil registry records nothing
-	// and costs nothing.
-	Metrics *metrics.Registry
-}
 
 // forcedCost is the sentinel cost forcing the virtual (t,s) arc to be a
 // forward edge of any cycle containing it (Algorithm 1, line 8).
@@ -62,25 +32,20 @@ var ErrNotOnGrid = errors.New("flowround: flow value not a multiple of Delta")
 // ErrNotConserved reports a flow violating conservation at some vertex.
 var ErrNotConserved = errors.New("flowround: flow does not satisfy conservation")
 
-// Round rounds the s-t flow f on dg to integer values. f[i] is the flow on
-// arc i and must be a non-negative multiple of delta; conservation must
-// hold at every vertex except s and t. useCosts selects the cost-aware
-// variant (arc costs are read from dg); per Cohen, the cost guarantee
-// applies when the total flow value is integral. Rounds are recorded in led
-// (may be nil).
+// Round rounds the s-t flow f on dg to integer values on the run env. f[i]
+// is the flow on arc i and must be a non-negative multiple of delta;
+// conservation must hold at every vertex except s and t. useCosts selects
+// the cost-aware variant (arc costs are read from dg); per Cohen, the cost
+// guarantee applies when the total flow value is integral. The run's budget
+// is checked at every scaling level, and the whole run goes to each level's
+// Eulerian orientation.
 //
 // The returned flow has, for every arc, a value in {floor(f), ceil(f)},
 // conserves at every vertex except s and t, and has value at least the
 // input's.
-func Round(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts bool, led *rounds.Ledger) ([]int64, error) {
-	return RoundWith(dg, f, s, t, delta, useCosts, Options{Ledger: led})
-}
-
-// RoundWith is Round with full Options (tracing, orientation mode).
-func RoundWith(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts bool, opts Options) ([]int64, error) {
-	led, tr := opts.Ledger, opts.Trace
-	tr.Attach(led)
-	opts.Metrics.MirrorLedger(led)
+func Round(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts bool, env runenv.Env) ([]int64, error) {
+	env.Bind()
+	tr := env.Trace
 	sp := tr.Start("flowround")
 	defer sp.End()
 	if len(f) != dg.M() {
@@ -127,14 +92,13 @@ func RoundWith(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts
 	}
 
 	levels := int(math.Round(math.Log2(1 / delta)))
-	if reg := opts.Metrics; reg != nil {
+	if reg := env.Metrics; reg != nil {
 		reg.Counter("lapcc_flowround_rounds_total", "Flow-rounding calls.").Inc()
 		reg.Counter("lapcc_flowround_levels_total", "Scaling levels executed.").Add(int64(levels))
 	}
-	opts.Budget.BindIfUnbound(led)
 	var edges []graph.Edge // the parity graph's edges, reused by every level
 	for level := 0; level < levels; level++ {
-		if err := opts.Budget.Check(fmt.Sprintf("flowround-level-%d", level)); err != nil {
+		if err := env.Budget.Check(fmt.Sprintf("flowround-level-%d", level)); err != nil {
 			return nil, fmt.Errorf("flowround: %w", err)
 		}
 		lsp := tr.Startf("level-%d", level)
@@ -174,9 +138,7 @@ func RoundWith(dg *graph.DiGraph, f []float64, s, t int, delta float64, useCosts
 					dirCost = append(dirCost, -c)
 				}
 			}
-			orient, _, err := euler.Orient(g, dirCost, euler.Options{
-				Ledger: led, Trace: tr, Faults: opts.Faults, Transport: opts.Transport, Budget: opts.Budget, Metrics: opts.Metrics,
-			})
+			orient, _, err := euler.Orient(g, dirCost, euler.Options{Env: env})
 			if err != nil {
 				lsp.End()
 				return nil, fmt.Errorf("flowround: level %d: %w", level, err)

@@ -9,6 +9,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // pathFlowInstance builds a directed graph that is a union of s-t paths and
@@ -60,16 +61,16 @@ func TestRoundValidation(t *testing.T) {
 	dg := graph.NewDi(3)
 	dg.MustAddArc(0, 1, 5, 1)
 	dg.MustAddArc(1, 2, 5, 1)
-	if _, err := Round(dg, []float64{0.5}, 0, 2, 0.5, false, nil); err == nil {
+	if _, err := Round(dg, []float64{0.5}, 0, 2, 0.5, false, runenv.Env{}); err == nil {
 		t.Fatal("flow length mismatch should error")
 	}
-	if _, err := Round(dg, []float64{0.5, 0.5}, 0, 2, 0.3, false, nil); !errors.Is(err, ErrBadDelta) {
+	if _, err := Round(dg, []float64{0.5, 0.5}, 0, 2, 0.3, false, runenv.Env{}); !errors.Is(err, ErrBadDelta) {
 		t.Fatalf("bad delta error = %v", err)
 	}
-	if _, err := Round(dg, []float64{0.3, 0.3}, 0, 2, 0.5, false, nil); !errors.Is(err, ErrNotOnGrid) {
+	if _, err := Round(dg, []float64{0.3, 0.3}, 0, 2, 0.5, false, runenv.Env{}); !errors.Is(err, ErrNotOnGrid) {
 		t.Fatalf("off-grid error = %v", err)
 	}
-	if _, err := Round(dg, []float64{0.5, 0.0}, 0, 2, 0.5, false, nil); !errors.Is(err, ErrNotConserved) {
+	if _, err := Round(dg, []float64{0.5, 0.0}, 0, 2, 0.5, false, runenv.Env{}); !errors.Is(err, ErrNotConserved) {
 		t.Fatalf("conservation error = %v", err)
 	}
 }
@@ -78,7 +79,7 @@ func TestRoundSinglePath(t *testing.T) {
 	dg := graph.NewDi(3)
 	dg.MustAddArc(0, 1, 5, 1)
 	dg.MustAddArc(1, 2, 5, 1)
-	got, err := Round(dg, []float64{0.75, 0.75}, 0, 2, 0.25, false, rounds.New())
+	got, err := Round(dg, []float64{0.75, 0.75}, 0, 2, 0.25, false, runenv.Env{Ledger: rounds.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRoundPreservesIntegralFlows(t *testing.T) {
 	dg := graph.NewDi(3)
 	dg.MustAddArc(0, 1, 5, 1)
 	dg.MustAddArc(1, 2, 5, 1)
-	got, err := Round(dg, []float64{2, 2}, 0, 2, 0.25, false, nil)
+	got, err := Round(dg, []float64{2, 2}, 0, 2, 0.25, false, runenv.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRoundFloorCeilBracketAndGuarantees(t *testing.T) {
 		delta := 1.0 / 16
 		dg, f, s, tt := pathFlowInstance(12, 6, delta, seed)
 		led := rounds.New()
-		got, err := Round(dg, f, s, tt, delta, false, led)
+		got, err := Round(dg, f, s, tt, delta, false, runenv.Env{Ledger: led})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -151,7 +152,7 @@ func TestRoundCostAwareDoesNotIncreaseCost(t *testing.T) {
 				}
 			}
 		}
-		got, err := Round(dg, f, s, tt, delta, true, nil)
+		got, err := Round(dg, f, s, tt, delta, true, runenv.Env{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -170,7 +171,7 @@ func TestRoundRoundsScaleWithLogDelta(t *testing.T) {
 	roundsFor := func(delta float64) int64 {
 		dg, f, s, tt := pathFlowInstance(16, 8, delta, 99)
 		led := rounds.New()
-		if _, err := Round(dg, f, s, tt, delta, false, led); err != nil {
+		if _, err := Round(dg, f, s, tt, delta, false, runenv.Env{Ledger: led}); err != nil {
 			t.Fatal(err)
 		}
 		return led.Total()
@@ -197,7 +198,7 @@ func TestSnapToGridRepairsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Round(dg, snapped, s, tt, 1.0/16, false, nil); err != nil {
+	if _, err := Round(dg, snapped, s, tt, 1.0/16, false, runenv.Env{}); err != nil {
 		t.Fatalf("snapped flow not roundable: %v", err)
 	}
 }
@@ -222,7 +223,7 @@ func TestRoundProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		delta := 1.0 / 32
 		dg, flow, s, tt := pathFlowInstance(14, 5, delta, seed)
-		got, err := Round(dg, flow, s, tt, delta, false, nil)
+		got, err := Round(dg, flow, s, tt, delta, false, runenv.Env{})
 		if err != nil {
 			return false
 		}

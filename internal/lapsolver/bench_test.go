@@ -5,7 +5,6 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
-	"lapcc/internal/sparsify"
 )
 
 // Many-RHS serving: k right-hand sides through one warm-started session vs
@@ -72,7 +71,7 @@ func BenchmarkSolverSessionLanes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewSolver(g, Options{Chain: sparsify.ChainOptions{ExactOnly: true}})
+	s, err := NewSolver(g, Options{ExactReuse: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/trace"
 )
 
@@ -19,7 +20,7 @@ func TestSolveBudgetExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	s, err := NewSolver(g, Options{Ledger: led, Budget: rounds.NewBudget(1, 0)})
+	s, err := NewSolver(g, Options{Env: runenv.Env{Ledger: led, Budget: rounds.NewBudget(1, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestSolveBudgetAllowsCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	sBud, err := NewSolver(g, Options{Ledger: led, Budget: rounds.NewBudget(1_000_000, 0)})
+	sBud, err := NewSolver(g, Options{Env: runenv.Env{Ledger: led, Budget: rounds.NewBudget(1_000_000, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,7 @@ func TestSolveEscalatesToDenseFallback(t *testing.T) {
 	led := rounds.New()
 	tr := trace.New()
 	s, err := NewSolver(g, Options{
-		Ledger:      led,
-		Trace:       tr,
+		Env:         runenv.Env{Ledger: led, Trace: tr},
 		InternalTol: 1e-2, // unused: the factored path has no inner tolerance
 		MaxKappa:    16,   // small cap: reach the ladder quickly
 	})
@@ -137,7 +137,7 @@ func TestSolveCGPathTightensThenFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	s, err := NewSolver(g, Options{Trace: tr, InternalTol: 1e-2, MaxKappa: 4})
+	s, err := NewSolver(g, Options{Env: runenv.Env{Trace: tr}, InternalTol: 1e-2, MaxKappa: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

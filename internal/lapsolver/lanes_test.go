@@ -12,6 +12,7 @@ import (
 	"lapcc/internal/linalg"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/trace"
 )
 
@@ -296,7 +297,7 @@ func TestSolveScaleInvariant(t *testing.T) {
 	b := linalg.NewVec(g.N())
 	b[0], b[1] = 1, -1
 	solve := func(b linalg.Vec) (linalg.Vec, Stats) {
-		s, err := NewSolver(g, Options{Ledger: rounds.New()})
+		s, err := NewSolver(g, Options{Env: runenv.Env{Ledger: rounds.New()}})
 		if err != nil {
 			t.Fatal(err)
 		}

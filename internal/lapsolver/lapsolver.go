@@ -27,13 +27,12 @@ import (
 	"fmt"
 	"math"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
-	"lapcc/internal/trace"
 )
 
 // ErrDisconnected reports an input graph that is not connected; Laplacian
@@ -46,8 +45,10 @@ var ErrBadRHS = errors.New("lapsolver: right-hand side has wrong length")
 
 // Options configures NewSolver.
 type Options struct {
-	// Sparsify configures the sparsifier chain (zero value = defaults).
-	Sparsify sparsify.Options
+	// Env is the run: its budget is checked at every kappa attempt and at
+	// every level of a sparsifier build or rebuild, and its transport and
+	// fault plan carry the sparsifier chain's network primitives.
+	runenv.Env
 	// Randomized switches to the randomized effective-resistance sampling
 	// sparsifier — the paper's closing remark: a simpler randomized solver
 	// turns the n^{o(1)} factor into polylog n. Runs are reproducible per
@@ -75,38 +76,10 @@ type Options struct {
 	// residual certificate; only wall clock changes. Intended for session
 	// use (many solves / reweights against one topology).
 	WarmStart bool
-	// Chain tunes the sparsifier session reuse policy (α-drift bound,
-	// envelope certificate) used by Reweight; its Sparsify field is ignored
-	// in favor of Options.Sparsify. Zero value = defaults.
-	Chain sparsify.ChainOptions
-	// Ledger, if non-nil, receives round costs.
-	Ledger *rounds.Ledger
-	// Faults, if non-nil, subjects every network primitive of the
-	// sparsifier chain to the given fault plan, with delivery restored by
-	// the reliable retransmission layer (propagated to Sparsify.Faults
-	// when that field is unset). Results are bit-identical to a fault-free
-	// run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every network primitive of
-	// the sparsifier chain through the given delivery backend (propagated
-	// to Sparsify.Transport when that field is unset; see cc.Transport).
-	// Results are bit-identical to the in-process path.
-	Transport cc.Transport
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Budget, if non-nil, bounds each Solve: it is checked at every kappa
-	// attempt, and exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded carrying the partial stats. A nil budget
-	// never limits anything.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live phase counters (solves, Chebyshev
-	// iterations, kappa attempts, escalations, dense fallbacks) and a
-	// mirror of the ledger's cost stream; propagated to Sparsify.Metrics
-	// when that field is unset. A nil registry records nothing and costs
-	// nothing.
-	Metrics *metrics.Registry
+	// ExactReuse restricts Reweight's sparsifier reuse to an unchanged
+	// weight-class partition, where reuse is bit-identical to a rebuild
+	// (sparsify.ChainOptions.ExactOnly).
+	ExactReuse bool
 	// NoEscalation disables the guarded-recovery machinery — both the
 	// Chebyshev stagnation window (so every attempt runs its full
 	// prescribed iteration count) and the recovery ladder (stagnation →
@@ -126,22 +99,6 @@ func (o *Options) defaults() {
 	}
 	if o.InternalTol == 0 {
 		o.InternalTol = 1e-13
-	}
-	if o.Ledger != nil && o.Sparsify.Ledger == nil {
-		o.Sparsify.Ledger = o.Ledger
-	}
-	if o.Trace != nil && o.Sparsify.Trace == nil {
-		o.Sparsify.Trace = o.Trace
-	}
-	o.Budget.BindIfUnbound(o.Ledger)
-	if o.Faults != nil && o.Sparsify.Faults == nil {
-		o.Sparsify.Faults = o.Faults
-	}
-	if o.Transport != nil && o.Sparsify.Transport == nil {
-		o.Sparsify.Transport = o.Transport
-	}
-	if o.Metrics != nil && o.Sparsify.Metrics == nil {
-		o.Sparsify.Metrics = o.Metrics
 	}
 }
 
@@ -249,8 +206,7 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 	if !g.IsConnected() {
 		return nil, ErrDisconnected
 	}
-	opts.Trace.Attach(opts.Ledger)
-	opts.Metrics.MirrorLedger(opts.Ledger)
+	opts.Bind()
 	sp := opts.Trace.Start("lapsolve-build")
 	defer sp.End()
 	gw := g.Clone()
@@ -259,21 +215,14 @@ func NewSolver(g *graph.Graph, opts Options) (*Solver, error) {
 		res: linalg.NewVec(gw.N()), pn: linalg.NewVec(gw.N()),
 	}
 	if opts.Randomized {
-		res, err := sparsify.RandomizedSparsify(gw, sparsify.RandomOptions{
-			Seed:    opts.RandomSeed,
-			Ledger:  opts.Ledger,
-			Trace:   opts.Trace,
-			Metrics: opts.Metrics,
-		})
+		res, err := sparsify.RandomizedSparsify(gw, sparsify.RandomOptions{Seed: opts.RandomSeed, Env: opts.Env})
 		if err != nil {
 			return nil, fmt.Errorf("lapsolver: %w", err)
 		}
 		s.setSparsifier(res.H)
 		return s, nil
 	}
-	chainOpts := opts.Chain
-	chainOpts.Sparsify = opts.Sparsify
-	chain, err := sparsify.NewChain(gw, chainOpts)
+	chain, err := sparsify.NewChain(gw, sparsify.ChainOptions{Sparsify: opts.Env, ExactOnly: opts.ExactReuse})
 	if err != nil {
 		return nil, fmt.Errorf("lapsolver: %w", err)
 	}
@@ -352,12 +301,7 @@ func (s *Solver) Reweight(w []float64) error {
 		}
 	}
 	s.lg.Refresh()
-	res, err := sparsify.RandomizedSparsify(s.g, sparsify.RandomOptions{
-		Seed:    s.opts.RandomSeed,
-		Ledger:  s.opts.Ledger,
-		Trace:   s.opts.Trace,
-		Metrics: s.opts.Metrics,
-	})
+	res, err := sparsify.RandomizedSparsify(s.g, sparsify.RandomOptions{Seed: s.opts.RandomSeed, Env: s.opts.Env})
 	if err != nil {
 		return fmt.Errorf("lapsolver: %w", err)
 	}
@@ -366,14 +310,17 @@ func (s *Solver) Reweight(w []float64) error {
 	return nil
 }
 
-// SetBudget replaces the budget consulted at solve-attempt boundaries,
-// binding it to the solver's ledger so its round limit meters from the
-// current totals. A nil budget removes the limit. The serving layer uses
-// this to apply per-request admission budgets to pooled solvers; the
-// sparsifier chain's rebuild budget is set separately (sparsify.Chain).
+// SetBudget replaces the budget consulted at solve-attempt boundaries and
+// by the sparsifier chain's rebuilds, binding it to the solver's ledger so
+// its round limit meters from the current totals. A nil budget removes the
+// limit. The serving layer uses this to apply per-request admission budgets
+// to pooled solvers.
 func (s *Solver) SetBudget(b *rounds.Budget) {
 	b.Bind(s.opts.Ledger)
 	s.opts.Budget = b
+	if s.chain != nil {
+		s.chain.SetBudget(b)
+	}
 }
 
 // ChainStats returns the sparsifier session's reuse counters (zero value on

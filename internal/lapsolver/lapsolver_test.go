@@ -8,6 +8,7 @@ import (
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func meanFreeVec(n int, seed int64) linalg.Vec {
@@ -126,7 +127,7 @@ func TestSolveRoundsScaleWithLogEps(t *testing.T) {
 		// full prescribed O(sqrt(kappa) log(1/eps)) iterations. The default
 		// mode's stagnation window stops at the floating-point floor, which
 		// deliberately flattens exactly the growth this test measures.
-		s, err := NewSolver(g, Options{Ledger: led, NoEscalation: true})
+		s, err := NewSolver(g, Options{Env: runenv.Env{Ledger: led}, NoEscalation: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"lapcc/internal/linalg"
 	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func TestRandomizedSolverCorrect(t *testing.T) {
@@ -75,7 +76,7 @@ func TestRandomizedSolverChargesFV22(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	if _, err := NewSolver(g, Options{Randomized: true, RandomSeed: 1, Ledger: led}); err != nil {
+	if _, err := NewSolver(g, Options{Randomized: true, RandomSeed: 1, Env: runenv.Env{Ledger: led}}); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -101,7 +102,7 @@ func TestRandomizedReweightCountsRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	s, err := NewSolver(g, Options{Randomized: true, RandomSeed: 3, Ledger: rounds.New(), Metrics: reg})
+	s, err := NewSolver(g, Options{Randomized: true, RandomSeed: 3, Env: runenv.Env{Ledger: rounds.New(), Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}

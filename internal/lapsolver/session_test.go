@@ -7,6 +7,7 @@ import (
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // residualCheck verifies x solves L_g x = b to the given relative 2-norm
@@ -91,7 +92,7 @@ func TestSolverReweightChargedParity(t *testing.T) {
 	}
 
 	sessLed := rounds.New()
-	s, err := NewSolver(g, Options{Ledger: sessLed})
+	s, err := NewSolver(g, Options{Env: runenv.Env{Ledger: sessLed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSolverReweightChargedParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fs, err := NewSolver(fresh, Options{Ledger: freshLed})
+	fs, err := NewSolver(fresh, Options{Env: runenv.Env{Ledger: freshLed}})
 	if err != nil {
 		t.Fatal(err)
 	}

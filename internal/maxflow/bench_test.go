@@ -53,7 +53,6 @@ type solveCall struct {
 func captureSolveSequence(b *testing.B) (*ipmState, []solveCall) {
 	dg, s, t := benchIPMInstance()
 	opts := Options{}
-	opts.defaults()
 	fstar, _, err := Dinic(dg, s, t)
 	if err != nil {
 		b.Fatal(err)

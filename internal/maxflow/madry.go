@@ -5,15 +5,13 @@ import (
 	"math"
 	"sort"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/electrical"
 	"lapcc/internal/flowround"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/sparsify"
-	"lapcc/internal/trace"
 )
 
 // The interior-point method's fixed parameters.
@@ -30,8 +28,11 @@ const (
 // solve charges the Theorem 1.1 round formula calibrated by a measured
 // sparsifier alpha.
 type Options struct {
-	// Ledger, if non-nil, receives round costs.
-	Ledger *rounds.Ledger
+	// Env is the run: its budget is checked at every IPM iteration, and
+	// the whole run goes to the electrical session and the flow-rounding
+	// cascade, whose network primitives its transport and fault plan
+	// carry.
+	runenv.Env
 	// FreshBuild restores the pre-session behavior: rebuild the support
 	// graph and solver from scratch on every solve instead of reweighting
 	// the build-once session. Kept as the benchmark baseline and the
@@ -40,34 +41,6 @@ type Options struct {
 	// DisableBoosting turns off the Boosting step (the ablation that
 	// TestMaxFlowBoostingAblation runs).
 	DisableBoosting bool
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, subjects every network primitive of the run —
-	// those of the flow-rounding cascade — to the given fault plan, with
-	// delivery restored by the reliable retransmission layer. The flow is
-	// bit-identical to a fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every network primitive of
-	// the pipeline — those of the flow-rounding cascade — through the given
-	// delivery backend (see cc.Transport); nil keeps the in-process path.
-	// The flow is bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, bounds the run: it is checked at every IPM
-	// iteration and propagated to the electrical session and the rounding
-	// cascade. Exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded carrying the partial stats.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters for the run (IPM
-	// iterations, boostings, rounding outcomes) and a mirror of the
-	// ledger's cost stream, and is propagated to every stage of the
-	// pipeline. A nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
-}
-
-func (o *Options) defaults() {
-	o.Budget.BindIfUnbound(o.Ledger)
 }
 
 // Result reports a Theorem 1.2 run.
@@ -104,8 +77,7 @@ type Result struct {
 // outer binary search (whose O(log nU) factor the theorem absorbs into
 // m^{o(1)}); see DESIGN.md for all substitutions.
 func MaxFlow(dg *graph.DiGraph, s, t int, opts Options) (*Result, error) {
-	opts.defaults()
-	opts.Metrics.MirrorLedger(opts.Ledger)
+	opts.Bind()
 	snap := rounds.Snap(opts.Ledger)
 	spansBefore := opts.Trace.SpanCount()
 	res, err := maxFlowImpl(dg, s, t, opts)
@@ -132,7 +104,6 @@ func maxFlowImpl(dg *graph.DiGraph, s, t int, opts Options) (*Result, error) {
 		return res, nil
 	}
 	tr := opts.Trace
-	tr.Attach(opts.Ledger)
 	sp := tr.Start("maxflow")
 	defer sp.End()
 
@@ -267,7 +238,8 @@ func newIPMState(dg *graph.DiGraph, s, t int, fstar int64, opts Options) (*ipmSt
 	st.demand = st.fstar + gadgetShip + float64(2*m)*u
 
 	// Calibrate the charged-solve formula once with a real sparsifier of
-	// the support (internal measurement; see DESIGN.md).
+	// the support (internal measurement; see DESIGN.md). The build takes
+	// only the run's metrics, not the run: it charges nothing.
 	support := st.supportGraph(nil)
 	sres, err := sparsify.Sparsify(support, sparsify.Options{Metrics: opts.Metrics})
 	if err != nil {
@@ -351,7 +323,7 @@ func (st *ipmState) sessionSolve(w []float64, b linalg.Vec, slot string) (linalg
 		// drift shifts the trajectory and with it the charged-round total.
 		// The session's win here is structural reuse; cold solves keep the
 		// path bit-identical to a fresh build every iteration.
-		sess, err := electrical.NewSession(st.supportGraph(w), electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics})
+		sess, err := electrical.NewSession(st.supportGraph(w), electrical.SessionOptions{Env: st.opts.Env})
 		if err != nil {
 			return nil, err
 		}
@@ -611,8 +583,7 @@ func (st *ipmState) roundFlow(res *Result) ([]int64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("maxflow: snapping IPM flow: %w", err)
 	}
-	rounded, err := flowround.RoundWith(rdg, snapped, st.s, st.t, delta, false,
-		flowround.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Budget: st.opts.Budget, Metrics: st.opts.Metrics})
+	rounded, err := flowround.Round(rdg, snapped, st.s, st.t, delta, false, st.opts.Env)
 	if err != nil {
 		return nil, fmt.Errorf("maxflow: rounding IPM flow: %w", err)
 	}

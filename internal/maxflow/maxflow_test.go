@@ -7,6 +7,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func TestDinicKnownValue(t *testing.T) {
@@ -104,7 +105,7 @@ func TestMaxFlowIPMLayeredDAG(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	res, err := MaxFlow(dg, s, tt, Options{Ledger: led})
+	res, err := MaxFlow(dg, s, tt, Options{Env: runenv.Env{Ledger: led}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // TestMaxFlowBudgetExhaustion: a one-round budget must abort the IPM at an
@@ -16,8 +17,7 @@ func TestMaxFlowBudgetExhaustion(t *testing.T) {
 	dg := graph.LayeredDAG(3, 4, 2, 8, 21)
 	led := rounds.New()
 	_, err := MaxFlow(dg, 0, dg.N()-1, Options{
-		Ledger: led,
-		Budget: rounds.NewBudget(1, 0),
+		Env: runenv.Env{Ledger: led, Budget: rounds.NewBudget(1, 0)},
 	})
 	if !errors.Is(err, rounds.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
@@ -42,8 +42,7 @@ func TestMaxFlowBudgetAllowsCompletion(t *testing.T) {
 	}
 	led := rounds.New()
 	got, err := MaxFlow(dg, s, tt, Options{
-		Ledger: led,
-		Budget: rounds.NewBudget(100_000_000, 0),
+		Env: runenv.Env{Ledger: led, Budget: rounds.NewBudget(100_000_000, 0)},
 	})
 	if err != nil {
 		t.Fatal(err)

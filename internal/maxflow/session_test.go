@@ -5,6 +5,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // The session path (build the electrical session once, reweight per
@@ -24,12 +25,12 @@ func TestMaxFlowSessionMatchesFreshBuild(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sessLed := rounds.New()
-			sess, err := MaxFlow(tc.dg, tc.s, tc.t, Options{Ledger: sessLed})
+			sess, err := MaxFlow(tc.dg, tc.s, tc.t, Options{Env: runenv.Env{Ledger: sessLed}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			freshLed := rounds.New()
-			fresh, err := MaxFlow(tc.dg, tc.s, tc.t, Options{Ledger: freshLed, FreshBuild: true})
+			fresh, err := MaxFlow(tc.dg, tc.s, tc.t, Options{Env: runenv.Env{Ledger: freshLed}, FreshBuild: true})
 			if err != nil {
 				t.Fatal(err)
 			}

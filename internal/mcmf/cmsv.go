@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"math"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/electrical"
 	"lapcc/internal/flowround"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 	"lapcc/internal/shortestpath"
 	"lapcc/internal/sparsify"
-	"lapcc/internal/trace"
 )
 
 // The interior-point method's fixed parameters.
@@ -28,8 +26,11 @@ const (
 
 // Options configures the Theorem 1.3 pipeline.
 type Options struct {
-	// Ledger, if non-nil, receives round costs.
-	Ledger *rounds.Ledger
+	// Env is the run: its budget is checked at every IPM iteration, and
+	// the whole run goes to the electrical session and the flow-rounding
+	// cascade, whose network primitives its transport and fault plan
+	// carry.
+	runenv.Env
 	// FreshBuild restores the pre-session behavior: rebuild the support
 	// graph and Laplacian from scratch on every solve instead of
 	// reweighting the build-once session. Kept as the benchmark baseline
@@ -39,34 +40,6 @@ type Options struct {
 	// DisableIPM skips Progress entirely (ablation: Repairing alone from
 	// the rounded half-integral start).
 	DisableIPM bool
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, subjects every network primitive of the
-	// flow-rounding cascade to the given fault plan, with delivery
-	// restored by the reliable retransmission layer. The flow is
-	// bit-identical to a fault-free run; only the round cost grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries every network primitive of
-	// the flow-rounding cascade through the given delivery backend (see
-	// cc.Transport); nil keeps the in-process path. The flow is
-	// bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, bounds the run: it is checked at every IPM
-	// iteration and propagated to the electrical session and the rounding
-	// cascade. Exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded carrying the partial stats.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live counters for the run (Progress
-	// iterations, repair augmentations, cancelled cycles) and a mirror of
-	// the ledger's cost stream, and is propagated to every stage of the
-	// pipeline. A nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
-}
-
-func (o *Options) defaults() {
-	o.Budget.BindIfUnbound(o.Ledger)
 }
 
 // Result reports a Theorem 1.3 run.
@@ -96,8 +69,7 @@ type Result struct {
 // dg at minimum cost, following the Theorem 1.3 pipeline. See DESIGN.md for
 // the substitutions relative to CMSV17.
 func MinCostFlow(dg *graph.DiGraph, sigma []int64, opts Options) (*Result, error) {
-	opts.defaults()
-	opts.Metrics.MirrorLedger(opts.Ledger)
+	opts.Bind()
 	snap := rounds.Snap(opts.Ledger)
 	spansBefore := opts.Trace.SpanCount()
 	res, err := minCostFlowImpl(dg, sigma, opts)
@@ -121,7 +93,6 @@ func minCostFlowImpl(dg *graph.DiGraph, sigma []int64, opts Options) (*Result, e
 		return nil, err
 	}
 	tr := opts.Trace
-	tr.Attach(opts.Ledger)
 	sp := tr.Start("mcmf")
 	defer sp.End()
 	res := &Result{}
@@ -268,6 +239,8 @@ func (st *cmsvState) preconA() []float64 {
 // identical charged rounds on the ledger.
 func (st *cmsvState) solve(w []float64, b linalg.Vec, slot string) (linalg.Vec, error) {
 	if !st.chargeOK && st.opts.Ledger != nil {
+		// The calibration build takes only the run's metrics, not the
+		// run: it is internal measurement and charges nothing.
 		unit := st.supportGraph(nil, false)
 		sres, err := sparsify.Sparsify(unit, sparsify.Options{Metrics: st.opts.Metrics})
 		if err != nil {
@@ -311,7 +284,7 @@ func (st *cmsvState) sessionSolve(w []float64, b linalg.Vec, slot string) (linal
 		support := st.supportGraph(w, true)
 		// WarmStart stays off for charged-round parity with the fresh-build
 		// path; see the maxflow sessionSolve comment.
-		sess, err := electrical.NewSession(support, electrical.SessionOptions{Trace: st.opts.Trace, Budget: st.opts.Budget, Metrics: st.opts.Metrics})
+		sess, err := electrical.NewSession(support, electrical.SessionOptions{Env: st.opts.Env})
 		if err != nil {
 			return nil, err
 		}
@@ -593,8 +566,7 @@ func (st *cmsvState) roundToMatching(res *Result) ([]int64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcmf: snapping bipartite flow: %w", err)
 	}
-	rounded, err := flowround.RoundWith(rdg, snapped, S, T, delta, true,
-		flowround.Options{Ledger: st.opts.Ledger, Trace: st.opts.Trace, Faults: st.opts.Faults, Transport: st.opts.Transport, Budget: st.opts.Budget, Metrics: st.opts.Metrics})
+	rounded, err := flowround.Round(rdg, snapped, S, T, delta, true, st.opts.Env)
 	if err != nil {
 		return nil, fmt.Errorf("mcmf: rounding bipartite flow: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // bipartiteInstance returns a unit-capacity bipartite assignment instance:
@@ -114,7 +115,7 @@ func TestMinCostFlowMatchesOracleSmall(t *testing.T) {
 	dg.MustAddArc(3, 2, 1, 1)
 	sigma := []int64{1, 0, -1, 0}
 	led := rounds.New()
-	res, err := MinCostFlow(dg, sigma, Options{Ledger: led})
+	res, err := MinCostFlow(dg, sigma, Options{Env: runenv.Env{Ledger: led}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func e6Instance(l int, maxCost int64, seed int64) (*graph.DiGraph, []int64) {
@@ -32,7 +33,7 @@ func TestE6Sizes(t *testing.T) {
 			t.Fatalf("l=%d oracle: %v", l, err)
 		}
 		led := rounds.New()
-		res, err := MinCostFlow(dg, sigma, Options{Ledger: led})
+		res, err := MinCostFlow(dg, sigma, Options{Env: runenv.Env{Ledger: led}})
 		if err != nil {
 			t.Fatalf("l=%d: %v", l, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 // The session path (build the lifted support's electrical session once,
@@ -26,12 +27,12 @@ func TestMinCostFlowSessionMatchesFreshBuild(t *testing.T) {
 			dg, sigma := bipartiteInstance(tc.l, tc.r, tc.deg, tc.cost, tc.seed)
 
 			sessLed := rounds.New()
-			sess, err := MinCostFlow(dg, sigma, Options{Ledger: sessLed})
+			sess, err := MinCostFlow(dg, sigma, Options{Env: runenv.Env{Ledger: sessLed}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			freshLed := rounds.New()
-			fresh, err := MinCostFlow(dg, sigma, Options{Ledger: freshLed, FreshBuild: true})
+			fresh, err := MinCostFlow(dg, sigma, Options{Env: runenv.Env{Ledger: freshLed}, FreshBuild: true})
 			if err != nil {
 				t.Fatal(err)
 			}

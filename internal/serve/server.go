@@ -532,13 +532,7 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request, rc *reqC
 // transport included): the one constructor of a pooled miss and a traced
 // request.
 func newChain(g *graph.Graph, led *rounds.Ledger, run core.RunOptions) (*sparsify.Chain, error) {
-	return sparsify.NewChain(g.Clone(), sparsify.ChainOptions{
-		ExactOnly: true,
-		Sparsify: sparsify.Options{
-			Ledger: led, Trace: run.Trace, Faults: run.Faults, Transport: run.Transport,
-			Budget: run.Budget, Metrics: run.Metrics,
-		},
-	})
+	return sparsify.NewChain(g.Clone(), sparsify.ChainOptions{Sparsify: run.Env(led), ExactOnly: true})
 }
 
 func (s *Server) handleOrient(w http.ResponseWriter, r *http.Request, rc *reqCtx) {

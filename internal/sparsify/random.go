@@ -7,9 +7,8 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // Randomized sparsification — the paper's closing remark: "replacing the
@@ -36,15 +35,7 @@ func sketchDim(n int) int {
 type RandomOptions struct {
 	// Seed drives sampling; runs are reproducible per seed.
 	Seed int64
-	// Ledger, if non-nil, receives the round costs.
-	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Metrics, if non-nil, receives live phase counters and a mirror of the
-	// ledger's cost stream.
-	Metrics *metrics.Registry
+	runenv.Env
 }
 
 // CiteFV22 is the citation string for randomized-sparsifier round charges.
@@ -71,8 +62,7 @@ func RandomizedSparsify(g *graph.Graph, opts RandomOptions) (*Result, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("sparsify: randomized sparsifier requires a connected graph")
 	}
-	opts.Trace.Attach(opts.Ledger)
-	opts.Metrics.MirrorLedger(opts.Ledger)
+	opts.Bind()
 	opts.Metrics.Counter("lapcc_sparsify_random_builds_total", "Randomized sparsifier builds.").Inc()
 	sp := opts.Trace.Start("sparsify-randomized")
 	defer sp.End()

@@ -5,12 +5,13 @@ import (
 
 	"lapcc/internal/graph"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func TestRandomizedSparsifyQuality(t *testing.T) {
 	g := graph.Complete(96)
 	led := rounds.New()
-	res, err := RandomizedSparsify(g, RandomOptions{Seed: 1, Ledger: led})
+	res, err := RandomizedSparsify(g, RandomOptions{Seed: 1, Env: runenv.Env{Ledger: led}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRandomizedVsDeterministicRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	randLed := rounds.New()
-	if _, err := RandomizedSparsify(g, RandomOptions{Seed: 3, Ledger: randLed}); err != nil {
+	if _, err := RandomizedSparsify(g, RandomOptions{Seed: 3, Env: runenv.Env{Ledger: randLed}}); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("rounds: deterministic=%d randomized=%d", detLed.Total(), randLed.Total())

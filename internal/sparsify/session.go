@@ -48,8 +48,8 @@ type Chain struct {
 
 // ChainOptions configures NewChain.
 type ChainOptions struct {
-	// Sparsify configures the underlying builds (its Ledger and Trace are
-	// the chain's ledger and tracer).
+	// Sparsify is the run every build and rebuild records into; SetBudget
+	// replaces its budget.
 	Sparsify Options
 	// ExactOnly restricts Reweight to tier-1 reuse: the structure is kept
 	// only when the class partition is unchanged — where a fresh rebuild

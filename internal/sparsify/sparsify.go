@@ -36,13 +36,11 @@ import (
 	"math"
 	"sort"
 
-	"lapcc/internal/cc"
 	"lapcc/internal/expander"
 	"lapcc/internal/graph"
 	"lapcc/internal/linalg"
-	"lapcc/internal/metrics"
 	"lapcc/internal/rounds"
-	"lapcc/internal/trace"
+	"lapcc/internal/runenv"
 )
 
 // The construction's fixed parameters.
@@ -65,38 +63,11 @@ func maxLevels(m int) int {
 	return 2*int(math.Ceil(math.Log2(float64(m+2)))) + 6
 }
 
-// Options configures Sparsify.
-type Options struct {
-	// Ledger, if non-nil, receives the round costs.
-	Ledger *rounds.Ledger
-	// Trace, if non-nil, receives hierarchical span and cost events for
-	// this call (see internal/trace); a nil tracer records nothing and
-	// costs nothing.
-	Trace *trace.Tracer
-	// Faults, if non-nil, injects the given fault plan into every network
-	// primitive this package executes (its broadcasts, cc.Net.Broadcast).
-	// Results are bit-identical to a fault-free run; only the round cost
-	// grows.
-	Faults *cc.FaultPlan
-	// Transport, if non-nil, physically carries the per-level broadcast
-	// through the given delivery backend (see cc.Transport); nil keeps the
-	// in-process path. The sparsifier is bit-identical either way.
-	Transport cc.Transport
-	// Budget, if non-nil, is checked at every decomposition level;
-	// exhaustion aborts with an error unwrapping to
-	// rounds.ErrBudgetExceeded.
-	Budget *rounds.Budget
-	// Metrics, if non-nil, receives live phase counters (builds, levels,
-	// parts, chain reuse decisions) and a mirror of the ledger's cost
-	// stream; a nil registry records nothing and costs nothing.
-	Metrics *metrics.Registry
-	// Workers is ignored: the certified parts of a level are built one
-	// after another.
-	//
-	// Deprecated: it has no effect and is kept only because the benchmark
-	// module (bench/replay.go) still sets it.
-	Workers int
-}
+// Options configures Sparsify: the run it records into. It is runenv.Env
+// itself, so a caller hands its whole run down. The budget is checked at
+// every decomposition level; the transport and fault plan carry each
+// level's broadcast.
+type Options = runenv.Env
 
 // Result is the output of Sparsify.
 type Result struct {
@@ -124,8 +95,7 @@ func Sparsify(g *graph.Graph, opts Options) (*Result, error) {
 	if g.M() == 0 {
 		return nil, ErrEmptyGraph
 	}
-	opts.Trace.Attach(opts.Ledger)
-	opts.Metrics.MirrorLedger(opts.Ledger)
+	opts.Bind()
 	sp := opts.Trace.Start("sparsify")
 	defer sp.End()
 
@@ -221,8 +191,7 @@ func sparsifyLevel(g *graph.Graph, curp *[]int, level int, scale float64, opts O
 		// degree, making the product demand graphs globally known. Under a
 		// fault plan the reliable layer retransmits until the values are
 		// identical to the clean broadcast.
-		net := cc.Net{Transport: opts.Transport, Faults: opts.Faults, Ledger: opts.Ledger}
-		if _, _, err := net.Broadcast(g.N(), make([]int64, g.N()), "sparsify-bcast"); err != nil {
+		if _, _, err := opts.Net().Broadcast(g.N(), make([]int64, g.N()), "sparsify-bcast"); err != nil {
 			return levelOutcome{err: err}
 		}
 	}

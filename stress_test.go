@@ -14,6 +14,7 @@ import (
 	"lapcc/internal/maxflow"
 	"lapcc/internal/mcmf"
 	"lapcc/internal/rounds"
+	"lapcc/internal/runenv"
 )
 
 func TestStressEulerianLarge(t *testing.T) {
@@ -25,7 +26,7 @@ func TestStressEulerianLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := rounds.New()
-	orient, st, err := euler.Orient(g, nil, euler.Options{Ledger: led})
+	orient, st, err := euler.Orient(g, nil, euler.Options{Env: runenv.Env{Ledger: led}})
 	if err != nil {
 		t.Fatal(err)
 	}
