@@ -22,15 +22,13 @@ type FaultPlan struct {
 	// Drop, Corrupt, Duplicate, Delay are per-message fault probabilities
 	// in [0, 1]. At most one fault applies to a message; when the rates sum
 	// to more than 1 the plan is invalid. Precedence of the single uniform
-	// draw: drop, then corrupt, then duplicate, then delay.
+	// draw: drop, then corrupt, then duplicate, then delay. A delayed
+	// message arrives after its wave's acknowledgement deadline, so for
+	// the protocol it is lost for that wave.
 	Drop      float64
 	Corrupt   float64
 	Duplicate float64
 	Delay     float64
-	// MaxDelay bounds the extra rounds a delayed message waits before
-	// delivery (default 2). The actual delay of a delayed message is a
-	// deterministic value in 1..MaxDelay.
-	MaxDelay int
 	// MaxRetries bounds the retransmission waves of the reliable routing
 	// layer after the initial attempt (default 8, at most 32).
 	// Net.Route returns ErrDeliveryFailed when packets remain undelivered
@@ -89,9 +87,6 @@ func (p *FaultPlan) Validate() error {
 	if sum := p.Drop + p.Corrupt + p.Duplicate + p.Delay; sum > 1 {
 		return fmt.Errorf("%w: rates sum to %v > 1", ErrBadFaultPlan, sum)
 	}
-	if p.MaxDelay < 0 {
-		return fmt.Errorf("%w: MaxDelay %d", ErrBadFaultPlan, p.MaxDelay)
-	}
 	if p.MaxRetries < 0 || p.MaxRetries > maxRetriesLimit {
 		return fmt.Errorf("%w: MaxRetries %d outside [0,%d]", ErrBadFaultPlan, p.MaxRetries, maxRetriesLimit)
 	}
@@ -102,13 +97,6 @@ func (p *FaultPlan) Validate() error {
 // zero-rate plan leaves the message path clean.
 func (p *FaultPlan) messageFates() bool {
 	return p != nil && p.Drop+p.Corrupt+p.Duplicate+p.Delay > 0
-}
-
-func (p *FaultPlan) maxDelay() int {
-	if p.MaxDelay > 0 {
-		return p.MaxDelay
-	}
-	return 2
 }
 
 func (p *FaultPlan) maxRetries() int {
@@ -151,40 +139,37 @@ const (
 	faultDelay
 )
 
-// Domain salts keep the per-packet fate, delay and corruption draws
-// independent streams of the same seed.
+// Domain salts keep the per-packet fate and corruption draws independent
+// streams of the same seed.
 const (
-	saltPacket   = 0x51c6e7b9
-	saltDelayAmt = 0x2f0b4c85
-	saltCorrupt  = 0xb7e15162
+	saltPacket  = 0x51c6e7b9
+	saltCorrupt = 0xb7e15162
 )
 
 // fate resolves a single message's fate from one uniform draw.
-func (p *FaultPlan) fate(salt, a, b, c uint64) (kind, delay int) {
+func (p *FaultPlan) fate(salt, a, b, c uint64) int {
 	u := u01(p.hash(salt, a, b, c))
 	switch {
 	case u < p.Drop:
-		return faultDrop, 0
+		return faultDrop
 	case u < p.Drop+p.Corrupt:
-		return faultCorrupt, 0
+		return faultCorrupt
 	case u < p.Drop+p.Corrupt+p.Duplicate:
-		return faultDuplicate, 0
+		return faultDuplicate
 	case u < p.Drop+p.Corrupt+p.Duplicate+p.Delay:
-		d := 1 + int(p.hash(saltDelayAmt, a, b, c)%uint64(p.maxDelay()))
-		return faultDelay, d
+		return faultDelay
 	}
-	return faultNone, 0
+	return faultNone
 }
 
 // packetFate decides the fate of reliable-layer packet seq on retransmission
 // wave w.
-func (p *FaultPlan) packetFate(seq, wave int) (kind, delay int) {
+func (p *FaultPlan) packetFate(seq, wave int) int {
 	return p.fate(saltPacket, uint64(seq), uint64(wave), 0)
 }
 
 // ParseFaultPlan parses the -faults flag syntax: a comma-separated list of
-// key=value pairs with keys seed, drop, corrupt, dup, delay, maxdelay and
-// retries; any other key is an ErrBadFaultPlan. The shorthand of a bare
+// key=value pairs with keys seed, drop, corrupt, dup, delay and retries; any other key is an ErrBadFaultPlan. The shorthand of a bare
 // number is a drop rate: "-faults 0.01" is "-faults drop=0.01". An empty
 // string returns a nil plan.
 func ParseFaultPlan(s string) (*FaultPlan, error) {
@@ -227,16 +212,12 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 			case "delay":
 				p.Delay = f
 			}
-		case "maxdelay", "retries":
+		case "retries":
 			i, err := strconv.Atoi(val)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %s %q", ErrBadFaultPlan, key, val)
 			}
-			if key == "maxdelay" {
-				p.MaxDelay = i
-			} else {
-				p.MaxRetries = i
-			}
+			p.MaxRetries = i
 		default:
 			return nil, fmt.Errorf("%w: unknown key %q", ErrBadFaultPlan, key)
 		}
@@ -263,9 +244,6 @@ func (p *FaultPlan) String() string {
 		if kv.v > 0 {
 			parts = append(parts, fmt.Sprintf("%s=%v", kv.k, kv.v))
 		}
-	}
-	if p.MaxDelay > 0 {
-		parts = append(parts, fmt.Sprintf("maxdelay=%d", p.MaxDelay))
 	}
 	if p.MaxRetries > 0 {
 		parts = append(parts, fmt.Sprintf("retries=%d", p.MaxRetries))

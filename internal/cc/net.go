@@ -151,7 +151,7 @@ func (net Net) Broadcast(n int, values []int64, tag string) ([]int64, ReliableRe
 			if src == dst {
 				continue
 			}
-			kind, _ := plan.packetFate(src*n+dst, -1)
+			kind := plan.packetFate(src*n+dst, -1)
 			switch kind {
 			case faultDrop:
 				res.Faults.Dropped++

@@ -157,7 +157,7 @@ func reliableDeliver(net Net, n int, packets []Packet, tag string) ([][]Packet, 
 				if seq < 0 || seq >= len(packets) {
 					continue
 				}
-				kind, _ := plan.packetFate(seq, wave)
+				kind := plan.packetFate(seq, wave)
 				copies := 1
 				switch kind {
 				case faultDrop:
@@ -207,7 +207,7 @@ func reliableDeliver(net Net, n int, packets []Packet, tag string) ([][]Packet, 
 		}
 		next := pending[:0]
 		for _, idx := range pending {
-			ackKind, _ := plan.fate(saltAck, uint64(idx), uint64(wave), 0)
+			ackKind := plan.fate(saltAck, uint64(idx), uint64(wave), 0)
 			ackLost := ackKind == faultDrop || ackKind == faultDelay
 			if accepted[idx] && !ackLost {
 				acked[idx] = true
