@@ -123,15 +123,15 @@ func (r *Run) open() error {
 	if err != nil {
 		return err
 	}
+	r.Options.Transport = bt // Close releases it, also on the error below
+	tt, ok := bt.(*tcp.Transport)
+	if f.flight != "" && !ok {
+		return errors.New("-flight requires a tcp -transport")
+	}
 	if bt == nil {
-		if f.flight != "" {
-			return errors.New("-flight requires a tcp -transport")
-		}
 		return nil
 	}
-	r.Options.Transport = bt
 	fmt.Fprintf(r.out, "transport: %s\n", f.transport)
-	tt, ok := bt.(*tcp.Transport)
 	if !ok {
 		return nil
 	}

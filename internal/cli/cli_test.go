@@ -44,6 +44,7 @@ func TestOpenRejects(t *testing.T) {
 	}{
 		{[]string{"-chaos", "seed=1"}, "-chaos requires a tcp -transport"},
 		{[]string{"-flight", "F"}, "-flight requires a tcp -transport"},
+		{[]string{"-transport", "mem", "-flight", "F"}, "-flight requires a tcp -transport"},
 		{[]string{"-faults", "drop=2"}, "cc: invalid fault plan: rate 2 outside [0,1]"},
 		{[]string{"-budget", "x"}, `rounds: bad budget field "x"`},
 		{[]string{"-transport", "bogus"}, `transport: unknown backend "bogus" (want local, mem, or tcp)`},
