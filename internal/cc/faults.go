@@ -169,9 +169,10 @@ func (p *FaultPlan) packetFate(seq, wave int) int {
 }
 
 // ParseFaultPlan parses the -faults flag syntax: a comma-separated list of
-// key=value pairs with keys seed, drop, corrupt, dup, delay and retries; any other key is an ErrBadFaultPlan. The shorthand of a bare
-// number is a drop rate: "-faults 0.01" is "-faults drop=0.01". An empty
-// string returns a nil plan.
+// key=value pairs with keys seed, drop, corrupt, dup, delay and retries;
+// any other key is an ErrBadFaultPlan. The shorthand of a bare number is a
+// drop rate: "-faults 0.01" is "-faults drop=0.01". An empty string returns
+// a nil plan.
 func ParseFaultPlan(s string) (*FaultPlan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {

@@ -35,6 +35,7 @@ func sketchDim(n int) int {
 type RandomOptions struct {
 	// Seed drives sampling; runs are reproducible per seed.
 	Seed int64
+	// Env is the run the construction's rounds are charged to.
 	runenv.Env
 }
 
