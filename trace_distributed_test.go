@@ -11,7 +11,9 @@ package lapcc_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -82,11 +84,20 @@ func tracedChaosSolve(t *testing.T) (string, *trace.Tracer, []float64, *trace.Fl
 	return buf.String(), tracer, res.X, fl
 }
 
+// The merged JSONL stream of tracedChaosSolve: its line count, and the
+// FNV-1a digest of its bytes, which is compared on amd64 only, as
+// TestGolden compares answer digests.
+const (
+	tracedChaosLines         = 408
+	tracedChaosDigest uint64 = 0x81c91afb5feb9a3c
+)
+
 // TestDistributedTraceDeterminism runs the traced chaos solve twice and
 // requires the merged timelines to be byte-identical: worker subtree merge
 // order is fixed (node index, then span open sequence), supervision marks
 // carry no wall-clock or error text, and only committed barrier attempts
-// contribute worker records.
+// contribute worker records. The stream must also equal the pinned one, so
+// a change that moves the bytes of both runs alike fails too.
 func TestDistributedTraceDeterminism(t *testing.T) {
 	j1, _, x1, _ := tracedChaosSolve(t)
 	j2, _, x2, _ := tracedChaosSolve(t)
@@ -108,6 +119,14 @@ func TestDistributedTraceDeterminism(t *testing.T) {
 			}
 		}
 		t.Fatalf("merged JSONL diverges in length: %d vs %d lines", len(l1), len(l2))
+	}
+	if lines := strings.Count(j1, "\n"); lines != tracedChaosLines {
+		t.Fatalf("merged JSONL holds %d lines, want %d", lines, tracedChaosLines)
+	}
+	h := fnv.New64a()
+	io.WriteString(h, j1)
+	if d := h.Sum64(); runtime.GOARCH == "amd64" && d != tracedChaosDigest {
+		t.Fatalf("merged JSONL digest %#016x, want %#016x", d, tracedChaosDigest)
 	}
 	if err := trace.ValidateJSONL(strings.NewReader(j1)); err != nil {
 		t.Fatalf("merged JSONL fails validation: %v", err)
