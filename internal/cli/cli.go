@@ -136,9 +136,9 @@ func (r *Run) open() error {
 		return nil
 	}
 	r.mesh = tt
-	// With a traced tcp mesh, the coordinator asks every worker for its
-	// local span records at each barrier and merges them as node-%d
-	// subtrees, so the trace files hold one global timeline.
+	// With a traced tcp mesh, the coordinator adds every worker's traffic
+	// at each barrier as a node-%d subtree, so the trace files hold one
+	// global timeline.
 	tt.SetTracer(r.Options.Trace)
 	if r.flight != nil {
 		tt.SetFlight(r.flight, f.flight)

@@ -23,11 +23,12 @@ import (
 // flight recorder end to end (DESIGN.md §15): the Theorem 1.1 solver runs
 // over a supervised 4-worker mesh whose chaos plan kills two workers
 // mid-solve, with a tracer attached to both the run and the transport. The
-// tables show (a) the merged phase profile — coordinator phases plus the
-// node-N worker subtrees — with the supervision mark counts, and (b) the
-// flight recorder's event histogram, the wall-clock half of the story. The
-// headline check is the determinism contract: the merged JSONL timeline of
-// a second same-seed chaotic run must be byte-identical.
+// tables show (a) the phase profile — the solver's phases plus the node-N
+// subtrees in which the coordinator records each worker's traffic per
+// committed barrier — with the supervision mark counts, and (b) the flight
+// recorder's event histogram, the wall-clock half of the story. The
+// headline check is the determinism contract: the JSONL timeline of a
+// second same-seed chaotic run must be byte-identical.
 func e16DistributedTrace(w io.Writer, quick bool) error {
 	const n, m, seed = 48, 140, 11
 	g, err := graph.ConnectedGNM(n, m, seed)
@@ -113,7 +114,7 @@ func e16DistributedTrace(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "\n-- flight recorder (wall-clock side channel, %d events held) --\n", fl.Len())
 	printHistogram(w, kinds)
 
-	// The determinism contract: a second same-seed chaotic run merges to
+	// The determinism contract: a second same-seed chaotic run writes
 	// byte-identical JSONL.
 	jsonl2, _, _, _, err := run()
 	if err != nil {

@@ -10,6 +10,7 @@
 //	frame   := u32 length | u32 crc32c | payload        (length = len(payload))
 //	payload := u8 type | body
 //	msg     := i32 from | i32 to | u32 width | width × u64
+//	msgs    := u32 count | count × msg
 //	str     := u32 length | bytes
 //
 // The checksum is CRC-32C (Castagnoli) over the payload. Length and checksum
@@ -40,7 +41,7 @@ const (
 	// FrameReady signals a node's mesh is fully connected.
 	FrameReady
 	// FrameRound carries one round's sends owned by the receiving node
-	// (coordinator -> node).
+	// (coordinator -> node); its body is u64 round | msgs.
 	FrameRound
 	// FrameData carries one chunk of a node's sends to a peer (node ->
 	// node). Seq/Total sequence the chunks of one (round, sender) stream,
@@ -62,17 +63,6 @@ const (
 	FramePing
 	// FramePong acknowledges a FramePing (node -> coordinator).
 	FramePong
-	// FrameTrace carries a node's serialized trace records for one barrier
-	// (node -> coordinator), sent immediately before the barrier's
-	// FrameInbox when the round was flagged RoundFlagTrace. Blob holds a
-	// trace.AppendRecs stream; the transport layer does not interpret it.
-	FrameTrace
-)
-
-// Round flags carried on FrameRound. RoundFlagTrace asks the worker to
-// record its barrier-local spans and return them in a FrameTrace.
-const (
-	RoundFlagTrace uint32 = 1 << iota
 )
 
 // Msg is one logical clique message in wire form.
@@ -99,8 +89,6 @@ type Frame struct {
 	Addrs      []string // FramePeers
 	Msgs       []Msg    // FrameRound, FrameData, FrameInbox
 	Stats      WireStats
-	Flags      uint32 // FrameRound (RoundFlag* bits)
-	Blob       []byte // FrameTrace (opaque trace record stream)
 }
 
 // Defensive decode limits: a corrupt or hostile length field must not drive
@@ -175,13 +163,7 @@ func Append(buf []byte, f *Frame) ([]byte, error) {
 		// type byte only
 	case FrameRound:
 		buf = appendU64(buf, f.Round)
-		buf = appendU32(buf, f.Flags)
 		buf = appendMsgs(buf, f.Msgs)
-	case FrameTrace:
-		buf = appendU64(buf, f.Round)
-		buf = appendU32(buf, uint32(f.Node))
-		buf = appendU32(buf, uint32(len(f.Blob)))
-		buf = append(buf, f.Blob...)
 	case FrameData:
 		buf = appendU64(buf, f.Round)
 		buf = appendU32(buf, uint32(f.Node))
@@ -263,26 +245,6 @@ func (d *decoder) str() string {
 	s := string(d.b[d.off : d.off+int(n)])
 	d.off += int(n)
 	return s
-}
-
-// blob reads a u32-prefixed byte string bounded only by the remaining
-// payload (the frame length prefix already caps it at MaxFrameBytes).
-func (d *decoder) blob() []byte {
-	n := d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if d.off+int(n) > len(d.b) {
-		d.fail()
-		return nil
-	}
-	var b []byte
-	if n > 0 {
-		b = make([]byte, n)
-		copy(b, d.b[d.off:d.off+int(n)])
-	}
-	d.off += int(n)
-	return b
 }
 
 // msgs reads a message list into dc's table and word arena.
@@ -412,12 +374,7 @@ func (dc *Decoder) DecodePayload(payload []byte, f *Frame) error {
 		// type byte only
 	case FrameRound:
 		f.Round = d.u64()
-		f.Flags = d.u32()
 		f.Msgs = d.msgs(dc)
-	case FrameTrace:
-		f.Round = d.u64()
-		f.Node = int32(d.u32())
-		f.Blob = d.blob()
 	case FrameData:
 		f.Round = d.u64()
 		f.Node = int32(d.u32())

@@ -25,10 +25,10 @@ func sampleFrames() []*Frame {
 			{From: 5, To: 6, Data: []int64{42}},
 		}},
 		{Type: FrameData, Round: 10, Node: 2, Seq: 0, Total: 1}, // empty chunk
-		{Type: FrameRound, Round: 8, Flags: RoundFlagTrace, Msgs: []Msg{{From: 4, To: 1, Data: []int64{7}}}},
-		{Type: FrameTrace, Round: 8, Node: 1, Blob: []byte{0x01, 0x00, 0xff, 0x7f}},
+		{Type: FrameRound, Round: 8},                            // a worker that owns no sender this round
 		{Type: FrameInbox, Round: 9, Node: 2, Msgs: []Msg{{From: 0, To: 2, Data: []int64{3, 4}}},
 			Stats: WireStats{Frames: 12, FrameBytes: 480}},
+		{Type: FrameInbox, Round: 9, Node: 1}, // a worker that receives nothing
 		{Type: FrameShutdown},
 		{Type: FrameError, Addr: "node 3: mesh bootstrap failed"},
 		{Type: FramePing},

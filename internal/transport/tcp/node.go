@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"lapcc/internal/trace"
 	"lapcc/internal/transport"
 )
 
@@ -46,10 +45,6 @@ type barrier struct {
 	shard []transport.Msg   // the assembled inbox shard
 
 	stats transport.WireStats
-
-	traced    bool  // round was flagged RoundFlagTrace
-	sentMsgs  int64 // messages this worker's owned sources sent
-	sentWords int64 // payload words across them
 }
 
 // node is a worker's full connection and round state. Each connection has
@@ -58,10 +53,10 @@ type barrier struct {
 // its socket or on mu, and mu is never held across a peer write (a Round
 // step releases it while it writes its chunks), so every peer write
 // finishes once the peer's reader drains it. Writes to the coordinator
-// (inbox, trace, pong, error) do happen under mu; the coordinator reads
-// every inbox of a barrier before it sends anything else, and a worker
-// writes its inbox only after every peer chunk of the barrier has arrived,
-// so no peer is left writing to a worker that blocks there.
+// (inbox, pong, error) do happen under mu; the coordinator reads every
+// inbox of a barrier before it sends anything else, and a worker writes
+// its inbox only after every peer chunk of the barrier has arrived, so no
+// peer is left writing to a worker that blocks there.
 type node struct {
 	id    int32
 	procs int
@@ -404,13 +399,6 @@ func (nd *node) onRound(f *transport.Frame) error {
 	if b.haveRound {
 		return fmt.Errorf("node %d: duplicate round %d", nd.id, f.Round)
 	}
-	if f.Flags&transport.RoundFlagTrace != 0 {
-		b.traced = true
-		b.sentMsgs = int64(len(f.Msgs))
-		for _, m := range f.Msgs {
-			b.sentWords += int64(len(m.Data))
-		}
-	}
 
 	// Partition by destination owner, preserving order (the coordinator
 	// sends in ascending-source order; per (src,dst) order rides along).
@@ -519,11 +507,6 @@ func (nd *node) maybeFinish() error {
 			shard = append(shard, b.in[j]...)
 		}
 	}
-	if b.traced {
-		if err := nd.sendTrace(b, shard); err != nil {
-			return err
-		}
-	}
 	if err := nd.sendCoord(&transport.Frame{
 		Type: transport.FrameInbox, Round: b.round, Node: nd.id, Msgs: shard, Stats: b.stats,
 	}); err != nil {
@@ -544,37 +527,7 @@ func (nd *node) maybeFinish() error {
 		b.in[j] = b.in[j][:0]
 		b.next[j], b.total[j] = 0, 0
 	}
-	b.active, b.haveRound, b.traced = false, false, false
+	b.active, b.haveRound = false, false
 	b.stats = transport.WireStats{}
-	b.sentMsgs, b.sentWords = 0, 0
-	return nil
-}
-
-// sendTrace ships the barrier's trace records to the coordinator,
-// immediately before the inbox frame on the same connection and under the
-// same lock, so the coordinator reads trace-then-inbox in order. Only
-// seed-reproducible quantities are recorded: the worker's sent and
-// assembled-shard traffic. Wire counters travel in the inbox's stats and the
-// coordinator's flight recorder, outside the deterministic trace stream.
-func (nd *node) sendTrace(b *barrier, shard []transport.Msg) error {
-	rc := b.round
-	buf := trace.NewBuffer()
-	buf.Beginf("barrier-%d", rc)
-	buf.Traffic("sent", b.sentMsgs, b.sentWords)
-	var shardWords int64
-	for _, m := range shard {
-		shardWords += int64(len(m.Data))
-	}
-	buf.Traffic("shard", int64(len(shard)), shardWords)
-	buf.End()
-	blob, err := trace.AppendRecs(nil, buf.Take())
-	if err != nil {
-		return fmt.Errorf("node %d: encoding trace for round %d: %w", nd.id, rc, err)
-	}
-	if err := nd.sendCoord(&transport.Frame{
-		Type: transport.FrameTrace, Round: rc, Node: nd.id, Blob: blob,
-	}); err != nil {
-		return fmt.Errorf("node %d: trace for round %d: %w", nd.id, rc, err)
-	}
 	return nil
 }

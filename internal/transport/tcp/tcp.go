@@ -204,7 +204,7 @@ type Transport struct {
 	killed   map[transport.Kill]bool
 	stopHB   chan struct{}
 
-	tracer     *trace.Tracer // merged distributed trace plane (nil: untraced)
+	tracer     *trace.Tracer // distributed trace plane (nil: untraced)
 	flight     *trace.Flight // crash flight recorder (nil: disabled)
 	flightDump string        // JSONL dump path on unrecoverable failure
 
@@ -213,6 +213,9 @@ type Transport struct {
 	perProc [][]transport.Msg // each worker's sends
 	dc      []int             // messages per destination
 	inbox   transport.Inboxes // the returned inbox layout
+	// Messages and payload words of each worker's inbox shard in the
+	// last attempt, for the trace plane.
+	shardMsgs, shardWords []int64
 }
 
 // New boots a coordinator and its worker processes and blocks until the full
@@ -230,11 +233,13 @@ func New(opts Options) (*Transport, error) {
 		}
 	}
 	t := &Transport{
-		opts:    opts,
-		procs:   opts.Procs,
-		killed:  make(map[transport.Kill]bool),
-		stopHB:  make(chan struct{}),
-		perProc: make([][]transport.Msg, opts.Procs),
+		opts:       opts,
+		procs:      opts.Procs,
+		killed:     make(map[transport.Kill]bool),
+		stopHB:     make(chan struct{}),
+		perProc:    make([][]transport.Msg, opts.Procs),
+		shardMsgs:  make([]int64, opts.Procs),
+		shardWords: make([]int64, opts.Procs),
 	}
 	if err := t.boot(); err != nil {
 		t.Close()
@@ -246,13 +251,14 @@ func New(opts Options) (*Transport, error) {
 	return t, nil
 }
 
-// SetTracer attaches the distributed trace plane: every subsequent barrier
-// is dispatched with transport.RoundFlagTrace, each worker's barrier-local
-// records are merged into tr as "node-%d" subtrees in ascending worker
-// order, and supervision transitions become mark events. A nil tr detaches
-// (the default; the barrier path then adds zero cost). Do not attach a
-// per-request tracer to a transport shared across concurrent requests — the
-// merged subtrees would interleave across requests.
+// SetTracer attaches the distributed trace plane: after every subsequent
+// barrier commits, the coordinator adds to tr one "node-%d" subtree per
+// worker, in ascending worker order, holding the traffic it sent that
+// worker and read back from it, and supervision transitions become mark
+// events. Workers record nothing. A nil tr detaches (the default; the
+// barrier path then adds zero cost). Do not attach a per-request tracer to
+// a transport shared across concurrent requests — the subtrees would
+// interleave across requests.
 func (t *Transport) SetTracer(tr *trace.Tracer) {
 	t.mu.Lock()
 	t.tracer = tr
@@ -268,13 +274,6 @@ func (t *Transport) SetFlight(f *trace.Flight, dumpPath string) {
 	t.flight = f
 	t.flightDump = dumpPath
 	t.mu.Unlock()
-}
-
-// Flight returns the attached flight recorder (nil when detached).
-func (t *Transport) Flight() *trace.Flight {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.flight
 }
 
 // dumpFlight writes the flight ring to the configured dump path; the
@@ -548,7 +547,6 @@ func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.D
 
 	t.executeKills(rc)
 
-	traced := t.tracer != nil
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if t.meshDown && t.opts.Supervise {
@@ -570,15 +568,12 @@ func (t *Transport) Deliver(_ int, n int, out []cc.Outbox) ([][]cc.Message, cc.D
 				t.flight.Record(trace.FlightEvent{Kind: "replay", Barrier: rc, Epoch: t.epoch, Node: -1})
 			}
 		}
-		inboxes, stats, shardDigests, recs, err := t.deliverOnce(rc, n, total, traced)
+		inboxes, stats, shardDigests, err := t.deliverOnce(rc, n, total)
 		if err == nil {
-			// Only the committed attempt's worker records reach the trace:
-			// a failed attempt's mesh is torn down with its partial spans,
-			// so the merged timeline stays deterministic for a fixed kill
-			// schedule. Merge order is the contract: ascending worker
-			// index, each worker's records in open sequence.
-			for p := 0; p < len(recs); p++ {
-				t.tracer.Merge(fmt.Sprintf("node-%d", p), recs[p])
+			// Only the committed attempt reaches the trace, so the
+			// timeline stays deterministic for a fixed kill schedule.
+			if t.tracer != nil {
+				t.traceNodes(rc)
 			}
 			if attempt > 0 {
 				t.tracer.Mark("replay-verified", rc, t.epoch, -1)
@@ -623,16 +618,16 @@ func (t *Transport) readWorker(p int, rc uint64, f *transport.Frame) error {
 }
 
 // deliverOnce runs one delivery attempt for one barrier against the current
-// mesh: dispatch the Round frames, collect every worker's inbox shard (each
-// preceded by a trace frame when traced), and assemble the per-destination
-// inboxes. With a BarrierTimeout every coordinator connection carries an
-// absolute deadline for the attempt, so a hung worker surfaces as an error
-// here instead of stalling the coordinator.
+// mesh: dispatch the Round frames, collect every worker's inbox shard, and
+// assemble the per-destination inboxes. With a BarrierTimeout every
+// coordinator connection carries an absolute deadline for the attempt, so a
+// hung worker surfaces as an error here instead of stalling the
+// coordinator.
 //
 // The inbox layout and every reader's payload arena are reused by the next
 // attempt or Deliver, as the cc.Transport contract allows: a delivery is
 // valid until the next one.
-func (t *Transport) deliverOnce(rc uint64, n, total int, traced bool) ([][]cc.Message, cc.DeliveryStats, []uint64, [][]trace.Rec, error) {
+func (t *Transport) deliverOnce(rc uint64, n, total int) ([][]cc.Message, cc.DeliveryStats, []uint64, error) {
 	if t.opts.BarrierTimeout > 0 {
 		deadline := time.Now().Add(t.opts.BarrierTimeout)
 		for _, conn := range t.conns {
@@ -646,20 +641,16 @@ func (t *Transport) deliverOnce(rc uint64, n, total int, traced bool) ([][]cc.Me
 			}
 		}()
 	}
-	var flags uint32
-	if traced {
-		flags = transport.RoundFlagTrace
-	}
 	for p := 0; p < t.procs; p++ {
 		var err error
 		t.wbuf, err = transport.Append(t.wbuf[:0], &transport.Frame{
-			Type: transport.FrameRound, Round: rc, Flags: flags, Msgs: t.perProc[p],
+			Type: transport.FrameRound, Round: rc, Msgs: t.perProc[p],
 		})
 		if err == nil {
 			_, err = t.conns[p].Write(t.wbuf)
 		}
 		if err != nil {
-			return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: sending round %d to worker %d: %w", rc, p, err)
+			return nil, cc.DeliveryStats{}, nil, fmt.Errorf("tcp: sending round %d to worker %d: %w", rc, p, err)
 		}
 	}
 
@@ -674,10 +665,6 @@ func (t *Transport) deliverOnce(rc uint64, n, total int, traced bool) ([][]cc.Me
 	if t.opts.Supervise {
 		shardDigests = make([]uint64, t.procs)
 	}
-	var recs [][]trace.Rec
-	if traced {
-		recs = make([][]trace.Rec, t.procs)
-	}
 	for _, rd := range t.rds {
 		rd.Release()
 	}
@@ -687,44 +674,54 @@ func (t *Transport) deliverOnce(rc uint64, n, total int, traced bool) ([][]cc.Me
 	var f transport.Frame
 	for p := 0; p < t.procs; p++ {
 		if err := t.readWorker(p, rc, &f); err != nil {
-			return nil, cc.DeliveryStats{}, nil, nil, err
-		}
-		if traced {
-			if f.Type != transport.FrameTrace || f.Round != rc {
-				return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: worker %d sent frame type %d (round %d) instead of trace for round %d", p, f.Type, f.Round, rc)
-			}
-			rr, derr := trace.DecodeRecs(f.Blob)
-			if derr != nil {
-				return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: decoding trace records of worker %d in round %d: %w", p, rc, derr)
-			}
-			recs[p] = rr
-			if err := t.readWorker(p, rc, &f); err != nil {
-				return nil, cc.DeliveryStats{}, nil, nil, err
-			}
+			return nil, cc.DeliveryStats{}, nil, err
 		}
 		if f.Type != transport.FrameInbox || f.Round != rc {
-			return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: worker %d sent frame type %d (round %d) instead of inbox for round %d", p, f.Type, f.Round, rc)
+			return nil, cc.DeliveryStats{}, nil, fmt.Errorf("tcp: worker %d sent frame type %d (round %d) instead of inbox for round %d", p, f.Type, f.Round, rc)
 		}
 		if shardDigests != nil {
 			shardDigests[p] = digestMsgs(splitmix64(uint64(p)), f.Msgs)
 		}
 		stats.Frames += int64(f.Stats.Frames)
 		stats.FrameBytes += int64(f.Stats.FrameBytes)
+		var words int64
 		for _, wm := range f.Msgs {
 			if wm.To < 0 || int(wm.To) >= n {
-				return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: worker %d delivered recipient %d out of range", p, wm.To)
+				return nil, cc.DeliveryStats{}, nil, fmt.Errorf("tcp: worker %d delivered recipient %d out of range", p, wm.To)
 			}
 			inboxes[wm.To] = append(inboxes[wm.To], cc.Message{From: int(wm.From), Data: wm.Data})
+			words += int64(len(wm.Data))
 			got++
 		}
+		t.shardMsgs[p], t.shardWords[p] = int64(len(f.Msgs)), words
 	}
 	if got != total {
-		return nil, cc.DeliveryStats{}, nil, nil, fmt.Errorf("tcp: round %d delivered %d of %d messages", rc, got, total)
+		return nil, cc.DeliveryStats{}, nil, fmt.Errorf("tcp: round %d delivered %d of %d messages", rc, got, total)
 	}
 	for _, msgs := range inboxes {
 		slices.SortStableFunc(msgs, func(a, b cc.Message) int { return cmp.Compare(a.From, b.From) })
 	}
-	return inboxes, stats, shardDigests, recs, nil
+	return inboxes, stats, shardDigests, nil
+}
+
+// traceNodes adds each worker's "node-%d" subtree for committed barrier
+// rc, in ascending worker order: a barrier span with the messages and
+// payload words the coordinator sent the worker and those of the inbox
+// shard it read back. What a worker sends and receives is fixed by the
+// barrier's input and output, so the coordinator needs nothing from the
+// worker to write it. Called under mu.
+func (t *Transport) traceNodes(rc uint64) {
+	for p, sends := range t.perProc {
+		var words int64
+		for _, m := range sends {
+			words += int64(len(m.Data))
+		}
+		node := t.tracer.Startf("node-%d", p)
+		t.tracer.Startf("barrier-%d", rc)
+		t.tracer.LinkTraffic("sent", int64(len(sends)), words)
+		t.tracer.LinkTraffic("shard", t.shardMsgs[p], t.shardWords[p])
+		node.End() // closes the barrier span first
+	}
 }
 
 // commit seals a barrier: advance the round counter, fold the attempt's

@@ -1,13 +1,13 @@
 package lapcc_test
 
 // Distributed trace-plane tests: with a tracer attached to the supervised
-// TCP coordinator, every barrier also collects each worker's local span
-// records and merges them into the global timeline as node-%d subtrees,
-// and supervision transitions (kills, mesh teardown/respawn, barrier
-// replay) appear as mark events. The merged JSONL stream must be
-// schema-clean and — for a fixed kill schedule — byte-identical across
-// runs, because everything in it is derived from deterministic quantities
-// (the wall clock stays in the Chrome export and the flight recorder).
+// TCP coordinator, every committed barrier also adds each worker's traffic
+// to the global timeline as a node-%d subtree, and supervision transitions
+// (kills, mesh teardown/respawn, barrier replay) appear as mark events. The
+// JSONL stream must be schema-clean and — for a fixed kill schedule —
+// byte-identical across runs, because everything in it is derived from
+// deterministic quantities (the wall clock stays in the Chrome export and
+// the flight recorder).
 
 import (
 	"bytes"
