@@ -46,7 +46,8 @@ type ChaosPlan struct {
 	Reset   float64
 	Partial float64
 	Stall   float64
-	// StallDelay is how long a stalled write waits (default 5ms).
+	// StallDelay is how long a stalled write waits (default 5ms, at most
+	// maxStallDelay).
 	StallDelay time.Duration
 	// ResetEpochs bounds reset injection to mesh epochs < ResetEpochs
 	// (default 1: only the first incarnation is reset). Without a bound a
@@ -66,6 +67,12 @@ type Kill struct {
 	Barrier uint64
 	Proc    int
 }
+
+// maxStallDelay bounds StallDelay. A stalled write sleeps for the whole
+// delay whatever the barrier timeout, and a mesh teardown waits for every
+// in-process worker, so a supervised coordinator holds its lock (and a
+// daemon its only admission slot) for as long as the delay allows.
+const maxStallDelay = time.Second
 
 // ErrBadChaosPlan reports an invalid chaos plan.
 var ErrBadChaosPlan = errors.New("transport: invalid chaos plan")
@@ -87,8 +94,8 @@ func (p *ChaosPlan) Validate() error {
 	if sum := p.Reset + p.Partial + p.Stall; sum > 1 {
 		return fmt.Errorf("%w: rates sum to %v > 1", ErrBadChaosPlan, sum)
 	}
-	if p.StallDelay < 0 {
-		return fmt.Errorf("%w: StallDelay %v", ErrBadChaosPlan, p.StallDelay)
+	if p.StallDelay < 0 || p.StallDelay > maxStallDelay {
+		return fmt.Errorf("%w: StallDelay %v outside [0, %v]", ErrBadChaosPlan, p.StallDelay, maxStallDelay)
 	}
 	if p.ResetEpochs < 0 {
 		return fmt.Errorf("%w: ResetEpochs %d", ErrBadChaosPlan, p.ResetEpochs)

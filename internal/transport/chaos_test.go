@@ -16,6 +16,7 @@ func TestChaosPlanParseRoundTrip(t *testing.T) {
 		{Seed: 1, Reset: 0.002, Partial: 0.05, Stall: 0.01},
 		{Seed: 9, Reset: 0.1, ResetEpochs: 2, StallDelay: 3 * time.Millisecond},
 		{Seed: 3, Kills: []Kill{{Barrier: 6, Proc: 1}, {Barrier: 20, Proc: 2}}},
+		{Seed: 4, Stall: 0.5, StallDelay: time.Second},
 	}
 	for _, p := range plans {
 		got, err := ParseChaosPlan(p.String())
@@ -35,6 +36,7 @@ func TestChaosPlanParseRejects(t *testing.T) {
 	for _, bad := range []string{
 		"frobnicate=1", "reset=2", "reset=-0.1", "kill=5", "kill=x:1",
 		"reset=0.5,partial=0.4,stall=0.3", "seed", "stalldelay=fast",
+		"stall=0.5,stalldelay=2s",
 	} {
 		if _, err := ParseChaosPlan(bad); !errors.Is(err, ErrBadChaosPlan) {
 			t.Fatalf("ParseChaosPlan(%q): got %v, want ErrBadChaosPlan", bad, err)
