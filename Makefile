@@ -161,15 +161,22 @@ bench-net:
 # failed barriers from the round checkpoint, and the report — flow value,
 # IPM iterations, the full charged-round breakdown — must come out
 # byte-identical to the undisturbed local run. Recovery bookkeeping prints
-# on 'transport:' lines, which the diff filters. The chaotic run records a
-# transport flight dump; on failure the outputs and the dump are preserved
-# under .smoke-artifacts/ (CI uploads that directory) instead of vanishing
-# with the temp dir.
+# on 'transport:' lines, which the diff filters. Then README's trace-plane
+# quickstart, a traced Laplacian solve whose drop plan spreads it over
+# enough barriers for both scheduled kills to land, runs once with
+# in-process workers and once with real lapccnode processes: both must
+# report kills=2 and write the same JSONL trace bytes. The chaotic runs
+# record transport flight dumps; on failure the outputs, the dumps and the
+# traces are preserved under .smoke-artifacts/ (CI uploads that directory)
+# instead of vanishing with the temp dir.
+QUICKSTART_SOLVE := -gen regular -n 256 -faults seed=101,drop=0.01 -chaos 'seed=7,kill=1:1,kill=2:3'
+
 chaos-smoke:
 	@tmp=$$(mktemp -d); \
 	( set -e; \
 	  $(GO) build -o $$tmp/lapccnode ./cmd/lapccnode; \
 	  $(GO) build -o $$tmp/flowcc ./cmd/flowcc; \
+	  $(GO) build -o $$tmp/lapsolve ./cmd/lapsolve; \
 	  $$tmp/flowcc -algo maxflow -width 6 -faults seed=3,drop=0.02 >$$tmp/local.out; \
 	  $$tmp/flowcc -algo maxflow -width 6 -faults seed=3,drop=0.02 \
 		-transport tcp,procs=4,bin=$$tmp/lapccnode \
@@ -177,14 +184,21 @@ chaos-smoke:
 		-flight $$tmp/chaos.flight.jsonl 2>/dev/null \
 		| grep -v '^transport:\|^flight:' >$$tmp/chaos.out; \
 	  diff -u $$tmp/local.out $$tmp/chaos.out; \
+	  $$tmp/lapsolve $(QUICKSTART_SOLVE) -transport tcp,procs=4 \
+		-trace-events $$tmp/inproc.trace.jsonl -flight $$tmp/inproc.flight.jsonl >$$tmp/inproc.out 2>&1; \
+	  $$tmp/lapsolve $(QUICKSTART_SOLVE) -transport tcp,procs=4,bin=$$tmp/lapccnode \
+		-trace-events $$tmp/procs.trace.jsonl -flight $$tmp/procs.flight.jsonl >$$tmp/procs.out 2>&1; \
+	  grep -q '^transport: recovery kills=2 ' $$tmp/inproc.out; \
+	  grep -q '^transport: recovery kills=2 ' $$tmp/procs.out; \
+	  cmp $$tmp/inproc.trace.jsonl $$tmp/procs.trace.jsonl; \
 	); status=$$?; \
 	if [ $$status -ne 0 ]; then \
 	  mkdir -p .smoke-artifacts; \
-	  cp $$tmp/*.out $$tmp/*.flight.jsonl .smoke-artifacts/ 2>/dev/null || true; \
+	  cp $$tmp/*.out $$tmp/*.flight.jsonl $$tmp/*.trace.jsonl .smoke-artifacts/ 2>/dev/null || true; \
 	  echo "chaos-smoke: FAILED (artifacts preserved in .smoke-artifacts/)"; \
 	fi; \
 	rm -rf "$$tmp"; \
-	[ $$status -eq 0 ] && echo "chaos-smoke: OK (output under kills+resets byte-identical to local)"; \
+	[ $$status -eq 0 ] && echo "chaos-smoke: OK (output under kills+resets byte-identical to local; traced quickstart identical across worker processes)"; \
 	exit $$status
 
 # Re-measure the kill-recovery overhead figures behind BENCH_chaos.json.
