@@ -706,10 +706,10 @@ func (t *Transport) deliverOnce(rc uint64, n, total int) ([][]cc.Message, cc.Del
 
 // traceNodes adds each worker's "node-%d" subtree for committed barrier
 // rc, in ascending worker order: a barrier span with the messages and
-// payload words the coordinator sent the worker and those of the inbox
-// shard it read back. What a worker sends and receives is fixed by the
-// barrier's input and output, so the coordinator needs nothing from the
-// worker to write it. Called under mu.
+// payload words of the Round frame the coordinator sent the worker and of
+// the inbox shard it read back. What a worker sends and receives is fixed
+// by the barrier's input and output, so the frames the coordinator already
+// writes and reads hold all of it. Called under mu.
 func (t *Transport) traceNodes(rc uint64) {
 	for p, sends := range t.perProc {
 		var words int64
